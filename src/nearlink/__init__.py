@@ -10,6 +10,7 @@ from .beamforming import (
     GAIN_FLOOR_DB,
     REFERENCE_DISH_LARGE,
     REFERENCE_DISH_SMALL,
+    BeamKernel,
     DishSpec,
     Direction,
     GainGrid,

@@ -10,6 +10,16 @@ reads 10 log10(N) above one element:
 
 Angles are polar angle theta from the +z boresight and azimuth phi in the x-y
 plane, radians. Exact nulls are clamped at -200 dB on the array factor.
+
+Two kernels evaluate the coherent sum. The exact one pays one distance and one
+complex exponential per element and target. The panel-factorized one serves
+layouts of identical panels (every UPA and every distributed layout): it keeps
+the exact path to each panel centre and expands the path inside a panel to
+second order (the Fresnel expansion), split into a row factor and a column
+factor, so a panel costs one small matrix product per target. It runs only
+when a rigorous bound on the terms it drops stays below the exact kernel's own
+phase rounding; otherwise the exact kernel runs. The exact kernel is also the
+oracle the factorized one is tested against.
 """
 
 from __future__ import annotations
@@ -20,13 +30,17 @@ from typing import Union
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .geometry import ElementLayout
+from .geometry import ElementLayout, _grid_offsets
 
 GAIN_FLOOR_DB = -200.0
 
 # Upper bound on entries of one phase block (eval samples x element chunk);
 # keeps peak memory for a sweep near 100 MB.
 _BLOCK_BUDGET = 4_000_000
+
+# Unit roundoff of float64. The exact kernels round each element's path d to
+# about d * 2**-53, which is their own per-element phase floor.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 # ===== focal targets =====
@@ -156,27 +170,57 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
 
     ``where`` is a Direction, a Point, or a homogeneous list of either;
     returns a complex scalar for a single target, else a complex array. The
-    element axis is processed in blocks so arbitrarily large layouts sweep in
+    target axis is processed in blocks so arbitrarily large layouts sweep in
     bounded memory.
     """
     _check_wavelength(wavelength)
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights)
-    if w.shape != (layout.n_elements,):
-        raise ValueError("weights do not match the layout")
-
+    w = _weights_of(layout, weights)
     single = isinstance(where, (Direction, Point))
     targets = [where] if single else list(where)
     if not targets:
         raise ValueError("need at least one evaluation target")
     if all(isinstance(t, Direction) for t in targets):
-        units = np.stack([t.unit for t in targets])
-        total = _direction_sums(layout.positions, w, units, wavelength)
+        total, _ = _sums(layout, w, np.stack([t.unit for t in targets]), True, wavelength)
     elif all(isinstance(t, Point) for t in targets):
-        pts = np.stack([t.position for t in targets])
-        total = _point_sums(layout.positions, w, pts, wavelength)
+        total, _ = _sums(layout, w, np.stack([t.position for t in targets]), False, wavelength)
     else:
         raise TypeError("evaluation targets must be all Directions or all Points")
     return complex(total[0]) if single else total
+
+
+def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
+    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights)
+    if w.shape != (layout.n_elements,):
+        raise ValueError("weights do not match the layout")
+    return w
+
+
+@dataclass(frozen=True)
+class BeamKernel:
+    """The kernel that evaluated a response and its per-element phase bound.
+
+    ``name`` is ``"panel_factorized"`` or ``"exact"``. ``bound_rad`` bounds,
+    at every element and target, the phase of the terms the kernel drops
+    (zero for the exact sum).
+    """
+
+    name: str
+    bound_rad: float
+
+
+EXACT_KERNEL = BeamKernel("exact", 0.0)
+
+
+def _sums(layout, w, targets, directional, wavelength):
+    # Response at each target (unit vectors if ``directional``, else points)
+    # and the kernel that computed it: the factorized kernel when its bound
+    # is within the exact kernel's rounding floor, else the exact kernel.
+    plan = _factorized_plan(layout, targets, directional, wavelength)
+    if plan is not None and plan.bound_rad <= plan.floor_rad:
+        kernel = BeamKernel("panel_factorized", plan.bound_rad)
+        return _factorized_sums(plan, w, targets, wavelength), kernel
+    exact = _direction_sums if directional else _point_sums
+    return exact(layout.positions, w, targets, wavelength), EXACT_KERNEL
 
 
 def _direction_sums(positions, w, units, wavelength):
@@ -200,6 +244,135 @@ def _point_sums(positions, w, pts, wavelength):
         phase = np.sqrt(d2) * (-2.0 * np.pi / wavelength)
         out += np.exp(1j * phase) @ w[start : start + step]
     return out
+
+
+# ----- panel-factorized kernel -----
+#
+# Element (row r, column c) of panel p sits at c_p + o with o = (x_c, y_r, 0).
+# With R the path to the panel centre and u its unit vector, the path to the
+# element is
+#
+#     d = R - x u_x - y u_y + x^2 (1 - u_x^2) / 2R + y^2 (1 - u_y^2) / 2R
+#           - x y u_x u_y / R + remainder,
+#
+# so dropping the cross term and the remainder leaves a row factor times a
+# column factor, and the response is
+#
+#     sum_p exp(-jkR_p) sum_r B_pr (A_p W_p^T)_r
+#
+# with A the column factors, B the row factors and W_p the panel's weights as
+# a rows x cols matrix. A far-field Direction is the same with 1/R = 0 and
+# R_p = -u . c_p, where nothing is dropped.
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorizedPlan:
+    centres: np.ndarray  # (panels, 3) panel centres
+    x: np.ndarray  # (cols,) column offsets inside a panel
+    y: np.ndarray  # (rows,) row offsets inside a panel
+    directional: bool  # targets are unit vectors, not points
+    step: int  # targets per block
+    bound_rad: float  # dropped-term phase bound at any element and target
+    floor_rad: float  # exact kernel's phase rounding at the nearest target
+
+
+def _factorized_plan(layout, targets, directional, wavelength):
+    """Panel geometry and error bound of the factorized kernel, or None.
+
+    None means the layout is not one shared ``_grid_offsets`` grid repeated
+    at each panel centre (for example 1x1 panels, or ids out of order), or a
+    point target lies within a panel's reach of its centre. Positions that
+    are off the grid by more than rounding stay eligible here: their offset
+    enters the bound, and the gate refuses them.
+    """
+    spec = layout.panel_spec
+    per_panel = spec.n_elements
+    if per_panel < 2 or layout.n_elements % per_panel:
+        return None
+    n_panels = layout.n_elements // per_panel
+    if not np.array_equal(layout.panel_ids, np.repeat(np.arange(n_panels), per_panel)):
+        return None
+
+    offsets = _grid_offsets(spec)
+    pos = layout.positions.reshape(n_panels, per_panel, 3)
+    # The first and last elements sit at opposite offsets, so their midpoint
+    # recovers the centre a layout was built from, usually to the last bit.
+    centres = 0.5 * (pos[:, 0] + pos[:, -1])
+    rebuilt = centres[:, None, :] + offsets
+    # |position - (centre + offset)|: the gap to the rebuilt grid, plus the
+    # one rounding (at most 2**-53 of each coordinate) that rebuilding took.
+    scale = float(np.sqrt((rebuilt * rebuilt).sum(axis=-1)).max())
+    gap = float(np.sqrt(((pos - rebuilt) ** 2).sum(axis=-1)).max())
+    residual = gap + _UNIT_ROUNDOFF * scale
+
+    x = offsets[: spec.cols, 0]
+    y = offsets[:: spec.cols, 1]
+    # As many targets per block as the exact kernel's budget of element x
+    # target entries allows, so peak memory stays below the exact kernel's.
+    step = max(1, _BLOCK_BUDGET // layout.n_elements)
+    if directional:
+        # Nothing is dropped. The exact kernel rounds phases as large as the
+        # largest element coordinate.
+        bound, floor = residual, _UNIT_ROUNDOFF * scale
+    else:
+        half_x, half_y = float(np.abs(x).max()), float(np.abs(y).max())
+        rho = float(np.hypot(half_x, half_y))
+        nearest, skew = np.inf, 0.0
+        for start in range(0, len(targets), step):
+            v = targets[start : start + step] - centres[:, None, :]
+            path = np.sqrt((v * v).sum(axis=-1))
+            nearest = min(nearest, float(path.min()))
+            if nearest <= rho:
+                return None
+            skew = max(skew, float((np.abs(v[..., 0] * v[..., 1]) / path**3).max()))
+        # Cross term |x y u_x u_y| / R, plus the remainder of the second-order
+        # expansion: with a = u . o and q = |o|^2 - a^2 <= rho^2, the exact
+        # path sqrt((R - a)^2 + q) differs from R - a + q / 2R by at most
+        # q |a| / 2R(R - a) + q^2 / 8(R - a)^3.
+        near = nearest - rho
+        tail = rho**3 / (2.0 * nearest * near) + rho**4 / (8.0 * near**3)
+        bound = half_x * half_y * skew + tail + residual
+        floor = _UNIT_ROUNDOFF * near
+    k = 2.0 * np.pi / wavelength
+    return _FactorizedPlan(centres, x, y, directional, step, k * bound, k * floor)
+
+
+def _panel_paths(plan, targets):
+    # Per (panel, target): the path to the panel centre (R, or -u . c for a
+    # Direction), the in-plane components of its unit vector, and 1/R (zero
+    # for a Direction).
+    if plan.directional:
+        path = -(plan.centres @ targets.T)
+        ux = np.broadcast_to(targets[:, 0], path.shape)
+        uy = np.broadcast_to(targets[:, 1], path.shape)
+        return path, ux, uy, np.zeros(path.shape)
+    v = targets - plan.centres[:, None, :]
+    path = np.sqrt((v * v).sum(axis=-1))
+    inv_r = 1.0 / path
+    return path, v[..., 0] * inv_r, v[..., 1] * inv_r, inv_r
+
+
+def _factorized_sums(plan, w, targets, wavelength):
+    k = 2.0 * np.pi / wavelength
+    rows, cols = len(plan.y), len(plan.x)
+    w_t = w.reshape(len(plan.centres), rows, cols).transpose(0, 2, 1)
+    out = np.empty(len(targets), dtype=np.complex128)
+    for start in range(0, len(targets), plan.step):
+        block = slice(start, start + plan.step)
+        path, ux, uy, inv_r = _panel_paths(plan, targets[block])
+        col = _axis_factor(plan.x, ux, inv_r, k)
+        row = _axis_factor(plan.y, uy, inv_r, k)
+        inner = np.einsum("ptr,ptr->pt", col @ w_t, row)
+        out[block] = (np.exp(-1j * k * path) * inner).sum(axis=0)
+    return out
+
+
+def _axis_factor(offsets, u, inv_r, k):
+    # exp(-jk (-o u + o^2 (1 - u^2) / 2R)) for every offset o along one panel
+    # axis; shape (panels, targets, len(offsets)).
+    u = u[..., None]
+    curvature = (1.0 - u * u) * (0.5 * inv_r[..., None])
+    return np.exp(-1j * k * (offsets * (offsets * curvature - u)))
 
 
 def _to_gain_dbi(total, n: int, element_gain_dbi: float):
@@ -226,7 +399,8 @@ class GainGrid:
     """Gain samples over a theta and/or range grid.
 
     ``gain_dbi`` has shape (len(theta), len(ranges)); single-axis sweeps carry
-    a one-element second axis.
+    a one-element second axis. ``kernel`` names the evaluator that computed
+    the samples and its error bound.
     """
 
     theta: np.ndarray
@@ -235,6 +409,7 @@ class GainGrid:
     phi: float
     steering: Focal
     wavelength: float
+    kernel: BeamKernel = EXACT_KERNEL
 
     def __post_init__(self):
         th = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
@@ -289,10 +464,8 @@ def gain_pattern_sweep(
         axis=1,
     )
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights)
-    if w.shape != (layout.n_elements,):
-        raise ValueError("weights do not match the layout")
-    totals = _point_sums(layout.positions, w, pts, wavelength)
+    w = _weights_of(layout, weights)
+    totals, kernel = _sums(layout, w, pts, False, wavelength)
     gain = _to_gain_dbi(totals, layout.n_elements, layout.element_gain_dbi)
     steering = weights.focal if isinstance(weights, WeightVector) else Direction(0.0)
     return GainGrid(
@@ -302,6 +475,7 @@ def gain_pattern_sweep(
         phi=phi,
         steering=steering,
         wavelength=wavelength,
+        kernel=kernel,
     )
 
 

@@ -93,6 +93,9 @@ def _print_report(report) -> None:
         print(f"output={path}")
     for key in sorted(report.key_scalars):
         print(f"{key}={fmt(report.key_scalars[key])}")
+    if report.beam_kernel is not None:
+        print(f"beam_kernel={report.beam_kernel.name}")
+        print(f"beam_kernel_bound_rad={fmt(report.beam_kernel.bound_rad)}")
 
 
 def _run_with_analysis(s: Scenario, analysis, output_dir) -> int:

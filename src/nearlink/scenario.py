@@ -196,13 +196,46 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunReport:
+    """What a run did. ``beam_kernel`` is the kernel that evaluated the gain
+    sweep of a beam analysis, with its error bound; None for other kinds."""
+
     scenario_hash: str
     wall_time_s: float
     output_files: tuple
     key_scalars: dict
+    beam_kernel: Optional[beamforming.BeamKernel] = None
 
 
 # ----- strict mapping helpers -----
+
+
+class _StrictLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a mapping which repeats a key."""
+
+    def construct_document(self, node):
+        _reject_duplicate_keys(node, "", set())
+        return super().construct_document(node)
+
+
+def _reject_duplicate_keys(node, path, visited):
+    # Walk the composed node tree before construction, which would otherwise
+    # keep the last of two equal keys without a word.
+    if id(node) in visited:
+        return
+    visited.add(id(node))
+    if isinstance(node, yaml.MappingNode):
+        keys = set()
+        for key_node, value_node in node.value:
+            key = key_node.value if isinstance(key_node, yaml.ScalarNode) else None
+            where = f"{path}.{key}" if path else str(key)
+            if key is not None:
+                if key in keys:
+                    raise ParseError(f"duplicate key '{where}'")
+                keys.add(key)
+            _reject_duplicate_keys(value_node, where, visited)
+    elif isinstance(node, yaml.SequenceNode):
+        for idx, item in enumerate(node.value):
+            _reject_duplicate_keys(item, f"{path}[{idx}]", visited)
 
 
 def _as_mapping(value, path):
@@ -229,13 +262,17 @@ def _as_float(value, path):
     if isinstance(value, bool) or value is None:
         raise ValidationError(f"'{path}' must be a number")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        number = float(value)
+    elif isinstance(value, str):
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise ValidationError(f"'{path}' must be a number, got '{value}'") from None
-    raise ValidationError(f"'{path}' must be a number")
+    else:
+        raise ValidationError(f"'{path}' must be a number")
+    if not np.isfinite(number):
+        raise ValidationError(f"'{path}' must be finite, got {value}")
+    return number
 
 
 def _as_int(value, path):
@@ -249,6 +286,13 @@ def _as_int(value, path):
         except ValueError:
             raise ValidationError(f"'{path}' must be an integer, got '{value}'") from None
     raise ValidationError(f"'{path}' must be an integer")
+
+
+def _as_seed(value, path):
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise ValidationError(f"'{path}' must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _as_str(value, path, choices=None):
@@ -329,7 +373,7 @@ def _parse_random(node, path):
         min_spacing_m=_as_float(
             _pop(node, path, "min_spacing_m", required=True), f"{path}.min_spacing_m"
         ),
-        seed=_as_int(_pop(node, path, "seed", required=True), f"{path}.seed"),
+        seed=_as_seed(_pop(node, path, "seed", required=True), f"{path}.seed"),
     )
 
 
@@ -571,7 +615,7 @@ def _parse_analysis(node):
                 _pop(node, path, "min_spacing_m", required=True), f"{path}.min_spacing_m"
             ),
             n_candidates=_parse_n(node, path, "n_candidates", minimum=1),
-            seed=_as_int(_pop(node, path, "seed", required=True), f"{path}.seed"),
+            seed=_as_seed(_pop(node, path, "seed", required=True), f"{path}.seed"),
             scan_halfwidth_rad=_positive(
                 _as_float(
                     _pop(node, path, "scan_halfwidth_rad", required=True),
@@ -605,7 +649,7 @@ def _parse_analysis(node):
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text, strictly, into a :class:`Scenario`."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_StrictLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid scenario syntax: {exc}") from None
     if not isinstance(raw, dict):
@@ -789,6 +833,7 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     ana = s.analysis
     files = []
     scalars = {}
+    beam_kernel = None
 
     if isinstance(ana, BoundariesAnalysis):
         knee = ana.d_tx_m * ana.d_rx_m / lam
@@ -859,6 +904,7 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
         path = os.path.join(outdir, name)
         beamforming.write_gain_csv(grid, path, metadata={"scenario": tag})
         files.append(path)
+        beam_kernel = grid.kernel
         scalars = {"peak_gain_dbi": grid.peak_gain_dbi}
         r0 = s.satellite.range_m
         scalars["gain_at_focus_dbi"] = beamforming.evaluate_gain(
@@ -932,4 +978,5 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
         wall_time_s=time.perf_counter() - t0,
         output_files=tuple(files),
         key_scalars=scalars,
+        beam_kernel=beam_kernel,
     )

@@ -233,6 +233,25 @@ def test_beam_pattern_theta_mode(tmp_path, capsys):
     np.testing.assert_allclose(float(kv["peak_gain_dbi"][0]), 48.144, atol=0.01)
 
 
+def test_beam_kernel_lines_follow_the_report(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "beam-pattern", scen("beam_range_focus"), "--n-ranges", "5",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2] == "beam_kernel=panel_factorized"
+    key, _, bound = lines[-1].partition("=")
+    assert key == "beam_kernel_bound_rad" and 0.0 < float(bound) < 1e-8
+    assert lines[-3].startswith("peak_gain_dbi=")
+    assert "beam_kernel" not in (tmp_path / "gain_range.csv").read_text()
+
+    code, out, _ = run_cli(
+        capsys, "run", scen("boundaries_benchtop"), "--output-dir", str(tmp_path)
+    )
+    assert code == 0 and "beam_kernel" not in parse_kv(out)
+
+
 def test_beam_pattern_mode_switch(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "beam-pattern", scen("beam_theta_distributed"), "--mode", "range",
@@ -266,6 +285,25 @@ def test_optimize_placement_overrides(tmp_path, capsys):
     )
     assert code2 == 3
     assert "optimize_placement" in err
+
+
+def test_scenario_defects_exit_three(tmp_path, capsys):
+    text = open(scen("placement_search")).read()
+    duplicated = tmp_path / "dup.scenario"
+    duplicated.write_text(text.replace("n_candidates: 500", "n_candidates: 500\n  n_candidates: 3"))
+    code, _, err = run_cli(capsys, "validate", str(duplicated))
+    assert code == 3 and "duplicate key 'analysis.n_candidates'" in err
+
+    not_a_number = tmp_path / "nan.scenario"
+    not_a_number.write_text(text.replace("min_spacing_m: 50.0", "min_spacing_m: .nan"))
+    code, _, err = run_cli(capsys, "validate", str(not_a_number))
+    assert code == 3 and "analysis.min_spacing_m" in err
+
+    code, _, err = run_cli(
+        capsys, "optimize-placement", scen("placement_search"), "--seed", "-1",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 3 and "analysis.seed" in err
 
 
 def test_version_flag(capsys):

@@ -131,6 +131,91 @@ def test_nonpositive_frequency_rejected():
         parse_scenario(MINIMAL.replace("28.0e9", "0.0"))
 
 
+def test_duplicate_keys_rejected_with_path():
+    text = MINIMAL.replace("efficiency: 0.48", "efficiency: 0.48\n  efficiency: 0.9")
+    with pytest.raises(ParseError, match="duplicate key 'analysis.efficiency'"):
+        parse_scenario(text)
+    text = MINIMAL + "frequency_hz: 30.0e9\n"
+    with pytest.raises(ParseError, match="duplicate key 'frequency_hz'"):
+        parse_scenario(text)
+    nested = DISTRIBUTED_GROUND.replace("rows: 2", "rows: 2\n    rows: 3")
+    with pytest.raises(ParseError, match="duplicate key 'ground.panel.rows'"):
+        parse_scenario(scenario_text("analysis:\n  kind: beam_theta", ground=nested))
+
+
+RANDOM_GROUND = """\
+ground:
+  kind: distributed
+  panel:
+    rows: 2
+    cols: 2
+    spacing_wavelengths: 0.5
+  random:
+    aperture_x_m: 100.0
+    aperture_y_m: 80.0
+    n_panels: 5
+    min_spacing_m: 5.0
+    seed: 3
+"""
+
+PLACEMENT = """\
+analysis:
+  kind: optimize_placement
+  aperture_x_m: 200.0
+  aperture_y_m: 100.0
+  n_panels: 5
+  min_spacing_m: 10.0
+  n_candidates: 3
+  seed: 7
+  scan_halfwidth_rad: 1.0e-3
+  n_scan: 101
+"""
+
+
+def test_negative_seeds_rejected_with_path():
+    ground = RANDOM_GROUND.replace("seed: 3", "seed: -1")
+    with pytest.raises(ValidationError, match="'ground.random.seed' must be a non-negative"):
+        parse_scenario(scenario_text("analysis:\n  kind: beam_theta", ground=ground))
+    text = scenario_text(PLACEMENT.replace("seed: 7", "seed: -2"), ground="", satellite="")
+    with pytest.raises(ValidationError, match="'analysis.seed' must be a non-negative"):
+        parse_scenario(text)
+
+
+def test_non_finite_numbers_rejected_with_path():
+    placement = scenario_text(PLACEMENT, ground="", satellite="")
+    cases = [
+        (placement.replace("min_spacing_m: 10.0", "min_spacing_m: .nan"), "analysis.min_spacing_m"),
+        (placement + "  steer_theta_rad: .inf\n", "analysis.steer_theta_rad"),
+        (
+            scenario_text(
+                "analysis:\n  kind: beam_theta",
+                ground=DISTRIBUTED_GROUND.replace(
+                    "spacing_wavelengths: 0.5", "spacing_wavelengths: 0.5\n    element_gain_dbi: .inf"
+                ),
+            ),
+            "ground.panel.element_gain_dbi",
+        ),
+        (
+            scenario_text(
+                "analysis:\n  kind: beam_theta",
+                satellite=SATELLITE_POINTS + "  element_gain_dbi: -.inf\n",
+            ),
+            "satellite.element_gain_dbi",
+        ),
+        (MINIMAL.replace("efficiency: 0.48", "efficiency: 'nan'"), "analysis.efficiency"),
+        (
+            scenario_text(
+                "analysis:\n  kind: beam_theta",
+                ground=DISTRIBUTED_GROUND.replace("[10.0, 0.0]", "[.inf, 0.0]"),
+            ),
+            r"ground.positions_m\[1\]",
+        ),
+    ]
+    for text, path in cases:
+        with pytest.raises(ValidationError, match=f"'{path}' must be finite"):
+            parse_scenario(text)
+
+
 def test_panel_spacing_is_exclusive():
     both = scenario_text(
         "analysis:\n  kind: beam_theta",
