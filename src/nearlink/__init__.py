@@ -60,6 +60,7 @@ from .mimo import (
     condition_ratio,
     dof_count,
     exact_ratio_curve,
+    link_spectrum,
     mimo_region,
     r_max,
     r_min,

@@ -19,7 +19,9 @@ second order (the Fresnel expansion), split into a row factor and a column
 factor, so a panel costs one small matrix product per target. It runs only
 when a rigorous bound on the terms it drops stays below the exact kernel's own
 phase rounding; otherwise the exact kernel runs. The exact kernel is also the
-oracle the factorized one is tested against.
+oracle the factorized one is tested against. The same factors, expanded into
+a matrix instead of summed, give the channel matrices of the MIMO sweeps
+(:func:`nearlink.mimo.link_spectrum`).
 """
 
 from __future__ import annotations
@@ -30,18 +32,13 @@ from typing import Union
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .geometry import ElementLayout, _grid_offsets
+from .geometry import _UNIT_ROUNDOFF, ElementLayout
 
 GAIN_FLOOR_DB = -200.0
 
 # Upper bound on entries of one phase block (eval samples x element chunk);
 # keeps peak memory for a sweep near 100 MB.
 _BLOCK_BUDGET = 4_000_000
-
-# Unit roundoff of float64. The exact kernels round each element's path d to
-# about d * 2**-53, which is their own per-element phase floor.
-_UNIT_ROUNDOFF = 2.0**-53
-
 
 # ===== focal targets =====
 
@@ -197,11 +194,12 @@ def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BeamKernel:
-    """The kernel that evaluated a response and its per-element phase bound.
+    """The kernel that evaluated a response or built a channel matrix, and
+    its per-element phase bound.
 
     ``name`` is ``"panel_factorized"`` or ``"exact"``. ``bound_rad`` bounds,
     at every element and target, the phase of the terms the kernel drops
-    (zero for the exact sum).
+    (zero for the exact kernel).
     """
 
     name: str
@@ -286,27 +284,16 @@ def _factorized_plan(layout, targets, directional, wavelength):
     enters the bound, and the gate refuses them.
     """
     spec = layout.panel_spec
-    per_panel = spec.n_elements
-    if per_panel < 2 or layout.n_elements % per_panel:
+    grid = layout._panel_grid if spec.n_elements > 1 else None
+    if grid is None:
         return None
-    n_panels = layout.n_elements // per_panel
-    if not np.array_equal(layout.panel_ids, np.repeat(np.arange(n_panels), per_panel)):
-        return None
-
-    offsets = _grid_offsets(spec)
-    pos = layout.positions.reshape(n_panels, per_panel, 3)
-    # The first and last elements sit at opposite offsets, so their midpoint
-    # recovers the centre a layout was built from, usually to the last bit.
-    centres = 0.5 * (pos[:, 0] + pos[:, -1])
-    rebuilt = centres[:, None, :] + offsets
+    centres, scale = grid.centres, grid.scale
     # |position - (centre + offset)|: the gap to the rebuilt grid, plus the
     # one rounding (at most 2**-53 of each coordinate) that rebuilding took.
-    scale = float(np.sqrt((rebuilt * rebuilt).sum(axis=-1)).max())
-    gap = float(np.sqrt(((pos - rebuilt) ** 2).sum(axis=-1)).max())
-    residual = gap + _UNIT_ROUNDOFF * scale
+    residual = grid.gap + _UNIT_ROUNDOFF * scale
 
-    x = offsets[: spec.cols, 0]
-    y = offsets[:: spec.cols, 1]
+    x = grid.offsets[: spec.cols, 0]
+    y = grid.offsets[:: spec.cols, 1]
     # As many targets per block as the exact kernel's budget of element x
     # target entries allows, so peak memory stays below the exact kernel's.
     step = max(1, _BLOCK_BUDGET // layout.n_elements)
@@ -365,6 +352,28 @@ def _factorized_sums(plan, w, targets, wavelength):
         inner = np.einsum("ptr,ptr->pt", col @ w_t, row)
         out[block] = (np.exp(-1j * k * path) * inner).sum(axis=0)
     return out
+
+
+def _factorized_channel(plan, targets, wavelength):
+    # The factorized kernel expanded into a matrix instead of contracted with
+    # weights: entry [n, a] couples element n (panels in order, each row-major)
+    # to point target a as exp(-jk (R_pa - |t_a|)) B_pa[r] A_pa[c]. Taking
+    # each target's path relative to its distance |t_a| from the origin scales
+    # column a by exp(jk |t_a|), which leaves the singular values unchanged,
+    # and keeps the phase rounding at the size of |c_p| instead of R_pa, where
+    # it would be shared by every element of the panel. The difference is
+    # formed without cancellation as (|c_p|^2 - 2 t_a . c_p) / (R_pa + |t_a|).
+    k = 2.0 * np.pi / wavelength
+    path, ux, uy, inv_r = _panel_paths(plan, targets)
+    c = plan.centres
+    t_norm = np.sqrt((targets * targets).sum(axis=-1))
+    rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
+    col = _axis_factor(plan.x, ux.T, inv_r.T, k)
+    row = np.exp(-1j * k * rel.T)[..., None] * _axis_factor(plan.y, uy.T, inv_r.T, k)
+    # Built as (targets, elements) in C order and returned transposed: the
+    # Fortran-ordered matrix goes to LAPACK without a copy.
+    h = np.multiply(row[..., :, None], col[..., None, :], order="C")
+    return h.reshape(len(targets), -1).T
 
 
 def _axis_factor(offsets, u, inv_r, k):

@@ -96,6 +96,9 @@ def _print_report(report) -> None:
     if report.beam_kernel is not None:
         print(f"beam_kernel={report.beam_kernel.name}")
         print(f"beam_kernel_bound_rad={fmt(report.beam_kernel.bound_rad)}")
+    if report.channel_kernel is not None:
+        print(f"channel_kernel={report.channel_kernel.name}")
+        print(f"channel_kernel_bound_rad={fmt(report.channel_kernel.bound_rad)}")
 
 
 def _run_with_analysis(s: Scenario, analysis, output_dir) -> int:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .fileio import atomic_write_text, fmt
 
@@ -24,6 +25,10 @@ from .fileio import atomic_write_text, fmt
 _PLACEMENT_ATTEMPT_CAP = 10_000
 
 LAYOUT_HEADER = "# nearlink-layout v1"
+
+# Unit roundoff of float64: one rounding moves a value by at most this
+# fraction of itself.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 class OverlappingPanels(ValueError):
@@ -87,6 +92,14 @@ class PanelSpec:
         )
 
 
+class _PanelGrid(NamedTuple):
+    positions: np.ndarray  # (panels, elements per panel, 3)
+    centres: np.ndarray  # (panels, 3)
+    offsets: np.ndarray  # (elements per panel, 3), shared by every panel
+    gap: float  # largest distance of an element from centre + offset
+    scale: float  # largest |centre + offset|
+
+
 @dataclass(frozen=True, eq=False)
 class ElementLayout:
     """Concrete element positions plus the panel spec they were built from.
@@ -114,10 +127,13 @@ class ElementLayout:
             raise ValueError("positions must be finite")
         if ids.shape != (pos.shape[0],):
             raise ValueError("panel_ids must align with positions")
-        if len(np.unique(pos, axis=0)) != len(pos):
+        # Sorted, equal rows sit next to each other. (np.unique would import
+        # numpy.ma on its first call, inside the first run's timing.)
+        rows = pos[np.lexsort(pos.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ValueError("two elements share an identical position")
-        uniq = np.unique(ids)
-        if uniq[0] != 0 or uniq[-1] != len(uniq) - 1:
+        sorted_ids = np.sort(ids)
+        if sorted_ids[0] != 0 or (np.diff(sorted_ids) > 1).any():
             raise ValueError("panel ids must be contiguous starting at 0")
         pos.setflags(write=False)
         ids.setflags(write=False)
@@ -135,6 +151,36 @@ class ElementLayout:
     @property
     def element_gain_dbi(self) -> float:
         return self.panel_spec.element_gain_dbi
+
+    @cached_property
+    def _panel_grid(self):
+        """The layout as panel centres plus the shared ``_grid_offsets`` grid.
+
+        None unless the elements come as whole panels in id order. ``gap``
+        says how far the positions are from that grid: zero for a layout
+        built from panel centres, up to the one rounding rebuilding the grid
+        takes. Cached: the layout is immutable, and sweeps ask once per
+        range.
+        """
+        spec = self.panel_spec
+        per_panel = spec.n_elements
+        if self.n_elements % per_panel:
+            return None
+        n_panels = self.n_elements // per_panel
+        if not np.array_equal(self.panel_ids, np.repeat(np.arange(n_panels), per_panel)):
+            return None
+        offsets = _grid_offsets(spec)
+        pos = self.positions.reshape(n_panels, per_panel, 3)
+        # The first and last elements sit at opposite offsets, so their
+        # midpoint recovers the centre a layout was built from, usually to
+        # the last bit.
+        centres = 0.5 * (pos[:, 0] + pos[:, -1])
+        rebuilt = centres[:, None, :] + offsets
+        scale = float(np.sqrt((rebuilt * rebuilt).sum(axis=-1)).max())
+        gap = float(np.sqrt(((pos - rebuilt) ** 2).sum(axis=-1)).max())
+        centres.setflags(write=False)
+        offsets.setflags(write=False)
+        return _PanelGrid(pos, centres, offsets, gap, scale)
 
     def panel_centers(self) -> np.ndarray:
         """Centroid of each panel, shape (n_panels, 3)."""
@@ -204,6 +250,17 @@ def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
         raise ValueError("panel_centers must be a nonempty (k, 3) array")
     if not np.all(np.isfinite(centers)):
         raise ValueError("panel_centers must be finite")
+    check_panel_overlap(spec, centers)
+    offsets = _grid_offsets(spec)
+    positions = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
+    ids = np.repeat(np.arange(len(centers), dtype=np.int64), spec.n_elements)
+    return ElementLayout(positions, ids, spec)
+
+
+def check_panel_overlap(spec: PanelSpec, panel_centers) -> None:
+    """Raise :class:`OverlappingPanels` if two centers are no farther apart
+    than the panel extent."""
+    centers = np.asarray(panel_centers, dtype=np.float64)
     limit = spec.extent
     for i in range(len(centers)):
         d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
@@ -213,10 +270,6 @@ def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
                 f"panels {i} and {j} are {d.min():.6g} m apart; "
                 f"panel extent is {limit:.6g} m"
             )
-    offsets = _grid_offsets(spec)
-    positions = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    ids = np.repeat(np.arange(len(centers), dtype=np.int64), spec.n_elements)
-    return ElementLayout(positions, ids, spec)
 
 
 def random_panel_positions(
@@ -297,7 +350,7 @@ def random_panel_positions(
 
 
 def _max_pairwise_distance(points: np.ndarray) -> float:
-    # Chunked exact scan; quadratic, used only as a fallback and for small sets.
+    # Chunked exact scan of all pairs; quadratic.
     best = 0.0
     step = max(1, int(4_000_000 // max(len(points), 1)))
     for start in range(0, len(points), step):
@@ -310,34 +363,22 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
 def aperture_extent(layout) -> float:
     """Largest pairwise element distance in meters.
 
-    Accepts an :class:`ElementLayout` or a raw (n, 3) position array. The
-    maximum pairwise distance is attained on the convex hull, so the set is
-    rank-reduced (hull code needs full-dimensional input) and only hull
-    vertices are scanned; for tiny or degenerate inputs an exact quadratic
-    scan is used instead.
+    Accepts an :class:`ElementLayout` or a raw (n, 3) position array. A
+    panel grid's convex hull is the rectangle on its four corner elements,
+    so when a layout's panels sit on the shared grid to rounding only the
+    corner elements are scanned. Otherwise every pair is.
     """
     points = np.asarray(getattr(layout, "positions", layout), dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError("expected an (n, 3) position array or an ElementLayout")
-    n = points.shape[0]
-    if n < 2:
+    if len(points) < 2:
         return 0.0
-    if n <= 256:
-        return _max_pairwise_distance(points)
-
-    centered = points - points.mean(axis=0)
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if svals[0] == 0.0:
-        return 0.0
-    rank = int(np.sum(svals > svals[0] * 1e-12))
-    reduced = centered @ vt[:rank].T
-    if rank == 1:
-        return float(reduced[:, 0].max() - reduced[:, 0].min())
-    try:
-        hull = ConvexHull(reduced)
-    except QhullError:
-        return _max_pairwise_distance(points)
-    return _max_pairwise_distance(points[hull.vertices])
+    grid = layout._panel_grid if isinstance(layout, ElementLayout) else None
+    if grid is not None and grid.gap <= 4.0 * _UNIT_ROUNDOFF * grid.scale:
+        spec = layout.panel_spec
+        corners = sorted({0, spec.cols - 1, spec.n_elements - spec.cols, spec.n_elements - 1})
+        points = grid.positions[:, corners].reshape(-1, 3)
+    return _max_pairwise_distance(points)
 
 
 def fresnel_distance(aperture: float, wavelength: float) -> float:

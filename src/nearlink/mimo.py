@@ -12,10 +12,13 @@ singular values rises from 0 to 1 as r grows from d_tx d_rx / lambda to
 2 d_tx d_rx / lambda, and falls back toward 0 beyond that, crossing a
 threshold tau at r_min and r_max.
 
-Arbitrary layouts are handled numerically through the Gram matrix of the
-smaller matrix dimension (a satellite carries few elements, a ground station
-tens of thousands, so the eigenproblem stays tiny) solved with cyclic Jacobi
-rotations.
+Arbitrary layouts are handled numerically: the spectrum is LAPACK's SVD of
+the channel matrix itself. Forming a Gram matrix instead would square the
+condition number and lose the small singular values of a far-field link,
+which are the ones that decide the stream count. When one side of a link is a
+layout of identical panels, :func:`link_spectrum` builds the matrix with the
+panel-factorized kernel of :mod:`nearlink.beamforming`, under the same
+run-time error gate as the beam sweeps.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ from enum import Enum
 
 import numpy as np
 
+from .beamforming import EXACT_KERNEL, BeamKernel, _factorized_channel, _factorized_plan
 from .channel import ChannelMatrix, ChannelModel, channel_matrix
 from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout, PanelSpec
 
 
 class ConvergenceFailure(RuntimeError):
-    """The iterative eigensolver did not reach its tolerance."""
+    """LAPACK's SVD did not converge."""
 
 
 class DegenerateSpectrum(ValueError):
@@ -99,70 +103,15 @@ def svd_closed_form_2x2(
     return float(hi), float(lo)
 
 
-def _jacobi_eigvalsh(gram: np.ndarray, max_sweeps: int) -> np.ndarray:
-    # Cyclic-by-rows Jacobi for a Hermitian matrix. Each rotation first lifts
-    # the pivot's phase so the 2x2 subproblem is real symmetric, then applies
-    # the standard symmetric Schur rotation. Quadratic convergence makes the
-    # sweep cap generous for the tiny matrices this sees.
-    a = np.array(gram, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 1:
-        return a.real.reshape(1).copy()
-    a = 0.5 * (a + a.conj().T)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
+def singular_values(channel) -> SingularSpectrum:
+    """Full singular spectrum of a channel matrix, from LAPACK's SVD.
 
-    for _ in range(max_sweeps):
-        off = np.sqrt((np.abs(a - np.diag(np.diag(a))) ** 2).sum())
-        if off <= scale * 1e-14:
-            return a.real.diagonal().copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag <= scale * 1e-18:
-                    continue
-                phase = apq / mag
-                alpha = a[p, p].real
-                beta = a[q, q].real
-                tau = (beta - alpha) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
+    Accepts a :class:`ChannelMatrix` or any 2-d complex array.
 
-                # Column update: A <- A U with U embedding
-                # [[c, s], [-s e^{-i phi}, c e^{-i phi}]] at (p, q).
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * np.conj(phase) * colq
-                a[:, q] = s * colp + c * np.conj(phase) * colq
-                # Row update: A <- U^H A.
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp - s * phase * rowq
-                a[q, :] = s * rowp + c * phase * rowq
-                # Pin the analytically known entries against rounding drift.
-                a[p, p] = alpha - t * mag
-                a[q, q] = beta + t * mag
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise ConvergenceFailure(
-        f"Jacobi eigensolver missed tolerance after {max_sweeps} sweeps "
-        f"on a {n}x{n} matrix"
-    )
-
-
-def singular_values(channel, max_sweeps: int = 64) -> SingularSpectrum:
-    """Full singular spectrum of a channel matrix.
-
-    Accepts a :class:`ChannelMatrix` or any 2-d complex array. The spectrum is
-    computed from the Gram matrix of the smaller dimension, whose eigenvalues
-    are the squared singular values; tiny negative eigenvalues (down to
-    -1e-12 of the trace) are rounding residue and are clamped to zero.
+    Raises
+    ------
+    ConvergenceFailure
+        If LAPACK's SVD does not converge.
     """
     h = channel.entries if isinstance(channel, ChannelMatrix) else channel
     h = np.asarray(h, dtype=np.complex128)
@@ -170,22 +119,39 @@ def singular_values(channel, max_sweeps: int = 64) -> SingularSpectrum:
         raise ValueError("channel must be a nonempty 2-d array")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
-
-    if h.shape[0] <= h.shape[1]:
-        gram = h @ h.conj().T
-    else:
-        gram = h.conj().T @ h
-    eig = _jacobi_eigvalsh(gram, max_sweeps)
-
-    trace = float(np.trace(gram).real)
-    floor = -1e-12 * max(trace, 0.0)
-    if (eig < floor).any():
+    try:
+        values = np.linalg.svd(h, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
-            f"Gram eigenvalue {eig.min():.3g} below the PSD rounding floor {floor:.3g}"
-        )
-    eig = np.where(eig < 0.0, 0.0, eig)
-    values = np.sort(np.sqrt(eig))[::-1]
+            f"LAPACK SVD did not converge on a {h.shape[0]}x{h.shape[1]} matrix"
+        ) from exc
     return SingularSpectrum(values, h.shape)
+
+
+def link_spectrum(
+    tx: ElementLayout, rx: ElementLayout, wavelength: float
+) -> tuple:
+    """Singular spectrum of the phase-only tx -> rx channel, and the kernel
+    that built the matrix.
+
+    Returns ``(SingularSpectrum, BeamKernel)``. When one side is a layout of
+    identical panel grids and the other side's elements, as point targets,
+    keep the panel-factorized bound within the exact kernel's own phase
+    rounding, the matrix comes from the factorized kernel with each column
+    multiplied by a unit-modulus constant, which leaves the singular values
+    unchanged. Otherwise the result is exactly
+    ``singular_values(channel_matrix(tx, rx, wavelength))``.
+    """
+    if wavelength <= 0.0 or not np.isfinite(wavelength):
+        raise ValueError("wavelength must be positive and finite")
+    for panels, points in ((rx, tx), (tx, rx)):
+        plan = _factorized_plan(panels, points.positions, False, wavelength)
+        if plan is not None and plan.bound_rad <= plan.floor_rad:
+            h = _factorized_channel(plan, points.positions, wavelength)
+            spectrum = singular_values(h if panels is rx else h.T)
+            return spectrum, BeamKernel("panel_factorized", plan.bound_rad)
+    h = channel_matrix(tx, rx, wavelength, ChannelModel.PHASE_ONLY)
+    return singular_values(h), EXACT_KERNEL
 
 
 def condition_ratio(spectrum: SingularSpectrum) -> float:

@@ -21,11 +21,16 @@ import numpy as np
 import yaml
 
 from . import beamforming, mimo, placement
-from .channel import ChannelModel, channel_matrix
+# ``channel_matrix`` is not called here since sweeps go through
+# ``mimo.link_spectrum``; the name stays because the benchmark's traced run
+# (perfbench/traced_run.py) times channel builds by wrapping it.
+from .channel import channel_matrix  # noqa: F401
 from .fileio import atomic_write_text, sha256_hex
 from .geometry import (
     ElementLayout,
+    OverlappingPanels,
     PanelSpec,
+    check_panel_overlap,
     make_distributed_panels,
     make_upa,
     random_panel_positions,
@@ -197,13 +202,17 @@ class Scenario:
 @dataclass(frozen=True)
 class RunReport:
     """What a run did. ``beam_kernel`` is the kernel that evaluated the gain
-    sweep of a beam analysis, with its error bound; None for other kinds."""
+    sweep of a beam analysis, with its error bound; None for other kinds.
+    ``channel_kernel`` is the kernel that built the channel matrices of an
+    svd or dof sweep: ``exact`` if any range needed the exact kernel, with
+    the worst bound over the ranges; None for other kinds."""
 
     scenario_hash: str
     wall_time_s: float
     output_files: tuple
     key_scalars: dict
     beam_kernel: Optional[beamforming.BeamKernel] = None
+    channel_kernel: Optional[beamforming.BeamKernel] = None
 
 
 # ----- strict mapping helpers -----
@@ -435,6 +444,12 @@ def _parse_satellite(node):
         panel = _parse_panel(node["panel"], "satellite.panel")
     else:
         positions = _as_positions(node["positions_m"], "satellite.positions_m")
+        first = {}
+        for idx, point in enumerate(positions):
+            if first.setdefault(point, idx) != idx:
+                raise ValidationError(
+                    f"'satellite.positions_m[{idx}]' repeats element {first[point]}"
+                )
         if "element_gain_dbi" in node:
             gain = _as_float(node["element_gain_dbi"], "satellite.element_gain_dbi")
     return SatelliteConfig(
@@ -673,6 +688,13 @@ def parse_scenario(text: str) -> Scenario:
     if "output_dir" in raw:
         output_dir = _as_str(raw["output_dir"], "output_dir")
     ground = _parse_ground(raw["ground"]) if "ground" in raw else None
+    if ground is not None and ground.positions_m is not None:
+        try:
+            check_panel_overlap(
+                _panel_spec(ground.panel, SPEED_OF_LIGHT / freq), ground.positions_m
+            )
+        except OverlappingPanels as exc:
+            raise ValidationError(f"'ground.positions_m': {exc}") from None
     satellite = _parse_satellite(raw["satellite"]) if "satellite" in raw else None
     analysis = _parse_analysis(_pop(raw, "scenario", "analysis", required=True))
     return Scenario(
@@ -834,6 +856,7 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     files = []
     scalars = {}
     beam_kernel = None
+    channel_kernel = None
 
     if isinstance(ana, BoundariesAnalysis):
         knee = ana.d_tx_m * ana.d_rx_m / lam
@@ -855,20 +878,23 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     elif isinstance(ana, (SvdSweepAnalysis, DofSweepAnalysis)):
         ground = build_ground_layout(s)
         ranges = _range_axis(ana.range_start_m, ana.range_stop_m, ana.n_ranges, ana.spacing)
-        spectra = []
+        # One range at a time: a stacked SVD over every range would hold all
+        # the matrices at once.
+        spectra, kernels = [], []
         for r in ranges:
             sat = build_satellite_layout(s, range_m=float(r))
-            h = channel_matrix(sat, ground, lam, ChannelModel.PHASE_ONLY)
-            spectra.append(mimo.singular_values(h))
+            spectrum, kernel = mimo.link_spectrum(sat, ground, lam)
+            spectra.append(spectrum)
+            kernels.append(kernel)
         path = os.path.join(outdir, "spectrum.csv")
         mimo.write_spectrum_csv(
             path, ranges, spectra, ana.tau, metadata={"scenario": tag, "wavelength_m": lam}
         )
         files.append(path)
-        ref_sat = build_satellite_layout(s)
-        ref_spec = mimo.singular_values(
-            channel_matrix(ref_sat, ground, lam, ChannelModel.PHASE_ONLY)
-        )
+        ref_spec, kernel = mimo.link_spectrum(build_satellite_layout(s), ground, lam)
+        kernels.append(kernel)
+        name = "exact" if beamforming.EXACT_KERNEL in kernels else "panel_factorized"
+        channel_kernel = beamforming.BeamKernel(name, max(k.bound_rad for k in kernels))
         scalars = {
             "dof_at_reference_range": float(mimo.dof_count(ref_spec, ana.tau)),
             "ratio_at_reference_range": mimo.condition_ratio(ref_spec),
@@ -979,4 +1005,5 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
         output_files=tuple(files),
         key_scalars=scalars,
         beam_kernel=beam_kernel,
+        channel_kernel=channel_kernel,
     )

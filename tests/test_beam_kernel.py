@@ -1,4 +1,8 @@
-"""Panel-factorized beam kernel against the exact per-element sum, its oracle."""
+"""Panel-factorized kernel against the exact kernel, its oracle: beam sums
+against the exact per-element sum, link spectra against the exact channel
+matrix."""
+
+import os
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
@@ -14,6 +18,7 @@ from nearlink.beamforming import (
     point_at,
     response_sum,
 )
+from nearlink.channel import channel_matrix
 from nearlink.geometry import (
     ElementLayout,
     PanelSpec,
@@ -23,8 +28,16 @@ from nearlink.geometry import (
     random_panel_positions,
     save_layout,
 )
-from nearlink.scenario import build_satellite_layout, parse_scenario, run_scenario
+from nearlink.mimo import dof_count, link_spectrum, singular_values
+from nearlink.scenario import (
+    build_ground_layout,
+    build_satellite_layout,
+    load_scenario,
+    parse_scenario,
+    run_scenario,
+)
 
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 LAM = 299792458.0 / 28.0e9
 K = 2.0 * np.pi / LAM
 UNIT_ROUNDOFF = 2.0**-53
@@ -256,3 +269,77 @@ analysis:
     assert 0.0 < far.beam_kernel.bound_rad <= K * UNIT_ROUNDOFF * 100.0e3
     near = run_scenario(parse_scenario(base.format(range_m="2.0")), str(tmp_path / "near"))
     assert near.beam_kernel == EXACT_KERNEL
+
+
+# ----- link spectra -----
+
+
+def point_layout(positions):
+    return ElementLayout(positions, np.arange(len(positions)), PanelSpec(1, 1, 1.0))
+
+
+@PROPERTY
+@given(
+    layout=panel_layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 6),
+    log_range=st.floats(np.log(1.0e4), np.log(1.0e7)),
+)
+def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, log_range):
+    rng = np.random.default_rng(seed)
+    centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
+    pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
+    plan = bf._factorized_plan(layout, pts, False, LAM)
+    assume(plan is not None and plan.bound_rad <= plan.floor_rad)
+    sat = point_layout(pts)
+    spectrum, kernel = link_spectrum(sat, layout, LAM)
+    assert kernel.name == "panel_factorized" and kernel.bound_rad == plan.bound_rad
+    exact = singular_values(channel_matrix(sat, layout, LAM))
+    assert spectrum.source_shape == exact.source_shape
+    # Weyl: no singular value moves by more than the spectral norm of the
+    # entry-wise difference, itself at most sqrt(N S) times its largest entry.
+    reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
+    weyl = np.sqrt(layout.n_elements * n_points) * (
+        plan.bound_rad + 4.0 * K * UNIT_ROUNDOFF * reach
+    )
+    assert np.abs(spectrum.values - exact.values).max() <= weyl
+
+
+def test_panels_on_either_side_of_the_link_give_the_same_spectrum():
+    panels = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
+    sat = point_layout(np.array([[-0.5, 0.0, 5.0e4], [0.5, 0.0, 5.0e4], [0.0, 0.5, 5.0e4]]))
+    down, down_kernel = link_spectrum(sat, panels, LAM)
+    up, up_kernel = link_spectrum(panels, sat, LAM)
+    assert down_kernel == up_kernel and down_kernel.name == "panel_factorized"
+    assert down.source_shape == (32, 3) and up.source_shape == (3, 32)
+    np.testing.assert_allclose(up.values, down.values, rtol=0.0, atol=1e-14 * down.values[0])
+
+
+def test_shipped_dof_sweep_keeps_every_stream_count():
+    s = load_scenario(os.path.join(SCENARIO_DIR, "dof_vs_range.scenario"))
+    ana = s.analysis
+    ground = build_ground_layout(s)
+    for r in np.geomspace(ana.range_start_m, ana.range_stop_m, ana.n_ranges):
+        sat = build_satellite_layout(s, range_m=float(r))
+        fast, kernel = link_spectrum(sat, ground, s.wavelength)
+        exact = singular_values(channel_matrix(sat, ground, s.wavelength))
+        assert kernel.name == "panel_factorized"
+        assert dof_count(fast, ana.tau) == dof_count(exact, ana.tau)
+        np.testing.assert_allclose(fast.values[0], exact.values[0], rtol=1e-9)
+
+
+def test_fallback_spectra_are_bit_identical_to_the_exact_path():
+    benchtop = load_scenario(os.path.join(SCENARIO_DIR, "ratio_vs_range_benchtop.scenario"))
+    upa = make_upa(PanelSpec(8, 8, 0.5 * LAM))
+    cases = [
+        # single-element panels on both sides
+        (build_satellite_layout(benchtop), build_ground_layout(benchtop), benchtop.wavelength),
+        # a point within a panel's reach of its centre
+        (point_layout(np.array([[0.001, 0.0, 0.002], [0.0, 0.0, 1.0]])), upa, LAM),
+        # beyond the reach, but too close for the gate
+        (point_layout(np.array([[0.0, 0.0, 0.5], [0.01, 0.0, 0.5]])), upa, LAM),
+    ]
+    for tx, rx, lam in cases:
+        spectrum, kernel = link_spectrum(tx, rx, lam)
+        assert kernel == EXACT_KERNEL
+        assert np.array_equal(spectrum.values, singular_values(channel_matrix(tx, rx, lam)).values)

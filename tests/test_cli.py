@@ -252,6 +252,28 @@ def test_beam_kernel_lines_follow_the_report(tmp_path, capsys):
     assert code == 0 and "beam_kernel" not in parse_kv(out)
 
 
+def test_channel_kernel_lines_follow_the_sweep_report(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "dof-sweep", scen("dof_vs_range"), "--n-ranges", "3",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-3].startswith("ratio_at_reference_range=")
+    assert lines[-2] == "channel_kernel=panel_factorized"
+    key, _, bound = lines[-1].partition("=")
+    assert key == "channel_kernel_bound_rad" and 0.0 < float(bound) < 1e-8
+    assert "beam_kernel" not in parse_kv(out)
+    assert "channel_kernel" not in (tmp_path / "spectrum.csv").read_text()
+
+    # Single-element panels on both sides: every range falls back.
+    code, out, _ = run_cli(
+        capsys, "svd-sweep", scen("ratio_vs_range_benchtop"), "--output-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert out.splitlines()[-2:] == ["channel_kernel=exact", "channel_kernel_bound_rad=0.0"]
+
+
 def test_beam_pattern_mode_switch(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "beam-pattern", scen("beam_theta_distributed"), "--mode", "range",

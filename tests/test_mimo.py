@@ -1,8 +1,4 @@
-"""Singular-value analysis: closed form, Gram/Jacobi path, and range boundaries.
-
-np.linalg.svd and np.linalg.eigvalsh appear here only as independent oracles;
-the library itself never calls them.
-"""
+"""Singular-value analysis: closed form, LAPACK spectrum, and range boundaries."""
 
 import numpy as np
 import pytest
@@ -124,11 +120,27 @@ def test_satellite_shape_channel_vs_numpy_oracle():
     assert h.shape == (16384, 4)
 
 
-def test_jacobi_iteration_cap_raises():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    with pytest.raises(ConvergenceFailure):
-        singular_values(h, max_sweeps=0)
+def test_far_field_ratio_of_sixteen_element_link_matches_svd():
+    # A 4x4 satellite grid 3 km from a 32x32 grid at 1 cm wavelength: the
+    # ratio is about 6e-9, far above the channel's own phase rounding of
+    # 2e-10 rad, but its square is below double precision, so a Gram-matrix
+    # spectrum misses it (by 13 % here).
+    ground = make_upa(PanelSpec(32, 32, 0.5))
+    sat = make_upa(PanelSpec(4, 4, 0.1), center=(0.0, 0.0, 3.0e3))
+    h = channel_matrix(sat, ground, LAM, ChannelModel.PHASE_ONLY)
+    want = np.linalg.svd(h.entries, compute_uv=False)
+    assert 1e-9 < want[-1] / want[0] < 1e-8
+    got = singular_values(h).values
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
+
+
+def test_lapack_failure_maps_to_convergence_failure(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        singular_values(np.eye(3, dtype=complex))
 
 
 def test_spectrum_validation():

@@ -311,6 +311,30 @@ satellite:
     assert s.satellite.positions_m == ((-0.1, 0.0, 0.0), (0.1, 0.0, 0.25))
 
 
+def test_repeated_satellite_point_rejected_with_path():
+    text = scenario_text(
+        "analysis:\n  kind: dof_sweep\n  range_start_m: 1.0e3\n  range_stop_m: 2.0e3\n"
+        "  n_ranges: 3\n  tau: 0.1",
+        satellite="""\
+satellite:
+  range_m: 1000.0
+  positions_m: [[0, 0], [0, 0], [1, 0], [0, 1]]
+""",
+    )
+    with pytest.raises(ValidationError, match=r"satellite.positions_m\[1\]' repeats element 0"):
+        parse_scenario(text)
+
+
+def test_overlapping_ground_panels_rejected_with_path():
+    ground = DISTRIBUTED_GROUND.replace("[10.0, 0.0]", "[-10.0, 0.0]")
+    with pytest.raises(ValidationError, match=r"ground.positions_m': panels 0 and 1 are 0 m apart"):
+        parse_scenario(scenario_text("analysis:\n  kind: beam_theta", ground=ground))
+    # Closer than the 2x2 panel's diagonal at half-wavelength pitch, but apart.
+    near = DISTRIBUTED_GROUND.replace("[10.0, 0.0]", "[-9.995, 0.0]")
+    with pytest.raises(ValidationError, match="panel extent"):
+        parse_scenario(scenario_text("analysis:\n  kind: beam_theta", ground=near))
+
+
 def test_dof_sweep_requires_tau():
     text = scenario_text(
         """\
