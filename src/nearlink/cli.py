@@ -99,6 +99,9 @@ def _print_report(report) -> None:
     if report.channel_kernel is not None:
         print(f"channel_kernel={report.channel_kernel.name}")
         print(f"channel_kernel_bound_rad={fmt(report.channel_kernel.bound_rad)}")
+    if report.placement_scored is not None:
+        print(f"placement_scored={report.placement_scored}")
+        print(f"placement_prune_margin={fmt(report.placement_prune_margin)}")
 
 
 def _run_with_analysis(s: Scenario, analysis, output_dir) -> int:

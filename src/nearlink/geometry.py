@@ -10,6 +10,7 @@ The same types describe the space segment: a satellite-side array is just an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -23,6 +24,9 @@ from .fileio import atomic_write_text, fmt
 # requested density is not achievable and the caller gets a clear error
 # instead of a hang.
 _PLACEMENT_ATTEMPT_CAP = 10_000
+
+# Uniform (x, y) pairs drawn per generator call by random placement.
+_DRAW_BLOCK = 32
 
 LAYOUT_HEADER = "# nearlink-layout v1"
 
@@ -272,6 +276,35 @@ def check_panel_overlap(spec: PanelSpec, panel_centers) -> None:
             )
 
 
+def _aperture_corners(aperture_x: float, aperture_y: float) -> np.ndarray:
+    hx, hy = aperture_x / 2.0, aperture_y / 2.0
+    return np.array([[-hx, -hy, 0.0], [hx, -hy, 0.0], [-hx, hy, 0.0], [hx, hy, 0.0]])
+
+
+def check_corner_spacing(
+    aperture_x: float, aperture_y: float, n_panels: int, min_spacing: float
+) -> None:
+    """Raise :class:`PlacementInfeasible` if the aperture corners that
+    :func:`random_panel_positions` places first sit closer than ``min_spacing``."""
+    taken = _aperture_corners(aperture_x, aperture_y)[: min(n_panels, 4)]
+    for i in range(len(taken)):
+        d = np.linalg.norm(taken[i + 1 :] - taken[i], axis=1)
+        if len(d) and d.min() < min_spacing:
+            raise PlacementInfeasible(
+                f"aperture corners are only {d.min():.6g} m apart, below the "
+                f"requested min spacing {min_spacing:.6g} m"
+            )
+
+
+def _uniform_draws(rng, hx: float, hy: float):
+    # One (x, y) pair per draw, taken from blocks. ``uniform`` fills its
+    # output in C order from one double per element, so a (B, 2) block reads
+    # the PCG64 stream exactly as B successive uniform(-hx, hx),
+    # uniform(-hy, hy) calls would.
+    while True:
+        yield from rng.uniform([-hx, -hy], [hx, hy], size=(_DRAW_BLOCK, 2)).tolist()
+
+
 def random_panel_positions(
     aperture_x: float,
     aperture_y: float,
@@ -315,30 +348,18 @@ def random_panel_positions(
     if min_spacing < 0.0:
         raise ValueError("min_spacing must be non-negative")
 
-    hx, hy = aperture_x / 2.0, aperture_y / 2.0
-    corners = np.array(
-        [[-hx, -hy, 0.0], [hx, -hy, 0.0], [-hx, hy, 0.0], [hx, hy, 0.0]]
-    )
-    taken = corners[: min(n_panels, 4)].copy()
-    if len(taken) >= 2:
-        for i in range(len(taken)):
-            d = np.linalg.norm(taken[i + 1 :] - taken[i], axis=1)
-            if len(d) and d.min() < min_spacing:
-                raise PlacementInfeasible(
-                    f"aperture corners are only {d.min():.6g} m apart, below the "
-                    f"requested min spacing {min_spacing:.6g} m"
-                )
+    check_corner_spacing(aperture_x, aperture_y, n_panels, min_spacing)
+    taken = _aperture_corners(aperture_x, aperture_y)[: min(n_panels, 4)]
     if n_panels <= 4:
         return taken
 
-    rng = np.random.default_rng(seed)
-    placed = list(taken)
+    draws = _uniform_draws(np.random.default_rng(seed), aperture_x / 2.0, aperture_y / 2.0)
+    placed = taken.tolist()
     for _ in range(4, n_panels):
-        for attempt in range(_PLACEMENT_ATTEMPT_CAP):
-            cand = np.array([rng.uniform(-hx, hx), rng.uniform(-hy, hy), 0.0])
-            d = np.linalg.norm(np.asarray(placed) - cand, axis=1)
-            if d.min() >= min_spacing:
-                placed.append(cand)
+        for _ in range(_PLACEMENT_ATTEMPT_CAP):
+            x, y = next(draws)
+            if _clear_of(placed, x, y, min_spacing):
+                placed.append([x, y, 0.0])
                 break
         else:
             raise PlacementInfeasible(
@@ -346,7 +367,18 @@ def random_panel_positions(
                 f"{_PLACEMENT_ATTEMPT_CAP} consecutive draws at min spacing "
                 f"{min_spacing:.6g} m in a {aperture_x:.6g} x {aperture_y:.6g} m aperture"
             )
-    return np.asarray(placed)
+    return np.array(placed)
+
+
+def _clear_of(placed, x: float, y: float, min_spacing: float) -> bool:
+    # The same rounding as np.linalg.norm: sqrt((dx*dx + dy*dy) + dz*dz),
+    # where every point sits at z = 0, so the third term adds an exact zero.
+    # ``not d >= min_spacing`` keeps the norm test's answer for a NaN spacing.
+    for px, py, _ in placed:
+        dx, dy = px - x, py - y
+        if not math.sqrt(dx * dx + dy * dy) >= min_spacing:
+            return False
+    return True
 
 
 def _max_pairwise_distance(points: np.ndarray) -> float:

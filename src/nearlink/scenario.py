@@ -30,6 +30,8 @@ from .geometry import (
     ElementLayout,
     OverlappingPanels,
     PanelSpec,
+    PlacementInfeasible,
+    check_corner_spacing,
     check_panel_overlap,
     make_distributed_panels,
     make_upa,
@@ -205,7 +207,10 @@ class RunReport:
     sweep of a beam analysis, with its error bound; None for other kinds.
     ``channel_kernel`` is the kernel that built the channel matrices of an
     svd or dof sweep: ``exact`` if any range needed the exact kernel, with
-    the worst bound over the ranges; None for other kinds."""
+    the worst bound over the ranges; None for other kinds.
+    ``placement_scored`` is how many candidates a placement search scored in
+    full and ``placement_prune_margin`` the margin it pruned the rest with,
+    per unit of main lobe; None for other kinds."""
 
     scenario_hash: str
     wall_time_s: float
@@ -213,6 +218,8 @@ class RunReport:
     key_scalars: dict
     beam_kernel: Optional[beamforming.BeamKernel] = None
     channel_kernel: Optional[beamforming.BeamKernel] = None
+    placement_scored: Optional[int] = None
+    placement_prune_margin: Optional[float] = None
 
 
 # ----- strict mapping helpers -----
@@ -369,21 +376,38 @@ def _parse_random(node, path):
     _check_keys(
         node, path, {"aperture_x_m", "aperture_y_m", "n_panels", "min_spacing_m", "seed"}
     )
+    aperture_x, aperture_y = _parse_aperture(node, path)
+    n_panels = _parse_n(node, path, "n_panels", minimum=1)
     return RandomPlacementConfig(
-        aperture_x_m=_positive(
-            _as_float(_pop(node, path, "aperture_x_m", required=True), f"{path}.aperture_x_m"),
-            f"{path}.aperture_x_m",
-        ),
-        aperture_y_m=_positive(
-            _as_float(_pop(node, path, "aperture_y_m", required=True), f"{path}.aperture_y_m"),
-            f"{path}.aperture_y_m",
-        ),
-        n_panels=_as_int(_pop(node, path, "n_panels", required=True), f"{path}.n_panels"),
-        min_spacing_m=_as_float(
-            _pop(node, path, "min_spacing_m", required=True), f"{path}.min_spacing_m"
-        ),
+        aperture_x_m=aperture_x,
+        aperture_y_m=aperture_y,
+        n_panels=n_panels,
+        min_spacing_m=_parse_min_spacing(node, path, aperture_x, aperture_y, n_panels),
         seed=_as_seed(_pop(node, path, "seed", required=True), f"{path}.seed"),
     )
+
+
+def _parse_aperture(node, path):
+    return tuple(
+        _positive(
+            _as_float(_pop(node, path, key, required=True), f"{path}.{key}"), f"{path}.{key}"
+        )
+        for key in ("aperture_x_m", "aperture_y_m")
+    )
+
+
+def _parse_min_spacing(node, path, aperture_x, aperture_y, n_panels):
+    # Random placement pins the aperture corners first, so corners closer
+    # than the spacing make every draw fail; refuse that here, not at run time.
+    where = f"{path}.min_spacing_m"
+    spacing = _as_float(_pop(node, path, "min_spacing_m", required=True), where)
+    if spacing < 0.0:
+        raise ValidationError(f"'{where}' must be non-negative")
+    try:
+        check_corner_spacing(aperture_x, aperture_y, n_panels, spacing)
+    except PlacementInfeasible as exc:
+        raise ValidationError(f"'{where}': {exc}") from None
+    return spacing
 
 
 def _parse_ground(node):
@@ -616,19 +640,13 @@ def _parse_analysis(node):
                 _as_float(node["exclusion_halfwidth_rad"], f"{path}.exclusion_halfwidth_rad"),
                 f"{path}.exclusion_halfwidth_rad",
             )
+        aperture_x, aperture_y = _parse_aperture(node, path)
+        n_panels = _parse_n(node, path, "n_panels", minimum=2)
         return OptimizePlacementAnalysis(
-            aperture_x_m=_positive(
-                _as_float(_pop(node, path, "aperture_x_m", required=True), f"{path}.aperture_x_m"),
-                f"{path}.aperture_x_m",
-            ),
-            aperture_y_m=_positive(
-                _as_float(_pop(node, path, "aperture_y_m", required=True), f"{path}.aperture_y_m"),
-                f"{path}.aperture_y_m",
-            ),
-            n_panels=_parse_n(node, path, "n_panels", minimum=2),
-            min_spacing_m=_as_float(
-                _pop(node, path, "min_spacing_m", required=True), f"{path}.min_spacing_m"
-            ),
+            aperture_x_m=aperture_x,
+            aperture_y_m=aperture_y,
+            n_panels=n_panels,
+            min_spacing_m=_parse_min_spacing(node, path, aperture_x, aperture_y, n_panels),
             n_candidates=_parse_n(node, path, "n_candidates", minimum=1),
             seed=_as_seed(_pop(node, path, "seed", required=True), f"{path}.seed"),
             scan_halfwidth_rad=_positive(
@@ -697,6 +715,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ValidationError(f"'ground.positions_m': {exc}") from None
     satellite = _parse_satellite(raw["satellite"]) if "satellite" in raw else None
     analysis = _parse_analysis(_pop(raw, "scenario", "analysis", required=True))
+    if isinstance(analysis, OptimizePlacementAnalysis):
+        try:
+            _placement_objective(analysis, SPEED_OF_LIGHT / freq)
+        except ValueError as exc:
+            raise ValidationError(f"'analysis.scan_halfwidth_rad': {exc}") from None
     return Scenario(
         version=version,
         frequency_hz=freq,
@@ -840,6 +863,25 @@ def _write_json(payload: dict, path) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _placement_objective(ana: OptimizePlacementAnalysis, lam: float):
+    excl = ana.exclusion_halfwidth_rad
+    if excl is None:
+        # Support width of the aperture rectangle along the scan azimuth.
+        along = ana.aperture_x_m * abs(np.cos(ana.steer_phi_rad)) + (
+            ana.aperture_y_m * abs(np.sin(ana.steer_phi_rad))
+        )
+        excl = placement.default_exclusion_halfwidth(along, lam)
+    return placement.PlacementObjective(
+        steering=beamforming.Direction(ana.steer_theta_rad, ana.steer_phi_rad),
+        exclusion_halfwidth=excl,
+        scan_range=(
+            ana.steer_theta_rad - ana.scan_halfwidth_rad,
+            ana.steer_theta_rad + ana.scan_halfwidth_rad,
+        ),
+        n_scan=ana.n_scan,
+    )
+
+
 def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     """Execute the scenario's analysis and write its outputs.
 
@@ -857,6 +899,7 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     scalars = {}
     beam_kernel = None
     channel_kernel = None
+    search = None
 
     if isinstance(ana, BoundariesAnalysis):
         knee = ana.d_tx_m * ana.d_rx_m / lam
@@ -944,23 +987,7 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
         )
 
     elif isinstance(ana, OptimizePlacementAnalysis):
-        steering = beamforming.Direction(ana.steer_theta_rad, ana.steer_phi_rad)
-        excl = ana.exclusion_halfwidth_rad
-        if excl is None:
-            # Support width of the aperture rectangle along the scan azimuth.
-            along = ana.aperture_x_m * abs(np.cos(ana.steer_phi_rad)) + (
-                ana.aperture_y_m * abs(np.sin(ana.steer_phi_rad))
-            )
-            excl = placement.default_exclusion_halfwidth(along, lam)
-        objective = placement.PlacementObjective(
-            steering=steering,
-            exclusion_halfwidth=excl,
-            scan_range=(
-                ana.steer_theta_rad - ana.scan_halfwidth_rad,
-                ana.steer_theta_rad + ana.scan_halfwidth_rad,
-            ),
-            n_scan=ana.n_scan,
-        )
+        objective = _placement_objective(ana, lam)
         result = placement.optimize_placement(
             ana.aperture_x_m,
             ana.aperture_y_m,
@@ -982,6 +1009,7 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
         save_layout(centers_layout, layout_path)
         files.extend([json_path, layout_path])
         scalars = {"peak_sidelobe_db": result.peak_sidelobe_db}
+        search = result
 
     else:
         spec = beamforming.DishSpec(ana.diameter_m, ana.efficiency)
@@ -1006,4 +1034,6 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
         key_scalars=scalars,
         beam_kernel=beam_kernel,
         channel_kernel=channel_kernel,
+        placement_scored=None if search is None else search.candidates_scored,
+        placement_prune_margin=None if search is None else search.prune_margin,
     )

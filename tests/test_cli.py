@@ -274,6 +274,25 @@ def test_channel_kernel_lines_follow_the_sweep_report(tmp_path, capsys):
     assert out.splitlines()[-2:] == ["channel_kernel=exact", "channel_kernel_bound_rad=0.0"]
 
 
+def test_placement_search_lines_follow_the_report(tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "run", scen("placement_search"), "--output-dir", str(tmp_path)
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-3].startswith("peak_sidelobe_db=")
+    key, _, scored = lines[-2].partition("=")
+    assert key == "placement_scored" and 1 <= int(scored) < 500
+    key, _, margin = lines[-1].partition("=")
+    assert key == "placement_prune_margin" and 0.0 < float(margin) < 1e-10
+    assert "placement_scored" not in (tmp_path / "placement.json").read_text()
+
+    code, out, _ = run_cli(
+        capsys, "run", scen("boundaries_benchtop"), "--output-dir", str(tmp_path)
+    )
+    assert code == 0 and "placement_scored" not in parse_kv(out)
+
+
 def test_beam_pattern_mode_switch(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "beam-pattern", scen("beam_theta_distributed"), "--mode", "range",
@@ -326,6 +345,22 @@ def test_scenario_defects_exit_three(tmp_path, capsys):
         "--output-dir", str(tmp_path),
     )
     assert code == 3 and "analysis.seed" in err
+
+    # Both of these used to pass validate, then fail the run with exit 1.
+    for old, new, where in (
+        (
+            "scan_halfwidth_rad: 2.5e-4",
+            "scan_halfwidth_rad: 1.0e-6",
+            "analysis.scan_halfwidth_rad",
+        ),
+        ("min_spacing_m: 50.0", "min_spacing_m: 1200.0", "analysis.min_spacing_m"),
+    ):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text.replace(old, new))
+        code, _, err = run_cli(capsys, "validate", str(bad))
+        assert code == 3 and where in err
+        code, _, err = run_cli(capsys, "run", str(bad), "--output-dir", str(tmp_path))
+        assert code == 3 and where in err
 
 
 def test_version_flag(capsys):

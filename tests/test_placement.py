@@ -1,11 +1,17 @@
 """Sparse placement: grating-lobe baseline and randomized search."""
 
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nearlink import placement
 from nearlink.beamforming import Direction
+from nearlink.geometry import PlacementInfeasible, random_panel_positions
 from nearlink.placement import (
     PlacementObjective,
     PlacementResult,
@@ -14,8 +20,10 @@ from nearlink.placement import (
     uniform_sparse_positions,
     write_placement_json,
 )
+from nearlink.scenario import load_scenario, run_scenario
 
 LAM = 299792458.0 / 28.0e9
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def test_uniform_two_panels_span_the_aperture():
@@ -164,3 +172,178 @@ def test_placement_json_output(tmp_path):
 def test_result_requires_nonpositive_sidelobe():
     with pytest.raises(ValueError):
         PlacementResult(np.zeros((2, 3)), 0.5, 0, 1)
+
+
+# ----- random draws: blocked generator calls against the per-draw loop -----
+
+
+def loop_positions(aperture_x, aperture_y, n_panels, min_spacing, seed):
+    """Frozen copy of the per-draw rejection loop that blocked draws replaced."""
+    hx, hy = aperture_x / 2.0, aperture_y / 2.0
+    corners = np.array(
+        [[-hx, -hy, 0.0], [hx, -hy, 0.0], [-hx, hy, 0.0], [hx, hy, 0.0]]
+    )
+    taken = corners[: min(n_panels, 4)].copy()
+    if len(taken) >= 2:
+        for i in range(len(taken)):
+            d = np.linalg.norm(taken[i + 1 :] - taken[i], axis=1)
+            if len(d) and d.min() < min_spacing:
+                raise PlacementInfeasible(
+                    f"aperture corners are only {d.min():.6g} m apart, below the "
+                    f"requested min spacing {min_spacing:.6g} m"
+                )
+    if n_panels <= 4:
+        return taken
+    rng = np.random.default_rng(seed)
+    placed = list(taken)
+    for _ in range(4, n_panels):
+        for attempt in range(10_000):
+            cand = np.array([rng.uniform(-hx, hx), rng.uniform(-hy, hy), 0.0])
+            d = np.linalg.norm(np.asarray(placed) - cand, axis=1)
+            if d.min() >= min_spacing:
+                placed.append(cand)
+                break
+        else:
+            raise PlacementInfeasible(
+                f"placed {len(placed)} of {n_panels} panels, then failed "
+                f"10000 consecutive draws at min spacing "
+                f"{min_spacing:.6g} m in a {aperture_x:.6g} x {aperture_y:.6g} m aperture"
+            )
+    return np.asarray(placed)
+
+
+def outcome(draw, *args):
+    try:
+        pos = draw(*args)
+    except PlacementInfeasible as exc:
+        return "infeasible", str(exc)
+    return pos.shape, pos.dtype, pos.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    aperture_x=st.floats(1.0, 2000.0),
+    aperture_y=st.floats(1.0, 2000.0),
+    n_panels=st.integers(1, 24),
+    spacing_fraction=st.floats(0.0, 0.7),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(1414.0, 1000.0, 16, 50.0 / 1000.0, 7)
+@example(1000.0, 1000.0, 30, 0.4, 0)  # a panel fails every one of its draws
+@example(10.0, 10.0, 4, 10.0, 0)  # the corners alone are too close
+def test_blocked_draws_equal_the_per_draw_loop(
+    aperture_x, aperture_y, n_panels, spacing_fraction, seed
+):
+    spacing = spacing_fraction * min(aperture_x, aperture_y)
+    args = (aperture_x, aperture_y, n_panels, spacing, seed)
+    assert outcome(random_panel_positions, *args) == outcome(loop_positions, *args)
+
+
+# ----- best-first search against scoring every candidate -----
+
+
+def brute_force(aperture_x, aperture_y, n_panels, min_spacing, objective, n_candidates, seed):
+    children = np.random.SeedSequence(seed).generate_state(n_candidates, dtype=np.uint64)
+    candidates = [
+        random_panel_positions(aperture_x, aperture_y, n_panels, min_spacing, int(c))
+        for c in children
+    ]
+    scores = [peak_sidelobe(c, LAM, objective) for c in candidates]
+    best = int(np.argmin(scores))  # first of the lowest
+    return candidates[best], scores[best]
+
+
+def field_objective(n_scan=801):
+    return PlacementObjective(
+        steering=Direction(0.0, np.pi / 6.0),
+        exclusion_halfwidth=2.0 * LAM / 1700.0,
+        scan_range=(-2.5e-4, 2.5e-4),
+        n_scan=n_scan,
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 11, 123])
+def test_search_winner_is_the_first_argmin_of_all_candidates(seed):
+    obj = field_objective()
+    res = optimize_placement(1414.0, 1000.0, 16, 50.0, LAM, obj, 80, seed)
+    pos, score = brute_force(1414.0, 1000.0, 16, 50.0, obj, 80, seed)
+    np.testing.assert_array_equal(res.positions, pos)
+    assert res.peak_sidelobe_db == score
+    assert res.candidates_evaluated == 80
+    assert 1 <= res.candidates_scored < 80
+    assert 0.0 < res.prune_margin < 1e-10
+
+
+def test_all_tied_candidates_are_scored_and_the_first_wins():
+    # Four panels or fewer: every candidate is the same set of corners, so
+    # every bound and score ties and none can be pruned.
+    obj = field_objective()
+    for n_panels in (2, 4):
+        res = optimize_placement(1414.0, 1000.0, n_panels, 50.0, LAM, obj, 12, 5)
+        pos, score = brute_force(1414.0, 1000.0, n_panels, 50.0, obj, 12, 5)
+        np.testing.assert_array_equal(res.positions, pos)
+        assert res.peak_sidelobe_db == score
+        assert res.candidates_scored == 12
+
+
+@pytest.mark.parametrize("lower_later_bound", [False, True])
+def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
+    monkeypatch, lower_later_bound
+):
+    # A placement and its point reflection score the same to the last bit:
+    # each phasor becomes its conjugate, in the same summation order.
+    base = random_panel_positions(1414.0, 1000.0, 16, 50.0, 3)
+    # A line along the scan azimuth throws a full-strength grating lobe.
+    azimuth = (np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0)
+    worse = uniform_sparse_positions(1400.0, 16, axis=azimuth)
+    order = iter([worse, -base, base])
+    monkeypatch.setattr(placement, "random_panel_positions", lambda *args: next(order))
+    if lower_later_bound:
+        # A looser (still valid) bound on the last candidate makes the search
+        # score it before its tied twin at index 1.
+        screen = placement._screen_bounds
+
+        def looser(*args):
+            bounds = screen(*args)
+            bounds[2] -= 1.0
+            return bounds
+
+        monkeypatch.setattr(placement, "_screen_bounds", looser)
+    obj = field_objective()
+    assert peak_sidelobe(base, LAM, obj) == peak_sidelobe(-base, LAM, obj)
+    res = optimize_placement(1414.0, 1000.0, 16, 50.0, LAM, obj, 3, 0)
+    np.testing.assert_array_equal(res.positions, -base)
+
+
+def test_screen_bound_is_within_the_margin_of_the_score():
+    # Over every kept direction the screen computes the score's amplitude by
+    # another route; the margin must cover the gap, dB round trip included.
+    obj = field_objective(n_scan=2001)
+    children = np.random.SeedSequence(4).generate_state(40, dtype=np.uint64)
+    cands = np.stack(
+        [random_panel_positions(1414.0, 1000.0, 16, 50.0, int(c)) for c in children]
+    )
+    k = 2.0 * np.pi / LAM
+    rel = placement._scan_offsets(obj)
+    bounds = placement._screen_bounds(cands, rel, k)
+    margin = placement._prune_margin(rel, cands, k)
+    amps = np.array([16 * 10.0 ** (peak_sidelobe(c, LAM, obj) / 20.0) for c in cands])
+    assert np.abs(bounds - amps).max() <= margin * 16
+    strided = placement._screen_bounds(cands, rel[:: placement._SCREEN_STRIDE], k)
+    assert (strided <= amps + margin * 16).all()
+
+
+def test_shipped_placement_outputs_are_unchanged(tmp_path):
+    # Digests of the outputs of the search that scored every candidate.
+    run_scenario(
+        load_scenario(os.path.join(SCENARIO_DIR, "placement_search.scenario")),
+        output_dir=str(tmp_path),
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("placement.json", "placement_layout.txt")
+    }
+    assert digests == {
+        "placement.json": "0b0361d34e4b844a955baba9fbeb6753142f5b5dbeb372507fe3f254e5bc3691",
+        "placement_layout.txt": "9a5f05726afcaf845adfa062a1c63869f88db5b8f1b4553b13efed908c62171b",
+    }

@@ -216,6 +216,46 @@ def test_non_finite_numbers_rejected_with_path():
             parse_scenario(text)
 
 
+def test_placement_geometry_that_cannot_run_rejected_with_path():
+    placement = scenario_text(PLACEMENT, ground="", satellite="")
+    beam = "analysis:\n  kind: beam_theta"
+    cases = [
+        # explicit exclusion zone as wide as the scan
+        (
+            placement + "  exclusion_halfwidth_rad: 1.0e-3\n",
+            "'analysis.scan_halfwidth_rad': exclusion zone swallows",
+        ),
+        # the default zone, 2 lambda / 200 m = 1.07e-4 rad, wider than the scan
+        (
+            placement.replace("scan_halfwidth_rad: 1.0e-3", "scan_halfwidth_rad: 1.0e-4"),
+            "'analysis.scan_halfwidth_rad': exclusion zone swallows",
+        ),
+        # corners of a 200 x 100 m field are 100 m apart
+        (
+            placement.replace("min_spacing_m: 10.0", "min_spacing_m: 150.0"),
+            "'analysis.min_spacing_m': aperture corners are only 100 m apart",
+        ),
+        (
+            placement.replace("min_spacing_m: 10.0", "min_spacing_m: -1.0"),
+            "'analysis.min_spacing_m' must be non-negative",
+        ),
+        (
+            scenario_text(
+                beam, ground=RANDOM_GROUND.replace("min_spacing_m: 5.0", "min_spacing_m: 90.0")
+            ),
+            "'ground.random.min_spacing_m': aperture corners are only 80 m apart",
+        ),
+        (
+            scenario_text(beam, ground=RANDOM_GROUND.replace("n_panels: 5", "n_panels: 0")),
+            "'ground.random.n_panels' must be at least 1",
+        ),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            parse_scenario(text)
+    parse_scenario(placement.replace("min_spacing_m: 10.0", "min_spacing_m: 100.0"))
+
+
 def test_panel_spacing_is_exclusive():
     both = scenario_text(
         "analysis:\n  kind: beam_theta",
