@@ -19,9 +19,9 @@ second order (the Fresnel expansion), split into a row factor and a column
 factor, so a panel costs one small matrix product per target. It runs only
 when a rigorous bound on the terms it drops stays below the exact kernel's own
 phase rounding; otherwise the exact kernel runs. The exact kernel is also the
-oracle the factorized one is tested against. The same factors, expanded into
-a matrix instead of summed, give the channel matrices of the MIMO sweeps
-(:func:`nearlink.mimo.link_spectrum`).
+oracle the factorized one is tested against. The same factors give the link
+spectra of the MIMO sweeps (:func:`nearlink.mimo.link_spectrum`), which
+compresses them without ever forming the channel matrix.
 """
 
 from __future__ import annotations
@@ -177,12 +177,21 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
     if not targets:
         raise ValueError("need at least one evaluation target")
     if all(isinstance(t, Direction) for t in targets):
-        total, _ = _sums(layout, w, np.stack([t.unit for t in targets]), True, wavelength)
+        theta = np.fromiter((t.theta for t in targets), np.float64, len(targets))
+        phi = np.fromiter((t.phi for t in targets), np.float64, len(targets))
+        total, _ = _sums(layout, w, _unit_vectors(theta, phi), True, wavelength)
     elif all(isinstance(t, Point) for t in targets):
         total, _ = _sums(layout, w, np.stack([t.position for t in targets]), False, wavelength)
     else:
         raise TypeError("evaluation targets must be all Directions or all Points")
     return complex(total[0]) if single else total
+
+
+def _unit_vectors(theta, phi) -> np.ndarray:
+    # Direction.unit for arrays of angles, with the same formulas.
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
 
 
 def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
@@ -354,26 +363,25 @@ def _factorized_sums(plan, w, targets, wavelength):
     return out
 
 
-def _factorized_channel(plan, targets, wavelength):
-    # The factorized kernel expanded into a matrix instead of contracted with
-    # weights: entry [n, a] couples element n (panels in order, each row-major)
-    # to point target a as exp(-jk (R_pa - |t_a|)) B_pa[r] A_pa[c]. Taking
-    # each target's path relative to its distance |t_a| from the origin scales
-    # column a by exp(jk |t_a|), which leaves the singular values unchanged,
-    # and keeps the phase rounding at the size of |c_p| instead of R_pa, where
-    # it would be shared by every element of the panel. The difference is
-    # formed without cancellation as (|c_p|^2 - 2 t_a . c_p) / (R_pa + |t_a|).
+def _factorized_factors(plan, targets, wavelength):
+    # The factorized kernel's channel to point targets, left as its factors:
+    # element (row r, column c) of panel p couples to target a as
+    # row[p, r, a] * col[p, c, a], so panel p's block of the channel matrix is
+    # the column-wise Kronecker product of row[p] and col[p]. The row factor
+    # carries exp(-jk (R_pa - |t_a|)): taking each target's path relative to
+    # its distance |t_a| from the origin scales column a by exp(jk |t_a|),
+    # which leaves the singular values unchanged, and keeps the phase rounding
+    # at the size of |c_p| instead of R_pa, where it would be shared by every
+    # element of the panel. The difference is formed without cancellation as
+    # (|c_p|^2 - 2 t_a . c_p) / (R_pa + |t_a|).
     k = 2.0 * np.pi / wavelength
     path, ux, uy, inv_r = _panel_paths(plan, targets)
     c = plan.centres
     t_norm = np.sqrt((targets * targets).sum(axis=-1))
     rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
-    col = _axis_factor(plan.x, ux.T, inv_r.T, k)
-    row = np.exp(-1j * k * rel.T)[..., None] * _axis_factor(plan.y, uy.T, inv_r.T, k)
-    # Built as (targets, elements) in C order and returned transposed: the
-    # Fortran-ordered matrix goes to LAPACK without a copy.
-    h = np.multiply(row[..., :, None], col[..., None, :], order="C")
-    return h.reshape(len(targets), -1).T
+    row = np.exp(-1j * k * rel)[..., None] * _axis_factor(plan.y, uy, inv_r, k)
+    col = _axis_factor(plan.x, ux, inv_r, k)
+    return row.transpose(0, 2, 1), col.transpose(0, 2, 1)
 
 
 def _axis_factor(offsets, u, inv_r, k):
@@ -468,10 +476,7 @@ def gain_pattern_sweep(
     if (ranges <= 0.0).any():
         raise ValueError("evaluation ranges must be positive")
 
-    units = np.stack(
-        [np.sin(thetas) * np.cos(phi), np.sin(thetas) * np.sin(phi), np.cos(thetas)],
-        axis=1,
-    )
+    units = _unit_vectors(thetas, phi)
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
     w = _weights_of(layout, weights)
     totals, kernel = _sums(layout, w, pts, False, wavelength)

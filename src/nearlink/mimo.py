@@ -16,9 +16,16 @@ Arbitrary layouts are handled numerically: the spectrum is LAPACK's SVD of
 the channel matrix itself. Forming a Gram matrix instead would square the
 condition number and lose the small singular values of a far-field link,
 which are the ones that decide the stream count. When one side of a link is a
-layout of identical panels, :func:`link_spectrum` builds the matrix with the
-panel-factorized kernel of :mod:`nearlink.beamforming`, under the same
-run-time error gate as the beam sweeps.
+layout of identical panels, :func:`link_spectrum` takes the row and column
+factors of the panel-factorized kernel of :mod:`nearlink.beamforming`, under
+the same run-time error gate as the beam sweeps, and never forms the matrix.
+Inside panel p the channel block is the column-wise Kronecker (Khatri-Rao)
+product B_p (.) A_p of its row and column factors. With B_p = Q_b R_b and
+A_p = Q_a R_a, the mixed-product rule gives B_p (.) A_p = (Q_b x Q_a)
+(R_b (.) R_a), and Q_b x Q_a has orthonormal columns, so the channel has the
+singular values of the panels' R_b (.) R_a stacked: P min(rows, S) min(cols, S)
+rows for S targets instead of one per element. Householder QR is backward
+stable, so the spectrum moves by a few multiples of 2**-53 ||H||_F.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import EXACT_KERNEL, BeamKernel, _factorized_channel, _factorized_plan
+from .beamforming import EXACT_KERNEL, BeamKernel, _factorized_factors, _factorized_plan
 from .channel import ChannelMatrix, ChannelModel, channel_matrix
 from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout, PanelSpec
@@ -137,18 +144,24 @@ def link_spectrum(
     Returns ``(SingularSpectrum, BeamKernel)``. When one side is a layout of
     identical panel grids and the other side's elements, as point targets,
     keep the panel-factorized bound within the exact kernel's own phase
-    rounding, the matrix comes from the factorized kernel with each column
-    multiplied by a unit-modulus constant, which leaves the singular values
-    unchanged. Otherwise the result is exactly
-    ``singular_values(channel_matrix(tx, rx, wavelength))``.
+    rounding, the spectrum comes from the factorized kernel's row and column
+    factors, compressed by one QR per panel and axis (see the module
+    docstring); ``source_shape`` is still the channel matrix's. Otherwise the
+    result is exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
     """
     if wavelength <= 0.0 or not np.isfinite(wavelength):
         raise ValueError("wavelength must be positive and finite")
     for panels, points in ((rx, tx), (tx, rx)):
         plan = _factorized_plan(panels, points.positions, False, wavelength)
         if plan is not None and plan.bound_rad <= plan.floor_rad:
-            h = _factorized_channel(plan, points.positions, wavelength)
-            spectrum = singular_values(h if panels is rx else h.T)
+            row, col = _factorized_factors(plan, points.positions, wavelength)
+            r_row = np.linalg.qr(row, mode="r")
+            r_col = np.linalg.qr(col, mode="r")
+            shape = (panels.n_elements, points.n_elements)
+            m = (r_row[:, :, None, :] * r_col[:, None, :, :]).reshape(-1, shape[1])
+            spectrum = SingularSpectrum(
+                singular_values(m).values, shape if panels is rx else shape[::-1]
+            )
             return spectrum, BeamKernel("panel_factorized", plan.bound_rad)
     h = channel_matrix(tx, rx, wavelength, ChannelModel.PHASE_ONLY)
     return singular_values(h), EXACT_KERNEL

@@ -713,6 +713,15 @@ def parse_scenario(text: str) -> Scenario:
             )
         except OverlappingPanels as exc:
             raise ValidationError(f"'ground.positions_m': {exc}") from None
+    if ground is not None and ground.random is not None:
+        # Drawn centres are at least min_spacing_m apart, and panels overlap
+        # when their centres are no farther apart than the panel extent.
+        extent = _panel_spec(ground.panel, SPEED_OF_LIGHT / freq).extent
+        if not ground.random.min_spacing_m > extent:
+            raise ValidationError(
+                f"'ground.random.min_spacing_m' must exceed the panel extent "
+                f"{extent:.6g} m, or drawn panels can overlap"
+            )
     satellite = _parse_satellite(raw["satellite"]) if "satellite" in raw else None
     analysis = _parse_analysis(_pop(raw, "scenario", "analysis", required=True))
     if isinstance(analysis, OptimizePlacementAnalysis):

@@ -1,10 +1,12 @@
 """Panel-factorized kernel against the exact kernel, its oracle: beam sums
 against the exact per-element sum, link spectra against the exact channel
-matrix."""
+matrix, and the QR-compressed link spectra against the uncompressed
+Khatri-Rao product of the same factors."""
 
 import os
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from nearlink.geometry import (
     random_panel_positions,
     save_layout,
 )
-from nearlink.mimo import dof_count, link_spectrum, singular_values
+from nearlink.mimo import ConvergenceFailure, dof_count, link_spectrum, singular_values
 from nearlink.scenario import (
     build_ground_layout,
     build_satellite_layout,
@@ -303,6 +305,113 @@ def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, 
         plan.bound_rad + 4.0 * K * UNIT_ROUNDOFF * reach
     )
     assert np.abs(spectrum.values - exact.values).max() <= weyl
+
+
+def compressed_tolerance(n_panels, rows, cols, s, h_fro):
+    # Bound on |compressed - uncompressed| for every singular value, c u ||H||_F.
+    # - Householder QR of an m x s factor returns the R of a factor within
+    #   gamma(m s) of it, column by column (Higham, "Accuracy and Stability of
+    #   Numerical Algorithms", Thm 19.4), with gamma(k) = 4 k u for complex
+    #   arithmetic. A Kronecker column carries both factors' relative errors
+    #   and their product: g_row + g_col + g_row g_col.
+    # - Forming M, and forming H in the test, rounds each entry once: a
+    #   complex product is within 2 sqrt(2) u of exact.
+    # - LAPACK's SVD is backward stable with the same form of constant,
+    #   4 m s u, over the size of each matrix it factors: M and H.
+    # Weyl turns the sum of these Frobenius-norm perturbations into a bound
+    # on every singular value.
+    u = UNIT_ROUNDOFF
+    g_row, g_col = 4.0 * rows * s * u, 4.0 * cols * s * u
+    m_rows = n_panels * min(rows, s) * min(cols, s)
+    n = n_panels * rows * cols
+    c = (g_row + g_col + g_row * g_col) / u + 2.0 * 2.0 * np.sqrt(2.0) + 4.0 * (m_rows + n) * s
+    return c * u * h_fro
+
+
+def check_compressed_against_uncompressed(layout, pts, panels_receive):
+    sat = point_layout(pts)
+    tx, rx = (sat, layout) if panels_receive else (layout, sat)
+    plan = bf._factorized_plan(layout, pts, False, LAM)
+    spectrum, kernel = link_spectrum(tx, rx, LAM)
+    assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
+
+    # The channel the compressed path stands for: panel p's block is the
+    # column-wise Kronecker product of its row and column factors.
+    row, col = bf._factorized_factors(plan, pts, LAM)
+    spec = layout.panel_spec
+    h = (row[:, :, None, :] * col[:, None, :, :]).reshape(layout.n_elements, len(pts))
+    want = np.linalg.svd(h if panels_receive else h.T, compute_uv=False)
+    assert spectrum.source_shape == (h.shape if panels_receive else h.T.shape)
+    assert spectrum.values.shape == want.shape
+    bound = compressed_tolerance(
+        len(plan.centres), spec.rows, spec.cols, len(pts), np.linalg.norm(h)
+    )
+    assert np.abs(spectrum.values - want).max() <= bound
+
+
+@PROPERTY
+@given(
+    layout=panel_layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 9),
+    log_range=st.floats(np.log(1.0e4), np.log(1.0e7)),
+    panels_receive=st.booleans(),
+)
+def test_compressed_spectrum_within_qr_bound_of_uncompressed(
+    layout, seed, n_points, log_range, panels_receive
+):
+    rng = np.random.default_rng(seed)
+    centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
+    pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
+    plan = bf._factorized_plan(layout, pts, False, LAM)
+    assume(plan is not None and plan.bound_rad <= plan.floor_rad)
+    check_compressed_against_uncompressed(layout, pts, panels_receive)
+
+
+def test_compressed_spectrum_shapes_of_r():
+    rng = np.random.default_rng(17)
+    far = np.array([0.0, 0.0, 5.0e4])
+    cases = [
+        # more targets than panel rows: each R is rows x S
+        (PanelSpec(2, 5, 0.5 * LAM), [[0, 0, 0], [30, 0, 0]], 6),
+        # one target
+        (PanelSpec(4, 4, 0.5 * LAM), [[0, 0, 0], [0, 40, 0], [30, 10, 0]], 1),
+        # fewer elements than targets: a wide H
+        (PanelSpec(1, 2, 0.5 * LAM), [[0, 0, 0]], 5),
+        # more targets than rows and columns on two panels: both R trapezoidal
+        (PanelSpec(3, 2, 0.5 * LAM), [[-9, 0, 0], [9, 0, 0]], 8),
+    ]
+    for spec, centres, n_points in cases:
+        layout = make_distributed_panels(spec, centres)
+        pts = far + rng.uniform(-2.0, 2.0, size=(n_points, 3))
+        for panels_receive in (True, False):
+            check_compressed_against_uncompressed(layout, pts, panels_receive)
+
+
+def test_compressed_spectrum_keeps_the_exact_source_shape():
+    panels = make_distributed_panels(PanelSpec(2, 3, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
+    for n_points in (3, 20):
+        sat = point_layout(np.array([[0.1 * i, 0.05 * i, 5.0e4] for i in range(n_points)]))
+        for tx, rx in ((sat, panels), (panels, sat)):
+            spectrum, kernel = link_spectrum(tx, rx, LAM)
+            assert kernel.name == "panel_factorized"
+            exact = singular_values(channel_matrix(tx, rx, LAM))
+            assert spectrum.source_shape == exact.source_shape
+            assert spectrum.values.shape == exact.values.shape
+
+
+def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
+    panels = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
+    sat = point_layout(np.array([[-0.5, 0.0, 5.0e4], [0.5, 0.0, 5.0e4], [0.0, 0.5, 5.0e4]]))
+    assert link_spectrum(sat, panels, LAM)[1].name == "panel_factorized"
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    for tx, rx in ((sat, panels), (panels, sat)):
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            link_spectrum(tx, rx, LAM)
 
 
 def test_panels_on_either_side_of_the_link_give_the_same_spectrum():

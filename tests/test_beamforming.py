@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nearlink import beamforming as bf
 from nearlink.beamforming import (
     GAIN_FLOOR_DB,
     Direction,
@@ -38,6 +39,23 @@ def test_direction_unit_vector():
     np.testing.assert_allclose(e.unit, [1.0, 0.0, 0.0], atol=1e-15)
     f = Direction(np.pi / 4.0, np.pi / 2.0)
     np.testing.assert_allclose(f.unit, [0.0, np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+
+
+def test_direction_lists_use_the_per_object_unit_vectors_bit_for_bit():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-1.5, 1.5, 2000)
+    for phi in (np.zeros(2000), rng.uniform(0.0, 2.0 * np.pi, 2000)):
+        directions = [Direction(float(t), float(p)) for t, p in zip(theta, phi)]
+        want = np.stack([d.unit for d in directions])
+        assert np.array_equal(bf._unit_vectors(theta, phi), want)
+
+    lay = make_upa(PanelSpec(3, 4, LAM / 2.0))
+    w = delay_and_sum_weights(lay, Direction(0.2, 0.7), LAM)
+    directions = [Direction(float(t), float(p)) for t, p in zip(theta[:50], phi[:50])]
+    want, _ = bf._sums(
+        lay, w.weights, np.stack([d.unit for d in directions]), True, LAM
+    )
+    assert np.array_equal(response_sum(lay, w, directions, LAM), want)
 
 
 def test_broadside_weights_are_all_ones():

@@ -363,6 +363,28 @@ def test_scenario_defects_exit_three(tmp_path, capsys):
         assert code == 3 and where in err
 
 
+def test_random_ground_that_could_overlap_exits_three(tmp_path, capsys):
+    # 80 panels of 8x8 at lambda/2 in a 1 x 1 m field at 1 mm spacing: this
+    # seed draws two centres 26.6 mm apart, inside the 53.0 mm panel extent.
+    text = open(scen("beam_theta_distributed")).read()
+    for old, new in (
+        ("rows: 32", "rows: 8"),
+        ("cols: 32", "cols: 8"),
+        ("aperture_x_m: 1414.0", "aperture_x_m: 1.0"),
+        ("aperture_y_m: 1000.0", "aperture_y_m: 1.0"),
+        ("n_panels: 16", "n_panels: 80"),
+        ("min_spacing_m: 50.0", "min_spacing_m: 0.001"),
+        ("seed: 11", "seed: 3"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "overlap.scenario"
+    bad.write_text(text)
+    for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "ground.random.min_spacing_m" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

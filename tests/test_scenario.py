@@ -249,11 +249,24 @@ def test_placement_geometry_that_cannot_run_rejected_with_path():
             scenario_text(beam, ground=RANDOM_GROUND.replace("n_panels: 5", "n_panels: 0")),
             "'ground.random.n_panels' must be at least 1",
         ),
+        # drawn centres may sit min_spacing_m apart, inside a 2x2 panel's
+        # 7.57 mm extent at lambda/2, so drawn panels could overlap
+        (
+            scenario_text(
+                beam, ground=RANDOM_GROUND.replace("min_spacing_m: 5.0", "min_spacing_m: 0.0075")
+            ),
+            "'ground.random.min_spacing_m' must exceed the panel extent 0.00757",
+        ),
     ]
     for text, message in cases:
         with pytest.raises(ValidationError, match=message):
             parse_scenario(text)
     parse_scenario(placement.replace("min_spacing_m: 10.0", "min_spacing_m: 100.0"))
+    parse_scenario(
+        scenario_text(
+            beam, ground=RANDOM_GROUND.replace("min_spacing_m: 5.0", "min_spacing_m: 0.0076")
+        )
+    )
 
 
 def test_panel_spacing_is_exclusive():
