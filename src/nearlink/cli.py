@@ -1,13 +1,16 @@
 """Command-line front end for scenario runs and one-off calculations.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 scenario
-validation error. Failures print a single ``error: ...`` line on stderr.
+validation error, or an invalid flag value. Failures print a single
+``error: ...`` line on stderr.
 
 ``run`` and ``validate`` operate on a scenario file as-is. The sweep and
 beam subcommands also start from a scenario file (it carries the geometry)
 and let flags override the analysis parameters; the final configuration is
 re-validated before running. ``boundaries`` and ``dish-gain`` are pure
-flag-driven calculators that write nothing.
+flag-driven calculators that write nothing. Each flag that sets an analysis
+field takes that field's declared type, and the calculators check their
+flags against the field declarations too.
 """
 
 from __future__ import annotations
@@ -17,24 +20,21 @@ import dataclasses
 import sys
 from importlib import metadata
 
-from . import beamforming, mimo
 from .fileio import fmt
 from .scenario import (
-    SPEED_OF_LIGHT,
-    BeamMapAnalysis,
-    BeamRangeAnalysis,
-    BeamThetaAnalysis,
-    DofSweepAnalysis,
-    OptimizePlacementAnalysis,
+    ANALYSIS_KINDS,
     Scenario,
     ScenarioError,
-    SvdSweepAnalysis,
     ValidationError,
+    analysis_kind,
+    check_value,
+    closed_form,
     load_scenario,
     parse_scenario,
     run_scenario,
     scenario_hash,
     serialize_scenario,
+    wavelength_of,
 )
 
 
@@ -45,45 +45,12 @@ def _version() -> str:
         return "unknown"
 
 
-def _add_wavelength_flags(parser):
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--lambda",
-        dest="wavelength_m",
-        type=float,
-        metavar="METERS",
-        help="carrier wavelength in meters",
-    )
-    group.add_argument(
-        "--frequency",
-        dest="frequency_hz",
-        type=float,
-        metavar="HZ",
-        help="carrier frequency in Hz",
-    )
-
-
 def _wavelength(args) -> float:
+    # A wavelength shares the frequency's declaration: a positive finite number.
     if args.wavelength_m is not None:
-        lam = args.wavelength_m
-    else:
-        if args.frequency_hz <= 0.0:
-            raise ValidationError("frequency must be positive")
-        lam = SPEED_OF_LIGHT / args.frequency_hz
-    if lam <= 0.0:
-        raise ValidationError("wavelength must be positive")
-    return lam
-
-
-def _override(base, **overrides):
-    applied = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(base, **applied) if applied else base
-
-
-def _revalidated(s: Scenario) -> Scenario:
-    # Flag overrides bypass the parser's checks; a serialize/parse round
-    # trip pushes the final configuration back through all of them.
-    return parse_scenario(serialize_scenario(s))
+        return check_value(Scenario, "frequency_hz", args.wavelength_m, "--lambda")
+    frequency = check_value(Scenario, "frequency_hz", args.frequency_hz, "--frequency")
+    return wavelength_of(frequency, "--frequency")
 
 
 def _print_report(report) -> None:
@@ -104,12 +71,6 @@ def _print_report(report) -> None:
         print(f"placement_prune_margin={fmt(report.placement_prune_margin)}")
 
 
-def _run_with_analysis(s: Scenario, analysis, output_dir) -> int:
-    s = _revalidated(dataclasses.replace(s, analysis=analysis))
-    _print_report(run_scenario(s, output_dir=output_dir))
-    return 0
-
-
 # ----- subcommand handlers -----
 
 
@@ -121,137 +82,60 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     s = load_scenario(args.scenario)
-    from .scenario import _ANALYSIS_KINDS
-
-    print(f"valid kind={_ANALYSIS_KINDS[type(s.analysis)]} hash={scenario_hash(s)}")
+    print(f"valid kind={analysis_kind(s.analysis)} hash={scenario_hash(s)}")
     return 0
 
 
-def _cmd_boundaries(args) -> int:
+def _cmd_closed_form(args) -> int:
+    """Print the results of a closed-form analysis set by the flags, each
+    flag checked as the field it sets is declared."""
     lam = _wavelength(args)
-    for name, value in (("--dtx", args.d_tx_m), ("--drx", args.d_rx_m)):
-        if value <= 0.0:
-            raise ValidationError(f"{name} must be positive")
-    if not 0.0 < args.tau < 1.0:
-        raise ValidationError("--tau must lie strictly between 0 and 1")
-    knee = args.d_tx_m * args.d_rx_m / lam
-    print(f"r_min_m={fmt(mimo.r_min(args.d_tx_m, args.d_rx_m, lam, args.tau))}")
-    print(f"rising_start_m={fmt(knee)}")
-    print(f"falling_start_m={fmt(2.0 * knee)}")
-    print(f"r_max_m={fmt(mimo.r_max(args.d_tx_m, args.d_rx_m, lam, args.tau))}")
+    cls = ANALYSIS_KINDS[args.kind]
+    checked = {n: check_value(cls, n, getattr(args, n), flag) for n, flag in args.flags.items()}
+    analysis = cls(**checked)
+    # The payload repeats the inputs, the flags and the wavelength, before the results.
+    for key, value in closed_form(analysis, lam).items():
+        if key not in args.flags and key != "wavelength_m":
+            print(f"{key}={fmt(value)}")
     return 0
 
 
-def _cmd_dish_gain(args) -> int:
-    lam = _wavelength(args)
-    spec = beamforming.DishSpec(args.diameter_m, args.efficiency)
-    print(f"gain_dbi={fmt(beamforming.dish_gain(spec, lam))}")
-    return 0
-
-
-def _cmd_svd_sweep(args) -> int:
+def _cmd_analysis(args) -> int:
+    """Run the scenario's geometry with an analysis of the subcommand's kind.
+    The scenario's own analysis is the base when its kind fits; otherwise the
+    flags must give every field without a default. Flags override the fields
+    they are named after."""
     s = load_scenario(args.scenario)
-    if isinstance(s.analysis, SvdSweepAnalysis):
-        base = s.analysis
-    elif None not in (args.range_start_m, args.range_stop_m, args.n_ranges):
-        base = SvdSweepAnalysis(args.range_start_m, args.range_stop_m, args.n_ranges)
-    else:
+    mode, own = getattr(args, "mode", None), analysis_kind(s.analysis)
+    kind = own if mode is None and own in args.kinds.values() else args.kinds.get(mode)
+    if kind is None:
         raise ValidationError(
-            "scenario's analysis is not svd_sweep; pass --range-start, "
-            "--range-stop and --n-ranges"
+            f"scenario's analysis is not {' or '.join(args.kinds.values())}; "
+            f"pass --mode {'|'.join(args.kinds)}"
         )
-    ana = _override(
-        base,
-        range_start_m=args.range_start_m,
-        range_stop_m=args.range_stop_m,
-        n_ranges=args.n_ranges,
-        spacing=args.spacing,
-        tau=args.tau,
-    )
-    return _run_with_analysis(s, ana, args.output_dir)
-
-
-def _cmd_dof_sweep(args) -> int:
-    s = load_scenario(args.scenario)
-    if isinstance(s.analysis, DofSweepAnalysis):
-        base = s.analysis
-    elif None not in (args.range_start_m, args.range_stop_m, args.n_ranges, args.tau):
-        base = DofSweepAnalysis(
-            args.range_start_m, args.range_stop_m, args.n_ranges, args.tau
-        )
-    else:
-        raise ValidationError(
-            "scenario's analysis is not dof_sweep; pass --range-start, "
-            "--range-stop, --n-ranges and --tau"
-        )
-    ana = _override(
-        base,
-        range_start_m=args.range_start_m,
-        range_stop_m=args.range_stop_m,
-        n_ranges=args.n_ranges,
-        spacing=args.spacing,
-        tau=args.tau,
-    )
-    return _run_with_analysis(s, ana, args.output_dir)
-
-
-_BEAM_MODES = {"theta": BeamThetaAnalysis, "range": BeamRangeAnalysis, "map": BeamMapAnalysis}
-
-
-def _cmd_beam_pattern(args) -> int:
-    s = load_scenario(args.scenario)
-    if args.mode is not None:
-        cls = _BEAM_MODES[args.mode]
-    elif isinstance(s.analysis, tuple(_BEAM_MODES.values())):
-        cls = type(s.analysis)
-    else:
-        raise ValidationError(
-            "scenario's analysis is not a beam pattern; pass --mode theta|range|map"
-        )
-
+    cls = ANALYSIS_KINDS[kind]
+    given = {
+        name: getattr(args, name)
+        for name in args.flags
+        if name in cls.__dataclass_fields__ and getattr(args, name) is not None
+    }
     if isinstance(s.analysis, cls):
-        base = s.analysis
-    elif cls is BeamThetaAnalysis:
-        base = BeamThetaAnalysis()
-    elif None not in (args.range_start_m, args.range_stop_m):
-        if cls is BeamRangeAnalysis:
-            base = BeamRangeAnalysis(args.range_start_m, args.range_stop_m)
-        else:
-            base = BeamMapAnalysis(args.range_start_m, args.range_stop_m)
+        analysis = dataclasses.replace(s.analysis, **given)
     else:
-        raise ValidationError(
-            f"--mode {args.mode} needs --range-start and --range-stop"
-        )
-
-    overrides = {"halfwidth_deg": args.halfwidth_deg, "n_theta": args.n_theta}
-    if cls is BeamThetaAnalysis:
-        ana = _override(base, **overrides)
-    else:
-        overrides.update(
-            range_start_m=args.range_start_m,
-            range_stop_m=args.range_stop_m,
-            n_ranges=args.n_ranges,
-            spacing=args.spacing,
-        )
-        if cls is BeamRangeAnalysis:
-            overrides.pop("halfwidth_deg")
-            overrides.pop("n_theta")
-        ana = _override(base, **overrides)
-    return _run_with_analysis(s, ana, args.output_dir)
-
-
-def _cmd_optimize_placement(args) -> int:
-    s = load_scenario(args.scenario)
-    if not isinstance(s.analysis, OptimizePlacementAnalysis):
-        raise ValidationError("scenario's analysis must be optimize_placement")
-    ana = _override(
-        s.analysis,
-        n_candidates=args.n_candidates,
-        seed=args.seed,
-        n_scan=args.n_scan,
-        scan_halfwidth_rad=args.scan_halfwidth_rad,
-    )
-    return _run_with_analysis(s, ana, args.output_dir)
+        missing = [
+            args.flags.get(f.name, f"analysis.{f.name}")
+            for f in dataclasses.fields(cls)
+            if f.default is dataclasses.MISSING and f.name not in given
+        ]
+        if missing:
+            needs = ", ".join(missing)
+            raise ValidationError(f"scenario's analysis is not {kind}; it needs {needs}")
+        analysis = cls(**given)
+    # Flag values bypass the parser's checks; a serialize/parse round trip
+    # pushes the final configuration back through all of them.
+    s = parse_scenario(serialize_scenario(dataclasses.replace(s, analysis=analysis)))
+    _print_report(run_scenario(s, output_dir=args.output_dir))
+    return 0
 
 
 # ----- parser -----
@@ -264,11 +148,56 @@ def _add_scenario_arg(parser):
     )
 
 
-def _add_range_flags(parser):
-    parser.add_argument("--range-start", dest="range_start_m", type=float, default=None)
-    parser.add_argument("--range-stop", dest="range_stop_m", type=float, default=None)
-    parser.add_argument("--n-ranges", dest="n_ranges", type=int, default=None)
-    parser.add_argument("--spacing", choices=("log", "linear"), default=None)
+def _field_flags(parser, *flags):
+    """Add ``(option, field name[, add_argument keywords])`` flags that set
+    analysis fields, each typed as its field declares."""
+    for option, name, *extra in flags:
+        cls = next(c for c in ANALYSIS_KINDS.values() if name in c.__dataclass_fields__)
+        coerce = cls.__dataclass_fields__[name].metadata["coerce"]
+        typed = {"choices": coerce} if isinstance(coerce, tuple) else {"type": coerce}
+        parser.add_argument(option, dest=name, **typed, **(extra or [{"default": None}])[0])
+    parser.set_defaults(flags={name: option for option, name, *_ in flags})
+
+
+def _calculator(sub, name, help, kind, *flags):
+    p = sub.add_parser(name, help=help)
+    _field_flags(p, *flags)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument(
+        "--lambda",
+        dest="wavelength_m",
+        type=float,
+        metavar="METERS",
+        help="carrier wavelength in meters",
+    )
+    group.add_argument(
+        "--frequency",
+        dest="frequency_hz",
+        type=float,
+        metavar="HZ",
+        help="carrier frequency in Hz",
+    )
+    p.set_defaults(func=_cmd_closed_form, kind=kind)
+
+
+def _analysis_command(sub, name, help, kinds, *flags):
+    """A subcommand that runs a scenario with an analysis of its kind.
+    ``kinds`` maps each ``--mode`` value to a kind, or None to the one kind."""
+    p = sub.add_parser(name, help=help)
+    _add_scenario_arg(p)
+    if None not in kinds:
+        p.add_argument("--mode", choices=tuple(kinds), default=None)
+    _field_flags(p, *flags)
+    p.set_defaults(func=_cmd_analysis, kinds=kinds)
+
+
+_METERS = {"required": True, "metavar": "METERS"}
+_RANGE_FLAGS = (
+    ("--range-start", "range_start_m"),
+    ("--range-stop", "range_stop_m"),
+    ("--n-ranges", "n_ranges"),
+    ("--spacing", "spacing"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,49 +216,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="path to a scenario file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("boundaries", help="MIMO feasibility range boundaries")
-    p.add_argument("--dtx", dest="d_tx_m", type=float, required=True, metavar="METERS")
-    p.add_argument("--drx", dest="d_rx_m", type=float, required=True, metavar="METERS")
-    p.add_argument("--tau", type=float, default=0.1)
-    _add_wavelength_flags(p)
-    p.set_defaults(func=_cmd_boundaries)
-
-    p = sub.add_parser("dish-gain", help="parabolic dish gain for a given aperture")
-    p.add_argument("--diameter", dest="diameter_m", type=float, required=True, metavar="METERS")
-    p.add_argument("--efficiency", type=float, required=True)
-    _add_wavelength_flags(p)
-    p.set_defaults(func=_cmd_dish_gain)
-
-    p = sub.add_parser("svd-sweep", help="singular values versus range")
-    _add_scenario_arg(p)
-    _add_range_flags(p)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=_cmd_svd_sweep)
-
-    p = sub.add_parser("dof-sweep", help="spatial degrees of freedom versus range")
-    _add_scenario_arg(p)
-    _add_range_flags(p)
-    p.add_argument("--tau", type=float, default=None)
-    p.set_defaults(func=_cmd_dof_sweep)
-
-    p = sub.add_parser("beam-pattern", help="array gain over angle and/or range")
-    _add_scenario_arg(p)
-    p.add_argument("--mode", choices=tuple(_BEAM_MODES), default=None)
-    p.add_argument("--halfwidth-deg", dest="halfwidth_deg", type=float, default=None)
-    p.add_argument("--n-theta", dest="n_theta", type=int, default=None)
-    _add_range_flags(p)
-    p.set_defaults(func=_cmd_beam_pattern)
-
-    p = sub.add_parser("optimize-placement", help="search random placements for low sidelobes")
-    _add_scenario_arg(p)
-    p.add_argument("--n-candidates", dest="n_candidates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-scan", dest="n_scan", type=int, default=None)
-    p.add_argument(
-        "--scan-halfwidth", dest="scan_halfwidth_rad", type=float, default=None, metavar="RAD"
+    _calculator(
+        sub,
+        "boundaries",
+        "MIMO feasibility range boundaries",
+        "boundaries",
+        ("--dtx", "d_tx_m", _METERS),
+        ("--drx", "d_rx_m", _METERS),
+        ("--tau", "tau", {"default": 0.1}),
     )
-    p.set_defaults(func=_cmd_optimize_placement)
-
+    _calculator(
+        sub,
+        "dish-gain",
+        "parabolic dish gain for a given aperture",
+        "dish_gain",
+        ("--diameter", "diameter_m", _METERS),
+        ("--efficiency", "efficiency", {"required": True}),
+    )
+    for name, help, kind in (
+        ("svd-sweep", "singular values versus range", "svd_sweep"),
+        ("dof-sweep", "spatial degrees of freedom versus range", "dof_sweep"),
+    ):
+        _analysis_command(sub, name, help, {None: kind}, *_RANGE_FLAGS, ("--tau", "tau"))
+    _analysis_command(
+        sub,
+        "beam-pattern",
+        "array gain over angle and/or range",
+        {"theta": "beam_theta", "range": "beam_range", "map": "beam_map"},
+        ("--halfwidth-deg", "halfwidth_deg"),
+        ("--n-theta", "n_theta"),
+        *_RANGE_FLAGS,
+    )
+    _analysis_command(
+        sub,
+        "optimize-placement",
+        "search random placements for low sidelobes",
+        {None: "optimize_placement"},
+        ("--n-candidates", "n_candidates"),
+        ("--seed", "seed"),
+        ("--n-scan", "n_scan"),
+        ("--scan-halfwidth", "scan_halfwidth_rad", {"default": None, "metavar": "RAD"}),
+    )
     return parser
 
 

@@ -40,12 +40,26 @@ def test_success_is_zero(capsys):
 
 
 def test_validation_error_is_three(capsys):
-    code, out, err = run_cli(
-        capsys, "boundaries", "--dtx", "-0.2", "--drx", "0.2", "--lambda", "0.01"
-    )
-    assert code == 3
-    assert err.startswith("error: ")
-    assert "--dtx" in err
+    dish = ("dish-gain", "--diameter", "1.47", "--efficiency", "0.48")
+    cases = [
+        (("boundaries", "--dtx", "-0.2", "--drx", "0.2", "--lambda", "0.01"), "--dtx"),
+        (("boundaries", "--dtx", "nan", "--drx", "0.2", "--frequency", "28e9"), "--dtx"),
+        (("dish-gain", "--diameter", "1.47", "--efficiency", "1.5", "--frequency", "28e9"), "--efficiency"),
+        (("dish-gain", "--diameter", "-1", "--efficiency", "0.48", "--frequency", "28e9"), "--diameter"),
+        (dish + ("--frequency", "1e-300"), "--frequency"),
+    ]
+    # Non-finite carriers used to reach the numerics and exit 1.
+    for calculator in (("boundaries", "--dtx", "0.2", "--drx", "0.2"), dish):
+        cases += [
+            (calculator + ("--frequency", "nan"), "--frequency"),
+            (calculator + ("--lambda", "nan"), "--lambda"),
+            (calculator + ("--lambda", "inf"), "--lambda"),
+        ]
+    for argv, flag in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert err.startswith("error: ")
+        assert flag in err, argv
 
 
 def test_tau_bounds_checked(capsys):
@@ -383,6 +397,24 @@ def test_random_ground_that_could_overlap_exits_three(tmp_path, capsys):
     for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
         code, _, err = run_cli(capsys, *argv)
         assert code == 3 and "ground.random.min_spacing_m" in err
+
+
+def test_overflowing_panel_pitch_exits_three(tmp_path, capsys):
+    # At 1e-300 Hz the wavelength, and with it a pitch given in wavelengths,
+    # overflows to inf. Both scenarios used to pass validate, then exit 1.
+    text = open(scen("beam_theta_distributed")).read()
+    assert "frequency_hz: 28.0e9" in text
+    text = text.replace("frequency_hz: 28.0e9", "frequency_hz: 1.0e-300")
+    ground_in_meters = text.replace("spacing_wavelengths: 0.5", "spacing_m: 0.005", 1)
+    for body, where in (
+        (text, "ground.panel.spacing_wavelengths"),
+        (ground_in_meters, "satellite.panel.spacing_wavelengths"),
+    ):
+        bad = tmp_path / "pitch.scenario"
+        bad.write_text(body)
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3 and where in err
 
 
 def test_version_flag(capsys):

@@ -1,11 +1,17 @@
 """Scenario parsing, serialization round-trips, layout building, and runs."""
 
+import copy
 import json
 import math
 import os
+import re
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nearlink.scenario import (
     SCENARIO_VERSION,
@@ -13,11 +19,15 @@ from nearlink.scenario import (
     BeamMapAnalysis,
     BeamRangeAnalysis,
     BeamThetaAnalysis,
+    Bound,
     BoundariesAnalysis,
     DishGainAnalysis,
     DofSweepAnalysis,
+    GroundConfig,
     OptimizePlacementAnalysis,
+    PanelConfig,
     ParseError,
+    SatelliteConfig,
     Scenario,
     SvdSweepAnalysis,
     ValidationError,
@@ -777,3 +787,146 @@ def test_all_shipped_scenarios_parse():
         assert s.version == SCENARIO_VERSION
         # serialized form must round-trip for every shipped file
         assert parse_scenario(serialize_scenario(s)) == s
+
+
+# ----- declarations -----
+
+
+SHIPPED_HASHES = {
+    "beam_map_distributed": "a260e856f64ccc8e",
+    "beam_range_focus": "568ef37a2c921f3c",
+    "beam_theta_distributed": "a8d9023b542c6ef4",
+    "beam_theta_upa": "9980bf7ee630e1fc",
+    "boundaries_benchtop": "5653002d5bf83b33",
+    "dish_reference": "bdef47a462de8294",
+    "dof_vs_range": "4ee41e4417327676",
+    "placement_search": "7527f045ff47f6bc",
+    "ratio_vs_range_benchtop": "b28b88fb62eb0ccd",
+}
+
+
+def test_shipped_scenarios_keep_their_hashes():
+    # The hash heads every output file, so a serializer that drifts by one
+    # byte would change every output of every shipped scenario.
+    for name, want in SHIPPED_HASHES.items():
+        assert scenario_hash(load_scenario(os.path.join(SCENARIO_DIR, f"{name}.scenario"))) == want
+
+
+# Of each pair, a valid section sets exactly one; a upa ground sets neither.
+EXCLUSIVE = {
+    PanelConfig: ("spacing_m", "spacing_wavelengths"),
+    GroundConfig: ("random", "positions_m"),
+    SatelliteConfig: ("panel", "positions_m"),
+}
+
+
+def _number(draw, decl, is_int):
+    """A value inside the declared bound, of moderate magnitude."""
+    bound = decl.metadata["bound"] or Bound()
+    if is_int:
+        lo = int(bound.lo) if np.isfinite(bound.lo) else -10
+        return draw(st.integers(lo, int(min(bound.hi, lo + 10))))
+    lo, hi = max(bound.lo, -1.0e3), min(bound.hi, 1.0e3)
+    open_lo = lo == bound.lo and bound.closed[0] == "("
+    open_hi = hi == bound.hi and bound.closed[1] == ")"
+    return draw(st.floats(lo, hi, exclude_min=open_lo, exclude_max=open_hi))
+
+
+@st.composite
+def sections(draw, cls):
+    """``cls`` with its fields drawn from their declarations. A field with
+    a default is sometimes left at it, and of an exclusive pair only one is
+    drawn."""
+    pair = EXCLUSIVE.get(cls, ())
+    keep = draw(st.sampled_from(pair + ((None,) if cls is GroundConfig else ()))) if pair else None
+    values = {}
+    for decl in fields(cls):
+        coerce, name = decl.metadata["coerce"], decl.name
+        if (name in pair and name != keep) or (keep and decl.metadata["not_with"] == keep):
+            continue
+        if decl.default is not MISSING and name != keep and draw(st.booleans()):
+            continue
+        if coerce in (float, int):
+            values[name] = _number(draw, decl, coerce is int)
+        elif isinstance(coerce, tuple):
+            values[name] = draw(st.sampled_from(coerce))
+        elif coerce is str:
+            values[name] = draw(st.text("abc/._- 019", max_size=8))
+        elif coerce == "positions":
+            point = st.tuples(*[st.floats(-1.0e3, 1.0e3)] * 3)
+            values[name] = tuple(draw(st.lists(point, min_size=1, max_size=4, unique=True)))
+        elif isinstance(coerce, dict):
+            values[name] = draw(sections(draw(st.sampled_from(list(coerce.values())))))
+        else:
+            values[name] = draw(sections(coerce))
+    if cls is GroundConfig:
+        values["kind"] = "upa" if keep is None else "distributed"
+    # Random placement pins the aperture corners first, at least this far apart.
+    if "min_spacing_m" in values:
+        values["min_spacing_m"] = min(
+            values["min_spacing_m"], values["aperture_x_m"], values["aperture_y_m"]
+        )
+    if "range_start_m" in values:
+        start, stop = sorted((values["range_start_m"], values["range_stop_m"]))
+        assume(start < stop)
+        values.update(range_start_m=start, range_stop_m=stop)
+    return cls(**values)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sections(Scenario))
+def test_generated_scenarios_round_trip(s):
+    # Cross checks refuse some draws, such as overlapping panels; every
+    # scenario they accept must come back unchanged, with the same hash.
+    try:
+        again = parse_scenario(serialize_scenario(s))
+    except ValidationError:
+        assume(False)
+    assert again == s
+    assert scenario_hash(again) == scenario_hash(s)
+
+
+def _numeric_fields(obj, path=()):
+    """(key path, value, bound) of every number set in a parsed section."""
+    for decl in fields(obj):
+        value, where = getattr(obj, decl.name), path + (decl.name,)
+        if is_dataclass(value):
+            yield from _numeric_fields(value, where)
+        elif isinstance(value, tuple):
+            yield where + (0, 0), value[0][0], None
+        elif isinstance(value, (int, float)):
+            yield where, value, decl.metadata["bound"]
+
+
+def _past(bound, is_int):
+    """Values just outside each finite end of ``bound``."""
+    below = (lambda x: x - 1) if is_int else (lambda x: float(np.nextafter(x, -np.inf)))
+    above = (lambda x: x + 1) if is_int else (lambda x: float(np.nextafter(x, np.inf)))
+    if np.isfinite(bound.lo):
+        yield bound.lo if bound.closed[0] == "(" else below(bound.lo)
+    if np.isfinite(bound.hi):
+        yield bound.hi if bound.closed[1] == ")" else above(bound.hi)
+
+
+def test_out_of_domain_numbers_rejected_with_path():
+    # Every number of every shipped scenario, set to nan, +-inf and just past
+    # each end of its declared bound, must fail parsing with its key path.
+    # Bounds are checked before any cross check, so a key already tried at
+    # the same value in another scenario is skipped.
+    seen = set()
+    for name in SHIPPED_HASHES:
+        s = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.scenario"))
+        doc = yaml.safe_load(serialize_scenario(s))
+        for path, value, bound in _numeric_fields(s):
+            if (path, value) in seen:
+                continue
+            seen.add((path, value))
+            where = re.escape("'" + ".".join(k for k in path if isinstance(k, str)))
+            past = _past(bound, isinstance(value, int)) if bound else ()
+            for bad in (np.nan, np.inf, -np.inf, *past):
+                mutated = node = copy.deepcopy(doc)
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = bad
+                with pytest.raises(ValidationError, match=where):
+                    parse_scenario(yaml.safe_dump(mutated))
