@@ -18,8 +18,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from importlib import metadata
 
+from . import __version__
 from .fileio import fmt
 from .scenario import (
     ANALYSIS_KINDS,
@@ -36,13 +36,6 @@ from .scenario import (
     serialize_scenario,
     wavelength_of,
 )
-
-
-def _version() -> str:
-    try:
-        return metadata.version("nearlink")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _wavelength(args) -> float:
@@ -205,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nearlink",
         description="Distributed phased-array ground station analysis.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run a scenario file end to end")

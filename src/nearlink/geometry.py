@@ -10,7 +10,6 @@ The same types describe the space segment: a satellite-side array is just an
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,6 +26,11 @@ _PLACEMENT_ATTEMPT_CAP = 10_000
 
 # Uniform (x, y) pairs drawn per generator call by random placement.
 _DRAW_BLOCK = 32
+
+# Distances per slab when random placement tests a fresh block of draws
+# against the points placed so far; each temporary stays near 8 bytes times
+# this.
+_MASK_ELEMENTS = 1 << 15
 
 LAYOUT_HEADER = "# nearlink-layout v1"
 
@@ -296,13 +300,20 @@ def check_corner_spacing(
             )
 
 
-def _uniform_draws(rng, hx: float, hy: float):
-    # One (x, y) pair per draw, taken from blocks. ``uniform`` fills its
-    # output in C order from one double per element, so a (B, 2) block reads
-    # the PCG64 stream exactly as B successive uniform(-hx, hx),
-    # uniform(-hy, hy) calls would.
-    while True:
-        yield from rng.uniform([-hx, -hy], [hx, hy], size=(_DRAW_BLOCK, 2)).tolist()
+def _clear_mask(points, draws, min_spacing: float) -> np.ndarray:
+    """(R, B) mask: draw b of row r lies at least ``min_spacing`` from every
+    point of ``points[r]``.
+
+    ``points`` is (R, 2, k) and ``draws`` (R, 2, B), x then y. The test is
+    ``sqrt(dx*dx + dy*dy) >= min_spacing`` with ``dx = point - draw``, the
+    rounding of np.linalg.norm on points at z = 0, so a NaN spacing rejects.
+    """
+    dx = points[:, 0, :, None] - draws[:, 0, None, :]
+    dy = points[:, 1, :, None] - draws[:, 1, None, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return (np.sqrt(dx, out=dx) >= min_spacing).all(axis=1)
 
 
 def random_panel_positions(
@@ -310,7 +321,7 @@ def random_panel_positions(
     aperture_y: float,
     n_panels: int,
     min_spacing: float,
-    seed: int,
+    seed,
 ) -> np.ndarray:
     """Draw panel centers in a rectangle, corners first, then rejection sampling.
 
@@ -328,18 +339,37 @@ def random_panel_positions(
         is the first ``n_panels`` corners.
     min_spacing : float
         Minimum pairwise center distance in meters, non-negative.
-    seed : int
-        Seed for the draw; identical inputs give identical output.
+    seed : int or 1-D array of int
+        Seed for the draw; identical inputs give identical output. An array
+        draws one placement per seed in a single pass, and its row i equals
+        the placement drawn with ``int(seed[i])``, bit for bit.
 
     Returns
     -------
-    ndarray, shape (n_panels, 3)
+    ndarray, shape (n_panels, 3), or (len(seed), n_panels, 3) for an array
 
     Raises
     ------
     PlacementInfeasible
         If the corners themselves violate ``min_spacing``, or a point fails
-        the rejection test 10,000 times in a row.
+        the rejection test 10,000 times in a row. For an array of seeds the
+        error is the one the lowest-index failing seed raises alone.
+
+    Notes
+    -----
+    Each seed draws from its own ``default_rng(seed)`` stream, in blocks of
+    ``_DRAW_BLOCK`` (x, y) pairs. ``uniform`` fills a (B, 2) block in C order
+    from one double per element, so a block reads the stream exactly as B
+    successive uniform(-hx, hx), uniform(-hy, hy) calls would.
+
+    All seeds advance together. Each keeps a mask of which unread draws of its
+    block are clear of every point placed so far: the mask is computed when
+    the block is drawn and narrowed by the test against each point placed
+    after. A step accepts, for every seed, the first clear unread draw and
+    counts the draws skipped before it as failures, or, with no clear draw
+    left, counts the rest of the block and draws the next. Every draw thus
+    gets the same accept or reject as the one-draw-at-a-time loop, against
+    the same points, in stream order.
     """
     if aperture_x <= 0.0 or aperture_y <= 0.0:
         raise ValueError("aperture sides must be positive")
@@ -348,37 +378,94 @@ def random_panel_positions(
     if min_spacing < 0.0:
         raise ValueError("min_spacing must be non-negative")
 
+    if np.ndim(seed) > 1:
+        raise ValueError("seed must be an int or a 1-D array of ints")
+    batch = np.ndim(seed) == 1
     check_corner_spacing(aperture_x, aperture_y, n_panels, min_spacing)
+    seeds = [int(s) for s in seed] if batch else [seed]
     taken = _aperture_corners(aperture_x, aperture_y)[: min(n_panels, 4)]
-    if n_panels <= 4:
-        return taken
-
-    draws = _uniform_draws(np.random.default_rng(seed), aperture_x / 2.0, aperture_y / 2.0)
-    placed = taken.tolist()
-    for _ in range(4, n_panels):
-        for _ in range(_PLACEMENT_ATTEMPT_CAP):
-            x, y = next(draws)
-            if _clear_of(placed, x, y, min_spacing):
-                placed.append([x, y, 0.0])
-                break
-        else:
+    out = np.zeros((len(seeds), n_panels, 3))
+    out[:, : len(taken)] = taken
+    if n_panels > 4:
+        placed = _draw_rest(out, seeds, min_spacing, aperture_x / 2.0, aperture_y / 2.0)
+        failed = np.flatnonzero(placed < n_panels)
+        if failed.size:
             raise PlacementInfeasible(
-                f"placed {len(placed)} of {n_panels} panels, then failed "
+                f"placed {placed[failed[0]]} of {n_panels} panels, then failed "
                 f"{_PLACEMENT_ATTEMPT_CAP} consecutive draws at min spacing "
                 f"{min_spacing:.6g} m in a {aperture_x:.6g} x {aperture_y:.6g} m aperture"
             )
-    return np.array(placed)
+    return out if batch else out[0]
 
 
-def _clear_of(placed, x: float, y: float, min_spacing: float) -> bool:
-    # The same rounding as np.linalg.norm: sqrt((dx*dx + dy*dy) + dz*dz),
-    # where every point sits at z = 0, so the third term adds an exact zero.
-    # ``not d >= min_spacing`` keeps the norm test's answer for a NaN spacing.
-    for px, py, _ in placed:
-        dx, dy = px - x, py - y
-        if not math.sqrt(dx * dx + dy * dy) >= min_spacing:
-            return False
-    return True
+def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarray:
+    """Fill ``out[:, 4:]`` by rejection, one generator per seed; return how
+    many points each seed placed: fewer than ``n_panels`` where it hit the
+    cap. Once a seed fails, later seeds stop drawing and read ``n_panels``;
+    the error is the lowest failing seed's either way.
+
+    The state arrays hold the seeds still drawing, row r for seed ``ids[r]``.
+    A step updates every row: a row without a clear draw has an all-False
+    mask, so the updates for a placed point leave it as it was. Slots not yet
+    placed hold inf, which is clear of every draw at a finite spacing; a NaN
+    spacing already rejects every draw at the corners.
+    """
+    n_seeds, n_panels, _ = out.shape
+    ids = np.arange(n_seeds)
+    rows = ids
+    gens = [np.random.default_rng(s) for s in seeds]
+    low, high = np.array([-hx, -hy]), np.array([hx, hy])
+    # x and y as rows, so that the distance tests run along contiguous memory.
+    points = np.full((n_seeds, 2, n_panels), np.inf)
+    points[:, :, :4] = out[:, :4, :2].transpose(0, 2, 1)
+    draws = np.empty((n_seeds, 2, _DRAW_BLOCK))
+    clear = np.zeros((n_seeds, _DRAW_BLOCK), dtype=bool)
+    unread = np.full(n_seeds, _DRAW_BLOCK)  # index of the next unread draw
+    placed = np.full(n_seeds, 4)
+    fails = np.zeros(n_seeds, dtype=np.int64)  # consecutive, for the current slot
+    n_placed = np.full(n_seeds, n_panels)
+    while ids.size:
+        spent = unread == _DRAW_BLOCK
+        if spent.any():
+            spent = np.flatnonzero(spent)
+            for r in spent.tolist():
+                draws[r] = gens[r].uniform(low, high, size=(_DRAW_BLOCK, 2)).T
+            unread[spent] = 0
+            k = placed[spent].max()
+            slab = max(1, _MASK_ELEMENTS // (k * _DRAW_BLOCK))
+            for start in range(0, spent.size, slab):
+                r = spent[start : start + slab]
+                clear[r] = _clear_mask(points[r, :, :k], draws[r], min_spacing)
+
+        hit = clear.any(axis=1)
+        first = clear.argmax(axis=1)
+        stop = np.where(hit, first, _DRAW_BLOCK)
+        fails += stop - unread
+        unread = stop + hit
+        ok = fails < _PLACEMENT_ATTEMPT_CAP
+        take = hit & ok
+        if take.any():
+            point = draws[rows, :, first]
+            point[~take] = np.inf
+            points[rows, :, placed] = point
+            placed += take
+            fails[take] = 0
+            clear[rows, first] = False
+            clear &= _clear_mask(point[:, :, None], draws, min_spacing)
+
+        keep = ok & (placed < n_panels)
+        if not keep.all():
+            gone = ~keep
+            out[ids[gone], :, :2] = points[gone].transpose(0, 2, 1)
+            n_placed[ids[gone]] = placed[gone]
+            if not ok.all():
+                # Seeds after one that failed cannot change the error raised.
+                keep &= ids < ids[~ok].min()
+            ids, points, draws, clear = ids[keep], points[keep], draws[keep], clear[keep]
+            unread, placed, fails = unread[keep], placed[keep], fails[keep]
+            gens = [g for g, kept in zip(gens, keep.tolist()) if kept]
+            rows = np.arange(ids.size)
+    return n_placed
 
 
 def _max_pairwise_distance(points: np.ndarray) -> float:

@@ -232,7 +232,10 @@ def optimize_placement(
     Candidate i is drawn by :func:`random_panel_positions` with a child seed
     derived from ``(seed, i)``, so any one candidate can be regenerated
     without replaying the search; the lowest :func:`peak_sidelobe` wins,
-    first drawn winning ties.
+    first drawn winning ties. One call draws all N candidates, each from its
+    own child seed's stream, and gives each the placement that seed draws
+    alone; if any seed fails, the search raises the
+    :class:`~nearlink.geometry.PlacementInfeasible` of the first one.
 
     The search scores only the candidates that can win. A screen computes,
     for every candidate, its peak placement-factor amplitude over every
@@ -250,11 +253,8 @@ def optimize_placement(
     child_seeds = np.random.SeedSequence(seed).generate_state(
         n_candidates, dtype=np.uint64
     )
-    candidates = np.stack(
-        [
-            random_panel_positions(aperture_x, aperture_y, n_panels, min_spacing, int(child))
-            for child in child_seeds
-        ]
+    candidates = random_panel_positions(
+        aperture_x, aperture_y, n_panels, min_spacing, child_seeds
     )
     k = _wavenumber(wavelength)
     rel = _scan_offsets(objective)

@@ -157,6 +157,15 @@ def _distinct_points(sat, path):
             raise ValidationError(f"'{path}.positions_m[{idx}]' repeats element {first[point]}")
 
 
+def _link_sections(s, path):
+    # Sweeps and beam analyses run over the ground-satellite link.
+    kind = analysis_kind(s.analysis)
+    if _RUNNERS[kind] in (_run_sweep, _run_beam):
+        for section in ("ground", "satellite"):
+            if getattr(s, section) is None:
+                raise ValidationError(f"missing required key '{section}': {kind} needs it")
+
+
 def _panels_fit(s, path):
     # A pitch in wavelengths can overflow or underflow once scaled, and
     # ground panels must not overlap, whether placed or drawn.
@@ -350,7 +359,7 @@ class Scenario:
     ground: Optional[GroundConfig] = _f(GroundConfig, default=None)
     satellite: Optional[SatelliteConfig] = _f(SatelliteConfig, default=None)
     output_dir: str = _f(str, default=".")
-    _checks = (_panels_fit, _scan_outside_exclusion, _finite_wavelength)
+    _checks = (_link_sections, _panels_fit, _scan_outside_exclusion, _finite_wavelength)
 
     @property
     def wavelength(self) -> float:
@@ -381,7 +390,13 @@ class RunReport:
 # ----- parsing -----
 
 
-class _StrictLoader(yaml.SafeLoader):
+# libyaml's classes where PyYAML was built with it; they parse and emit the
+# same documents as the pure-Python ones, several times faster.
+_SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+class _StrictLoader(_SafeLoader):
     """SafeLoader that refuses a mapping which repeats a key."""
 
     def construct_document(self, node):
@@ -547,7 +562,7 @@ def _to_dict(obj) -> dict:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; ``parse_scenario`` round-trips it exactly."""
-    return yaml.safe_dump(_to_dict(s), sort_keys=True, default_flow_style=False)
+    return yaml.dump(_to_dict(s), Dumper=_SafeDumper, sort_keys=True, default_flow_style=False)
 
 
 def scenario_hash(s: Scenario) -> str:

@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, printed output, flag overrides."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nearlink
 from nearlink.cli import main
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -360,6 +363,19 @@ def test_scenario_defects_exit_three(tmp_path, capsys):
     )
     assert code == 3 and "analysis.seed" in err
 
+    # A link analysis without one of its ends used to pass validate, then
+    # fail the run.
+    for name in ("beam_theta_upa", "dof_vs_range"):
+        blocks = open(scen(name)).read().split("\n\n")
+        for section in ("satellite", "ground"):
+            kept = [b for b in blocks if not b.startswith(f"{section}:")]
+            assert len(kept) == len(blocks) - 1
+            bad = tmp_path / "one_end.scenario"
+            bad.write_text("\n\n".join(kept))
+            for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+                code, _, err = run_cli(capsys, *argv)
+                assert code == 3 and f"missing required key '{section}'" in err, (name, argv)
+
     # Both of these used to pass validate, then fail the run with exit 1.
     for old, new, where in (
         (
@@ -421,5 +437,18 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
-    out = capsys.readouterr().out
-    assert out.startswith("nearlink ")
+    assert capsys.readouterr().out == f"nearlink {nearlink.__version__}\n"
+
+
+def test_cli_import_leaves_out_package_metadata():
+    # importlib.metadata costs tens of ms in every CLI child; the version
+    # comes from the package instead.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nearlink.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = "import nearlink.cli, sys; print('importlib.metadata' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

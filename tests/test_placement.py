@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nearlink import placement
+from nearlink import geometry, placement
 from nearlink.beamforming import Direction
 from nearlink.geometry import PlacementInfeasible, random_panel_positions
 from nearlink.placement import (
@@ -174,10 +174,10 @@ def test_result_requires_nonpositive_sidelobe():
         PlacementResult(np.zeros((2, 3)), 0.5, 0, 1)
 
 
-# ----- random draws: blocked generator calls against the per-draw loop -----
+# ----- random draws: the batched pass against the per-draw loop -----
 
 
-def loop_positions(aperture_x, aperture_y, n_panels, min_spacing, seed):
+def loop_positions(aperture_x, aperture_y, n_panels, min_spacing, seed, cap=10_000):
     """Frozen copy of the per-draw rejection loop that blocked draws replaced."""
     hx, hy = aperture_x / 2.0, aperture_y / 2.0
     corners = np.array(
@@ -197,7 +197,7 @@ def loop_positions(aperture_x, aperture_y, n_panels, min_spacing, seed):
     rng = np.random.default_rng(seed)
     placed = list(taken)
     for _ in range(4, n_panels):
-        for attempt in range(10_000):
+        for attempt in range(cap):
             cand = np.array([rng.uniform(-hx, hx), rng.uniform(-hy, hy), 0.0])
             d = np.linalg.norm(np.asarray(placed) - cand, axis=1)
             if d.min() >= min_spacing:
@@ -206,7 +206,7 @@ def loop_positions(aperture_x, aperture_y, n_panels, min_spacing, seed):
         else:
             raise PlacementInfeasible(
                 f"placed {len(placed)} of {n_panels} panels, then failed "
-                f"10000 consecutive draws at min spacing "
+                f"{cap} consecutive draws at min spacing "
                 f"{min_spacing:.6g} m in a {aperture_x:.6g} x {aperture_y:.6g} m aperture"
             )
     return np.asarray(placed)
@@ -237,6 +237,62 @@ def test_blocked_draws_equal_the_per_draw_loop(
     spacing = spacing_fraction * min(aperture_x, aperture_y)
     args = (aperture_x, aperture_y, n_panels, spacing, seed)
     assert outcome(random_panel_positions, *args) == outcome(loop_positions, *args)
+
+
+def stacked_loop(aperture_x, aperture_y, n_panels, min_spacing, seeds, cap=10_000):
+    """The per-draw loop over each seed in turn, stacked; the first seed that
+    fails raises its own error."""
+    args = (aperture_x, aperture_y, n_panels, min_spacing)
+    return np.stack([loop_positions(*args, int(s), cap) for s in seeds])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    aperture_x=st.floats(1.0, 2000.0),
+    aperture_y=st.floats(1.0, 2000.0),
+    n_panels=st.integers(1, 24),
+    spacing_fraction=st.floats(0.0, 0.7),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+)
+@example(1414.0, 1000.0, 16, 50.0 / 1000.0, list(range(40)))
+@example(1000.0, 1000.0, 30, 0.4, [0, 1, 2])  # every seed fails
+@example(10.0, 10.0, 4, 10.0, [0, 1])  # the corners alone are too close
+@example(1000.0, 1000.0, 9, 0.4, [15, 16, 1])  # only the last seed fails
+# Seed 1 fails with 8 placed at step 317 of the pass, seed 21 with 9 placed
+# at step 358: in the first batch the earlier seed fails after the later one,
+# in the second the later seed stops drawing once the earlier one fails.
+@example(1000.0, 1000.0, 10, 0.4, [21, 1])
+@example(1000.0, 1000.0, 10, 0.4, [1, 21])
+def test_batched_draws_equal_the_per_draw_loop_per_seed(
+    aperture_x, aperture_y, n_panels, spacing_fraction, seeds
+):
+    spacing = spacing_fraction * min(aperture_x, aperture_y)
+    args = (aperture_x, aperture_y, n_panels, spacing, np.array(seeds, dtype=np.uint64))
+    assert outcome(random_panel_positions, *args) == outcome(stacked_loop, *args)
+
+
+@pytest.mark.parametrize("cap", [5, 31, 32, 33])
+def test_attempt_cap_counts_every_failed_draw(monkeypatch, cap):
+    # With a cap of a few draws, slots succeed and fail on both sides of it,
+    # inside a block and across block ends.
+    monkeypatch.setattr(geometry, "_PLACEMENT_ATTEMPT_CAP", cap)
+    args = (1000.0, 1000.0, 12, 250.0)
+    seeds = np.arange(40, dtype=np.uint64)
+    alone = [outcome(loop_positions, *args, int(s), cap) for s in seeds]
+    assert len({a[0] for a in alone}) == 2  # some seeds fail, some do not
+    assert [outcome(random_panel_positions, *args, int(s)) for s in seeds] == alone
+    for start in range(0, len(seeds), 8):
+        batch = seeds[start : start + 8]
+        assert outcome(random_panel_positions, *args, batch) == outcome(
+            stacked_loop, *args, batch, cap
+        )
+
+
+def test_seed_is_an_int_or_a_1d_array():
+    with pytest.raises(ValueError, match="1-D"):
+        random_panel_positions(1414.0, 1000.0, 16, 50.0, np.zeros((2, 2), dtype=np.uint64))
+    empty = random_panel_positions(1414.0, 1000.0, 16, 50.0, np.array([], dtype=np.uint64))
+    assert empty.shape == (0, 16, 3)
 
 
 # ----- best-first search against scoring every candidate -----
@@ -296,8 +352,9 @@ def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
     # A line along the scan azimuth throws a full-strength grating lobe.
     azimuth = (np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0)
     worse = uniform_sparse_positions(1400.0, 16, axis=azimuth)
-    order = iter([worse, -base, base])
-    monkeypatch.setattr(placement, "random_panel_positions", lambda *args: next(order))
+    monkeypatch.setattr(
+        placement, "random_panel_positions", lambda *args: np.stack([worse, -base, base])
+    )
     if lower_later_bound:
         # A looser (still valid) bound on the last candidate makes the search
         # score it before its tied twin at index 1.
