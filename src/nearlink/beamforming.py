@@ -16,9 +16,12 @@ complex exponential per element and target. The panel-factorized one serves
 layouts of identical panels (every UPA and every distributed layout): it keeps
 the exact path to each panel centre and expands the path inside a panel to
 second order (the Fresnel expansion), split into a row factor and a column
-factor, so a panel costs one small matrix product per target. It runs only
-when a rigorous bound on the terms it drops stays below the exact kernel's own
-phase rounding; otherwise the exact kernel runs. The exact kernel is also the
+factor, so a panel costs one small matrix product per target. The phase of a
+factor is quadratic along its axis, so the factors come from a product
+recurrence with five exps per panel, target and axis rather than one per
+element offset. The kernel runs only when a rigorous bound on the terms it drops, and
+on the rounding its recurrence adds, stays below the exact kernel's own phase
+rounding; otherwise the exact kernel runs. The exact kernel is also the
 oracle the factorized one is tested against. The same factors give the link
 spectra of the MIMO sweeps (:func:`nearlink.mimo.link_spectrum`), which
 compresses them without ever forming the channel matrix.
@@ -32,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .geometry import _UNIT_ROUNDOFF, ElementLayout
+from .geometry import _UNIT_ROUNDOFF, ElementLayout, _gamma
 
 GAIN_FLOOR_DB = -200.0
 
@@ -265,7 +268,7 @@ def _point_sums(positions, w, pts, wavelength):
 # so dropping the cross term and the remainder leaves a row factor times a
 # column factor, and the response is
 #
-#     sum_p exp(-jkR_p) sum_r B_pr (A_p W_p^T)_r
+#     sum_p exp(-jkR_p) sum_r B_pr (W_p A_p)_r
 #
 # with A the column factors, B the row factors and W_p the panel's weights as
 # a rows x cols matrix. A far-field Direction is the same with 1/R = 0 and
@@ -275,12 +278,14 @@ def _point_sums(positions, w, pts, wavelength):
 @dataclass(frozen=True, eq=False)
 class _FactorizedPlan:
     centres: np.ndarray  # (panels, 3) panel centres
-    x: np.ndarray  # (cols,) column offsets inside a panel
-    y: np.ndarray  # (rows,) row offsets inside a panel
+    rows: int  # offsets along a panel's y axis
+    cols: int  # offsets along a panel's x axis
+    spacing: float  # element pitch inside a panel
+    run: int  # most products along an axis chain between fresh exps
     directional: bool  # targets are unit vectors, not points
     step: int  # targets per block
-    bound_rad: float  # dropped-term phase bound at any element and target
-    floor_rad: float  # exact kernel's phase rounding at the nearest target
+    bound_rad: float  # what the kernel drops or adds, at any element and target
+    floor_rad: float  # exact kernel's own phase rounding (nearest target, for points)
 
 
 def _factorized_plan(layout, targets, directional, wavelength):
@@ -296,26 +301,43 @@ def _factorized_plan(layout, targets, directional, wavelength):
     grid = layout._panel_grid if spec.n_elements > 1 else None
     if grid is None:
         return None
-    centres, scale = grid.centres, grid.scale
-    # |position - (centre + offset)|: the gap to the rebuilt grid, plus the
-    # one rounding (at most 2**-53 of each coordinate) that rebuilding took.
-    residual = grid.gap + _UNIT_ROUNDOFF * scale
-
-    x = grid.offsets[: spec.cols, 0]
-    y = grid.offsets[:: spec.cols, 1]
+    u = _UNIT_ROUNDOFF
+    k = 2.0 * np.pi / wavelength
+    s = spec.spacing
+    half_x = float(np.abs(grid.offsets[: spec.cols, 0]).max())
+    half_y = float(np.abs(grid.offsets[:: spec.cols, 1]).max())
     # As many targets per block as the exact kernel's budget of element x
     # target entries allows, so peak memory stays below the exact kernel's.
     step = max(1, _BLOCK_BUDGET // layout.n_elements)
+    # The kernel places element (r, c) at centre + (m_c s, m_r s, 0) exactly,
+    # with m_i = i - (n - 1) / 2 (the progression _axis_factor steps along).
+    # The positions are within gap of centre + offset, summed exactly, and
+    # _grid_offsets rounds each offset once from m_i s, so each offset
+    # coordinate is within u half_x or u half_y of the progression.
     if directional:
-        # Nothing is dropped. The exact kernel rounds phases as large as the
-        # largest element coordinate.
-        bound, floor = residual, _UNIT_ROUNDOFF * scale
+        # Nothing is dropped. The phase u . p moves by at most |u| gap for
+        # the gap, u sum_c |u_c| (|p_c| + gap) for the one rounding of each
+        # coordinate of centre + offset, and u (|u_x| half_x + |u_y| half_y)
+        # for the progression. The exact kernel forms u . p as a 3-term dot
+        # product, within gamma_3 sum_c |u_c p_c| of it (Higham 3.1). reach
+        # is the largest sum_c |u_c p_c|: on a grid each panel's |p_c| peak
+        # at one corner together, so the sum of the componentwise peaks is
+        # attained, to within the gap.
+        peaks = np.abs(grid.positions).max(axis=1)
+        reach = float((np.abs(targets) @ peaks.T).max())
+        slope_x, slope_y = float(np.abs(targets[:, 0]).max()), float(np.abs(targets[:, 1]).max())
+        bound = grid.gap + u * (reach + 2.0 * grid.gap + slope_x * half_x + slope_y * half_y)
+        floor = _gamma(3) * reach
+        curvature = 0.0
     else:
-        half_x, half_y = float(np.abs(x).max()), float(np.abs(y).max())
         rho = float(np.hypot(half_x, half_y))
+        # |position - element the kernel uses|: the gap to the rebuilt grid,
+        # the one rounding (at most 2**-53 of each coordinate) that
+        # rebuilding took, and the offsets' distance from the progression.
+        residual = grid.gap + u * (grid.scale + rho)
         nearest, skew = np.inf, 0.0
         for start in range(0, len(targets), step):
-            v = targets[start : start + step] - centres[:, None, :]
+            v = targets[start : start + step] - grid.centres[:, None, :]
             path = np.sqrt((v * v).sum(axis=-1))
             nearest = min(nearest, float(path.min()))
             if nearest <= rho:
@@ -328,9 +350,59 @@ def _factorized_plan(layout, targets, directional, wavelength):
         near = nearest - rho
         tail = rho**3 / (2.0 * nearest * near) + rho**4 / (8.0 * near**3)
         bound = half_x * half_y * skew + tail + residual
-        floor = _UNIT_ROUNDOFF * near
-    k = 2.0 * np.pi / wavelength
-    return _FactorizedPlan(centres, x, y, directional, step, k * bound, k * floor)
+        floor = u * near
+        slope_x = slope_y = 1.0
+        # (1 - u^2) / 2R is at most 1 / 2R.
+        curvature = 0.5 / nearest
+    # The longest chain run between fresh exps whose rounding still fits
+    # under the floor: whole chains for point targets, shorter ones where the
+    # exact kernel itself rounds little (directions near broadside on a
+    # panel at the origin), down to one exp per offset.
+    for run in range(max(spec.rows, spec.cols) // 2 - 1, -1, -1):
+        drift = _recurrence_drift(run, spec.cols, s, k, slope_x, curvature)
+        drift += _recurrence_drift(run, spec.rows, s, k, slope_y, curvature)
+        bound_rad = float(k * bound + drift / (1.0 - drift))
+        if bound_rad <= k * floor:
+            break
+    return _FactorizedPlan(
+        grid.centres, spec.rows, spec.cols, s, run, directional, step, bound_rad, k * floor
+    )
+
+
+def _recurrence_drift(run, n, spacing, k, slope, curvature):
+    """First-order bound on the relative error _axis_factor adds to a factor
+    beyond the one rounded exp a factor costs when evaluated on its own.
+
+    ``slope`` bounds |u| and ``curvature`` bounds |c| = |(1 - u^2) / 2R|
+    along the axis (zero for directions). Each chain of ``_axis_factor``
+    restarts from an exp every ``run`` products, so a factor is at most
+    m = min(run, n // 2 - 1) steps from its segment's first exp, which is
+    that one exp; step i multiplies by r_(i-1) = r_0 q^(i-1). So the factor
+    is f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it: m
+    along the chain and i - 1 inside each r_(i-1). Each of those inputs
+    carries its own relative error, and they add to first order:
+
+    - r_0 = exp(jk d (u - (2o + d) c)) with |d| = s and |2o + d| <= n s: its
+      phase takes five roundings, and the segment's start offset o one more,
+      on values of at most k s (|u| + n s |c|), so it is within gamma_6 of
+      that; exp adds at most 2 ulps per component, 4u; times m;
+    - q = exp(-2jk s^2 c): three roundings of 2 k s^2 |c| plus the exp's 4u,
+      times m(m - 1) / 2. With c = 0, q and every r_i product are exact;
+    - each complex product of unit-modulus values: sqrt(2) gamma_2
+      (Higham, Lemma 3.5).
+
+    The exact form of the compounding, prod (1 + e_i) - 1, stays below
+    e / (1 - e) for e the sum returned here.
+    """
+    m = max(min(run, n // 2 - 1), 0)
+    exp_err = 4.0 * _UNIT_ROUNDOFF
+    ratio = _gamma(6) * k * spacing * (slope + n * spacing * curvature) + exp_err
+    if curvature == 0.0:
+        chirp, products = 0.0, m
+    else:
+        chirp = _gamma(3) * 2.0 * k * spacing * spacing * curvature + exp_err
+        products = m * (m + 1) // 2
+    return m * ratio + m * (m - 1) // 2 * chirp + products * 2.0**0.5 * _gamma(2)
 
 
 def _panel_paths(plan, targets):
@@ -350,15 +422,14 @@ def _panel_paths(plan, targets):
 
 def _factorized_sums(plan, w, targets, wavelength):
     k = 2.0 * np.pi / wavelength
-    rows, cols = len(plan.y), len(plan.x)
-    w_t = w.reshape(len(plan.centres), rows, cols).transpose(0, 2, 1)
+    w_p = w.reshape(len(plan.centres), plan.rows, plan.cols)
     out = np.empty(len(targets), dtype=np.complex128)
     for start in range(0, len(targets), plan.step):
         block = slice(start, start + plan.step)
         path, ux, uy, inv_r = _panel_paths(plan, targets[block])
-        col = _axis_factor(plan.x, ux, inv_r, k)
-        row = _axis_factor(plan.y, uy, inv_r, k)
-        inner = np.einsum("ptr,ptr->pt", col @ w_t, row)
+        col = _axis_factor(plan.cols, plan.spacing, plan.run, ux, inv_r, k)
+        row = _axis_factor(plan.rows, plan.spacing, plan.run, uy, inv_r, k)
+        inner = np.einsum("prt,prt->pt", w_p @ col, row)
         out[block] = (np.exp(-1j * k * path) * inner).sum(axis=0)
     return out
 
@@ -379,17 +450,43 @@ def _factorized_factors(plan, targets, wavelength):
     c = plan.centres
     t_norm = np.sqrt((targets * targets).sum(axis=-1))
     rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
-    row = np.exp(-1j * k * rel)[..., None] * _axis_factor(plan.y, uy, inv_r, k)
-    col = _axis_factor(plan.x, ux, inv_r, k)
-    return row.transpose(0, 2, 1), col.transpose(0, 2, 1)
+    row = _axis_factor(plan.rows, plan.spacing, plan.run, uy, inv_r, k)
+    row *= np.exp(-1j * k * rel)[:, None, :]
+    return row, _axis_factor(plan.cols, plan.spacing, plan.run, ux, inv_r, k)
 
 
-def _axis_factor(offsets, u, inv_r, k):
-    # exp(-jk (-o u + o^2 (1 - u^2) / 2R)) for every offset o along one panel
-    # axis; shape (panels, targets, len(offsets)).
-    u = u[..., None]
-    curvature = (1.0 - u * u) * (0.5 * inv_r[..., None])
-    return np.exp(-1j * k * (offsets * (offsets * curvature - u)))
+def _axis_factor(n, spacing, run, u, inv_r, k):
+    # f(o) = exp(jk (o u - o^2 c)), c = (1 - u^2) / 2R, at the n offsets
+    # o = m spacing, m = i - (n - 1) / 2, of one panel axis; u and inv_r are
+    # (panels, targets) and the result is (panels, n, targets).
+    #
+    # The phase is quadratic in o, so along steps d = +-spacing the ratio of
+    # neighbours is r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run
+    # outward from the centre and share q. A chain takes an exp of f and one
+    # of its first ratio, then one product per offset, and starts afresh
+    # after ``run`` products. A centre offset (odd n) is 0, where f is 1.
+    c = (1.0 - u * u) * (0.5 * inv_r)
+    out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
+    half = n // 2
+    if n % 2:
+        out[:, half] = 1.0
+    if run > 1:
+        q = np.exp(1j * ((-2.0 * k * spacing * spacing) * c))
+    # The innermost offset above the centre, in pitches: 1 or 1/2.
+    first = (n + 1) // 2 - (n - 1) / 2.0
+    for sign, chain in ((1.0, range(n - half, n)), (-1.0, range(half - 1, -1, -1))):
+        d = sign * spacing
+        for start in range(0, half, run + 1):
+            seg = chain[start : start + run + 1]
+            o = sign * (first + start) * spacing
+            out[:, seg[0]] = np.exp(1j * ((k * o) * (u - o * c)))
+            if len(seg) > 1:
+                r = np.exp(1j * ((k * d) * (u - (2.0 * o + d) * c)))
+            for i in range(1, len(seg)):
+                if i > 1:
+                    r *= q
+                np.multiply(out[:, seg[i - 1]], r, out=out[:, seg[i]])
+    return out
 
 
 def _to_gain_dbi(total, n: int, element_gain_dbi: float):
@@ -561,11 +658,11 @@ def write_gain_csv(grid: GainGrid, path, metadata=None) -> None:
     for key, value in (metadata or {}).items():
         lines.append(f"# {key} {fmt(value)}")
     lines.append("theta_rad,range_m,gain_dbi")
-    for i, th in enumerate(grid.theta):
-        for j, rm in enumerate(grid.ranges):
-            lines.append(
-                f"{fmt(float(th))},{fmt(float(rm))},{fmt(float(grid.gain_dbi[i, j]))}"
-            )
+    # repr of a Python float is what fmt writes for it.
+    ranges = [repr(rm) for rm in grid.ranges.tolist()]
+    for th, gains in zip(grid.theta.tolist(), grid.gain_dbi.tolist()):
+        th = repr(th)
+        lines.extend(f"{th},{rm},{g!r}" for rm, g in zip(ranges, gains))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -39,6 +39,12 @@ LAYOUT_HEADER = "# nearlink-layout v1"
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+def _gamma(m: float) -> float:
+    # Relative error bound of m chained roundings, gamma_m = m u / (1 - m u)
+    # (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1).
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
 class OverlappingPanels(ValueError):
     """Two panel footprints would physically intersect."""
 
@@ -298,6 +304,26 @@ def check_corner_spacing(
                 f"aperture corners are only {d.min():.6g} m apart, below the "
                 f"requested min spacing {min_spacing:.6g} m"
             )
+
+
+def check_packing(
+    aperture_x: float, aperture_y: float, n_panels: int, min_spacing: float
+) -> None:
+    """Raise :class:`PlacementInfeasible` if ``n_panels`` centres at least
+    ``min_spacing`` apart cannot fit in the aperture at all.
+
+    Disks of radius ``min_spacing / 2`` around such centres do not overlap,
+    and they lie inside the aperture grown by that radius on every side, so
+    their total area cannot exceed that box's.
+    """
+    disks = n_panels * np.pi * (min_spacing / 2.0) ** 2
+    box = (aperture_x + min_spacing) * (aperture_y + min_spacing)
+    if disks > box:
+        raise PlacementInfeasible(
+            f"{n_panels} panels at least {min_spacing:.6g} m apart need {disks:.6g} m^2 "
+            f"of disks that wide, more than the {box:.6g} m^2 of the aperture grown "
+            f"by {min_spacing / 2.0:.6g} m on every side"
+        )
 
 
 def _clear_mask(points, draws, min_spacing: float) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .beamforming import Direction
 from .fileio import atomic_write_text, fmt
-from .geometry import random_panel_positions
+from .geometry import _UNIT_ROUNDOFF, _gamma, random_panel_positions
 
 # Design target for an optimized placement's worst sidelobe. A K-panel random
 # placement averages -10 log10(K) relative to the main lobe; -6 dB leaves
@@ -203,16 +203,12 @@ def _prune_margin(rel: np.ndarray, candidates: np.ndarray, k: float) -> float:
       score, and a worse amplitude must stay worse through log10 and the
       1e-300 floor of the score, where |log10(amplitude / n)| <= 300 + log10 n.
     """
-    u = 2.0**-53
+    u = _UNIT_ROUNDOFF
     n = candidates.shape[1]
-
-    def gamma(m):
-        return m * u / (1.0 - m * u)
-
     # Bounds sum_c |rel_c p_c| for every kept direction and panel.
     reach = float(np.abs(rel).max(axis=0) @ np.abs(candidates).max(axis=(0, 1)))
-    phase_gap = 2.0 * gamma(4) * k * reach
-    sum_gap = 3.0 * gamma(n - 1) + 20.0 * u
+    phase_gap = 2.0 * _gamma(4) * k * reach
+    sum_gap = 3.0 * _gamma(n - 1) + 20.0 * u
     db_gap = 64.0 * u * (301.0 + np.log10(n))
     return float(phase_gap + sum_gap + db_gap)
 

@@ -44,6 +44,7 @@ from .geometry import (
     PanelSpec,
     PlacementInfeasible,
     check_corner_spacing,
+    check_packing,
     check_panel_overlap,
     make_distributed_panels,
     make_upa,
@@ -134,13 +135,17 @@ def _range_order(ana, path):
         raise ValidationError(f"'{path}.range_stop_m' must exceed range_start_m")
 
 
-def _corners_apart(cfg, path):
+def _placement_fits(cfg, path):
     # Random placement pins the aperture corners first, so corners closer
-    # than the spacing make every draw fail; refuse that here, not at run time.
-    try:
-        check_corner_spacing(cfg.aperture_x_m, cfg.aperture_y_m, cfg.n_panels, cfg.min_spacing_m)
-    except PlacementInfeasible as exc:
-        raise ValidationError(f"'{path}.min_spacing_m': {exc}") from None
+    # than the spacing make every draw fail, and centres that cannot pack in
+    # the aperture never all draw; refuse both here, not at run time after
+    # the draw cap.
+    args = (cfg.aperture_x_m, cfg.aperture_y_m, cfg.n_panels, cfg.min_spacing_m)
+    for check, key in ((check_corner_spacing, "min_spacing_m"), (check_packing, "n_panels")):
+        try:
+            check(*args)
+        except PlacementInfeasible as exc:
+            raise ValidationError(f"'{path}.{key}': {exc}") from None
 
 
 def _ground_placement(ground, path):
@@ -236,7 +241,7 @@ class RandomPlacementConfig:
     n_panels: int = _f(int, _at_least(1))
     min_spacing_m: float = _f(float, _NON_NEGATIVE)
     seed: int = _f(int, _SEED)
-    _checks = (_corners_apart,)
+    _checks = (_placement_fits,)
 
 
 @dataclass(frozen=True)
@@ -321,7 +326,7 @@ class OptimizePlacementAnalysis:
     exclusion_halfwidth_rad: Optional[float] = _f(float, _POSITIVE, None)
     steer_theta_rad: float = _f(float, default=0.0)
     steer_phi_rad: float = _f(float, default=0.0)
-    _checks = (_corners_apart,)
+    _checks = (_placement_fits,)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from nearlink.channel import channel_matrix
 from nearlink.geometry import (
     ElementLayout,
     PanelSpec,
+    _grid_offsets,
     load_layout,
     make_distributed_panels,
     make_upa,
@@ -157,6 +158,148 @@ def test_directions_on_a_built_layout_take_factorized_path():
     units = unit_vectors(np.linspace(-1.0, 1.0, 9), 0.3)
     _, kernel = bf._sums(lay, np.ones(lay.n_elements), units, True, LAM)
     assert kernel.name == "panel_factorized"
+    # A UPA at the origin, where the exact kernel rounds phases of a few
+    # radians only: the recurrence takes shorter chains to stay under that.
+    for spec, thetas in (
+        (PanelSpec(8, 8, 0.5 * LAM), [0.0]),
+        (PanelSpec(32, 32, 0.5 * LAM), [0.1, -0.2]),
+        (PanelSpec(128, 128, 0.5 * LAM, 6.0), np.linspace(-0.3, 0.3, 5)),
+    ):
+        upa = make_upa(spec)
+        units = unit_vectors(np.asarray(thetas), 0.3)
+        plan = bf._factorized_plan(upa, units, True, LAM)
+        assert plan.run < spec.rows // 2 - 1 and plan.bound_rad <= plan.floor_rad
+        w = random_weights(7, upa.n_elements)
+        total, kernel = bf._sums(upa, w, units, True, LAM)
+        assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
+        exact = bf._direction_sums(upa.positions, w, units, LAM)
+        reach = np.linalg.norm(upa.positions, axis=1).max()
+        assert np.abs(total - exact).max() <= tolerance(plan, w, reach)
+
+
+# ----- the axis recurrence -----
+
+
+def direct_axis_factor(n, spacing, u, inv_r):
+    # One exp per offset: exp(-jk (o (o c - u))) at o = (i - (n - 1) / 2) s.
+    o = ((np.arange(n) - (n - 1) / 2.0) * spacing)[None, :, None]
+    c = ((1.0 - u * u) * (0.5 * inv_r))[:, None, :]
+    return np.exp(-1j * K * (o * (o * c - u[:, None, :])))
+
+
+def long_double_axis_factor(n, spacing, u, inv_r):
+    # The same factor at the exact progression, phase and exp in long double
+    # (80-bit on x86-64; float64 elsewhere, where the test's margin for the
+    # reference's own rounding grows to match).
+    ld = np.longdouble
+    o = ((np.arange(n) - (n - 1) / 2.0).astype(ld) * ld(spacing))[None, :, None]
+    c = ((1.0 - u * u) * (0.5 * inv_r)).astype(ld)[:, None, :]
+    phase = ld(K) * o * (u.astype(ld)[:, None, :] - o * c)
+    return np.cos(phase) + 1j * np.sin(phase)
+
+
+@PROPERTY
+@given(
+    n=st.one_of(st.sampled_from([1, 2, 3, 32]), st.integers(1, 40)),
+    run=st.one_of(st.just(99), st.integers(0, 20)),
+    pitch=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
+    directional=st.booleans(),
+)
+def test_axis_recurrence_within_its_drift_of_direct_exps(
+    n, run, pitch, seed, log_range, directional
+):
+    # run 99 is longer than any chain here: one exp pair per chain.
+    rng = np.random.default_rng(seed)
+    spacing = pitch * LAM
+    theta, phi = rng.uniform(-1.4, 1.4, (3, 5)), rng.uniform(0.0, 2.0 * np.pi, (3, 5))
+    u = np.sin(theta) * np.cos(phi)
+    ranges = np.exp(log_range + rng.uniform(0.0, 0.5, (3, 5)))
+    inv_r = np.zeros_like(ranges) if directional else 1.0 / ranges
+    got = bf._axis_factor(n, spacing, run, u, inv_r, K)
+    want = direct_axis_factor(n, spacing, u, inv_r)
+    assert got.shape == want.shape == (3, n, 5)
+    curvature = 0.0 if directional else 0.5 / ranges.min()
+    drift = bf._recurrence_drift(run, n, spacing, K, 1.0, curvature)
+    drift /= 1.0 - drift
+
+    # A phase of at most k |o| (|u| + 2 |o c|) in five roundings, and an exp
+    # within 2 ulps per component.
+    def one_exp(o, unit):
+        return 5.0 * unit * (1.0 + 1e-9) * K * o * (1.0 + 2.0 * o * curvature) + 4.0 * unit
+
+    # Each form pays one rounded exp per factor at an offset up to the edge.
+    edge = (n - 1) / 2.0 * spacing
+    assert np.abs(got - want).max() <= drift + 2.0 * one_exp(edge, UNIT_ROUNDOFF)
+    # Against the long-double factor only the recurrence's first exp of each
+    # chain segment counts, at the segment's first offset.
+    first = (n + 1) // 2 - (n - 1) / 2.0
+    starts = [first + i for i in range(0, n // 2, run + 1)] or [0.0]
+    ld_unit = float(np.finfo(np.longdouble).eps) / 2.0
+    tight = drift + one_exp(max(starts) * spacing, UNIT_ROUNDOFF) + one_exp(edge, ld_unit)
+    reference = long_double_axis_factor(n, spacing, u, inv_r)
+    assert float(np.abs(got - reference).max()) <= tight
+
+
+def test_grid_offsets_are_the_rounded_progression():
+    # The plan's bound counts one rounding between each offset and the
+    # progression m s the recurrence steps along.
+    for rows, cols, pitch in ((1, 1, 0.3), (2, 7, 0.5 * LAM), (5, 4, 0.0123), (32, 32, 0.5 * LAM)):
+        offsets = _grid_offsets(PanelSpec(rows, cols, pitch))
+        m_x, m_y = np.arange(cols) - (cols - 1) / 2.0, np.arange(rows) - (rows - 1) / 2.0
+        assert np.array_equal(offsets[:cols, 0], m_x * pitch)
+        assert np.array_equal(offsets[::cols, 1], m_y * pitch)
+
+
+@PROPERTY
+@given(
+    shape=st.sampled_from([(1, 6), (6, 1), (1, 2), (2, 2), (3, 5), (7, 7), (32, 32)]),
+    seed=st.integers(0, 2**32 - 1),
+    n_targets=st.integers(1, 4),
+    log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
+)
+def test_factorized_sums_on_every_axis_length_within_bound(shape, seed, n_targets, log_range):
+    # One or two offsets on an axis, odd and even counts, and the
+    # benchmark's 32x32 panels, off axis from 1 km to 3 Mm.
+    rng = np.random.default_rng(seed)
+    spec = PanelSpec(*shape, 0.5 * LAM)
+    centres = [[-40.0, 10.0, 0.0], [25.0, -30.0, 1.0], [5.0, 35.0, -2.0]]
+    layout = make_distributed_panels(spec, centres[: 1 + seed % 3])
+    ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
+    units = unit_vectors(rng.uniform(-1.2, 1.2, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
+    pts = units * ranges[:, None]
+    plan = bf._factorized_plan(layout, pts, False, LAM)
+    assert plan is not None
+    w = random_weights(seed, layout.n_elements)
+    fast = bf._factorized_sums(plan, w, pts, LAM)
+    exact = bf._point_sums(layout.positions, w, pts, LAM)
+    reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
+    assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
+
+
+SHIPPED_KERNELS = {
+    "beam_map_distributed": ("panel_factorized", None),
+    "beam_range_focus": ("panel_factorized", None),
+    "beam_theta_distributed": ("panel_factorized", None),
+    "beam_theta_upa": ("panel_factorized", None),
+    "boundaries_benchtop": (None, None),
+    "dish_reference": (None, None),
+    "dof_vs_range": (None, "panel_factorized"),
+    "placement_search": (None, None),
+    "ratio_vs_range_benchtop": (None, "exact"),
+}
+
+
+def test_shipped_scenarios_keep_their_kernels(tmp_path):
+    assert sorted(SHIPPED_KERNELS) == sorted(
+        name[: -len(".scenario")] for name in os.listdir(SCENARIO_DIR)
+    )
+    for name, want in SHIPPED_KERNELS.items():
+        s = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.scenario"))
+        report = run_scenario(s, str(tmp_path / name))
+        kernels = (report.beam_kernel, report.channel_kernel)
+        assert tuple(k and k.name for k in kernels) == want, name
 
 
 # ----- the gate -----

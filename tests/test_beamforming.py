@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nearlink import beamforming as bf
+from nearlink.fileio import fmt
 from nearlink.beamforming import (
     GAIN_FLOOR_DB,
     Direction,
@@ -271,3 +272,29 @@ def test_gain_csv_format(tmp_path):
     assert len(data) == 1 + 5
     first = data[1].split(",")
     assert float(first[1]) == 100.0
+
+
+def per_value_csv_rows(grid):
+    # The writer's rows as it used to format them: fmt(float(...)) per value.
+    return [
+        f"{fmt(float(th))},{fmt(float(rm))},{fmt(float(grid.gain_dbi[i, j]))}"
+        for i, th in enumerate(grid.theta)
+        for j, rm in enumerate(grid.ranges)
+    ]
+
+
+def test_gain_csv_rows_match_the_per_value_writer(tmp_path):
+    # Signed zeros, integral floats, the gain floor and long fractions must
+    # come out byte for byte as fmt formats them one at a time.
+    theta = np.array([-0.0, 0.0, 1.0, -2.5, 0.1 + 0.2, 1e-300, np.pi])
+    ranges = np.array([1.0, 1000.0, 2.5e5, 1.0 / 3.0])
+    gains = np.random.default_rng(5).normal(30.0, 10.0, (len(theta), len(ranges)))
+    gains[0, 0], gains[1, 1], gains[2, 2], gains[3, 3] = -0.0, 48.0, GAIN_FLOOR_DB, 0.0
+    grid = bf.GainGrid(theta, ranges, gains, -0.0, Point([0.0, -0.0, 5.0e5]), LAM)
+    path = tmp_path / "gain.csv"
+    write_gain_csv(grid, path, metadata={"scenario": "abc"})
+    lines = path.read_text().splitlines()
+    header = lines.index("theta_rad,range_m,gain_dbi")
+    assert lines[header + 1 :] == per_value_csv_rows(grid)
+    assert lines[header + 1].startswith("-0.0,1.0,-0.0")
+    assert "# phi_rad -0.0" in lines

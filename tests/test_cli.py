@@ -393,6 +393,31 @@ def test_scenario_defects_exit_three(tmp_path, capsys):
         assert code == 3 and where in err
 
 
+def test_placement_that_cannot_pack_exits_three(tmp_path, capsys):
+    # 400 centres 10 m apart in a 100 x 100 m field: their 5 m disks cover
+    # 31 416 m^2, and the field grown by 5 m each side holds 12 100 m^2. This
+    # used to pass validate, then exit 1 after seconds of failed draws.
+    text = open(scen("placement_search")).read()
+    for old, new in (
+        ("aperture_x_m: 1414.0", "aperture_x_m: 100.0"),
+        ("aperture_y_m: 1000.0", "aperture_y_m: 100.0"),
+        ("n_panels: 16", "n_panels: 400"),
+        ("min_spacing_m: 50.0", "min_spacing_m: 10.0"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "packed.scenario"
+    bad.write_text(text)
+    for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3 and "'analysis.n_panels': 400 panels" in err
+    # 154 disks (12 095 m^2) fit the bound, so validate accepts them.
+    bad.write_text(text.replace("n_panels: 400", "n_panels: 154"))
+    assert run_cli(capsys, "validate", str(bad))[0] == 0
+    bad.write_text(text.replace("n_panels: 400", "n_panels: 155"))
+    assert run_cli(capsys, "validate", str(bad))[0] == 3
+
+
 def test_random_ground_that_could_overlap_exits_three(tmp_path, capsys):
     # 80 panels of 8x8 at lambda/2 in a 1 x 1 m field at 1 mm spacing: this
     # seed draws two centres 26.6 mm apart, inside the 53.0 mm panel extent.

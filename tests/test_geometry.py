@@ -80,10 +80,23 @@ def test_128x128_upa_extent():
     side = lay.positions[:, 0].max() - lay.positions[:, 0].min()
     assert abs(side - 127 * LAM_28GHZ / 2.0) < 1e-12
     assert abs(side - 0.680) < 0.002
-    # diagonal, against the dumb pairwise oracle
+    # diagonal, against the dumb pairwise oracle on its four corner elements:
+    # a grid's convex hull is their rectangle
     ext = aperture_extent(lay)
     assert abs(ext - 0.961) < 0.002
-    assert abs(ext - brute_force_extent(lay.positions)) < 1e-12
+    corners = lay.positions[[0, spec.cols - 1, -spec.cols, -1]]
+    assert abs(ext - brute_force_extent(corners)) < 1e-12
+
+
+def test_small_layout_extents_match_the_pairwise_oracle():
+    # Every pair, on layouts small enough to scan in full: a UPA off the
+    # origin, and panels of unequal rows and columns at scattered centres.
+    upa = make_upa(PanelSpec(9, 13, LAM_28GHZ / 2.0), center=(3.0, -2.0, 1.0))
+    spread = make_distributed_panels(
+        PanelSpec(5, 3, 0.01), [[0.0, 0.0, 0.0], [1.3, -0.4, 0.2], [-0.7, 2.1, 0.0]]
+    )
+    for lay in (upa, spread):
+        assert abs(aperture_extent(lay) - brute_force_extent(lay.positions)) < 1e-12
 
 
 def test_distributed_16_panels_element_count():

@@ -260,6 +260,21 @@ def test_placement_geometry_that_cannot_run_rejected_with_path():
             scenario_text(beam, ground=RANDOM_GROUND.replace("n_panels: 5", "n_panels: 0")),
             "'ground.random.n_panels' must be at least 1",
         ),
+        # 300 disks of diameter 10 m cover 23 562 m^2, more than the 210 x
+        # 110 m box their centres' disks must fit in
+        (
+            placement.replace("n_panels: 5", "n_panels: 300"),
+            "'analysis.n_panels': 300 panels at least 10 m apart need 23561.9 m",
+        ),
+        (
+            scenario_text(
+                beam,
+                ground=RANDOM_GROUND.replace("n_panels: 5", "n_panels: 400").replace(
+                    "min_spacing_m: 5.0", "min_spacing_m: 6.0"
+                ),
+            ),
+            "'ground.random.n_panels': 400 panels at least 6 m apart",
+        ),
         # drawn centres may sit min_spacing_m apart, inside a 2x2 panel's
         # 7.57 mm extent at lambda/2, so drawn panels could overlap
         (
@@ -273,6 +288,8 @@ def test_placement_geometry_that_cannot_run_rejected_with_path():
         with pytest.raises(ValidationError, match=message):
             parse_scenario(text)
     parse_scenario(placement.replace("min_spacing_m: 10.0", "min_spacing_m: 100.0"))
+    # 290 disks (22 777 m^2) pass the packing bound
+    parse_scenario(placement.replace("n_panels: 5", "n_panels: 290"))
     parse_scenario(
         scenario_text(
             beam, ground=RANDOM_GROUND.replace("min_spacing_m: 5.0", "min_spacing_m: 0.0076")
