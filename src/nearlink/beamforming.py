@@ -35,13 +35,9 @@ from typing import Union
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .geometry import _UNIT_ROUNDOFF, ElementLayout, _gamma
+from .geometry import _BLOCK_BUDGET, _UNIT_ROUNDOFF, ElementLayout, _gamma
 
 GAIN_FLOOR_DB = -200.0
-
-# Upper bound on entries of one phase block (eval samples x element chunk);
-# keeps peak memory for a sweep near 100 MB.
-_BLOCK_BUDGET = 4_000_000
 
 # ===== focal targets =====
 
@@ -235,7 +231,7 @@ def _sums(layout, w, targets, directional, wavelength):
 
 def _direction_sums(positions, w, units, wavelength):
     out = np.zeros(len(units), dtype=np.complex128)
-    step = max(1, int(_BLOCK_BUDGET // max(len(units), 1)))
+    step = max(1, _BLOCK_BUDGET // max(len(units), 1))
     for start in range(0, len(positions), step):
         block = positions[start : start + step]
         phase = (units @ block.T) * (2.0 * np.pi / wavelength)
@@ -245,7 +241,7 @@ def _direction_sums(positions, w, units, wavelength):
 
 def _point_sums(positions, w, pts, wavelength):
     out = np.zeros(len(pts), dtype=np.complex128)
-    step = max(1, int(_BLOCK_BUDGET // max(len(pts), 1)))
+    step = max(1, _BLOCK_BUDGET // max(len(pts), 1))
     for start in range(0, len(positions), step):
         block = positions[start : start + step]
         d2 = np.subtract.outer(pts[:, 0], block[:, 0]) ** 2

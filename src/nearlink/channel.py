@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .geometry import ElementLayout
+from .geometry import _BLOCK_BUDGET, ElementLayout
 
 
 class ZeroDistance(ValueError):
@@ -137,7 +137,7 @@ def channel_matrix(
     rxp = rx.positions
     out = np.empty((len(rxp), len(txp)), dtype=np.complex128)
     # Chunk the rx axis so the (n_rx, n_tx) distance block stays a modest size.
-    step = max(1, int(4_000_000 // max(len(txp), 1)))
+    step = max(1, _BLOCK_BUDGET // max(len(txp), 1))
     for start in range(0, len(rxp), step):
         block = rxp[start : start + step]
         diff = block[:, None, :] - txp[None, :, :]

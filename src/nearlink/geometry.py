@@ -34,6 +34,12 @@ _MASK_ELEMENTS = 1 << 15
 
 LAYOUT_HEADER = "# nearlink-layout v1"
 
+# Most entries of one chunk that a kernel forms at once (targets x elements,
+# rows x columns, directions x panels, points x points). A chunk's float64
+# and complex128 temporaries take 8 to 24 bytes per entry (three coordinate
+# differences at most), so each stays within 100 MB.
+_BLOCK_BUDGET = 4_000_000
+
 # Unit roundoff of float64: one rounding moves a value by at most this
 # fraction of itself.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -497,7 +503,7 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
 def _max_pairwise_distance(points: np.ndarray) -> float:
     # Chunked exact scan of all pairs; quadratic.
     best = 0.0
-    step = max(1, int(4_000_000 // max(len(points), 1)))
+    step = max(1, _BLOCK_BUDGET // max(len(points), 1))
     for start in range(0, len(points), step):
         block = points[start : start + step]
         d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)

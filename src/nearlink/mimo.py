@@ -24,8 +24,29 @@ product B_p (.) A_p of its row and column factors. With B_p = Q_b R_b and
 A_p = Q_a R_a, the mixed-product rule gives B_p (.) A_p = (Q_b x Q_a)
 (R_b (.) R_a), and Q_b x Q_a has orthonormal columns, so the channel has the
 singular values of the panels' R_b (.) R_a stacked: P min(rows, S) min(cols, S)
-rows for S targets instead of one per element. Householder QR is backward
-stable, so the spectrum moves by a few multiples of 2**-53 ||H||_F.
+rows for S targets instead of one per element. A second QR of each panel's
+R_b (.) R_a = Q_p R_p leaves the singular values of the stacked R_p, at most
+P S rows: 256 x 16 instead of 4 096 x 16 for 16 panels of 32 x 32 and a
+16-element satellite. This is the tall-skinny QR reduction (Demmel et al.,
+SIAM J. Sci. Comput. 34, 2012).
+
+:func:`link_spectra` runs many links, such as the ranges of a sweep, through
+one pass. Links that pass the gate against the same panel layout with the
+same chain run share one factor build and one batched first QR, a block of
+links at a time; each then takes its own second QR and SVD. A block holds as
+many links as keep its factors, (rows + cols) P S entries per link, within one
+link's Khatri-Rao stack of P min(rows, S) min(cols, S) S entries. Besides its
+factors or their R factors (no larger), a block holds at most two arrays of
+that size at once (a link's stack and the copy QR takes of it, or the next
+link's stack) and one link's R_p, P min(min(rows, S) min(cols, S), S) S
+entries. So it stays within three such stacks and one R_p, about what one
+link on its own holds.
+
+Householder QR and LAPACK's SVD are backward stable: each returns the exact
+result for an input within a small multiple (about four times its size) of
+2**-53 of the one it was given, in Frobenius norm. By Weyl's inequality every
+singular value then moves by at most the sum of those perturbations, a few
+multiples of 2**-53 ||H||_F.
 """
 
 from __future__ import annotations
@@ -145,26 +166,74 @@ def link_spectrum(
     identical panel grids and the other side's elements, as point targets,
     keep the panel-factorized bound within the exact kernel's own phase
     rounding, the spectrum comes from the factorized kernel's row and column
-    factors, compressed by one QR per panel and axis (see the module
-    docstring); ``source_shape`` is still the channel matrix's. Otherwise the
-    result is exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
+    factors, compressed by two levels of QR (see the module docstring);
+    ``source_shape`` is still the channel matrix's. Otherwise the result is
+    exactly ``singular_values(channel_matrix(tx, rx, wavelength))``. This is
+    the one-link case of :func:`link_spectra`.
+    """
+    return link_spectra([(tx, rx)], wavelength)[0]
+
+
+def link_spectra(links, wavelength: float) -> list:
+    """:func:`link_spectrum` of every ``(tx, rx)`` pair in ``links``, in order.
+
+    Each link keeps its own gate and kernel. Links that pass it with the same
+    panel layout, chain run and number of point elements share the factor
+    build and the first QR, a block of them at a time (see the module
+    docstring); the rest take the exact channel matrix one at a time.
     """
     if wavelength <= 0.0 or not np.isfinite(wavelength):
         raise ValueError("wavelength must be positive and finite")
-    for panels, points in ((rx, tx), (tx, rx)):
-        plan = _factorized_plan(panels, points.positions, False, wavelength)
-        if plan is not None and plan.bound_rad <= plan.floor_rad:
-            row, col = _factorized_factors(plan, points.positions, wavelength)
-            r_row = np.linalg.qr(row, mode="r")
-            r_col = np.linalg.qr(col, mode="r")
-            shape = (panels.n_elements, points.n_elements)
-            m = (r_row[:, :, None, :] * r_col[:, None, :, :]).reshape(-1, shape[1])
-            spectrum = SingularSpectrum(
-                singular_values(m).values, shape if panels is rx else shape[::-1]
-            )
-            return spectrum, BeamKernel("panel_factorized", plan.bound_rad)
-    h = channel_matrix(tx, rx, wavelength, ChannelModel.PHASE_ONLY)
-    return singular_values(h), EXACT_KERNEL
+    links = list(links)
+    out = [None] * len(links)
+    groups = {}
+    for i, (tx, rx) in enumerate(links):
+        for panels, points in ((rx, tx), (tx, rx)):
+            plan = _factorized_plan(panels, points.positions, False, wavelength)
+            if plan is not None and plan.bound_rad <= plan.floor_rad:
+                key = (id(panels), plan.run, points.n_elements)
+                groups.setdefault(key, []).append((i, plan, panels, points))
+                break
+        else:
+            h = channel_matrix(tx, rx, wavelength, ChannelModel.PHASE_ONLY)
+            out[i] = singular_values(h), EXACT_KERNEL
+    for members in groups.values():
+        plan, panels, points = members[0][1:]
+        spec, s = panels.panel_spec, points.n_elements
+        # A block's factors hold no more entries than one link's Khatri-Rao
+        # stack, P min(rows, S) min(cols, S) S.
+        size = max(1, min(spec.rows, s) * min(spec.cols, s) // (spec.rows + spec.cols))
+        for start in range(0, len(members), size):
+            block = members[start : start + size]
+            targets = np.concatenate([pts.positions for _, _, _, pts in block])
+            spectra = _compressed(plan, targets, wavelength, s)
+            for (i, link_plan, _, _), values in zip(block, spectra):
+                shape = (panels.n_elements, s)
+                spectrum = SingularSpectrum(values, shape if panels is links[i][1] else shape[::-1])
+                out[i] = spectrum, BeamKernel("panel_factorized", link_plan.bound_rad)
+    return out
+
+
+def _compressed(plan, targets, wavelength, s):
+    # Singular values of each consecutive run of s targets' channel to the
+    # plan's panels, from the R factors of two levels of QR. The row factor
+    # is dropped once its R factors exist, before the column factor's QR.
+    row, col = _factorized_factors(plan, targets, wavelength)
+    r_row = _panel_r(row, s)
+    del row
+    r_col = _panel_r(col, s)
+    del col
+    n_panels, kr = len(plan.centres), r_row.shape[-2] * r_col.shape[-2]
+    for b, a in zip(r_row, r_col):
+        khatri_rao = (b[:, :, None, :] * a[:, None, :, :]).reshape(n_panels, kr, s)
+        r = np.linalg.qr(khatri_rao, mode="r")
+        yield singular_values(r.reshape(-1, s)).values
+
+
+def _panel_r(factor, s):
+    # R of each (link, panel) block of a (panels, offsets, links * s) factor.
+    p, offsets, t = factor.shape
+    return np.linalg.qr(factor.reshape(p, offsets, t // s, s).transpose(2, 0, 1, 3), mode="r")
 
 
 def condition_ratio(spectrum: SingularSpectrum) -> float:

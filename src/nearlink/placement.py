@@ -27,7 +27,7 @@ import numpy as np
 
 from .beamforming import Direction
 from .fileio import atomic_write_text, fmt
-from .geometry import _UNIT_ROUNDOFF, _gamma, random_panel_positions
+from .geometry import _BLOCK_BUDGET, _UNIT_ROUNDOFF, _gamma, random_panel_positions
 
 # Design target for an optimized placement's worst sidelobe. A K-panel random
 # placement averages -10 log10(K) relative to the main lobe; -6 dB leaves
@@ -162,7 +162,7 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
 
     rel = _scan_offsets(objective)
     worst = 0.0
-    step = max(1, int(4_000_000 // max(pos.shape[0], 1)))
+    step = max(1, _BLOCK_BUDGET // max(pos.shape[0], 1))
     for start in range(0, len(rel), step):
         phase = (rel[start : start + step] @ pos.T) * k
         mags = np.abs(np.exp(1j * phase).sum(axis=1))

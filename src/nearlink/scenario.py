@@ -702,20 +702,15 @@ def _run_sweep(s, outdir, tag):
     ana, lam = s.analysis, s.wavelength
     ground = build_ground_layout(s)
     ranges = _range_axis(ana)
-    # One range at a time: a stacked SVD over every range would hold all
-    # the matrices at once.
-    spectra, kernels = [], []
-    for r in ranges:
-        sat = build_satellite_layout(s, range_m=float(r))
-        spectrum, kernel = mimo.link_spectrum(sat, ground, lam)
-        spectra.append(spectrum)
-        kernels.append(kernel)
+    # The reference range last, in the same batched pass as the sweep.
+    sats = [build_satellite_layout(s, range_m=float(r)) for r in ranges]
+    sats.append(build_satellite_layout(s))
+    spectra, kernels = zip(*mimo.link_spectra([(sat, ground) for sat in sats], lam))
     path = os.path.join(outdir, "spectrum.csv")
     mimo.write_spectrum_csv(
-        path, ranges, spectra, ana.tau, metadata={"scenario": tag, "wavelength_m": lam}
+        path, ranges, spectra[:-1], ana.tau, metadata={"scenario": tag, "wavelength_m": lam}
     )
-    ref_spec, kernel = mimo.link_spectrum(build_satellite_layout(s), ground, lam)
-    kernels.append(kernel)
+    ref_spec = spectra[-1]
     name = "exact" if beamforming.EXACT_KERNEL in kernels else "panel_factorized"
     scalars = {
         "dof_at_reference_range": float(mimo.dof_count(ref_spec, ana.tau)),

@@ -3,7 +3,9 @@ against the exact per-element sum, link spectra against the exact channel
 matrix, and the QR-compressed link spectra against the uncompressed
 Khatri-Rao product of the same factors."""
 
+import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nearlink import beamforming as bf
+from nearlink import mimo
 from nearlink.beamforming import (
     EXACT_KERNEL,
     Direction,
@@ -31,7 +34,13 @@ from nearlink.geometry import (
     random_panel_positions,
     save_layout,
 )
-from nearlink.mimo import ConvergenceFailure, dof_count, link_spectrum, singular_values
+from nearlink.mimo import (
+    ConvergenceFailure,
+    dof_count,
+    link_spectra,
+    link_spectrum,
+    singular_values,
+)
 from nearlink.scenario import (
     build_ground_layout,
     build_satellite_layout,
@@ -457,17 +466,21 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     #   Numerical Algorithms", Thm 19.4), with gamma(k) = 4 k u for complex
     #   arithmetic. A Kronecker column carries both factors' relative errors
     #   and their product: g_row + g_col + g_row g_col.
-    # - Forming M, and forming H in the test, rounds each entry once: a
-    #   complex product is within 2 sqrt(2) u of exact.
+    # - Forming each panel's Khatri-Rao block M_p, and forming H in the test,
+    #   rounds each entry once: a complex product is within 2 sqrt(2) u of
+    #   exact.
+    # - The second QR, of each kr x s block M_p, is within gamma(kr s) of it.
     # - LAPACK's SVD is backward stable with the same form of constant,
-    #   4 m s u, over the size of each matrix it factors: M and H.
+    #   4 m s u, over the size of each matrix it factors: the stacked R_p and H.
     # Weyl turns the sum of these Frobenius-norm perturbations into a bound
     # on every singular value.
     u = UNIT_ROUNDOFF
     g_row, g_col = 4.0 * rows * s * u, 4.0 * cols * s * u
-    m_rows = n_panels * min(rows, s) * min(cols, s)
+    kr = min(rows, s) * min(cols, s)
+    stacked = n_panels * min(kr, s)
     n = n_panels * rows * cols
-    c = (g_row + g_col + g_row * g_col) / u + 2.0 * 2.0 * np.sqrt(2.0) + 4.0 * (m_rows + n) * s
+    qr_and_svd = 4.0 * (kr + stacked + n) * s
+    c = (g_row + g_col + g_row * g_col) / u + 2.0 * 2.0 * np.sqrt(2.0) + qr_and_svd
     return c * u * h_fro
 
 
@@ -555,6 +568,10 @@ def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
     for tx, rx in ((sat, panels), (panels, sat)):
         with pytest.raises(ConvergenceFailure, match="did not converge"):
             link_spectrum(tx, rx, LAM)
+    # A batch of ranges, several to a block.
+    sweep = [point_layout(sat.positions + [0.0, 0.0, r]) for r in (0.0, 1.0e4, 2.0e4, 3.0e4)]
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        link_spectra([(tx, panels) for tx in sweep], LAM)
 
 
 def test_panels_on_either_side_of_the_link_give_the_same_spectrum():
@@ -595,3 +612,129 @@ def test_fallback_spectra_are_bit_identical_to_the_exact_path():
         spectrum, kernel = link_spectrum(tx, rx, lam)
         assert kernel == EXACT_KERNEL
         assert np.array_equal(spectrum.values, singular_values(channel_matrix(tx, rx, lam)).values)
+
+
+# ----- batched sweeps -----
+
+
+def station_ground(seed=7):
+    # A station the size of the benchmark's dof_sweep one: 16 panels of
+    # 32 x 32 at half a wavelength, drawn in a 1414 x 1000 m field at 50 m
+    # spacing.
+    centres = random_panel_positions(1414.0, 1000.0, 16, 50.0, seed)
+    return make_distributed_panels(PanelSpec(32, 32, 0.5 * LAM, 6.0), centres)
+
+
+def satellite_mount(n=4):
+    # n x n elements on the 1.414 m x 1 m mount of dof_vs_range.
+    xs, ys = np.linspace(-0.707, 0.707, n), np.linspace(-0.5, 0.5, n)
+    return np.array([[x, y, 0.0] for y in ys for x in xs])
+
+
+def check_batched_against_single_and_exact(links, panels, tau):
+    batched = link_spectra(links, LAM)
+    assert len(batched) == len(links)
+    spec = panels.panel_spec
+    kernels = set()
+    for (tx, rx), (spectrum, kernel) in zip(links, batched):
+        single, single_kernel = link_spectrum(tx, rx, LAM)
+        exact = singular_values(channel_matrix(tx, rx, LAM))
+        assert kernel == single_kernel
+        assert spectrum.source_shape == single.source_shape == exact.source_shape
+        assert dof_count(spectrum, tau) == dof_count(single, tau) == dof_count(exact, tau)
+        kernels.add(kernel.name)
+        if kernel == EXACT_KERNEL:
+            assert np.array_equal(spectrum.values, exact.values)
+            assert np.array_equal(single.values, exact.values)
+            continue
+        points = tx if rx is panels else rx
+        plan = bf._factorized_plan(panels, points.positions, False, LAM)
+        assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
+        n, s = panels.n_elements, points.n_elements
+        qr = compressed_tolerance(len(plan.centres), spec.rows, spec.cols, s, np.sqrt(n * s))
+        assert np.abs(spectrum.values - single.values).max() <= qr
+        reach = np.linalg.norm(points.positions[:, None] - panels.positions[None], axis=2).max()
+        weyl = np.sqrt(n * s) * (plan.bound_rad + 4.0 * K * UNIT_ROUNDOFF * reach)
+        assert np.abs(spectrum.values - exact.values).max() <= weyl + qr
+    return kernels
+
+
+def test_sweep_straddling_the_gate_matches_single_links_and_the_exact_channel():
+    # Below about 70 km the station's panels fail the gate and take the
+    # exact channel; from about 90 km they are factorized, several ranges
+    # to a block.
+    ground = station_ground()
+    mount = satellite_mount()
+    sats = [point_layout(mount + [0.0, 0.0, r]) for r in np.geomspace(20.0e3, 300.0e3, 12)]
+    downlinks = [(sat, ground) for sat in sats]
+    kernels = check_batched_against_single_and_exact(downlinks, ground, 0.1)
+    assert kernels == {"exact", "panel_factorized"}
+    # Uplink, and a batch of one on either side of the gate.
+    assert check_batched_against_single_and_exact(
+        [(ground, sat) for sat in sats[::3]], ground, 0.1
+    ) == {"exact", "panel_factorized"}
+    for link in (downlinks[0], downlinks[-1]):
+        check_batched_against_single_and_exact([link], ground, 0.1)
+
+
+def test_sweep_with_the_panels_on_the_satellite_side():
+    # The satellite is the panel layout (four 4 x 4 panels on the mount) and
+    # the ground's panel centres are the point elements, at each range below.
+    corners = satellite_mount(2)
+    sat = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), corners)
+    centres = random_panel_positions(1414.0, 1000.0, 16, 50.0, 7)
+    grounds = [point_layout(centres - [0.0, 0.0, r]) for r in np.geomspace(1.0e3, 300.0e3, 7)]
+    kernels = check_batched_against_single_and_exact([(sat, g) for g in grounds], sat, 0.1)
+    assert kernels == {"exact", "panel_factorized"}
+
+
+def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
+    # Give alternate ranges plans with different chain runs: each factor
+    # build must then serve links of its own plan's run only.
+    ground = make_distributed_panels(PanelSpec(8, 8, 0.5 * LAM), [[-30, 0, 0], [30, 0, 0]])
+    ranges = np.geomspace(1.0e5, 1.0e6, 6)
+    run_of = {float(r): i % 2 for i, r in enumerate(ranges)}
+    planned = mimo._factorized_plan
+
+    def alternating_runs(layout, targets, directional, wavelength):
+        plan = planned(layout, targets, directional, wavelength)
+        return plan and dataclasses.replace(plan, run=run_of[float(targets[0, 2])])
+
+    built = []
+
+    def factors(plan, targets, wavelength):
+        built.append((plan.run, {run_of[float(z)] for z in targets[:, 2]}))
+        return bf._factorized_factors(plan, targets, wavelength)
+
+    monkeypatch.setattr(mimo, "_factorized_plan", alternating_runs)
+    monkeypatch.setattr(mimo, "_factorized_factors", factors)
+    # Eight elements: a block holds four links' factors.
+    mount = np.array([[0.2 * i, 0.1 * (i % 3), 0.0] for i in range(8)])
+    sats = [point_layout(mount + [0.0, 0.0, r]) for r in ranges]
+    link_spectra([(sat, ground) for sat in sats], LAM)
+    assert sorted(run for run, _ in built) == [0, 1]
+    assert all(runs == {run} for run, runs in built)
+
+
+def test_sweep_transient_memory_stays_within_the_block_bound():
+    # The benchmark's dof_sweep: 25 ranges and the reference range, all
+    # factorized. A block's arrays stay within three Khatri-Rao stacks of one
+    # range and the second QR's R factors (mimo module docstring), so
+    # stacking every range at once fails here.
+    ground = station_ground()
+    mount = satellite_mount()
+    ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
+    links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
+    link_spectrum(*links[0], LAM)  # the ground's cached panel grid
+    n_panels, s = 16, len(mount)
+    stack = n_panels * min(32, s) * min(32, s) * s
+    r_p = n_panels * min(min(32, s) * min(32, s), s) * s
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results = link_spectra(links, LAM)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert {kernel.name for _, kernel in results} == {"panel_factorized"}
+    assert peak <= 16 * (3 * stack + r_p)
