@@ -9,9 +9,10 @@ normalization used for singular-value ratio analysis (ratios are invariant to
 any common scaling, and path-loss differences across one link are negligible).
 
 Distances at satellite ranges put ``d / lambda`` near 1e8, so phases are
-computed in double precision straight from the geometric distance and wrapped
-only inside the complex exponential; phase differences between elements, which
-are what the spectrum depends on, stay accurate to well below a microradian.
+computed in double precision straight from the geometric distance (the
+distance block of :mod:`nearlink.kernel`) and wrapped only inside the complex
+exponential; phase differences between elements, which are what the spectrum
+depends on, stay accurate to well below a microradian.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .geometry import _BLOCK_BUDGET, ElementLayout
+from .geometry import ElementLayout
+from .kernel import blocks, squared_distances, wavenumber
 
 
 class ZeroDistance(ValueError):
@@ -51,8 +53,7 @@ class ChannelMatrix:
             raise ValueError("entries must be a nonempty 2-d complex array")
         if not np.all(np.isfinite(h)):
             raise ValueError("entries must be finite")
-        if self.wavelength <= 0.0 or not np.isfinite(self.wavelength):
-            raise ValueError("wavelength must be positive and finite")
+        wavenumber(self.wavelength)  # checks the wavelength
         if self.model is ChannelModel.PHASE_ONLY:
             worst = float(np.abs(np.abs(h) - 1.0).max())
             if worst > 1e-9:
@@ -95,8 +96,7 @@ def channel_coeff(
     ValueError
         For negative or non-finite distance, or non-positive wavelength.
     """
-    if wavelength <= 0.0 or not np.isfinite(wavelength):
-        raise ValueError("wavelength must be positive and finite")
+    wavenumber(wavelength)  # checks the wavelength
     if not np.isfinite(distance) or distance < 0.0:
         raise ValueError("distance must be non-negative and finite")
     if distance == 0.0:
@@ -131,23 +131,18 @@ def channel_matrix(
     ZeroDistance
         If any tx/rx element pair coincides exactly.
     """
-    if wavelength <= 0.0 or not np.isfinite(wavelength):
-        raise ValueError("wavelength must be positive and finite")
+    wavenumber(wavelength)  # checks the wavelength
     txp = tx.positions
     rxp = rx.positions
     out = np.empty((len(rxp), len(txp)), dtype=np.complex128)
-    # Chunk the rx axis so the (n_rx, n_tx) distance block stays a modest size.
-    step = max(1, _BLOCK_BUDGET // max(len(txp), 1))
-    for start in range(0, len(rxp), step):
-        block = rxp[start : start + step]
-        diff = block[:, None, :] - txp[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=-1))
+    for rows in blocks(len(rxp), len(txp)):
+        d = np.sqrt(squared_distances(rxp[rows], txp))
         if (d == 0.0).any():
             i, j = np.argwhere(d == 0.0)[0]
             raise ZeroDistance(
-                f"rx element {start + int(i)} coincides with tx element {int(j)}"
+                f"rx element {rows.start + int(i)} coincides with tx element {int(j)}"
             )
-        out[start : start + step] = _coeff_from_distances(d, wavelength, model)
+        out[rows] = _coeff_from_distances(d, wavelength, model)
     return ChannelMatrix(out, wavelength, model)
 
 

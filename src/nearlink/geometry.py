@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
+from .kernel import _UNIT_ROUNDOFF, blocks, squared_distances, wavenumber
 
 # Per-point rejection budget for random placement; exceeding it means the
 # requested density is not achievable and the caller gets a clear error
@@ -33,22 +34,6 @@ _DRAW_BLOCK = 32
 _MASK_ELEMENTS = 1 << 15
 
 LAYOUT_HEADER = "# nearlink-layout v1"
-
-# Most entries of one chunk that a kernel forms at once (targets x elements,
-# rows x columns, directions x panels, points x points). A chunk's float64
-# and complex128 temporaries take 8 to 24 bytes per entry (three coordinate
-# differences at most), so each stays within 100 MB.
-_BLOCK_BUDGET = 4_000_000
-
-# Unit roundoff of float64: one rounding moves a value by at most this
-# fraction of itself.
-_UNIT_ROUNDOFF = 2.0**-53
-
-
-def _gamma(m: float) -> float:
-    # Relative error bound of m chained roundings, gamma_m = m u / (1 - m u)
-    # (Higham, *Accuracy and Stability of Numerical Algorithms*, 3.1).
-    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
 
 
 class OverlappingPanels(ValueError):
@@ -500,17 +485,6 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
     return n_placed
 
 
-def _max_pairwise_distance(points: np.ndarray) -> float:
-    # Chunked exact scan of all pairs; quadratic.
-    best = 0.0
-    step = max(1, _BLOCK_BUDGET // max(len(points), 1))
-    for start in range(0, len(points), step):
-        block = points[start : start + step]
-        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
-        best = max(best, float(d2.max()))
-    return float(np.sqrt(best))
-
-
 def aperture_extent(layout) -> float:
     """Largest pairwise element distance in meters.
 
@@ -529,7 +503,9 @@ def aperture_extent(layout) -> float:
         spec = layout.panel_spec
         corners = sorted({0, spec.cols - 1, spec.n_elements - spec.cols, spec.n_elements - 1})
         points = grid.positions[:, corners].reshape(-1, 3)
-    return _max_pairwise_distance(points)
+    rows = blocks(len(points), len(points))
+    best = max(squared_distances(points[r], points).max() for r in rows)
+    return float(np.sqrt(best))
 
 
 def fresnel_distance(aperture: float, wavelength: float) -> float:
@@ -563,8 +539,7 @@ def field_region(aperture: float, wavelength: float, r: float) -> FieldRegion:
 def _check_aperture_wavelength(aperture: float, wavelength: float) -> None:
     if aperture <= 0.0 or not np.isfinite(aperture):
         raise ValueError("aperture must be positive and finite")
-    if wavelength <= 0.0 or not np.isfinite(wavelength):
-        raise ValueError("wavelength must be positive and finite")
+    wavenumber(wavelength)  # checks the wavelength
 
 
 def save_layout(layout: ElementLayout, path) -> None:

@@ -17,8 +17,9 @@ the channel matrix itself. Forming a Gram matrix instead would square the
 condition number and lose the small singular values of a far-field link,
 which are the ones that decide the stream count. When one side of a link is a
 layout of identical panels, :func:`link_spectrum` takes the row and column
-factors of the panel-factorized kernel of :mod:`nearlink.beamforming`, under
-the same run-time error gate as the beam sweeps, and never forms the matrix.
+factors of the panel-factorized kernel of :mod:`nearlink.kernel`, under the
+same run-time error gate (:func:`nearlink.kernel.gate`) as the beam sweeps,
+and never forms the matrix.
 Inside panel p the channel block is the column-wise Kronecker (Khatri-Rao)
 product B_p (.) A_p of its row and column factors. With B_p = Q_b R_b and
 A_p = Q_a R_a, the mixed-product rule gives B_p (.) A_p = (Q_b x Q_a)
@@ -56,7 +57,7 @@ from enum import Enum
 
 import numpy as np
 
-from .beamforming import EXACT_KERNEL, BeamKernel, _factorized_factors, _factorized_plan
+from . import kernel
 from .channel import ChannelMatrix, ChannelModel, channel_matrix
 from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout, PanelSpec
@@ -182,35 +183,33 @@ def link_spectra(links, wavelength: float) -> list:
     build and the first QR, a block of them at a time (see the module
     docstring); the rest take the exact channel matrix one at a time.
     """
-    if wavelength <= 0.0 or not np.isfinite(wavelength):
-        raise ValueError("wavelength must be positive and finite")
+    kernel.wavenumber(wavelength)  # checks the wavelength
     links = list(links)
     out = [None] * len(links)
     groups = {}
     for i, (tx, rx) in enumerate(links):
         for panels, points in ((rx, tx), (tx, rx)):
-            plan = _factorized_plan(panels, points.positions, False, wavelength)
-            if plan is not None and plan.bound_rad <= plan.floor_rad:
+            plan, used = kernel.gate(panels, points.positions, False, wavelength)
+            if plan is not None:
                 key = (id(panels), plan.run, points.n_elements)
-                groups.setdefault(key, []).append((i, plan, panels, points))
+                groups.setdefault(key, (plan, panels, []))[2].append((i, used, points))
                 break
         else:
             h = channel_matrix(tx, rx, wavelength, ChannelModel.PHASE_ONLY)
-            out[i] = singular_values(h), EXACT_KERNEL
-    for members in groups.values():
-        plan, panels, points = members[0][1:]
-        spec, s = panels.panel_spec, points.n_elements
+            out[i] = singular_values(h), kernel.EXACT_KERNEL
+    for (_, _, s), (plan, panels, members) in groups.items():
+        spec = panels.panel_spec
         # A block's factors hold no more entries than one link's Khatri-Rao
         # stack, P min(rows, S) min(cols, S) S.
         size = max(1, min(spec.rows, s) * min(spec.cols, s) // (spec.rows + spec.cols))
         for start in range(0, len(members), size):
             block = members[start : start + size]
-            targets = np.concatenate([pts.positions for _, _, _, pts in block])
+            targets = np.concatenate([points.positions for _, _, points in block])
             spectra = _compressed(plan, targets, wavelength, s)
-            for (i, link_plan, _, _), values in zip(block, spectra):
+            for (i, used, _), values in zip(block, spectra):
                 shape = (panels.n_elements, s)
                 spectrum = SingularSpectrum(values, shape if panels is links[i][1] else shape[::-1])
-                out[i] = spectrum, BeamKernel("panel_factorized", link_plan.bound_rad)
+                out[i] = spectrum, used
     return out
 
 
@@ -218,7 +217,7 @@ def _compressed(plan, targets, wavelength, s):
     # Singular values of each consecutive run of s targets' channel to the
     # plan's panels, from the R factors of two levels of QR. The row factor
     # is dropped once its R factors exist, before the column factor's QR.
-    row, col = _factorized_factors(plan, targets, wavelength)
+    row, col = kernel._factorized_factors(plan, targets, wavelength)
     r_row = _panel_r(row, s)
     del row
     r_col = _panel_r(col, s)
@@ -380,5 +379,4 @@ def _check_tau(tau: float) -> None:
 def _check_boundary_args(d_tx: float, d_rx: float, wavelength: float) -> None:
     if d_tx <= 0.0 or d_rx <= 0.0:
         raise ValueError("element separations must be positive")
-    if wavelength <= 0.0 or not np.isfinite(wavelength):
-        raise ValueError("wavelength must be positive and finite")
+    kernel.wavenumber(wavelength)  # checks the wavelength

@@ -25,9 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import Direction
+from .beamforming import Direction, _unit_vectors
 from .fileio import atomic_write_text, fmt
-from .geometry import _BLOCK_BUDGET, _UNIT_ROUNDOFF, _gamma, random_panel_positions
+from .geometry import random_panel_positions
+from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, wavenumber
 
 # Design target for an optimized placement's worst sidelobe. A K-panel random
 # placement averages -10 log10(K) relative to the main lobe; -6 dB leaves
@@ -119,12 +120,6 @@ def uniform_sparse_positions(aperture: float, n_panels: int, axis=(1.0, 0.0, 0.0
     return steps[:, None] * pitch * axis[None, :]
 
 
-def _wavenumber(wavelength: float) -> float:
-    if wavelength <= 0.0 or not np.isfinite(wavelength):
-        raise ValueError("wavelength must be positive and finite")
-    return 2.0 * np.pi / wavelength
-
-
 def _scan_offsets(objective: PlacementObjective) -> np.ndarray:
     """Kept scan directions minus the steering direction, shape (n_kept, 3).
 
@@ -138,12 +133,7 @@ def _scan_offsets(objective: PlacementObjective) -> np.ndarray:
     keep = np.abs(thetas - objective.steering.theta) > objective.exclusion_halfwidth
     if not keep.any():
         raise ValueError("no scan samples outside the exclusion zone")
-    thetas = thetas[keep]
-    phi = objective.steering.phi
-    units = np.stack(
-        [np.sin(thetas) * np.cos(phi), np.sin(thetas) * np.sin(phi), np.cos(thetas)],
-        axis=1,
-    )
+    units = _unit_vectors(thetas[keep], objective.steering.phi)
     return units - objective.steering.unit[None, :]
 
 
@@ -155,16 +145,15 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
     on-focus value (the panel count), so the result never depends on whether
     the scan grid happens to sample the peak.
     """
-    k = _wavenumber(wavelength)
+    k = wavenumber(wavelength)
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
         raise ValueError("positions must be (k, 3) with at least two panels")
 
     rel = _scan_offsets(objective)
     worst = 0.0
-    step = max(1, _BLOCK_BUDGET // max(pos.shape[0], 1))
-    for start in range(0, len(rel), step):
-        phase = (rel[start : start + step] @ pos.T) * k
+    for rows in blocks(len(rel), len(pos)):
+        phase = (rel[rows] @ pos.T) * k
         mags = np.abs(np.exp(1j * phase).sum(axis=1))
         worst = max(worst, float(mags.max()))
     return 20.0 * np.log10(max(worst, 1e-300) / pos.shape[0])
@@ -252,7 +241,7 @@ def optimize_placement(
     candidates = random_panel_positions(
         aperture_x, aperture_y, n_panels, min_spacing, child_seeds
     )
-    k = _wavenumber(wavelength)
+    k = wavenumber(wavelength)
     rel = _scan_offsets(objective)
     bounds = _screen_bounds(candidates, rel[::_SCREEN_STRIDE], k)
     margin = _prune_margin(rel, candidates, k)

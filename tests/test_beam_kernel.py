@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nearlink import beamforming as bf
-from nearlink import mimo
+from nearlink import kernel as kn
 from nearlink.beamforming import (
     EXACT_KERNEL,
     Direction,
@@ -117,11 +117,11 @@ def test_factorized_points_within_bound_of_exact(layout, seed, n_targets, log_ra
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
     units = unit_vectors(rng.uniform(-1.4, 1.4, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
     pts = units * ranges[:, None]
-    plan = bf._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, False, LAM)
     assume(plan is not None)
     w = random_weights(seed, layout.n_elements)
-    fast = bf._factorized_sums(plan, w, pts, LAM)
-    exact = bf._point_sums(layout.positions, w, pts, LAM)
+    fast = kn._factorized_sums(plan, w, pts, LAM)
+    exact = kn._point_sums(layout.positions, w, pts, LAM)
     reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
     assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
 
@@ -131,10 +131,10 @@ def test_factorized_points_within_bound_of_exact(layout, seed, n_targets, log_ra
 def test_factorized_directions_within_bound_of_exact(layout, seed, n_targets):
     rng = np.random.default_rng(seed)
     units = unit_vectors(rng.uniform(-1.5, 1.5, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
-    plan = bf._factorized_plan(layout, units, True, LAM)
+    plan = kn._factorized_plan(layout, units, True, LAM)
     w = random_weights(seed, layout.n_elements)
-    fast = bf._factorized_sums(plan, w, units, LAM)
-    exact = bf._direction_sums(layout.positions, w, units, LAM)
+    fast = kn._factorized_sums(plan, w, units, LAM)
+    exact = kn._direction_sums(layout.positions, w, units, LAM)
     reach = np.linalg.norm(layout.positions, axis=1).max()
     assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
 
@@ -153,10 +153,10 @@ def test_station_map_takes_factorized_path_within_bound():
     assert 0.0 < grid.kernel.bound_rad <= K * UNIT_ROUNDOFF * 250.0e3
 
     pts = (unit_vectors(thetas, 0.0)[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
-    plan = bf._factorized_plan(lay, pts, False, LAM)
+    plan = kn._factorized_plan(lay, pts, False, LAM)
     assert plan.bound_rad == grid.kernel.bound_rad
-    fast = bf._factorized_sums(plan, w.weights, pts, LAM)
-    exact = bf._point_sums(lay.positions, w.weights, pts, LAM)
+    fast = kn._factorized_sums(plan, w.weights, pts, LAM)
+    exact = kn._point_sums(lay.positions, w.weights, pts, LAM)
     assert np.abs(fast - exact).max() <= tolerance(plan, w.weights, 1001.0e3)
 
 
@@ -176,12 +176,12 @@ def test_directions_on_a_built_layout_take_factorized_path():
     ):
         upa = make_upa(spec)
         units = unit_vectors(np.asarray(thetas), 0.3)
-        plan = bf._factorized_plan(upa, units, True, LAM)
+        plan = kn._factorized_plan(upa, units, True, LAM)
         assert plan.run < spec.rows // 2 - 1 and plan.bound_rad <= plan.floor_rad
         w = random_weights(7, upa.n_elements)
         total, kernel = bf._sums(upa, w, units, True, LAM)
         assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
-        exact = bf._direction_sums(upa.positions, w, units, LAM)
+        exact = kn._direction_sums(upa.positions, w, units, LAM)
         reach = np.linalg.norm(upa.positions, axis=1).max()
         assert np.abs(total - exact).max() <= tolerance(plan, w, reach)
 
@@ -226,11 +226,11 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(
     u = np.sin(theta) * np.cos(phi)
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, (3, 5)))
     inv_r = np.zeros_like(ranges) if directional else 1.0 / ranges
-    got = bf._axis_factor(n, spacing, run, u, inv_r, K)
+    got = kn._axis_factor(n, spacing, run, u, inv_r, K)
     want = direct_axis_factor(n, spacing, u, inv_r)
     assert got.shape == want.shape == (3, n, 5)
     curvature = 0.0 if directional else 0.5 / ranges.min()
-    drift = bf._recurrence_drift(run, n, spacing, K, 1.0, curvature)
+    drift = kn._recurrence_drift(run, n, spacing, K, 1.0, curvature)
     drift /= 1.0 - drift
 
     # A phase of at most k |o| (|u| + 2 |o c|) in five roundings, and an exp
@@ -278,11 +278,11 @@ def test_factorized_sums_on_every_axis_length_within_bound(shape, seed, n_target
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
     units = unit_vectors(rng.uniform(-1.2, 1.2, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
     pts = units * ranges[:, None]
-    plan = bf._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, False, LAM)
     assert plan is not None
     w = random_weights(seed, layout.n_elements)
-    fast = bf._factorized_sums(plan, w, pts, LAM)
-    exact = bf._point_sums(layout.positions, w, pts, LAM)
+    fast = kn._factorized_sums(plan, w, pts, LAM)
+    exact = kn._point_sums(layout.positions, w, pts, LAM)
     reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
     assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
 
@@ -319,16 +319,16 @@ def test_short_range_takes_exact_path_bit_for_bit():
     focus = point_at(0.5, 0.1)
     w = delay_and_sum_weights(lay, focus, LAM)
     thetas = np.linspace(0.0, 0.2, 11)
-    plan = bf._factorized_plan(lay, unit_vectors(thetas, 0.0) * 0.5, False, LAM)
+    plan = kn._factorized_plan(lay, unit_vectors(thetas, 0.0) * 0.5, False, LAM)
     assert plan.bound_rad > plan.floor_rad
 
     grid = gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=0.5)
     assert grid.kernel == EXACT_KERNEL
-    totals = bf._point_sums(lay.positions, w.weights, unit_vectors(thetas, 0.0) * 0.5, LAM)
+    totals = kn._point_sums(lay.positions, w.weights, unit_vectors(thetas, 0.0) * 0.5, LAM)
     want = bf._to_gain_dbi(totals, lay.n_elements, lay.element_gain_dbi)
     assert np.array_equal(grid.gain_dbi[:, 0], want)
     got = response_sum(lay, w, focus, LAM)
-    assert got == complex(bf._point_sums(lay.positions, w.weights, focus.position[None], LAM)[0])
+    assert got == complex(kn._point_sums(lay.positions, w.weights, focus.position[None], LAM)[0])
 
 
 def test_perturbed_positions_take_exact_path():
@@ -342,11 +342,11 @@ def test_perturbed_positions_take_exact_path():
     moved = lay.positions.copy()
     moved[21, 0] += 1.0e-7
     bent = ElementLayout(moved, lay.panel_ids, lay.panel_spec)
-    plan = bf._factorized_plan(bent, target, False, LAM)
+    plan = kn._factorized_plan(bent, target, False, LAM)
     assert plan.bound_rad > plan.floor_rad
     total, kernel = bf._sums(bent, ones, target, False, LAM)
     assert kernel == EXACT_KERNEL
-    assert np.array_equal(total, bf._point_sums(moved, ones, target, LAM))
+    assert np.array_equal(total, kn._point_sums(moved, ones, target, LAM))
 
 
 def test_single_element_panels_take_exact_path():
@@ -363,7 +363,7 @@ analysis:
 """
     sat = build_satellite_layout(parse_scenario(text))
     target = Point([0.0, 0.0, 0.0])
-    assert bf._factorized_plan(sat, target.position[None], False, LAM) is None
+    assert kn._factorized_plan(sat, target.position[None], False, LAM) is None
     w = delay_and_sum_weights(sat, target, LAM)
     assert gain_pattern_sweep(sat, w, LAM, ranges=[1.0e3, 2.0e3]).kernel == EXACT_KERNEL
 
@@ -389,7 +389,7 @@ def test_elements_out_of_grid_order_take_exact_path():
     order = np.r_[1, 0, 2:12]
     swapped = ElementLayout(lay.positions[order], lay.panel_ids, lay.panel_spec)
     units = Direction(0.1).unit[None]
-    plan = bf._factorized_plan(swapped, units, True, LAM)
+    plan = kn._factorized_plan(swapped, units, True, LAM)
     assert plan.bound_rad > plan.floor_rad
     assert bf._sums(swapped, np.ones(12), units, True, LAM)[1] == EXACT_KERNEL
 
@@ -443,7 +443,7 @@ def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, 
     rng = np.random.default_rng(seed)
     centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
     pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
-    plan = bf._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, False, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     sat = point_layout(pts)
     spectrum, kernel = link_spectrum(sat, layout, LAM)
@@ -487,13 +487,13 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
 def check_compressed_against_uncompressed(layout, pts, panels_receive):
     sat = point_layout(pts)
     tx, rx = (sat, layout) if panels_receive else (layout, sat)
-    plan = bf._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, False, LAM)
     spectrum, kernel = link_spectrum(tx, rx, LAM)
     assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
 
     # The channel the compressed path stands for: panel p's block is the
     # column-wise Kronecker product of its row and column factors.
-    row, col = bf._factorized_factors(plan, pts, LAM)
+    row, col = kn._factorized_factors(plan, pts, LAM)
     spec = layout.panel_spec
     h = (row[:, :, None, :] * col[:, None, :, :]).reshape(layout.n_elements, len(pts))
     want = np.linalg.svd(h if panels_receive else h.T, compute_uv=False)
@@ -519,7 +519,7 @@ def test_compressed_spectrum_within_qr_bound_of_uncompressed(
     rng = np.random.default_rng(seed)
     centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
     pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
-    plan = bf._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, False, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     check_compressed_against_uncompressed(layout, pts, panels_receive)
 
@@ -648,7 +648,7 @@ def check_batched_against_single_and_exact(links, panels, tau):
             assert np.array_equal(single.values, exact.values)
             continue
         points = tx if rx is panels else rx
-        plan = bf._factorized_plan(panels, points.positions, False, LAM)
+        plan = kn._factorized_plan(panels, points.positions, False, LAM)
         assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
         n, s = panels.n_elements, points.n_elements
         qr = compressed_tolerance(len(plan.centres), spec.rows, spec.cols, s, np.sqrt(n * s))
@@ -694,20 +694,21 @@ def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
     ground = make_distributed_panels(PanelSpec(8, 8, 0.5 * LAM), [[-30, 0, 0], [30, 0, 0]])
     ranges = np.geomspace(1.0e5, 1.0e6, 6)
     run_of = {float(r): i % 2 for i, r in enumerate(ranges)}
-    planned = mimo._factorized_plan
+    planned = kn._factorized_plan
 
     def alternating_runs(layout, targets, directional, wavelength):
         plan = planned(layout, targets, directional, wavelength)
         return plan and dataclasses.replace(plan, run=run_of[float(targets[0, 2])])
 
     built = []
+    made = kn._factorized_factors
 
     def factors(plan, targets, wavelength):
         built.append((plan.run, {run_of[float(z)] for z in targets[:, 2]}))
-        return bf._factorized_factors(plan, targets, wavelength)
+        return made(plan, targets, wavelength)
 
-    monkeypatch.setattr(mimo, "_factorized_plan", alternating_runs)
-    monkeypatch.setattr(mimo, "_factorized_factors", factors)
+    monkeypatch.setattr(kn, "_factorized_plan", alternating_runs)
+    monkeypatch.setattr(kn, "_factorized_factors", factors)
     # Eight elements: a block holds four links' factors.
     mount = np.array([[0.2 * i, 0.1 * (i % 3), 0.0] for i in range(8)])
     sats = [point_layout(mount + [0.0, 0.0, r]) for r in ranges]
