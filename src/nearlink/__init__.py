@@ -26,15 +26,7 @@ from .beamforming import (
     response_sum,
     write_gain_csv,
 )
-from .channel import (
-    ChannelMatrix,
-    ChannelModel,
-    ZeroDistance,
-    channel_coeff,
-    channel_matrix,
-    phase_spread_2x2,
-    write_channel_csv,
-)
+from .channel import ZeroDistance, channel_matrix
 from .geometry import (
     ElementLayout,
     FieldRegion,
@@ -55,14 +47,12 @@ from .geometry import (
 from .mimo import (
     ConvergenceFailure,
     DegenerateSpectrum,
-    MimoRegion,
     SingularSpectrum,
     condition_ratio,
     dof_count,
     exact_ratio_curve,
     link_spectra,
     link_spectrum,
-    mimo_region,
     r_max,
     r_min,
     singular_values,

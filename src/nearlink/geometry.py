@@ -580,13 +580,18 @@ def load_layout(path) -> ElementLayout:
             continue
         if line.startswith("#"):
             if line.startswith("# panel "):
-                fields = dict(item.split("=", 1) for item in line[8:].split())
-                spec = PanelSpec(
-                    rows=int(fields["rows"]),
-                    cols=int(fields["cols"]),
-                    spacing=float(fields["spacing"]),
-                    element_gain_dbi=float(fields["element_gain_dbi"]),
-                )
+                try:
+                    fields = dict(item.split("=", 1) for item in line[8:].split())
+                    spec = PanelSpec(
+                        rows=int(fields["rows"]),
+                        cols=int(fields["cols"]),
+                        spacing=float(fields["spacing"]),
+                        element_gain_dbi=float(fields["element_gain_dbi"]),
+                    )
+                except KeyError as exc:
+                    raise LayoutFormatError(f"line {lineno}: panel comment lacks {exc}") from None
+                except ValueError as exc:
+                    raise LayoutFormatError(f"line {lineno}: {exc}") from None
             continue
         parts = line.split()
         if len(parts) != 4:

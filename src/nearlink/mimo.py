@@ -53,12 +53,11 @@ multiples of 2**-53 ||H||_F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import kernel
-from .channel import ChannelMatrix, ChannelModel, channel_matrix
+from .channel import channel_matrix
 from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout, PanelSpec
 
@@ -69,20 +68,6 @@ class ConvergenceFailure(RuntimeError):
 
 class DegenerateSpectrum(ValueError):
     """All singular values are zero; ratios and counts are undefined."""
-
-
-class MimoRegion(Enum):
-    """Behavior of the 2x2 singular-value ratio as range grows.
-
-    OSCILLATORY: r below d_tx d_rx / lambda; the phase spread exceeds a full
-    turn and the ratio swings rapidly between 0 and 1.
-    RISING: ratio climbs monotonically to 1, reached at 2 d_tx d_rx / lambda.
-    FALLING: ratio decays monotonically toward 0 as curvature vanishes.
-    """
-
-    OSCILLATORY = "oscillatory"
-    RISING = "rising"
-    FALLING = "falling"
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,17 +118,16 @@ def svd_closed_form_2x2(
 
 
 def singular_values(channel) -> SingularSpectrum:
-    """Full singular spectrum of a channel matrix, from LAPACK's SVD.
-
-    Accepts a :class:`ChannelMatrix` or any 2-d complex array.
+    """Full singular spectrum of a 2-d complex channel array, from LAPACK's SVD.
 
     Raises
     ------
+    ValueError
+        If the array is not a nonempty 2-d array of finite entries.
     ConvergenceFailure
         If LAPACK's SVD does not converge.
     """
-    h = channel.entries if isinstance(channel, ChannelMatrix) else channel
-    h = np.asarray(h, dtype=np.complex128)
+    h = np.asarray(channel, dtype=np.complex128)
     if h.ndim != 2 or h.size == 0:
         raise ValueError("channel must be a nonempty 2-d array")
     if not np.all(np.isfinite(h)):
@@ -195,8 +179,7 @@ def link_spectra(links, wavelength: float) -> list:
                 groups.setdefault(key, (plan, panels, []))[2].append((i, used, points))
                 break
         else:
-            h = channel_matrix(tx, rx, wavelength, ChannelModel.PHASE_ONLY)
-            out[i] = singular_values(h), kernel.EXACT_KERNEL
+            out[i] = singular_values(channel_matrix(tx, rx, wavelength)), kernel.EXACT_KERNEL
     for (_, _, s), (plan, panels, members) in groups.items():
         spec = panels.panel_spec
         # A block's factors hold no more entries than one link's Khatri-Rao
@@ -278,19 +261,6 @@ def r_max(d_tx: float, d_rx: float, wavelength: float, tau: float) -> float:
     return float(np.pi / (2.0 * np.arctan(tau)) * d_tx * d_rx / wavelength)
 
 
-def mimo_region(r: float, d_tx: float, d_rx: float, wavelength: float) -> MimoRegion:
-    """Which behavior regime range ``r`` falls into for the given apertures."""
-    _check_boundary_args(d_tx, d_rx, wavelength)
-    if r <= 0.0 or not np.isfinite(r):
-        raise ValueError("range must be positive and finite")
-    knee = d_tx * d_rx / wavelength
-    if r < knee:
-        return MimoRegion.OSCILLATORY
-    if r <= 2.0 * knee:
-        return MimoRegion.RISING
-    return MimoRegion.FALLING
-
-
 def theory_ratio_curve(
     d_tx: float, d_rx: float, wavelength: float, ranges
 ) -> np.ndarray:
@@ -311,13 +281,7 @@ def _pair_layout(separation: float, z: float) -> ElementLayout:
     return ElementLayout(positions, np.array([0, 1]), spec)
 
 
-def exact_ratio_curve(
-    d_tx: float,
-    d_rx: float,
-    wavelength: float,
-    ranges,
-    model: ChannelModel = ChannelModel.PHASE_ONLY,
-) -> np.ndarray:
+def exact_ratio_curve(d_tx: float, d_rx: float, wavelength: float, ranges) -> np.ndarray:
     """Singular-value ratio of the exact 2x2 channel at each range.
 
     Geometry: both two-element baselines are perpendicular to the line of
@@ -335,8 +299,7 @@ def exact_ratio_curve(
     out = np.empty(len(r))
     for k, rng_m in enumerate(r):
         rx = _pair_layout(d_rx, float(rng_m))
-        h = channel_matrix(tx, rx, wavelength, model)
-        out[k] = condition_ratio(singular_values(h))
+        out[k] = condition_ratio(singular_values(channel_matrix(tx, rx, wavelength)))
     return out
 
 

@@ -30,11 +30,6 @@ from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
 from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, wavenumber
 
-# Design target for an optimized placement's worst sidelobe. A K-panel random
-# placement averages -10 log10(K) relative to the main lobe; -6 dB leaves
-# headroom for peak statistics over the scan window at K = 16.
-DESIGN_SIDELOBE_TARGET_DB = -6.0
-
 # The search's screen scans every _SCREEN_STRIDE-th kept direction, in blocks
 # of candidates whose temporaries (about _SCREEN_BYTES_PER_TERM bytes per
 # panel and direction: phases, complex phasors, their exponentials) stay
@@ -291,7 +286,6 @@ def write_placement_json(
 
 
 __all__ = [
-    "DESIGN_SIDELOBE_TARGET_DB",
     "PlacementObjective",
     "PlacementResult",
     "default_exclusion_halfwidth",

@@ -95,6 +95,12 @@ _NON_NEGATIVE = Bound(0.0, text="must be non-negative")
 _SEED = Bound(0, text="must be a non-negative integer")
 _TAU = Bound(0.0, 1.0, "()")
 _HALFWIDTH_DEG = Bound(0.0, 90.0, "(]")
+# Runs square distances up to twice a range (the beam analyses' double-range
+# gain), and the factorized kernel's error bound cubes them. At 1e100 m that
+# cube, 8e300, stays below the float64 maximum of 1.8e308 with room for
+# element offsets of the same size; past it a square or cube overflows, and
+# the run writes NaN gains or fails.
+_RANGE = Bound(0.0, 1.0e100, "(]")
 _VERSION = Bound(
     SCENARIO_VERSION,
     SCENARIO_VERSION,
@@ -212,6 +218,14 @@ def _finite_wavelength(s, path):
     wavelength_of(s.frequency_hz)
 
 
+def _closed_form_finite(s, path):
+    if analysis_kind(s.analysis) in _CLOSED_FORMS:
+        try:
+            closed_form(s.analysis, s.wavelength)
+        except ValidationError as exc:
+            raise ValidationError(f"'analysis': {exc}") from None
+
+
 def wavelength_of(frequency_hz: float, path="frequency_hz") -> float:
     """The carrier wavelength of a positive frequency, refused where it
     overflows (below about 1.7e-300 Hz)."""
@@ -255,7 +269,7 @@ class GroundConfig:
 
 @dataclass(frozen=True)
 class SatelliteConfig:
-    range_m: float = _f(float, _POSITIVE)
+    range_m: float = _f(float, _RANGE)
     off_nadir_deg: float = _f(float, Bound(0.0, 90.0, "[)"), 0.0)
     element_gain_dbi: float = _f(float, default=0.0, not_with="panel")
     panel: Optional[PanelConfig] = _f(PanelConfig, default=None)
@@ -274,8 +288,8 @@ class BoundariesAnalysis:
 class _RangeSpan:
     """The range span that sweeps and range cuts share; they add the rest."""
 
-    range_start_m: float = _f(float, _POSITIVE)
-    range_stop_m: float = _f(float, _POSITIVE)
+    range_start_m: float = _f(float, _RANGE)
+    range_stop_m: float = _f(float, _RANGE)
     _checks = (_range_order,)
 
 
@@ -364,7 +378,13 @@ class Scenario:
     ground: Optional[GroundConfig] = _f(GroundConfig, default=None)
     satellite: Optional[SatelliteConfig] = _f(SatelliteConfig, default=None)
     output_dir: str = _f(str, default=".")
-    _checks = (_link_sections, _panels_fit, _scan_outside_exclusion, _finite_wavelength)
+    _checks = (
+        _link_sections,
+        _panels_fit,
+        _scan_outside_exclusion,
+        _finite_wavelength,
+        _closed_form_finite,
+    )
 
     @property
     def wavelength(self) -> float:
@@ -682,8 +702,21 @@ _CLOSED_FORMS = {
 
 
 def closed_form(analysis, wavelength: float) -> dict:
-    """The inputs and results of a ``boundaries`` or ``dish_gain`` analysis."""
-    return _CLOSED_FORMS[analysis_kind(analysis)][0](analysis, wavelength)
+    """The inputs and results of a ``boundaries`` or ``dish_gain`` analysis.
+
+    Raises ValidationError where a result overflows or is not finite, which
+    JSON cannot hold.
+    """
+    kind = analysis_kind(analysis)
+    try:
+        with np.errstate(all="ignore"):  # the check below reports it
+            payload = _CLOSED_FORMS[kind][0](analysis, wavelength)
+    except OverflowError:
+        raise ValidationError(f"{kind} overflows: its inputs are out of range") from None
+    for key, value in payload.items():
+        if not np.isfinite(value):
+            raise ValidationError(f"{kind} gives {key}={value}: its inputs are out of range")
+    return payload
 
 
 # Each runner writes its analysis' outputs and returns the RunReport fields
@@ -806,7 +839,9 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
 
     Returns a report with the canonical scenario hash, elapsed wall time, the
     files written, and the analysis' headline scalars. All file writes are
-    atomic and byte-deterministic for identical scenarios.
+    atomic and byte-deterministic for identical scenarios on one build: the
+    kernels' block budget, the BLAS build and the CPU set the summation order,
+    and with it the last digits of gains and sidelobe levels.
     """
     t0 = time.perf_counter()
     outdir = s.output_dir if output_dir is None else output_dir

@@ -17,7 +17,6 @@ import pytest
 from nearlink import (
     REFERENCE_DISH_LARGE,
     REFERENCE_DISH_SMALL,
-    ChannelModel,
     Direction,
     ElementLayout,
     PanelSpec,
@@ -207,7 +206,7 @@ def test_07_stream_count_versus_range(dof_scenario, tmp_path):
 
     def dof_at(range_m):
         sat = build_satellite_layout(s, range_m=range_m)
-        h = channel_matrix(sat, ground, s.wavelength, ChannelModel.PHASE_ONLY)
+        h = channel_matrix(sat, ground, s.wavelength)
         return dof_count(singular_values(h), tau)
 
     d400, d900, d1800 = dof_at(400.0e3), dof_at(900.0e3), dof_at(1800.0e3)

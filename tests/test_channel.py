@@ -1,16 +1,10 @@
-"""LoS channel coefficients, matrices, and the 2x2 phase spread."""
+"""The phase-only LoS channel matrix."""
 
 import numpy as np
 import pytest
 
-from nearlink.channel import (
-    ChannelModel,
-    ZeroDistance,
-    channel_coeff,
-    channel_matrix,
-    phase_spread_2x2,
-    write_channel_csv,
-)
+from nearlink import kernel
+from nearlink.channel import ZeroDistance, channel_matrix
 from nearlink.geometry import ElementLayout, PanelSpec
 from nearlink.mimo import condition_ratio, singular_values
 
@@ -23,38 +17,37 @@ def pair_layout(separation, z):
     return ElementLayout(pos, np.array([0, 1]), PanelSpec(1, 1, 1.0))
 
 
-def test_coeff_full_amplitude_at_one_wavelength():
-    h = channel_coeff(LAM, LAM, ChannelModel.FULL_AMPLITUDE)
-    assert abs(abs(h) - 1.0 / np.sqrt(4.0 * np.pi)) < 1e-15
-    assert abs(abs(h) - 0.28209) < 1e-5
-    # phase is a whole turn
-    assert abs(np.angle(h)) < 1e-12
+def point(x):
+    return ElementLayout(np.array([[x, 0.0, 0.0]]), np.array([0]), PanelSpec(1, 1, 1.0))
+
+
+def coeff(distance):
+    """The one entry of the channel between two elements ``distance`` apart."""
+    return channel_matrix(point(0.0), point(distance), LAM)[0, 0]
 
 
 def test_coeff_phase_only_half_wavelength():
-    h = channel_coeff(LAM / 2.0, LAM, ChannelModel.PHASE_ONLY)
+    h = coeff(LAM / 2.0)
     assert abs(h - (-1.0)) < 1e-12
 
 
 def test_coeff_phase_only_integer_wavelengths():
-    h = channel_coeff(10.0 * LAM, LAM, ChannelModel.PHASE_ONLY)
+    h = coeff(10.0 * LAM)
     assert abs(abs(h) - 1.0) < 1e-15
     assert abs(np.angle(h)) < 1e-9
 
 
 def test_coeff_zero_distance():
     with pytest.raises(ZeroDistance):
-        channel_coeff(0.0, LAM)
+        coeff(0.0)
 
 
 def test_matrix_single_pair_matches_coeff():
-    tx_lay = ElementLayout(np.zeros((1, 3)), np.array([0]), PanelSpec(1, 1, 1.0))
-    rx_lay = ElementLayout(
-        np.array([[LAM, 0.0, 0.0]]), np.array([0]), PanelSpec(1, 1, 1.0)
-    )
-    m = channel_matrix(tx_lay, rx_lay, LAM, ChannelModel.FULL_AMPLITUDE)
+    m = channel_matrix(point(0.0), point(0.37), LAM)
     assert m.shape == (1, 1)
-    assert m.entries[0, 0] == channel_coeff(LAM, LAM, ChannelModel.FULL_AMPLITUDE)
+    assert m.dtype == np.complex128
+    assert not m.flags.writeable
+    assert m[0, 0] == np.exp(-2j * np.pi * (0.37 / LAM))
 
 
 def test_matrix_coincident_elements_rejected():
@@ -63,12 +56,28 @@ def test_matrix_coincident_elements_rejected():
         channel_matrix(a, a, LAM)
 
 
+def test_coincident_pair_in_a_later_block_names_its_rx_index(monkeypatch):
+    # Three tx elements make a block of one rx row at a budget of 3, so rx
+    # element 4 is checked alone in the fifth block.
+    monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 3)
+    tx = ElementLayout(
+        np.array([[0.0, 0.0, 9.0], [1.0, 0.0, 9.0], [2.0, 0.0, 9.0]]),
+        np.arange(3),
+        PanelSpec(1, 1, 1.0),
+    )
+    rx_pos = np.array([[0.5 * k, 1.0, 0.0] for k in range(6)])
+    rx_pos[4] = [1.0, 0.0, 9.0]
+    rx = ElementLayout(rx_pos, np.arange(6), PanelSpec(1, 1, 1.0))
+    with pytest.raises(ZeroDistance, match=r"rx element 4 coincides with tx element 1$"):
+        channel_matrix(tx, rx, LAM)
+
+
 def test_2x2_ratio_is_one_at_the_sweet_spot():
     # d_tx = d_rx = 0.2 m at r = 2*d_tx*d_rx/lambda = 8 m puts the phase
     # spread at pi, where both singular values coincide.
     tx = pair_layout(0.2, 8.0)
     rx = pair_layout(0.2, 0.0)
-    h = channel_matrix(tx, rx, LAM, ChannelModel.PHASE_ONLY)
+    h = channel_matrix(tx, rx, LAM)
     ratio = condition_ratio(singular_values(h))
     assert abs(ratio - 1.0) <= 1e-3
 
@@ -76,7 +85,7 @@ def test_2x2_ratio_is_one_at_the_sweet_spot():
 def test_mirror_symmetry_means_symmetric_matrix():
     tx = pair_layout(0.3, 5.0)
     rx = pair_layout(0.3, 0.0)
-    h = channel_matrix(tx, rx, LAM).entries
+    h = channel_matrix(tx, rx, LAM)
     np.testing.assert_array_equal(h, h.T)
 
 
@@ -86,21 +95,9 @@ def test_reciprocity_exact():
     rx_pos = rng.uniform(-1.0, 1.0, size=(5, 3))
     tx = ElementLayout(tx_pos, np.arange(3), PanelSpec(1, 1, 1.0))
     rx = ElementLayout(rx_pos, np.arange(5), PanelSpec(1, 1, 1.0))
-    fwd = channel_matrix(tx, rx, LAM).entries
-    rev = channel_matrix(rx, tx, LAM).entries
+    fwd = channel_matrix(tx, rx, LAM)
+    rev = channel_matrix(rx, tx, LAM)
     np.testing.assert_array_equal(fwd, rev.T)
-
-
-def test_phase_only_equals_phase_of_full_amplitude():
-    rng = np.random.default_rng(10)
-    tx_pos = rng.uniform(-2.0, 2.0, size=(4, 3)) + [0.0, 0.0, 30.0]
-    rx_pos = rng.uniform(-2.0, 2.0, size=(4, 3))
-    tx = ElementLayout(tx_pos, np.arange(4), PanelSpec(1, 1, 1.0))
-    rx = ElementLayout(rx_pos, np.arange(4), PanelSpec(1, 1, 1.0))
-    full = channel_matrix(tx, rx, LAM, ChannelModel.FULL_AMPLITUDE).entries
-    phase = channel_matrix(tx, rx, LAM, ChannelModel.PHASE_ONLY).entries
-    np.testing.assert_allclose(np.angle(full / phase), 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(phase), 1.0, atol=1e-12)
 
 
 def test_phase_only_invariant_under_uniform_scaling():
@@ -108,46 +105,8 @@ def test_phase_only_invariant_under_uniform_scaling():
     # changes nothing
     tx = pair_layout(0.2, 8.0)
     rx = pair_layout(0.2, 0.0)
-    a = channel_matrix(tx, rx, LAM, ChannelModel.PHASE_ONLY).entries
+    a = channel_matrix(tx, rx, LAM)
     tx2 = pair_layout(0.4, 16.0)
     rx2 = pair_layout(0.4, 0.0)
-    b = channel_matrix(tx2, rx2, 2.0 * LAM, ChannelModel.PHASE_ONLY).entries
+    b = channel_matrix(tx2, rx2, 2.0 * LAM)
     np.testing.assert_allclose(a, b, atol=1e-9)
-
-
-def test_phase_spread_benchtop_value():
-    assert phase_spread_2x2(0.2, 0.2, LAM, 8.0) == pytest.approx(np.pi)
-
-
-def test_phase_spread_zero_tilt_reduces_to_plain_form():
-    a = phase_spread_2x2(0.2, 0.5, LAM, 20.0)
-    b = phase_spread_2x2(0.2, 0.5, LAM, 20.0, tilt_tx=0.0, tilt_rx=0.0)
-    assert a == b == pytest.approx(2.0 * np.pi * 0.1 / (LAM * 20.0))
-
-
-def test_phase_spread_satellite_scale():
-    delta = phase_spread_2x2(2000.0, 1.0, LAM, 2.0e6)
-    assert delta == pytest.approx(2.0 * np.pi * 0.1)
-    assert abs(delta - 0.6283) < 1e-3
-
-
-def test_phase_spread_tilt_projects_apertures():
-    flat = phase_spread_2x2(0.2, 0.2, LAM, 8.0)
-    tilted = phase_spread_2x2(0.2, 0.2, LAM, 8.0, tilt_tx=np.pi / 3.0)
-    assert tilted == pytest.approx(flat * 0.5)
-    with pytest.raises(ValueError):
-        phase_spread_2x2(0.2, 0.2, LAM, 8.0, tilt_tx=np.pi / 2.0)
-
-
-def test_channel_csv_format(tmp_path):
-    tx = pair_layout(0.2, 8.0)
-    rx = pair_layout(0.2, 0.0)
-    m = channel_matrix(tx, rx, LAM)
-    path = tmp_path / "h.csv"
-    write_channel_csv(m, path)
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "i,j,re,im"
-    assert len(lines) == 1 + 4
-    i, j, re, im = lines[1].split(",")
-    assert (int(i), int(j)) == (0, 0)
-    assert complex(float(re), float(im)) == m.entries[0, 0]

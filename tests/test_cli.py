@@ -458,6 +458,79 @@ def test_overflowing_panel_pitch_exits_three(tmp_path, capsys):
             assert code == 3 and where in err
 
 
+def _edited(name, *pairs):
+    text = open(scen(name)).read()
+    for old, new in pairs:
+        assert old in text, (name, old)
+        text = text.replace(old, new)
+    return text
+
+
+def test_overflowing_ranges_exit_three(tmp_path, capsys):
+    # Past the range bound a squared distance overflows. These used to pass
+    # validate, then write NaN gains (exit 0) or fail the run (exit 1).
+    one_by_one = (("rows: 32", "rows: 1"), ("cols: 32", "cols: 1"))
+    for name, pairs, where in (
+        ("beam_range_focus", [("range_stop_m: 2000.0e3", "range_stop_m: 1.0e200")], "analysis.range_stop_m"),
+        ("beam_theta_distributed", [("range_m: 500.0e3", "range_m: 1.0e200")], "satellite.range_m"),
+        ("dof_vs_range", [("range_stop_m: 3000.0e3", "range_stop_m: 1.0e200"), *one_by_one], "analysis.range_stop_m"),
+    ):
+        bad = tmp_path / "far.scenario"
+        bad.write_text(_edited(name, *pairs))
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 3 and f"'{where}' must lie in (0, 1e+100]" in err, (name, argv)
+
+
+def test_ranges_at_the_bound_run_to_finite_outputs(tmp_path, capsys):
+    # The factorized kernel cubes the nearest distance, the exact kernel
+    # squares every one, and beam analyses evaluate at twice the range.
+    far = ("range_m: ", "range_m: 1.0e100 #"), ("range_stop_m: ", "range_stop_m: 1.0e100 #")
+    few = ("n_ranges: 100", "n_ranges: 3"), ("n_ranges: 200", "n_ranges: 3")
+    for name, pairs in (
+        ("beam_range_focus", (*far, few[1])),
+        ("dof_vs_range", (*far, few[0])),
+        ("dof_vs_range", (*far, few[0], ("rows: 32", "rows: 1"), ("cols: 32", "cols: 1"))),
+    ):
+        path = tmp_path / "far.scenario"
+        path.write_text(_edited(name, *pairs))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "run", str(path), "--output-dir", str(out_dir))
+        assert code == 0 and err == "", (name, err)
+        for line in out.splitlines():
+            assert "nan" not in line and "inf" not in line, (name, line)
+        for output in os.listdir(out_dir):
+            body = (out_dir / output).read_text()
+            assert "nan" not in body and "inf" not in body, (name, output)
+
+
+def test_overflowing_closed_forms_exit_three(tmp_path, capsys):
+    # boundaries used to write Infinity into boundaries.json, and dish_gain
+    # to exit 1 on an OverflowError.
+    for name, pairs, argv, message in (
+        (
+            "boundaries_benchtop",
+            [("d_tx_m: 0.2", "d_tx_m: 1.0e200"), ("d_rx_m: 0.2", "d_rx_m: 1.0e200")],
+            ("boundaries", "--dtx", "1e200", "--drx", "1e200", "--lambda", "0.01"),
+            "boundaries gives r_min_m=inf",
+        ),
+        (
+            "dish_reference",
+            [("diameter_m: 1.47", "diameter_m: 1.0e300")],
+            ("dish-gain", "--diameter", "1e300", "--efficiency", "0.48", "--lambda", "0.01"),
+            "dish_gain overflows",
+        ),
+    ):
+        bad = tmp_path / "huge.scenario"
+        bad.write_text(_edited(name, *pairs))
+        for cmd in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, _, err = run_cli(capsys, *cmd)
+            assert code == 3 and err == f"error: 'analysis': {message}: its inputs are out of range\n"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and message in err
+    assert os.listdir(tmp_path) == ["huge.scenario"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

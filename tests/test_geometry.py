@@ -226,6 +226,22 @@ def test_load_layout_rejects_garbage(tmp_path):
         load_layout(path)
 
 
+@pytest.mark.parametrize(
+    "comment",
+    [
+        "# panel rows=1 cols=1 spacing=1.0",
+        "# panel rows=1 cols cols=1 spacing=1.0 element_gain_dbi=0.0",
+        "# panel rows=two cols=1 spacing=1.0 element_gain_dbi=0.0",
+    ],
+    ids=["missing_key", "item_without_equals", "non_integer_rows"],
+)
+def test_load_layout_rejects_a_bad_panel_comment_with_its_line(tmp_path, comment):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"# nearlink-layout v1\n{comment}\n0 0 0 0\n")
+    with pytest.raises(LayoutFormatError, match=r"^line 2: "):
+        load_layout(path)
+
+
 def test_layout_rejects_duplicate_positions():
     pos = np.zeros((2, 3))
     with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ def evaluate():
         "factorized_directions": kn._factorized_sums(dplan, WEIGHTS, UNITS, LAM),
         "exact_points": kn._point_sums(LAYOUT.positions, WEIGHTS, POINTS, LAM),
         "exact_directions": kn._direction_sums(LAYOUT.positions, WEIGHTS, UNITS, LAM),
-        "channel": channel_matrix(SATELLITE, LAYOUT, LAM).entries,
+        "channel": channel_matrix(SATELLITE, LAYOUT, LAM),
         "sidelobe_db": peak_sidelobe(CENTRES, LAM, OBJECTIVE),
         "extent": aperture_extent(LAYOUT.positions),
     }

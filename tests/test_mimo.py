@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from nearlink.channel import ChannelModel, channel_matrix
+from nearlink.channel import channel_matrix
 from nearlink.geometry import ElementLayout, PanelSpec, make_upa
 from nearlink.mimo import (
     ConvergenceFailure,
     DegenerateSpectrum,
-    MimoRegion,
     SingularSpectrum,
     condition_ratio,
     dof_count,
     exact_ratio_curve,
-    mimo_region,
     r_max,
     r_min,
     singular_values,
@@ -113,9 +111,9 @@ def test_satellite_shape_channel_vs_numpy_oracle():
     )
     sat = ElementLayout(sat_pos, np.arange(4), PanelSpec(1, 1, 1.0))
     lam = 299792458.0 / 28.0e9
-    h = channel_matrix(sat, ground, lam, ChannelModel.PHASE_ONLY)
+    h = channel_matrix(sat, ground, lam)
     got = singular_values(h).values
-    want = np.linalg.svd(h.entries, compute_uv=False)
+    want = np.linalg.svd(h, compute_uv=False)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * want[0])
     assert h.shape == (16384, 4)
 
@@ -127,8 +125,8 @@ def test_far_field_ratio_of_sixteen_element_link_matches_svd():
     # spectrum misses it (by 13 % here).
     ground = make_upa(PanelSpec(32, 32, 0.5))
     sat = make_upa(PanelSpec(4, 4, 0.1), center=(0.0, 0.0, 3.0e3))
-    h = channel_matrix(sat, ground, LAM, ChannelModel.PHASE_ONLY)
-    want = np.linalg.svd(h.entries, compute_uv=False)
+    h = channel_matrix(sat, ground, LAM)
+    want = np.linalg.svd(h, compute_uv=False)
     assert 1e-9 < want[-1] / want[0] < 1e-8
     got = singular_values(h).values
     np.testing.assert_allclose(got, want, rtol=1e-6, atol=0.0)
@@ -226,13 +224,6 @@ def test_boundaries_scale_linearly_in_aperture_product():
             scale * r_max(0.2, 0.2, LAM, tau), rel=1e-12
         )
         assert r_min(0.2, 0.2, LAM, tau) < r_max(0.2, 0.2, LAM, tau)
-
-
-def test_mimo_region_boundaries():
-    knee = 0.04 / LAM  # 4 m
-    assert mimo_region(0.5 * knee, 0.2, 0.2, LAM) is MimoRegion.OSCILLATORY
-    assert mimo_region(1.5 * knee, 0.2, 0.2, LAM) is MimoRegion.RISING
-    assert mimo_region(3.0 * knee, 0.2, 0.2, LAM) is MimoRegion.FALLING
 
 
 def test_theory_curve_trivials():

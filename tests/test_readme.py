@@ -1,4 +1,5 @@
-"""README examples stay runnable: its scenario blocks parse, its commands parse."""
+"""README examples stay runnable: its scenario blocks parse, its python blocks
+run, its commands parse."""
 
 import os
 import re
@@ -17,6 +18,10 @@ def test_readme_scenarios_and_commands_parse():
     assert yaml_blocks
     for body in yaml_blocks:
         parse_scenario(body)
+    python_blocks = [body for lang, body in blocks if lang == "python"]
+    assert python_blocks
+    for body in python_blocks:
+        exec(compile(body, README, "exec"), {})
     section = text.split("## Command line", 1)[1]
     commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1).replace("\\\n", " ")
     lines = [line for line in commands.splitlines() if line.startswith("nearlink ")]
