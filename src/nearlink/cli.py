@@ -62,6 +62,7 @@ def _print_report(report) -> None:
     if report.placement_scored is not None:
         print(f"placement_scored={report.placement_scored}")
         print(f"placement_prune_margin={fmt(report.placement_prune_margin)}")
+        print(f"placement_screen_exps={report.placement_screen_exps}")
 
 
 # ----- subcommand handlers -----

@@ -7,14 +7,19 @@ optimizer here is a seeded best-of-N search over random placements scored by
 their worst sidelobe along a scan cut.
 
 The search is exact but best-first (branch and bound; Land & Doig,
-Econometrica 1960). A cheap screen over every 16th scan direction gives each
-candidate a lower bound on its worst sidelobe; candidates are scored in full
-in order of that bound, and the search stops once the next bound exceeds the
-best score so far by a margin delta. Delta bounds the rounding gap between
-the screen and the full score (about 2e-12 of the main lobe at the shipped
-sizes), so a pruned candidate provably scores worse: the winner and its score
-are those of scoring every candidate, bit for bit. Scan directions, shared by
-screen and score, are built in one place (``_scan_offsets``).
+Econometrica 1960), with a screen on two levels. A coarse screen over every
+64th kept scan direction gives each candidate a lower bound on its worst
+sidelobe, and candidates are walked in order of that bound. Each one the walk
+reaches is screened again over every 16th direction, a tighter lower bound,
+and scored in full only if that bound too is within a margin delta of the
+best score so far; the walk stops at the first coarse bound past it. Both
+screens take a maximum over a subset of the directions the score scans, with
+the same expression, and delta bounds the rounding gap between either screen
+and the full score (about 2e-12 of the main lobe at the shipped sizes). The
+best score only falls, so a candidate pruned at either level provably scores
+worse: the winner and its score are those of scoring every candidate, bit for
+bit. Scan directions, shared by screens and score, are built in one place
+(``_scan_offsets``).
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
 from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, wavenumber
 
-# The search's screen scans every _SCREEN_STRIDE-th kept direction, in blocks
-# of candidates whose temporaries (about _SCREEN_BYTES_PER_TERM bytes per
-# panel and direction: phases, complex phasors, their exponentials) stay
-# near _SCREEN_BLOCK_BYTES.
+# The search's fine screen scans every _SCREEN_STRIDE-th kept direction and
+# its coarse screen every fourth of those, in blocks of candidates whose
+# temporaries (about _SCREEN_BYTES_PER_TERM bytes per panel and direction:
+# phases, complex phasors, their exponentials) stay near _SCREEN_BLOCK_BYTES.
 _SCREEN_STRIDE = 16
 _SCREEN_BLOCK_BYTES = 1 << 20
 _SCREEN_BYTES_PER_TERM = 40
@@ -78,9 +83,10 @@ class PlacementObjective:
 @dataclass(frozen=True, eq=False)
 class PlacementResult:
     """A search's winner. ``candidates_scored`` is how many candidates the
-    search scored in full and ``prune_margin`` the margin delta it pruned
-    with (see :func:`optimize_placement`); both are None for a result built
-    by hand."""
+    search scored in full, ``prune_margin`` the margin delta it pruned with
+    and ``screen_exps`` how many phasors its screens formed, candidates x
+    panels x directions over both levels (see :func:`optimize_placement`);
+    all three are None for a result built by hand."""
 
     positions: np.ndarray
     peak_sidelobe_db: float
@@ -88,6 +94,7 @@ class PlacementResult:
     candidates_evaluated: int
     candidates_scored: Optional[int] = None
     prune_margin: Optional[float] = None
+    screen_exps: Optional[int] = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -177,7 +184,7 @@ def _prune_margin(rel: np.ndarray, candidates: np.ndarray, k: float) -> float:
     than ``delta * n_panels`` scores strictly worse in dB under
     :func:`peak_sidelobe`. The three terms bound, per unit of main lobe:
 
-    - the gap between the screen's phases and the scorer's: each side forms
+    - the gap between a screen's phases and the scorer's: each side forms
       k * (rel . p) with a 3-term dot product and one product, so each is
       within gamma_4 * k * sum_c |rel_c p_c| of the exact phase (Higham,
       *Accuracy and Stability of Numerical Algorithms*, 3.1);
@@ -217,16 +224,20 @@ def optimize_placement(
     alone; if any seed fails, the search raises the
     :class:`~nearlink.geometry.PlacementInfeasible` of the first one.
 
-    The search scores only the candidates that can win. A screen computes,
-    for every candidate, its peak placement-factor amplitude over every
-    ``_SCREEN_STRIDE``-th kept scan direction: a lower bound on the peak
-    over all of them. Candidates are then scored in full in order of
-    (bound, index), and the search stops at the first one whose bound exceeds
-    the best amplitude so far by more than ``delta * n_panels``, delta being
-    :func:`_prune_margin`, a bound on the rounding gap between screen and
-    score. Every candidate left has a bound at least as high, so it scores
-    strictly worse than the best: the winner and its score are the ones the
-    full search over all N gives.
+    The search scores only the candidates that can win. A coarse screen
+    computes, for every candidate, its peak placement-factor amplitude over
+    every ``4 * _SCREEN_STRIDE``-th kept scan direction: a lower bound on the
+    peak over all of them. Candidates are walked in order of (coarse bound,
+    index), and the walk stops at the first one whose bound exceeds the best
+    amplitude so far by more than ``delta * n_panels``, delta being
+    :func:`_prune_margin`, a bound on the rounding gap between a screen and
+    the score. Each candidate the walk reaches is screened again over every
+    ``_SCREEN_STRIDE``-th direction and skipped if that bound exceeds the
+    same cutoff; otherwise it is scored in full. Both bounds are maxima over
+    subsets of the scored directions, so a skipped candidate, and every one
+    after the stop, scores strictly worse than the best: the winner and its
+    score are the ones the full search over all N gives. ``screen_exps``
+    counts the phasors both screens formed.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
@@ -238,14 +249,21 @@ def optimize_placement(
     )
     k = wavenumber(wavelength)
     rel = _scan_offsets(objective)
-    bounds = _screen_bounds(candidates, rel[::_SCREEN_STRIDE], k)
+    fine = rel[::_SCREEN_STRIDE]
+    coarse = rel[:: 4 * _SCREEN_STRIDE]
+    bounds = _screen_bounds(candidates, coarse, k)
     margin = _prune_margin(rel, candidates, k)
+    screen_exps = n_candidates * n_panels * len(coarse)
 
     best, best_db, best_amp = -1, np.inf, np.inf
     scored = 0
     for i in np.argsort(bounds, kind="stable"):
-        if bounds[i] > best_amp + margin * n_panels:
+        cutoff = best_amp + margin * n_panels
+        if bounds[i] > cutoff:
             break
+        screen_exps += n_panels * len(fine)
+        if _screen_bounds(candidates[i : i + 1], fine, k)[0] > cutoff:
+            continue
         score = peak_sidelobe(candidates[i], wavelength, objective)
         scored += 1
         if score < best_db or (score == best_db and i < best):
@@ -258,6 +276,7 @@ def optimize_placement(
         candidates_evaluated=n_candidates,
         candidates_scored=scored,
         prune_margin=margin,
+        screen_exps=screen_exps,
     )
 
 

@@ -91,7 +91,6 @@ class Bound(NamedTuple):
 
 
 _POSITIVE = Bound(0.0, closed="(]", text="must be positive")
-_NON_NEGATIVE = Bound(0.0, text="must be non-negative")
 _SEED = Bound(0, text="must be a non-negative integer")
 _TAU = Bound(0.0, 1.0, "()")
 _HALFWIDTH_DEG = Bound(0.0, 90.0, "(]")
@@ -99,8 +98,11 @@ _HALFWIDTH_DEG = Bound(0.0, 90.0, "(]")
 # gain), and the factorized kernel's error bound cubes them. At 1e100 m that
 # cube, 8e300, stays below the float64 maximum of 1.8e308 with room for
 # element offsets of the same size; past it a square or cube overflows, and
-# the run writes NaN gains or fails.
-_RANGE = Bound(0.0, 1.0e100, "(]")
+# the run writes NaN gains or fails. Apertures, spacings and every coordinate
+# of a position list share the bound, so no distance can outgrow it.
+_LENGTH = Bound(0.0, 1.0e100, "(]")
+_SPACING = Bound(0.0, 1.0e100, text="must be non-negative and at most 1e+100")
+_COORDINATE = Bound(-1.0e100, 1.0e100)
 _VERSION = Bound(
     SCENARIO_VERSION,
     SCENARIO_VERSION,
@@ -250,10 +252,10 @@ class PanelConfig:
 
 @dataclass(frozen=True)
 class RandomPlacementConfig:
-    aperture_x_m: float = _f(float, _POSITIVE)
-    aperture_y_m: float = _f(float, _POSITIVE)
+    aperture_x_m: float = _f(float, _LENGTH)
+    aperture_y_m: float = _f(float, _LENGTH)
     n_panels: int = _f(int, _at_least(1))
-    min_spacing_m: float = _f(float, _NON_NEGATIVE)
+    min_spacing_m: float = _f(float, _SPACING)
     seed: int = _f(int, _SEED)
     _checks = (_placement_fits,)
 
@@ -269,7 +271,7 @@ class GroundConfig:
 
 @dataclass(frozen=True)
 class SatelliteConfig:
-    range_m: float = _f(float, _RANGE)
+    range_m: float = _f(float, _LENGTH)
     off_nadir_deg: float = _f(float, Bound(0.0, 90.0, "[)"), 0.0)
     element_gain_dbi: float = _f(float, default=0.0, not_with="panel")
     panel: Optional[PanelConfig] = _f(PanelConfig, default=None)
@@ -288,8 +290,8 @@ class BoundariesAnalysis:
 class _RangeSpan:
     """The range span that sweeps and range cuts share; they add the rest."""
 
-    range_start_m: float = _f(float, _RANGE)
-    range_stop_m: float = _f(float, _RANGE)
+    range_start_m: float = _f(float, _LENGTH)
+    range_stop_m: float = _f(float, _LENGTH)
     _checks = (_range_order,)
 
 
@@ -329,10 +331,10 @@ class BeamMapAnalysis(_RangeSpan):
 
 @dataclass(frozen=True)
 class OptimizePlacementAnalysis:
-    aperture_x_m: float = _f(float, _POSITIVE)
-    aperture_y_m: float = _f(float, _POSITIVE)
+    aperture_x_m: float = _f(float, _LENGTH)
+    aperture_y_m: float = _f(float, _LENGTH)
     n_panels: int = _f(int, _at_least(2))
-    min_spacing_m: float = _f(float, _NON_NEGATIVE)
+    min_spacing_m: float = _f(float, _SPACING)
     n_candidates: int = _f(int, _at_least(1))
     seed: int = _f(int, _SEED)
     scan_halfwidth_rad: float = _f(float, _POSITIVE)
@@ -399,8 +401,9 @@ class RunReport:
     svd or dof sweep: ``exact`` if any range needed the exact kernel, with
     the worst bound over the ranges; None for other kinds.
     ``placement_scored`` is how many candidates a placement search scored in
-    full and ``placement_prune_margin`` the margin it pruned the rest with,
-    per unit of main lobe; None for other kinds."""
+    full, ``placement_prune_margin`` the margin it pruned the rest with, per
+    unit of main lobe, and ``placement_screen_exps`` how many phasors its
+    screens formed; None for other kinds."""
 
     scenario_hash: str
     wall_time_s: float
@@ -410,6 +413,7 @@ class RunReport:
     channel_kernel: Optional[beamforming.BeamKernel] = None
     placement_scored: Optional[int] = None
     placement_prune_margin: Optional[float] = None
+    placement_screen_exps: Optional[int] = None
 
 
 # ----- parsing -----
@@ -489,6 +493,10 @@ def _as_positions(value, path):
         if not isinstance(item, list) or len(item) not in (2, 3):
             raise ValidationError(f"'{path}[{idx}]' must be [x, y] or [x, y, z]")
         coords = [_as_float(v, f"{path}[{idx}]") for v in item]
+        if not all(_COORDINATE.holds(c) for c in coords):
+            raise ValidationError(
+                f"'{path}[{idx}]' coordinates {_COORDINATE.describe()}, got {coords}"
+            )
         if len(coords) == 2:
             coords.append(0.0)
         rows.append(tuple(coords))
@@ -819,6 +827,7 @@ def _run_placement(s, outdir, tag):
         "key_scalars": {"peak_sidelobe_db": result.peak_sidelobe_db},
         "placement_scored": result.candidates_scored,
         "placement_prune_margin": result.prune_margin,
+        "placement_screen_exps": result.screen_exps,
     }
 
 

@@ -297,12 +297,16 @@ def test_placement_search_lines_follow_the_report(tmp_path, capsys):
     )
     assert code == 0
     lines = out.splitlines()
-    assert lines[-3].startswith("peak_sidelobe_db=")
-    key, _, scored = lines[-2].partition("=")
+    assert lines[-4].startswith("peak_sidelobe_db=")
+    key, _, scored = lines[-3].partition("=")
     assert key == "placement_scored" and 1 <= int(scored) < 500
-    key, _, margin = lines[-1].partition("=")
+    key, _, margin = lines[-2].partition("=")
     assert key == "placement_prune_margin" and 0.0 < float(margin) < 1e-10
+    key, _, exps = lines[-1].partition("=")
+    # 500 candidates of 16 panels, each screened over at least one direction.
+    assert key == "placement_screen_exps" and int(exps) >= 500 * 16
     assert "placement_scored" not in (tmp_path / "placement.json").read_text()
+    assert "placement_screen_exps" not in (tmp_path / "placement.json").read_text()
 
     code, out, _ = run_cli(
         capsys, "run", scen("boundaries_benchtop"), "--output-dir", str(tmp_path)
@@ -482,15 +486,37 @@ def test_overflowing_ranges_exit_three(tmp_path, capsys):
             assert code == 3 and f"'{where}' must lie in (0, 1e+100]" in err, (name, argv)
 
 
+SATELLITE_MOUNT = "positions_m: [[-0.707, -0.5], [0.707, -0.5], [-0.707, 0.5], [0.707, 0.5]]"
+
+
+def test_overflowing_positions_and_apertures_exit_three(tmp_path, capsys):
+    # Coordinates at 1e200 m used to pass validate, then run to a spectrum
+    # built from inf paths (exit 0, with numpy overflow warnings).
+    for name, pairs, where in (
+        ("dof_vs_range", [(SATELLITE_MOUNT, "positions_m: [[-1.0e200, 0.0], [1.0e200, 0.0]]")], "satellite.positions_m[0]"),
+        ("ratio_vs_range_benchtop", [("- [-0.1, 0.0]", "- [-0.1, 1.0e200]")], "ground.positions_m[0]"),
+        ("placement_search", [("aperture_x_m: 1414.0", "aperture_x_m: 1.0e200")], "analysis.aperture_x_m"),
+        ("beam_range_focus", [("min_spacing_m: 50.0", "min_spacing_m: 1.0e200")], "ground.random.min_spacing_m"),
+    ):
+        bad = tmp_path / "huge.scenario"
+        bad.write_text(_edited(name, *pairs))
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and f"'{where}'" in err and "1e+100" in err, (name, argv)
+    assert os.listdir(tmp_path) == ["huge.scenario"]
+
+
 def test_ranges_at_the_bound_run_to_finite_outputs(tmp_path, capsys):
     # The factorized kernel cubes the nearest distance, the exact kernel
     # squares every one, and beam analyses evaluate at twice the range.
     far = ("range_m: ", "range_m: 1.0e100 #"), ("range_stop_m: ", "range_stop_m: 1.0e100 #")
     few = ("n_ranges: 100", "n_ranges: 3"), ("n_ranges: 200", "n_ranges: 3")
+    wide = (SATELLITE_MOUNT, "positions_m: [[-1.0e100, 0.0], [1.0e100, 0.0]]")
     for name, pairs in (
         ("beam_range_focus", (*far, few[1])),
         ("dof_vs_range", (*far, few[0])),
         ("dof_vs_range", (*far, few[0], ("rows: 32", "rows: 1"), ("cols: 32", "cols: 1"))),
+        ("dof_vs_range", (*far, few[0], wide)),
     ):
         path = tmp_path / "far.scenario"
         path.write_text(_edited(name, *pairs))

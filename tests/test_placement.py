@@ -318,16 +318,38 @@ def field_objective(n_scan=801):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 11, 123])
-def test_search_winner_is_the_first_argmin_of_all_candidates(seed):
-    obj = field_objective()
-    res = optimize_placement(1414.0, 1000.0, 16, 50.0, LAM, obj, 80, seed)
-    pos, score = brute_force(1414.0, 1000.0, 16, 50.0, obj, 80, seed)
+# At 100 and 101 scan samples the fine screen keeps 6 directions and the
+# coarse one 2. Two panels are two fixed aperture corners, so every candidate
+# ties and none can be pruned.
+SEARCH_CASES = [pytest.param(seed, 801, 16, id=str(seed)) for seed in (0, 1, 2, 11, 123)] + [
+    pytest.param(seed, n_scan, n_panels, id=f"{seed}-scan{n_scan}-panels{n_panels}")
+    for n_scan in (100, 101)
+    for n_panels in (2, 5, 16)
+    for seed in (0, 11)
+]
+
+
+@pytest.mark.parametrize("seed, n_scan, n_panels", SEARCH_CASES)
+def test_search_winner_is_the_first_argmin_of_all_candidates(seed, n_scan, n_panels):
+    obj = field_objective(n_scan)
+    res = optimize_placement(1414.0, 1000.0, n_panels, 50.0, LAM, obj, 80, seed)
+    pos, score = brute_force(1414.0, 1000.0, n_panels, 50.0, obj, 80, seed)
     np.testing.assert_array_equal(res.positions, pos)
     assert res.peak_sidelobe_db == score
     assert res.candidates_evaluated == 80
-    assert 1 <= res.candidates_scored < 80
+    assert 1 <= res.candidates_scored <= 80
+    if n_panels > 4:
+        assert res.candidates_scored < 80
     assert 0.0 < res.prune_margin < 1e-10
+    # Every candidate is screened coarsely, and every scored one (at most
+    # all of them) finely as well.
+    rel = placement._scan_offsets(obj)
+    n_coarse = len(rel[:: 4 * placement._SCREEN_STRIDE])
+    n_fine = len(rel[:: placement._SCREEN_STRIDE])
+    assert n_coarse < n_fine
+    coarse_exps = 80 * n_panels * n_coarse
+    assert coarse_exps + res.candidates_scored * n_panels * n_fine <= res.screen_exps
+    assert res.screen_exps <= coarse_exps + 80 * n_panels * n_fine
 
 
 def test_all_tied_candidates_are_scored_and_the_first_wins():
@@ -356,13 +378,15 @@ def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
         placement, "random_panel_positions", lambda *args: np.stack([worse, -base, base])
     )
     if lower_later_bound:
-        # A looser (still valid) bound on the last candidate makes the search
-        # score it before its tied twin at index 1.
+        # A looser (still valid) bound on the last candidate, at both screen
+        # levels, makes the search score it before its tied twin at index 1.
+        # The fine level screens one candidate at a time, so the candidate is
+        # found by its positions, not by its place in the batch.
         screen = placement._screen_bounds
 
-        def looser(*args):
-            bounds = screen(*args)
-            bounds[2] -= 1.0
+        def looser(candidates, rel, k):
+            bounds = screen(candidates, rel, k)
+            bounds[(candidates == base).all(axis=(1, 2))] -= 1.0
             return bounds
 
         monkeypatch.setattr(placement, "_screen_bounds", looser)
@@ -386,8 +410,10 @@ def test_screen_bound_is_within_the_margin_of_the_score():
     margin = placement._prune_margin(rel, cands, k)
     amps = np.array([16 * 10.0 ** (peak_sidelobe(c, LAM, obj) / 20.0) for c in cands])
     assert np.abs(bounds - amps).max() <= margin * 16
-    strided = placement._screen_bounds(cands, rel[:: placement._SCREEN_STRIDE], k)
-    assert (strided <= amps + margin * 16).all()
+    # Both levels of the search's screen are lower bounds within the margin.
+    for stride in (placement._SCREEN_STRIDE, 4 * placement._SCREEN_STRIDE):
+        strided = placement._screen_bounds(cands, rel[::stride], k)
+        assert (strided <= amps + margin * 16).all()
 
 
 def test_shipped_placement_outputs_are_unchanged(tmp_path):
