@@ -323,22 +323,6 @@ def dish_gain(dish: DishSpec, wavelength: float) -> float:
     )
 
 
-def offnadir_effective_gain(gain_dbi: float, theta_off: float) -> float:
-    """Projected-aperture gain reduction ``gain + 10 log10(cos theta_off)``.
-
-    Valid for ``theta_off`` in [0, pi/2]; the reduction term is clamped at
-    the -200 dB floor as the projection collapses.
-    """
-    if not 0.0 <= theta_off <= np.pi / 2:
-        raise ValueError("off-nadir angle must lie in [0, pi/2]")
-    projected = max(float(np.cos(theta_off)), 0.0)
-    if projected == 0.0:
-        term = GAIN_FLOOR_DB
-    else:
-        term = max(10.0 * np.log10(projected), GAIN_FLOOR_DB)
-    return gain_dbi + term
-
-
 # ===== export =====
 
 

@@ -21,7 +21,8 @@ import sys
 
 from . import __version__
 from .fileio import fmt
-from .scenario import (
+# The parser only, so that ``validate`` loads no numerics; runs import scenario.
+from .schema import (
     ANALYSIS_KINDS,
     Scenario,
     ScenarioError,
@@ -31,7 +32,6 @@ from .scenario import (
     closed_form,
     load_scenario,
     parse_scenario,
-    run_scenario,
     scenario_hash,
     serialize_scenario,
     wavelength_of,
@@ -69,6 +69,7 @@ def _print_report(report) -> None:
 
 
 def _cmd_run(args) -> int:
+    from .scenario import run_scenario
     s = load_scenario(args.scenario)
     _print_report(run_scenario(s, output_dir=args.output_dir))
     return 0
@@ -99,6 +100,7 @@ def _cmd_analysis(args) -> int:
     The scenario's own analysis is the base when its kind fits; otherwise the
     flags must give every field without a default. Flags override the fields
     they are named after."""
+    from .scenario import run_scenario
     s = load_scenario(args.scenario)
     mode, own = getattr(args, "mode", None), analysis_kind(s.analysis)
     kind = own if mode is None and own in args.kinds.values() else args.kinds.get(mode)

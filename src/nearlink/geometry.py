@@ -19,6 +19,8 @@ import numpy as np
 
 from .fileio import atomic_write_text, fmt
 from .kernel import _UNIT_ROUNDOFF, blocks, squared_distances, wavenumber
+from .panels import OverlappingPanels, PanelSpec, PlacementInfeasible, check_packing  # noqa: F401
+from .panels import aperture_corners, check_corner_spacing, check_panel_overlap
 
 # Per-point rejection budget for random placement; exceeding it means the
 # requested density is not achievable and the caller gets a clear error
@@ -36,14 +38,6 @@ _MASK_ELEMENTS = 1 << 15
 LAYOUT_HEADER = "# nearlink-layout v1"
 
 
-class OverlappingPanels(ValueError):
-    """Two panel footprints would physically intersect."""
-
-
-class PlacementInfeasible(RuntimeError):
-    """Random placement could not satisfy the minimum spacing constraint."""
-
-
 class LayoutFormatError(ValueError):
     """A layout file does not follow the nearlink-layout text format."""
 
@@ -54,47 +48,6 @@ class FieldRegion(Enum):
     REACTIVE_NEAR = "reactive_near"
     RADIATIVE_NEAR = "radiative_near"
     FAR = "far"
-
-
-@dataclass(frozen=True)
-class PanelSpec:
-    """Shape of one rectangular panel.
-
-    Parameters
-    ----------
-    rows, cols : int
-        Element grid dimensions, both at least 1.
-    spacing : float
-        Element pitch in meters, strictly positive. The same pitch applies to
-        rows and columns.
-    element_gain_dbi : float
-        Gain of a single element, added on top of the array factor when
-        patterns are evaluated. Elements are otherwise isotropic.
-    """
-
-    rows: int
-    cols: int
-    spacing: float
-    element_gain_dbi: float = 0.0
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("panel needs at least a 1x1 element grid")
-        if not np.isfinite(self.spacing) or self.spacing <= 0.0:
-            raise ValueError("element spacing must be a positive finite number")
-        if not np.isfinite(self.element_gain_dbi):
-            raise ValueError("element gain must be finite")
-
-    @property
-    def n_elements(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def extent(self) -> float:
-        """Diagonal of the panel footprint in meters."""
-        return float(
-            np.hypot((self.rows - 1) * self.spacing, (self.cols - 1) * self.spacing)
-        )
 
 
 class _PanelGrid(NamedTuple):
@@ -262,61 +215,6 @@ def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
     return ElementLayout(positions, ids, spec)
 
 
-def check_panel_overlap(spec: PanelSpec, panel_centers) -> None:
-    """Raise :class:`OverlappingPanels` if two centers are no farther apart
-    than the panel extent."""
-    centers = np.asarray(panel_centers, dtype=np.float64)
-    limit = spec.extent
-    for i in range(len(centers)):
-        d = np.linalg.norm(centers[i + 1 :] - centers[i], axis=1)
-        if len(d) and d.min() <= limit:
-            j = i + 1 + int(np.argmin(d))
-            raise OverlappingPanels(
-                f"panels {i} and {j} are {d.min():.6g} m apart; "
-                f"panel extent is {limit:.6g} m"
-            )
-
-
-def _aperture_corners(aperture_x: float, aperture_y: float) -> np.ndarray:
-    hx, hy = aperture_x / 2.0, aperture_y / 2.0
-    return np.array([[-hx, -hy, 0.0], [hx, -hy, 0.0], [-hx, hy, 0.0], [hx, hy, 0.0]])
-
-
-def check_corner_spacing(
-    aperture_x: float, aperture_y: float, n_panels: int, min_spacing: float
-) -> None:
-    """Raise :class:`PlacementInfeasible` if the aperture corners that
-    :func:`random_panel_positions` places first sit closer than ``min_spacing``."""
-    taken = _aperture_corners(aperture_x, aperture_y)[: min(n_panels, 4)]
-    for i in range(len(taken)):
-        d = np.linalg.norm(taken[i + 1 :] - taken[i], axis=1)
-        if len(d) and d.min() < min_spacing:
-            raise PlacementInfeasible(
-                f"aperture corners are only {d.min():.6g} m apart, below the "
-                f"requested min spacing {min_spacing:.6g} m"
-            )
-
-
-def check_packing(
-    aperture_x: float, aperture_y: float, n_panels: int, min_spacing: float
-) -> None:
-    """Raise :class:`PlacementInfeasible` if ``n_panels`` centres at least
-    ``min_spacing`` apart cannot fit in the aperture at all.
-
-    Disks of radius ``min_spacing / 2`` around such centres do not overlap,
-    and they lie inside the aperture grown by that radius on every side, so
-    their total area cannot exceed that box's.
-    """
-    disks = n_panels * np.pi * (min_spacing / 2.0) ** 2
-    box = (aperture_x + min_spacing) * (aperture_y + min_spacing)
-    if disks > box:
-        raise PlacementInfeasible(
-            f"{n_panels} panels at least {min_spacing:.6g} m apart need {disks:.6g} m^2 "
-            f"of disks that wide, more than the {box:.6g} m^2 of the aperture grown "
-            f"by {min_spacing / 2.0:.6g} m on every side"
-        )
-
-
 def _clear_mask(points, draws, min_spacing: float) -> np.ndarray:
     """(R, B) mask: draw b of row r lies at least ``min_spacing`` from every
     point of ``points[r]``.
@@ -400,7 +298,7 @@ def random_panel_positions(
     batch = np.ndim(seed) == 1
     check_corner_spacing(aperture_x, aperture_y, n_panels, min_spacing)
     seeds = [int(s) for s in seed] if batch else [seed]
-    taken = _aperture_corners(aperture_x, aperture_y)[: min(n_panels, 4)]
+    taken = np.array(aperture_corners(aperture_x, aperture_y))[: min(n_panels, 4)]
     out = np.zeros((len(seeds), n_panels, 3))
     out[:, : len(taken)] = taken
     if n_panels > 4:

@@ -16,7 +16,6 @@ from nearlink.beamforming import (
     dish_gain,
     evaluate_gain,
     gain_pattern_sweep,
-    offnadir_effective_gain,
     point_at,
     response_sum,
     write_gain_csv,
@@ -244,16 +243,6 @@ def test_dish_gain_reference_points():
         DishSpec(1.0, 0.0)
     with pytest.raises(ValueError):
         DishSpec(-1.0, 0.5)
-
-
-def test_offnadir_effective_gain():
-    assert offnadir_effective_gain(40.0, 0.0) == 40.0
-    assert offnadir_effective_gain(40.0, np.pi / 3.0) == pytest.approx(
-        40.0 - 3.0103, abs=1e-3
-    )
-    assert offnadir_effective_gain(40.0, np.pi / 2.0) <= -100.0
-    with pytest.raises(ValueError):
-        offnadir_effective_gain(40.0, -0.1)
 
 
 def test_gain_csv_format(tmp_path):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, printed output, flag overrides."""
 
+import math
 import os
 import subprocess
 import sys
@@ -506,6 +507,64 @@ def test_overflowing_positions_and_apertures_exit_three(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["huge.scenario"]
 
 
+# Ground panels of two columns at x = +-1e6 m, where float64 values lie
+# 2**-33 m apart, so a pitch must exceed 2**-32 m; a 2x2 satellite panel.
+PITCH_BOUND = 2.0 * math.ulp(1.0e6)
+BEAM = "{kind: beam_theta, halfwidth_deg: 1.0, n_theta: 3}"
+
+
+def _far_panels(pitch=0.005, range_m="500.0e+3", off_nadir=0.0, analysis=BEAM):
+    return f"""version: 1
+frequency_hz: 28.0e+9
+ground:
+  kind: distributed
+  panel: {{rows: 1, cols: 2, spacing_m: {pitch!r}}}
+  positions_m: [[-1.0e+6, 0.0], [1.0e+6, 0.0]]
+satellite:
+  range_m: {range_m}
+  off_nadir_deg: {off_nadir}
+  panel: {{rows: 2, cols: 2, spacing_wavelengths: 0.5}}
+analysis: {analysis}
+"""
+
+
+def test_pitch_that_vanishes_against_its_centre_exits_three(tmp_path, capsys):
+    # Elements one pitch apart round to one position once added to a centre
+    # where float64 values lie half a pitch apart or more. These used to pass
+    # validate, then exit 1 with "two elements share an identical position".
+    sweep = "{kind: svd_sweep, range_start_m: 1.0e+3, range_stop_m: 1.0e+20, n_ranges: 3}"
+    huge_field = (
+        ("aperture_x_m: 1414.0", "aperture_x_m: 1.0e20"),
+        ("aperture_y_m: 1000.0", "aperture_y_m: 1.0e20"),
+    )
+    for text, where in (
+        (_far_panels(pitch=PITCH_BOUND), "'ground.positions_m': the element pitch"),
+        (_far_panels(range_m="1.0e+20", off_nadir=30.0), "'satellite.range_m'"),
+        (_far_panels(range_m="1.0e+3", off_nadir=30.0, analysis=sweep), "'analysis.range_stop_m'"),
+        (_edited("beam_range_focus", *huge_field), "'ground.random'"),
+    ):
+        bad = tmp_path / "collapse.scenario"
+        bad.write_text(text)
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and where in err, (where, argv, err)
+            assert "so elements would coincide" in err
+    assert os.listdir(tmp_path) == ["collapse.scenario"]
+
+
+def test_pitch_just_above_its_bound_runs(tmp_path, capsys):
+    # The satellite's z is left out of the rule: its elements share it.
+    for text in (
+        _far_panels(pitch=math.nextafter(PITCH_BOUND, math.inf)),
+        _far_panels(range_m="1.0e+20", off_nadir=0.0),
+    ):
+        path = tmp_path / "near.scenario"
+        path.write_text(text)
+        assert run_cli(capsys, "validate", str(path))[0] == 0
+        code, _, err = run_cli(capsys, "run", str(path), "--output-dir", str(tmp_path / "out"))
+        assert code == 0 and err == ""
+
+
 def test_ranges_at_the_bound_run_to_finite_outputs(tmp_path, capsys):
     # The factorized kernel cubes the nearest distance, the exact kernel
     # squares every one, and beam analyses evaluate at twice the range.
@@ -564,15 +623,68 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out == f"nearlink {nearlink.__version__}\n"
 
 
-def test_cli_import_leaves_out_package_metadata():
-    # importlib.metadata costs tens of ms in every CLI child; the version
-    # comes from the package instead.
+def _fresh(probe):
+    """What ``probe`` prints in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nearlink.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    probe = "import nearlink.cli, sys; print('importlib.metadata' in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_cli_import_leaves_out_package_metadata():
+    # importlib.metadata costs tens of ms in every CLI child; the version
+    # comes from the package instead.
+    probe = "import nearlink.cli, sys; print('importlib.metadata' in sys.modules)"
+    assert _fresh(probe) == "False\n"
+
+
+NUMERICS = (
+    "numpy",
+    "nearlink.beamforming",
+    "nearlink.channel",
+    "nearlink.geometry",
+    "nearlink.kernel",
+    "nearlink.mimo",
+    "nearlink.placement",
+    "nearlink.scenario",
+)
+
+
+def test_validate_and_package_import_load_no_numerics():
+    # numpy alone is about half of a validate child's start-up.
+    loaded = f"print(sorted(m for m in {NUMERICS!r} if m in sys.modules))"
+    assert _fresh(f"import sys, nearlink; {loaded}") == "[]\n"
+    paths = [scen("dof_vs_range"), scen("beam_map_distributed")]
+    validate = f"from nearlink.cli import main; codes = [main(['validate', p]) for p in {paths!r}]"
+    out = _fresh(f"import sys; {validate}; print(codes); {loaded}").splitlines()
+    assert out[-2:] == ["[0, 0]", "[]"]
+
+
+# Every name the package exported when it imported its modules eagerly.
+EXPORTED = """
+GAIN_FLOOR_DB REFERENCE_DISH_LARGE REFERENCE_DISH_SMALL BeamKernel DishSpec Direction GainGrid
+Point WeightVector aggregate_gain_estimate delay_and_sum_weights dish_gain evaluate_gain
+gain_pattern_sweep point_at response_sum write_gain_csv ZeroDistance channel_matrix
+ElementLayout FieldRegion LayoutFormatError OverlappingPanels PanelSpec PlacementInfeasible
+aperture_extent field_region fraunhofer_distance fresnel_distance load_layout
+make_distributed_panels make_upa random_panel_positions save_layout ConvergenceFailure
+DegenerateSpectrum SingularSpectrum condition_ratio dof_count exact_ratio_curve link_spectra
+link_spectrum r_max r_min singular_values svd_closed_form_2x2 theory_ratio_curve
+write_spectrum_csv PlacementObjective PlacementResult default_exclusion_halfwidth
+optimize_placement peak_sidelobe uniform_sparse_positions write_placement_json SPEED_OF_LIGHT
+ParseError RunReport Scenario ScenarioError ValidationError build_ground_layout
+build_satellite_layout load_scenario parse_scenario run_scenario scenario_hash
+serialize_scenario
+""".split()
+
+
+def test_every_exported_name_still_imports():
+    assert sorted(EXPORTED) == nearlink.__all__
+    probe = f"from nearlink import {', '.join(EXPORTED)}; import nearlink; print(nearlink.Point)"
+    assert _fresh(probe) == "<class 'nearlink.beamforming.Point'>\n"
+    with pytest.raises(AttributeError, match="no attribute 'offnadir_effective_gain'"):
+        nearlink.offnadir_effective_gain

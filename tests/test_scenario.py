@@ -31,7 +31,6 @@ from nearlink.scenario import (
     Scenario,
     SvdSweepAnalysis,
     ValidationError,
-    _to_dict,
     build_ground_layout,
     build_satellite_layout,
     load_scenario,
@@ -40,6 +39,7 @@ from nearlink.scenario import (
     scenario_hash,
     serialize_scenario,
 )
+from nearlink.schema import _to_dict
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
