@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "beamforming": (
         "GAIN_FLOOR_DB", "REFERENCE_DISH_LARGE", "REFERENCE_DISH_SMALL", "BeamKernel",
-        "DishSpec", "Direction", "GainGrid", "Point", "WeightVector", "aggregate_gain_estimate",
+        "DishSpec", "GainGrid", "Point", "WeightVector", "aggregate_gain_estimate",
         "delay_and_sum_weights", "dish_gain", "evaluate_gain", "gain_pattern_sweep",
         "point_at", "response_sum", "write_gain_csv",
     ),
@@ -31,10 +31,10 @@ _EXPORTS = {
         "dof_count", "exact_ratio_curve", "link_spectra", "link_spectrum", "r_max", "r_min",
         "singular_values", "svd_closed_form_2x2", "theory_ratio_curve", "write_spectrum_csv",
     ),
+    "objective": ("Direction", "PlacementObjective", "default_exclusion_halfwidth"),
     "panels": ("OverlappingPanels", "PanelSpec", "PlacementInfeasible"),
     "placement": (
-        "PlacementObjective", "PlacementResult", "default_exclusion_halfwidth",
-        "optimize_placement", "peak_sidelobe", "uniform_sparse_positions",
+        "PlacementResult", "optimize_placement", "peak_sidelobe", "uniform_sparse_positions",
         "write_placement_json",
     ),
     "scenario": ("RunReport", "build_ground_layout", "build_satellite_layout", "run_scenario"),

@@ -27,26 +27,11 @@ from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout
 from . import kernel
 from .kernel import EXACT_KERNEL, BeamKernel, wavenumber
+from .objective import Direction
 
 GAIN_FLOOR_DB = -200.0
 
 # ===== focal targets =====
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Far-field steering target: polar angle ``theta``, azimuth ``phi``."""
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
-
-    @property
-    def unit(self) -> np.ndarray:
-        return _unit_vectors(self.theta, self.phi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,10 +30,11 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import Direction, _unit_vectors
+from .beamforming import _unit_vectors
 from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
 from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, wavenumber
+from .objective import Direction, PlacementObjective, default_exclusion_halfwidth  # noqa: F401
 
 # The search's fine screen scans every _SCREEN_STRIDE-th kept direction and
 # its coarse screen every fourth of those, in blocks of candidates whose
@@ -42,42 +43,6 @@ from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, wavenumber
 _SCREEN_STRIDE = 16
 _SCREEN_BLOCK_BYTES = 1 << 20
 _SCREEN_BYTES_PER_TERM = 40
-
-
-def default_exclusion_halfwidth(aperture: float, wavelength: float) -> float:
-    """Twice the null-to-null halfwidth of the filled-aperture main lobe."""
-    if aperture <= 0.0 or wavelength <= 0.0:
-        raise ValueError("aperture and wavelength must be positive")
-    return 2.0 * wavelength / aperture
-
-
-@dataclass(frozen=True)
-class PlacementObjective:
-    """Scan definition for scoring a placement's sidelobes.
-
-    The placement factor is scanned over polar angles ``scan_range`` through
-    the steering azimuth; samples within ``exclusion_halfwidth`` of the
-    steering angle belong to the main lobe and are ignored.
-    """
-
-    steering: Direction
-    exclusion_halfwidth: float
-    scan_range: tuple
-    n_scan: int
-
-    def __post_init__(self):
-        lo, hi = self.scan_range
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-            raise ValueError("scan_range must be an increasing (lo, hi) pair")
-        if not lo <= self.steering.theta <= hi:
-            raise ValueError("steering angle must lie inside the scan range")
-        if self.exclusion_halfwidth <= 0.0:
-            raise ValueError("exclusion halfwidth must be positive")
-        if self.exclusion_halfwidth >= (hi - lo) / 2.0:
-            raise ValueError("exclusion zone swallows the whole scan range")
-        if self.n_scan < 100:
-            raise ValueError("n_scan must be at least 100")
-        object.__setattr__(self, "scan_range", (float(lo), float(hi)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,8 +20,9 @@ command line takes its flag types and checks from the same declarations.
 YAML 1.1 lexes unsigned exponents like ``28.0e9`` as strings; every numeric
 field here coerces numeric strings, so the natural spellings work.
 
-Checking a scenario loads no numerics: only the placement objective and the
-closed forms import theirs, when they run. :mod:`nearlink.scenario` runs it.
+Checking a scenario loads no numerics: only the closed forms import theirs,
+when they run, since ``math.log10`` and ``math.atan`` do not round as numpy's
+do. :mod:`nearlink.scenario` runs it.
 """
 
 from __future__ import annotations
@@ -223,31 +224,45 @@ def _closed_form_finite(s, path):
 
 
 def _pitch_resolves(s, path):
-    # Elements sit at panel centre + offset in float64. Two neighbours stay
-    # apart where the pitch exceeds twice the float64 spacing at the farthest
-    # element: in x for columns, in y for rows. A panel's elements share z.
-    g, sat, found = s.ground, s.satellite, []
+    # Elements sit at centre + offset in float64. Two stay apart where their
+    # separation on an axis exceeds twice the float64 spacing at the farthest
+    # coordinate on it: a panel's pitch in x and y (its elements share z),
+    # and a satellite mount's smallest nonzero separation on each axis.
+    g, sat, panels, found = s.ground, s.satellite, [], []
     if g is not None and g.random is not None:
         far = (g.random.aperture_x_m / 2.0, g.random.aperture_y_m / 2.0)
-        found.append((g.panel, *far, "ground.random"))
+        panels.append((g.panel, far, "ground.random"))
     elif g is not None and g.positions_m is not None:
         far = [max(abs(p[axis]) for p in g.positions_m) for axis in (0, 1)]
-        found.append((g.panel, *far, "ground.positions_m"))
-    if sat is not None and sat.panel is not None:
+        panels.append((g.panel, far, "ground.positions_m"))
+    if sat is not None:
         # A sweep moves the satellite out to its last range.
         key, r = "satellite.range_m", sat.range_m
         if isinstance(s.analysis, _SWEEPS) and s.analysis.range_stop_m > r:
             key, r = "analysis.range_stop_m", s.analysis.range_stop_m
-        found.append((sat.panel, r * math.sin(math.radians(sat.off_nadir_deg)), 0.0, key))
-    for panel, far_x, far_y, key in found:
+        nadir = math.radians(sat.off_nadir_deg)
+        centre = (r * math.sin(nadir), 0.0, r * math.cos(nadir))
+        if sat.panel is not None:
+            panels.append((sat.panel, centre, key))
+        # build_satellite_layout centres a mount on its mean.
+        for i, coords in enumerate(zip(*(sat.positions_m or ()))):
+            ordered, mean = sorted(set(coords)), math.fsum(coords) / len(coords)
+            if len(ordered) > 1:
+                gap = min(b - a for a, b in zip(ordered, ordered[1:]))
+                reach = centre[i] + max(abs(c - mean) for c in ordered)
+                found.append((key, "smallest element separation", gap, "xyz"[i], reach))
+    for panel, far, key in panels:
         spec = _panel_spec(panel, s.wavelength)
-        for n, far, axis in ((spec.cols, far_x, "x"), (spec.rows, far_y, "y")):
-            reach = far + (n - 1) / 2.0 * spec.spacing
-            if n > 1 and not spec.spacing > 2.0 * math.ulp(reach):
-                raise ValidationError(
-                    f"'{key}': the element pitch {spec.spacing:.6g} m is not above twice "
-                    f"the float64 spacing at {axis} = {reach:.6g} m, so elements would coincide"
-                )
+        for n, reach, axis in ((spec.cols, far[0], "x"), (spec.rows, far[1], "y")):
+            if n > 1:
+                reach += (n - 1) / 2.0 * spec.spacing
+                found.append((key, "element pitch", spec.spacing, axis, reach))
+    for key, what, gap, axis, reach in found:
+        if not gap > 2.0 * math.ulp(reach):
+            raise ValidationError(
+                f"'{key}': the {what} {gap:.6g} m is not above twice "
+                f"the float64 spacing at {axis} = {reach:.6g} m, so elements would coincide"
+            )
 
 
 def wavelength_of(frequency_hz: float, path="frequency_hz") -> float:
@@ -474,6 +489,8 @@ def _as_float(value, path):
         number = float(value)
     except ValueError:
         raise ValidationError(f"'{path}' must be a number, got '{value}'") from None
+    except OverflowError:  # an integer past the float64 range
+        raise ValidationError(f"'{path}' must be finite, got an integer past 1.8e+308") from None
     if not math.isfinite(number):
         raise ValidationError(f"'{path}' must be finite, got {value}")
     return number
@@ -615,17 +632,12 @@ def _panel_spec(panel: PanelConfig, wavelength: float) -> PanelSpec:
 
 
 def _placement_objective(ana: OptimizePlacementAnalysis, lam: float):
-    import numpy as np
-    from . import placement
-    from .beamforming import Direction
+    from .objective import Direction, PlacementObjective, default_exclusion_halfwidth, support_width
     excl = ana.exclusion_halfwidth_rad
     if excl is None:
-        # Support width of the aperture rectangle along the scan azimuth.
-        along = ana.aperture_x_m * abs(np.cos(ana.steer_phi_rad)) + (
-            ana.aperture_y_m * abs(np.sin(ana.steer_phi_rad))
-        )
-        excl = placement.default_exclusion_halfwidth(along, lam)
-    return placement.PlacementObjective(
+        along = support_width(ana.aperture_x_m, ana.aperture_y_m, ana.steer_phi_rad)
+        excl = default_exclusion_halfwidth(along, lam)
+    return PlacementObjective(
         steering=Direction(ana.steer_theta_rad, ana.steer_phi_rad),
         exclusion_halfwidth=excl,
         scan_range=(

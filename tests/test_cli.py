@@ -565,6 +565,67 @@ def test_pitch_just_above_its_bound_runs(tmp_path, capsys):
         assert code == 0 and err == ""
 
 
+# A mount one metre apart in x and y, steered 30 deg off nadir: its x
+# coordinates reach about 1.5 * 2**51 m at a range of 3 * 2**51 m, where
+# float64 values lie 0.5 m apart, so its 1 m separation sits on the bound.
+UNIT_MOUNT = "positions_m: [[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.5, 0.5]]"
+
+
+def _far_mount(range_m, mount=UNIT_MOUNT, off_nadir="30.0", stop="1.0e+6"):
+    return _edited(
+        "dof_vs_range",
+        ("range_m: 400.0e3", f"range_m: {range_m!r}"),
+        ("off_nadir_deg: 0.0", f"off_nadir_deg: {off_nadir}"),
+        ("range_start_m: 100.0e3", "range_start_m: 1.0e+3"),
+        ("range_stop_m: 3000.0e3", f"range_stop_m: {stop}"),
+        ("n_ranges: 100", "n_ranges: 3"),
+        (SATELLITE_MOUNT, mount),
+    )
+
+
+def test_satellite_mount_that_vanishes_against_its_range_exits_three(tmp_path, capsys):
+    # The last two used to pass validate, then exit 1 with "two elements
+    # share an identical position"; the first sits on the bound.
+    z_mount = "positions_m: [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]"
+    bound = "m is not above twice the float64 spacing at"
+    for text, where in (
+        (_far_mount(3.0 * 2.0**51), f"1 {bound} x = 3.3777e+15 m"),
+        (_far_mount(1.0e20, SATELLITE_MOUNT, stop="1.0e+20"), f"1.414 {bound} x = 5e+19 m"),
+        (_far_mount(1.0e20, z_mount, off_nadir="0.0"), f"1 {bound} z = 1e+20 m"),
+    ):
+        bad = tmp_path / "collapse.scenario"
+        bad.write_text(text)
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and where in err, (where, argv, err)
+            assert err.startswith("error: 'satellite.range_m': the smallest element separation ")
+    assert os.listdir(tmp_path) == ["collapse.scenario"]
+    # Where float64 values lie 0.25 m apart, the same mount runs.
+    path = tmp_path / "near.scenario"
+    path.write_text(_far_mount(3.0 * 2.0**50))
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    code, _, err = run_cli(capsys, "run", str(path), "--output-dir", str(tmp_path / "out"))
+    assert code == 0 and err == ""
+
+
+def test_integer_past_the_float_range_exits_three(tmp_path, capsys):
+    # float() of such an integer raises OverflowError, which used to escape
+    # validate as exit 1.
+    huge = "1" + "0" * 400
+    mount = f"positions_m: [[-0.707, {huge}], [0.707, -0.5]]"
+    for pairs, where in (
+        ([("frequency_hz: 28.0e9", f"frequency_hz: {huge}")], "frequency_hz"),
+        ([(SATELLITE_MOUNT, mount)], "satellite.positions_m[0]"),
+    ):
+        bad = tmp_path / "huge.scenario"
+        bad.write_text(_edited("dof_vs_range", *pairs))
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "", (where, argv, err)
+            assert err == f"error: '{where}' must be finite, got an integer past 1.8e+308\n"
+    assert os.listdir(tmp_path) == ["huge.scenario"]
+
+
 def test_ranges_at_the_bound_run_to_finite_outputs(tmp_path, capsys):
     # The factorized kernel cubes the nearest distance, the exact kernel
     # squares every one, and beam analyses evaluate at twice the range.
@@ -658,10 +719,19 @@ def test_validate_and_package_import_load_no_numerics():
     # numpy alone is about half of a validate child's start-up.
     loaded = f"print(sorted(m for m in {NUMERICS!r} if m in sys.modules))"
     assert _fresh(f"import sys, nearlink; {loaded}") == "[]\n"
-    paths = [scen("dof_vs_range"), scen("beam_map_distributed")]
-    validate = f"from nearlink.cli import main; codes = [main(['validate', p]) for p in {paths!r}]"
-    out = _fresh(f"import sys; {validate}; print(codes); {loaded}").splitlines()
-    assert out[-2:] == ["[0, 0]", "[]"]
+    assert _fresh(f"import sys, nearlink; nearlink.Direction; {loaded}") == "[]\n"
+    package = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nearlink'))"
+    parser = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.panels", "nearlink.schema"]
+    # Only a placement check loads the objective's module, and no numerics.
+    for names, extra in (
+        (["dof_vs_range", "beam_map_distributed"], []),
+        (["placement_search"], ["nearlink.objective"]),
+    ):
+        paths = [scen(name) for name in names]
+        validate = "from nearlink.cli import main; "
+        validate += f"codes = [main(['validate', p]) for p in {paths}]"
+        out = _fresh(f"import sys; {validate}; print(codes); {loaded}; {package}").splitlines()
+        assert out[-3:] == [str([0] * len(paths)), "[]", str(sorted(parser + extra))], names
 
 
 # Every name the package exported when it imported its modules eagerly.
