@@ -16,19 +16,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "beamforming": (
         "GAIN_FLOOR_DB", "REFERENCE_DISH_LARGE", "REFERENCE_DISH_SMALL", "BeamKernel",
-        "DishSpec", "GainGrid", "Point", "WeightVector", "aggregate_gain_estimate",
-        "delay_and_sum_weights", "dish_gain", "evaluate_gain", "gain_pattern_sweep",
-        "point_at", "response_sum", "write_gain_csv",
+        "DishSpec", "GainGrid", "Point", "WeightVector", "delay_and_sum_weights", "dish_gain",
+        "evaluate_gain", "gain_pattern_sweep", "point_at", "response_sum", "write_gain_csv",
     ),
     "channel": ("ZeroDistance", "channel_matrix"),
     "geometry": (
-        "ElementLayout", "FieldRegion", "LayoutFormatError", "aperture_extent",
-        "field_region", "fraunhofer_distance", "fresnel_distance", "load_layout",
-        "make_distributed_panels", "make_upa", "random_panel_positions", "save_layout",
+        "ElementLayout", "make_distributed_panels", "make_upa", "random_panel_positions",
+        "save_layout",
     ),
     "mimo": (
         "ConvergenceFailure", "DegenerateSpectrum", "SingularSpectrum", "condition_ratio",
-        "dof_count", "exact_ratio_curve", "link_spectra", "link_spectrum", "r_max", "r_min",
+        "dof_count", "exact_ratio_curve", "link_spectra", "r_max", "r_min",
         "singular_values", "svd_closed_form_2x2", "theory_ratio_curve", "write_spectrum_csv",
     ),
     "objective": ("Direction", "PlacementObjective", "default_exclusion_halfwidth"),

@@ -283,23 +283,6 @@ def gain_pattern_sweep(
 # ===== reference formulas =====
 
 
-def aggregate_gain_estimate(
-    n_panels: int, panel_gain_dbi: float, phase_error_var: float = 0.0
-) -> float:
-    """Coherent combining estimate ``10 log10(N e^{-delta}) + panel_gain_dbi``.
-
-    ``phase_error_var`` is the residual synchronization phase variance delta
-    in rad^2; zero means ideal coherence.
-    """
-    if n_panels < 1:
-        raise ValueError("need at least one panel")
-    if phase_error_var < 0.0 or not np.isfinite(phase_error_var):
-        raise ValueError("phase error variance must be non-negative and finite")
-    return float(
-        10.0 * np.log10(n_panels * np.exp(-phase_error_var)) + panel_gain_dbi
-    )
-
-
 def dish_gain(dish: DishSpec, wavelength: float) -> float:
     """Parabolic-dish gain ``10 log10((pi D / lambda)^2 e_A)`` in dBi."""
     wavenumber(wavelength)  # checks the wavelength

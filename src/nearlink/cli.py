@@ -53,16 +53,8 @@ def _print_report(report) -> None:
         print(f"output={path}")
     for key in sorted(report.key_scalars):
         print(f"{key}={fmt(report.key_scalars[key])}")
-    if report.beam_kernel is not None:
-        print(f"beam_kernel={report.beam_kernel.name}")
-        print(f"beam_kernel_bound_rad={fmt(report.beam_kernel.bound_rad)}")
-    if report.channel_kernel is not None:
-        print(f"channel_kernel={report.channel_kernel.name}")
-        print(f"channel_kernel_bound_rad={fmt(report.channel_kernel.bound_rad)}")
-    if report.placement_scored is not None:
-        print(f"placement_scored={report.placement_scored}")
-        print(f"placement_prune_margin={fmt(report.placement_prune_margin)}")
-        print(f"placement_screen_exps={report.placement_screen_exps}")
+    for key, value in report.details.items():
+        print(f"{key}={fmt(value)}")
 
 
 # ----- subcommand handlers -----

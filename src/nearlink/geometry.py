@@ -11,14 +11,12 @@ The same types describe the space segment: a satellite-side array is just an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
-from .kernel import _UNIT_ROUNDOFF, blocks, squared_distances, wavenumber
 from .panels import OverlappingPanels, PanelSpec, PlacementInfeasible, check_packing  # noqa: F401
 from .panels import aperture_corners, check_corner_spacing, check_panel_overlap
 
@@ -36,18 +34,6 @@ _DRAW_BLOCK = 32
 _MASK_ELEMENTS = 1 << 15
 
 LAYOUT_HEADER = "# nearlink-layout v1"
-
-
-class LayoutFormatError(ValueError):
-    """A layout file does not follow the nearlink-layout text format."""
-
-
-class FieldRegion(Enum):
-    """Coarse radiated-field classification for an aperture at a given range."""
-
-    REACTIVE_NEAR = "reactive_near"
-    RADIATIVE_NEAR = "radiative_near"
-    FAR = "far"
 
 
 class _PanelGrid(NamedTuple):
@@ -139,13 +125,6 @@ class ElementLayout:
         centres.setflags(write=False)
         offsets.setflags(write=False)
         return _PanelGrid(pos, centres, offsets, gap, scale)
-
-    def panel_centers(self) -> np.ndarray:
-        """Centroid of each panel, shape (n_panels, 3)."""
-        centers = np.empty((self.n_panels, 3))
-        for pid in range(self.n_panels):
-            centers[pid] = self.positions[self.panel_ids == pid].mean(axis=0)
-        return centers
 
 
 def _grid_offsets(spec: PanelSpec) -> np.ndarray:
@@ -383,69 +362,12 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
     return n_placed
 
 
-def aperture_extent(layout) -> float:
-    """Largest pairwise element distance in meters.
-
-    Accepts an :class:`ElementLayout` or a raw (n, 3) position array. A
-    panel grid's convex hull is the rectangle on its four corner elements,
-    so when a layout's panels sit on the shared grid to rounding only the
-    corner elements are scanned. Otherwise every pair is.
-    """
-    points = np.asarray(getattr(layout, "positions", layout), dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError("expected an (n, 3) position array or an ElementLayout")
-    if len(points) < 2:
-        return 0.0
-    grid = layout._panel_grid if isinstance(layout, ElementLayout) else None
-    if grid is not None and grid.gap <= 4.0 * _UNIT_ROUNDOFF * grid.scale:
-        spec = layout.panel_spec
-        corners = sorted({0, spec.cols - 1, spec.n_elements - spec.cols, spec.n_elements - 1})
-        points = grid.positions[:, corners].reshape(-1, 3)
-    rows = blocks(len(points), len(points))
-    best = max(squared_distances(points[r], points).max() for r in rows)
-    return float(np.sqrt(best))
-
-
-def fresnel_distance(aperture: float, wavelength: float) -> float:
-    """Inner edge of the radiative near field, ``0.62 * sqrt(d^3 / lambda)``."""
-    _check_aperture_wavelength(aperture, wavelength)
-    return 0.62 * np.sqrt(aperture**3 / wavelength)
-
-
-def fraunhofer_distance(aperture: float, wavelength: float) -> float:
-    """Far-field boundary ``2 d^2 / lambda``."""
-    _check_aperture_wavelength(aperture, wavelength)
-    return 2.0 * aperture**2 / wavelength
-
-
-def field_region(aperture: float, wavelength: float, r: float) -> FieldRegion:
-    """Classify range ``r`` relative to the aperture's field boundaries.
-
-    Below the Fresnel distance the field is reactive; between Fresnel and
-    Fraunhofer distances it is radiative near field (where wavefront curvature
-    across the aperture is usable); beyond is far field.
-    """
-    if r < 0.0:
-        raise ValueError("range must be non-negative")
-    if r < fresnel_distance(aperture, wavelength):
-        return FieldRegion.REACTIVE_NEAR
-    if r < fraunhofer_distance(aperture, wavelength):
-        return FieldRegion.RADIATIVE_NEAR
-    return FieldRegion.FAR
-
-
-def _check_aperture_wavelength(aperture: float, wavelength: float) -> None:
-    if aperture <= 0.0 or not np.isfinite(aperture):
-        raise ValueError("aperture must be positive and finite")
-    wavenumber(wavelength)  # checks the wavelength
-
-
 def save_layout(layout: ElementLayout, path) -> None:
     """Write a layout as the line-oriented nearlink-layout text format.
 
-    First line is the format header, one data line per element follows:
-    ``panel_id x y z`` with full round-trip float precision. The panel spec is
-    kept in a comment so a load reconstructs the layout exactly.
+    First line is the format header, then the panel spec as a comment, then
+    one data line per element: ``panel_id x y z`` with full round-trip float
+    precision, so the file records the layout exactly.
     """
     spec = layout.panel_spec
     lines = [
@@ -457,50 +379,3 @@ def save_layout(layout: ElementLayout, path) -> None:
     for pid, (x, y, z) in zip(layout.panel_ids, layout.positions):
         lines.append(f"{pid} {fmt(float(x))} {fmt(float(y))} {fmt(float(z))}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def load_layout(path) -> ElementLayout:
-    """Read a layout written by :func:`save_layout`.
-
-    Unknown comment lines are ignored. Without a panel-spec comment the layout
-    is treated as bare single-element panels with 0 dBi elements.
-    """
-    with open(path, "r") as handle:
-        lines = handle.read().splitlines()
-    if not lines or lines[0].strip() != LAYOUT_HEADER:
-        raise LayoutFormatError(f"missing '{LAYOUT_HEADER}' header line")
-
-    spec = None
-    ids, rows = [], []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# panel "):
-                try:
-                    fields = dict(item.split("=", 1) for item in line[8:].split())
-                    spec = PanelSpec(
-                        rows=int(fields["rows"]),
-                        cols=int(fields["cols"]),
-                        spacing=float(fields["spacing"]),
-                        element_gain_dbi=float(fields["element_gain_dbi"]),
-                    )
-                except KeyError as exc:
-                    raise LayoutFormatError(f"line {lineno}: panel comment lacks {exc}") from None
-                except ValueError as exc:
-                    raise LayoutFormatError(f"line {lineno}: {exc}") from None
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise LayoutFormatError(f"line {lineno}: expected 'panel_id x y z'")
-        try:
-            ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise LayoutFormatError(f"line {lineno}: {exc}") from None
-    if not rows:
-        raise LayoutFormatError("layout file has no element lines")
-    if spec is None:
-        spec = PanelSpec(rows=1, cols=1, spacing=1.0, element_gain_dbi=0.0)
-    return ElementLayout(np.asarray(rows), np.asarray(ids, dtype=np.int64), spec)

@@ -14,12 +14,12 @@ drops, and on the rounding its recurrence adds, stays below the exact kernel's
 own phase rounding (:func:`gate`); otherwise the exact kernel runs. The exact
 kernel is also the oracle the factorized one is tested against. The same
 factors give the link spectra of the MIMO sweeps
-(:func:`nearlink.mimo.link_spectrum`).
+(:func:`nearlink.mimo.link_spectra`).
 
 A chunk of any kernel forms at most ``_BLOCK_BUDGET`` entries (targets x
-elements, rows x columns, directions x panels, points x points), one
-:func:`blocks` slice at a time. Its float64 and complex128 temporaries take 8
-to 24 bytes per entry, so each stays within 100 MB.
+elements, rows x columns, directions x panels), one :func:`blocks` slice at a
+time. Its float64 and complex128 temporaries take 8 to 24 bytes per entry, so
+each stays within 100 MB.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Arbitrary layouts are handled numerically: the spectrum is LAPACK's SVD of
 the channel matrix itself. Forming a Gram matrix instead would square the
 condition number and lose the small singular values of a far-field link,
 which are the ones that decide the stream count. When one side of a link is a
-layout of identical panels, :func:`link_spectrum` takes the row and column
+layout of identical panels, :func:`link_spectra` takes the row and column
 factors of the panel-factorized kernel of :mod:`nearlink.kernel`, under the
 same run-time error gate (:func:`nearlink.kernel.gate`) as the beam sweeps,
 and never forms the matrix.
@@ -141,31 +141,20 @@ def singular_values(channel) -> SingularSpectrum:
     return SingularSpectrum(values, h.shape)
 
 
-def link_spectrum(
-    tx: ElementLayout, rx: ElementLayout, wavelength: float
-) -> tuple:
-    """Singular spectrum of the phase-only tx -> rx channel, and the kernel
-    that built the matrix.
-
-    Returns ``(SingularSpectrum, BeamKernel)``. When one side is a layout of
-    identical panel grids and the other side's elements, as point targets,
-    keep the panel-factorized bound within the exact kernel's own phase
-    rounding, the spectrum comes from the factorized kernel's row and column
-    factors, compressed by two levels of QR (see the module docstring);
-    ``source_shape`` is still the channel matrix's. Otherwise the result is
-    exactly ``singular_values(channel_matrix(tx, rx, wavelength))``. This is
-    the one-link case of :func:`link_spectra`.
-    """
-    return link_spectra([(tx, rx)], wavelength)[0]
-
-
 def link_spectra(links, wavelength: float) -> list:
-    """:func:`link_spectrum` of every ``(tx, rx)`` pair in ``links``, in order.
+    """Singular spectrum of the phase-only tx -> rx channel of every
+    ``(tx, rx)`` pair in ``links``, and the kernel that built it, in order.
 
-    Each link keeps its own gate and kernel. Links that pass it with the same
-    panel layout, chain run and number of point elements share the factor
-    build and the first QR, a block of them at a time (see the module
-    docstring); the rest take the exact channel matrix one at a time.
+    Returns a list of ``(SingularSpectrum, BeamKernel)``. Each link keeps its
+    own gate and kernel. When one side is a layout of identical panel grids
+    and the other side's elements, as point targets, keep the
+    panel-factorized bound within the exact kernel's own phase rounding, the
+    spectrum comes from the factorized kernel's row and column factors,
+    compressed by two levels of QR (see the module docstring);
+    ``source_shape`` is still the channel matrix's. Links that pass the gate
+    with the same panel layout, chain run and number of point elements share
+    the factor build and the first QR, a block of them at a time. Every other
+    link gives exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
     """
     kernel.wavenumber(wavelength)  # checks the wavelength
     links = list(links)

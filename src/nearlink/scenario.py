@@ -7,13 +7,12 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import beamforming, mimo, placement
 # ``channel_matrix`` is not called here since sweeps go through
-# ``mimo.link_spectrum``; the name stays because the benchmark's traced run
+# ``mimo.link_spectra``; the name stays because the benchmark's traced run
 # (perfbench/traced_run.py) times channel builds by wrapping it.
 from .channel import channel_matrix  # noqa: F401
 from .fileio import atomic_write_text
@@ -25,25 +24,18 @@ from .schema import _CLOSED_FORMS, _panel_spec, _placement_objective
 
 @dataclass(frozen=True)
 class RunReport:
-    """What a run did. ``beam_kernel`` is the kernel that evaluated the gain
-    sweep of a beam analysis, with its error bound; None for other kinds.
-    ``channel_kernel`` is the kernel that built the channel matrices of an
-    svd or dof sweep: ``exact`` if any range needed the exact kernel, with
-    the worst bound over the ranges; None for other kinds.
-    ``placement_scored`` is how many candidates a placement search scored in
-    full, ``placement_prune_margin`` the margin it pruned the rest with, per
-    unit of main lobe, and ``placement_screen_exps`` how many phasors its
-    screens formed; None for other kinds."""
+    """What a run did. ``details`` holds the report lines that depend on the
+    analysis kind, in print order, from line name to value: the kernel of a
+    beam sweep or of a sweep's channel matrices with its error bound (the
+    worst over the ranges, ``exact`` if any range needed the exact kernel),
+    and a placement search's counts of candidates scored and phasors
+    screened with the margin it pruned by, per unit of main lobe."""
 
     scenario_hash: str
     wall_time_s: float
     output_files: tuple
     key_scalars: dict
-    beam_kernel: Optional[beamforming.BeamKernel] = None
-    channel_kernel: Optional[beamforming.BeamKernel] = None
-    placement_scored: Optional[int] = None
-    placement_prune_margin: Optional[float] = None
-    placement_screen_exps: Optional[int] = None
+    details: dict
 
 
 def build_ground_layout(s: Scenario) -> ElementLayout:
@@ -95,15 +87,16 @@ def _range_axis(ana):
 
 
 # Each runner writes its analysis' outputs and returns the RunReport fields
-# that depend on the kind.
+# that depend on the kind: the files, the key scalars and the details.
 
 
 def _run_closed_form(s, outdir, tag):
-    _, name, scalars = _CLOSED_FORMS[analysis_kind(s.analysis)]
+    _, name, keys = _CLOSED_FORMS[analysis_kind(s.analysis)]
     payload = closed_form(s.analysis, s.wavelength)
     path = os.path.join(outdir, name)
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return {"output_files": (path,), "key_scalars": {k: payload[k] for k in scalars}}
+    scalars = {k: payload[k] for k in keys}
+    return {"output_files": (path,), "key_scalars": scalars, "details": {}}
 
 
 def _run_sweep(s, outdir, tag):
@@ -119,16 +112,15 @@ def _run_sweep(s, outdir, tag):
         path, ranges, spectra[:-1], ana.tau, metadata={"scenario": tag, "wavelength_m": lam}
     )
     ref_spec = spectra[-1]
-    name = "exact" if beamforming.EXACT_KERNEL in kernels else "panel_factorized"
     scalars = {
         "dof_at_reference_range": float(mimo.dof_count(ref_spec, ana.tau)),
         "ratio_at_reference_range": mimo.condition_ratio(ref_spec),
     }
-    return {
-        "output_files": (path,),
-        "key_scalars": scalars,
-        "channel_kernel": beamforming.BeamKernel(name, max(k.bound_rad for k in kernels)),
+    details = {
+        "channel_kernel": "exact" if beamforming.EXACT_KERNEL in kernels else "panel_factorized",
+        "channel_kernel_bound_rad": max(k.bound_rad for k in kernels),
     }
+    return {"output_files": (path,), "key_scalars": scalars, "details": details}
 
 
 def _run_beam(s, outdir, tag):
@@ -164,7 +156,8 @@ def _run_beam(s, outdir, tag):
             ground, weights, beamforming.point_at(2.0 * s.satellite.range_m, steer_theta), lam
         ),
     }
-    return {"output_files": (path,), "key_scalars": scalars, "beam_kernel": grid.kernel}
+    details = {"beam_kernel": grid.kernel.name, "beam_kernel_bound_rad": grid.kernel.bound_rad}
+    return {"output_files": (path,), "key_scalars": scalars, "details": details}
 
 
 def _run_placement(s, outdir, tag):
@@ -192,9 +185,11 @@ def _run_placement(s, outdir, tag):
     return {
         "output_files": (json_path, layout_path),
         "key_scalars": {"peak_sidelobe_db": result.peak_sidelobe_db},
-        "placement_scored": result.candidates_scored,
-        "placement_prune_margin": result.prune_margin,
-        "placement_screen_exps": result.screen_exps,
+        "details": {
+            "placement_scored": result.candidates_scored,
+            "placement_prune_margin": result.prune_margin,
+            "placement_screen_exps": result.screen_exps,
+        },
     }
 
 

@@ -111,6 +111,19 @@ def _at_least(n: int) -> Bound:
     return Bound(n, text=f"must be at least {n}")
 
 
+# A run allocates each array a count sizes in one piece: a beam analysis'
+# gain grid (n_theta x n_ranges), a sweep's range axis, a placement search's
+# scan directions (n_scan) and its candidates' positions (n_candidates x
+# n_panels). The largest of them may hold at most _MAX_ENTRIES entries, about
+# 100 MB at the 24 bytes of a position, so that a count validation passes
+# cannot fail the run's allocation.
+_MAX_ENTRIES = 1 << 22
+
+
+def _count(n: int) -> Bound:
+    return Bound(n, _MAX_ENTRIES, text=f"must be at least {n} and at most {_MAX_ENTRIES}")
+
+
 def _f(coerce, bound=None, default=MISSING, not_with=None):
     """Declare one scenario key; see the module docstring."""
     return field(
@@ -136,6 +149,19 @@ def _exactly_one(a, b):
 def _range_order(ana, path):
     if ana.range_stop_m <= ana.range_start_m:
         raise ValidationError(f"'{path}.range_stop_m' must exceed range_start_m")
+
+
+def _entries_fit(*counts):
+    # Refuses a product of ``counts`` past _MAX_ENTRIES, naming the last count.
+    def check(ana, path):
+        entries = math.prod(getattr(ana, name) for name in counts)
+        if entries > _MAX_ENTRIES:
+            raise ValidationError(
+                f"'{path}.{counts[-1]}': {' x '.join(counts)} is {entries} entries, "
+                f"above the {_MAX_ENTRIES} one array may hold"
+            )
+
+    return check
 
 
 def _placement_fits(cfg, path):
@@ -334,14 +360,14 @@ class _RangeSpan:
 
 @dataclass(frozen=True)
 class SvdSweepAnalysis(_RangeSpan):
-    n_ranges: int = _f(int, _at_least(2))
+    n_ranges: int = _f(int, _count(2))
     spacing: str = _f(_SPACING_MODES, default="log")
     tau: float = _f(float, _TAU, 0.1)
 
 
 @dataclass(frozen=True)
 class DofSweepAnalysis(_RangeSpan):
-    n_ranges: int = _f(int, _at_least(2))
+    n_ranges: int = _f(int, _count(2))
     tau: float = _f(float, _TAU)
     spacing: str = _f(_SPACING_MODES, default="log")
 
@@ -349,21 +375,22 @@ class DofSweepAnalysis(_RangeSpan):
 @dataclass(frozen=True)
 class BeamThetaAnalysis:
     halfwidth_deg: float = _f(float, _HALFWIDTH_DEG, 2.0)
-    n_theta: int = _f(int, _at_least(3), 2001)
+    n_theta: int = _f(int, _count(3), 2001)
 
 
 @dataclass(frozen=True)
 class BeamRangeAnalysis(_RangeSpan):
-    n_ranges: int = _f(int, _at_least(2), 200)
+    n_ranges: int = _f(int, _count(2), 200)
     spacing: str = _f(_SPACING_MODES, default="log")
 
 
 @dataclass(frozen=True)
 class BeamMapAnalysis(_RangeSpan):
     halfwidth_deg: float = _f(float, _HALFWIDTH_DEG, 2.0)
-    n_theta: int = _f(int, _at_least(3), 2001)
-    n_ranges: int = _f(int, _at_least(2), 200)
+    n_theta: int = _f(int, _count(3), 2001)
+    n_ranges: int = _f(int, _count(2), 200)
     spacing: str = _f(_SPACING_MODES, default="log")
+    _checks = (_range_order, _entries_fit("n_theta", "n_ranges"))
 
 
 @dataclass(frozen=True)
@@ -372,14 +399,14 @@ class OptimizePlacementAnalysis:
     aperture_y_m: float = _f(float, _LENGTH)
     n_panels: int = _f(int, _at_least(2))
     min_spacing_m: float = _f(float, _SPACING)
-    n_candidates: int = _f(int, _at_least(1))
+    n_candidates: int = _f(int, _count(1))
     seed: int = _f(int, _SEED)
     scan_halfwidth_rad: float = _f(float, _POSITIVE)
-    n_scan: int = _f(int, _at_least(100))
+    n_scan: int = _f(int, _count(100))
     exclusion_halfwidth_rad: Optional[float] = _f(float, _POSITIVE, None)
     steer_theta_rad: float = _f(float, default=0.0)
     steer_phi_rad: float = _f(float, default=0.0)
-    _checks = (_placement_fits,)
+    _checks = (_placement_fits, _entries_fit("n_panels", "n_candidates"))
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,14 @@ from nearlink.geometry import (
     ElementLayout,
     PanelSpec,
     _grid_offsets,
-    load_layout,
     make_distributed_panels,
     make_upa,
     random_panel_positions,
-    save_layout,
 )
 from nearlink.mimo import (
     ConvergenceFailure,
     dof_count,
     link_spectra,
-    link_spectrum,
     singular_values,
 )
 from nearlink.scenario import (
@@ -307,8 +304,8 @@ def test_shipped_scenarios_keep_their_kernels(tmp_path):
     for name, want in SHIPPED_KERNELS.items():
         s = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.scenario"))
         report = run_scenario(s, str(tmp_path / name))
-        kernels = (report.beam_kernel, report.channel_kernel)
-        assert tuple(k and k.name for k in kernels) == want, name
+        kernels = (report.details.get("beam_kernel"), report.details.get("channel_kernel"))
+        assert kernels == want, name
 
 
 # ----- the gate -----
@@ -368,18 +365,14 @@ analysis:
     assert gain_pattern_sweep(sat, w, LAM, ranges=[1.0e3, 2.0e3]).kernel == EXACT_KERNEL
 
 
-def test_layout_file_without_panel_comment_takes_exact_path(tmp_path):
+def test_layout_file_without_panel_comment_takes_exact_path():
+    # A layout file's "# panel" comment is what makes its grid a panel; the
+    # same positions as single-element panels, as a file without that
+    # comment describes them, take the exact kernel.
     grid = make_upa(PanelSpec(3, 3, 0.5 * LAM))
-    with_spec = tmp_path / "with_spec.txt"
-    save_layout(grid, with_spec)
-    bare = tmp_path / "bare.txt"
-    bare.write_text(
-        "\n".join(ln for ln in with_spec.read_text().splitlines() if not ln.startswith("# panel"))
-        + "\n"
-    )
+    bare = ElementLayout(grid.positions, np.arange(grid.n_elements), PanelSpec(1, 1, 1.0))
     units = unit_vectors(np.array([0.0, 0.3]), 0.0)
-    for path, name in ((with_spec, "panel_factorized"), (bare, "exact")):
-        lay = load_layout(path)
+    for lay, name in ((grid, "panel_factorized"), (bare, "exact")):
         _, kernel = bf._sums(lay, np.ones(lay.n_elements), units, True, LAM)
         assert kernel.name == name
 
@@ -419,10 +412,10 @@ analysis:
   n_theta: 11
 """
     far = run_scenario(parse_scenario(base.format(range_m="100.0e3")), str(tmp_path / "far"))
-    assert far.beam_kernel.name == "panel_factorized"
-    assert 0.0 < far.beam_kernel.bound_rad <= K * UNIT_ROUNDOFF * 100.0e3
+    assert far.details["beam_kernel"] == "panel_factorized"
+    assert 0.0 < far.details["beam_kernel_bound_rad"] <= K * UNIT_ROUNDOFF * 100.0e3
     near = run_scenario(parse_scenario(base.format(range_m="2.0")), str(tmp_path / "near"))
-    assert near.beam_kernel == EXACT_KERNEL
+    assert near.details == {"beam_kernel": "exact", "beam_kernel_bound_rad": 0.0}
 
 
 # ----- link spectra -----
@@ -446,7 +439,7 @@ def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, 
     plan = kn._factorized_plan(layout, pts, False, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     sat = point_layout(pts)
-    spectrum, kernel = link_spectrum(sat, layout, LAM)
+    spectrum, kernel = link_spectra([(sat, layout)], LAM)[0]
     assert kernel.name == "panel_factorized" and kernel.bound_rad == plan.bound_rad
     exact = singular_values(channel_matrix(sat, layout, LAM))
     assert spectrum.source_shape == exact.source_shape
@@ -488,7 +481,7 @@ def check_compressed_against_uncompressed(layout, pts, panels_receive):
     sat = point_layout(pts)
     tx, rx = (sat, layout) if panels_receive else (layout, sat)
     plan = kn._factorized_plan(layout, pts, False, LAM)
-    spectrum, kernel = link_spectrum(tx, rx, LAM)
+    spectrum, kernel = link_spectra([(tx, rx)], LAM)[0]
     assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
 
     # The channel the compressed path stands for: panel p's block is the
@@ -549,7 +542,7 @@ def test_compressed_spectrum_keeps_the_exact_source_shape():
     for n_points in (3, 20):
         sat = point_layout(np.array([[0.1 * i, 0.05 * i, 5.0e4] for i in range(n_points)]))
         for tx, rx in ((sat, panels), (panels, sat)):
-            spectrum, kernel = link_spectrum(tx, rx, LAM)
+            spectrum, kernel = link_spectra([(tx, rx)], LAM)[0]
             assert kernel.name == "panel_factorized"
             exact = singular_values(channel_matrix(tx, rx, LAM))
             assert spectrum.source_shape == exact.source_shape
@@ -559,7 +552,7 @@ def test_compressed_spectrum_keeps_the_exact_source_shape():
 def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
     panels = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
     sat = point_layout(np.array([[-0.5, 0.0, 5.0e4], [0.5, 0.0, 5.0e4], [0.0, 0.5, 5.0e4]]))
-    assert link_spectrum(sat, panels, LAM)[1].name == "panel_factorized"
+    assert link_spectra([(sat, panels)], LAM)[0][1].name == "panel_factorized"
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -567,7 +560,7 @@ def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     for tx, rx in ((sat, panels), (panels, sat)):
         with pytest.raises(ConvergenceFailure, match="did not converge"):
-            link_spectrum(tx, rx, LAM)
+            link_spectra([(tx, rx)], LAM)[0]
     # A batch of ranges, several to a block.
     sweep = [point_layout(sat.positions + [0.0, 0.0, r]) for r in (0.0, 1.0e4, 2.0e4, 3.0e4)]
     with pytest.raises(ConvergenceFailure, match="did not converge"):
@@ -577,8 +570,8 @@ def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
 def test_panels_on_either_side_of_the_link_give_the_same_spectrum():
     panels = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
     sat = point_layout(np.array([[-0.5, 0.0, 5.0e4], [0.5, 0.0, 5.0e4], [0.0, 0.5, 5.0e4]]))
-    down, down_kernel = link_spectrum(sat, panels, LAM)
-    up, up_kernel = link_spectrum(panels, sat, LAM)
+    down, down_kernel = link_spectra([(sat, panels)], LAM)[0]
+    up, up_kernel = link_spectra([(panels, sat)], LAM)[0]
     assert down_kernel == up_kernel and down_kernel.name == "panel_factorized"
     assert down.source_shape == (32, 3) and up.source_shape == (3, 32)
     np.testing.assert_allclose(up.values, down.values, rtol=0.0, atol=1e-14 * down.values[0])
@@ -590,7 +583,7 @@ def test_shipped_dof_sweep_keeps_every_stream_count():
     ground = build_ground_layout(s)
     for r in np.geomspace(ana.range_start_m, ana.range_stop_m, ana.n_ranges):
         sat = build_satellite_layout(s, range_m=float(r))
-        fast, kernel = link_spectrum(sat, ground, s.wavelength)
+        fast, kernel = link_spectra([(sat, ground)], s.wavelength)[0]
         exact = singular_values(channel_matrix(sat, ground, s.wavelength))
         assert kernel.name == "panel_factorized"
         assert dof_count(fast, ana.tau) == dof_count(exact, ana.tau)
@@ -609,7 +602,7 @@ def test_fallback_spectra_are_bit_identical_to_the_exact_path():
         (point_layout(np.array([[0.0, 0.0, 0.5], [0.01, 0.0, 0.5]])), upa, LAM),
     ]
     for tx, rx, lam in cases:
-        spectrum, kernel = link_spectrum(tx, rx, lam)
+        spectrum, kernel = link_spectra([(tx, rx)], lam)[0]
         assert kernel == EXACT_KERNEL
         assert np.array_equal(spectrum.values, singular_values(channel_matrix(tx, rx, lam)).values)
 
@@ -637,7 +630,7 @@ def check_batched_against_single_and_exact(links, panels, tau):
     spec = panels.panel_spec
     kernels = set()
     for (tx, rx), (spectrum, kernel) in zip(links, batched):
-        single, single_kernel = link_spectrum(tx, rx, LAM)
+        single, single_kernel = link_spectra([(tx, rx)], LAM)[0]
         exact = singular_values(channel_matrix(tx, rx, LAM))
         assert kernel == single_kernel
         assert spectrum.source_shape == single.source_shape == exact.source_shape
@@ -726,7 +719,7 @@ def test_sweep_transient_memory_stays_within_the_block_bound():
     mount = satellite_mount()
     ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
     links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
-    link_spectrum(*links[0], LAM)  # the ground's cached panel grid
+    link_spectra(links[:1], LAM)  # the ground's cached panel grid
     n_panels, s = 16, len(mount)
     stack = n_panels * min(32, s) * min(32, s) * s
     r_p = n_panels * min(min(32, s) * min(32, s), s) * s

@@ -11,7 +11,6 @@ from nearlink.beamforming import (
     DishSpec,
     Point,
     WeightVector,
-    aggregate_gain_estimate,
     delay_and_sum_weights,
     dish_gain,
     evaluate_gain,
@@ -22,8 +21,6 @@ from nearlink.beamforming import (
 )
 from nearlink.geometry import (
     PanelSpec,
-    aperture_extent,
-    fraunhofer_distance,
     make_distributed_panels,
     make_upa,
     random_panel_positions,
@@ -66,8 +63,9 @@ def test_broadside_weights_are_all_ones():
 
 
 def test_point_weights_converge_to_direction_weights():
-    lay = make_upa(PanelSpec(32, 32, LAM / 2.0))
-    ext = aperture_extent(lay)
+    spec = PanelSpec(32, 32, LAM / 2.0)
+    lay = make_upa(spec)
+    ext = spec.extent
     theta = 0.3
     wd = delay_and_sum_weights(lay, Direction(theta), LAM).weights
     wp = delay_and_sum_weights(lay, point_at(1.0e6 * ext, theta), LAM).weights
@@ -180,8 +178,9 @@ def test_pattern_product_identity():
 
 
 def test_upa_gain_flat_beyond_fraunhofer():
-    lay = make_upa(PanelSpec(32, 32, LAM / 2.0, 6.0))
-    r_far = fraunhofer_distance(aperture_extent(lay), LAM)
+    spec = PanelSpec(32, 32, LAM / 2.0, 6.0)
+    lay = make_upa(spec)
+    r_far = 2.0 * spec.extent**2 / LAM  # the Fraunhofer distance 2 D^2 / lambda
     w = delay_and_sum_weights(lay, Direction(0.0), LAM)
     ranges = np.geomspace(10.0 * r_far, 1000.0 * r_far, 40)
     grid = gain_pattern_sweep(lay, w, LAM, ranges=ranges, fixed_theta=0.0)
@@ -225,14 +224,6 @@ def test_sweep_argument_errors():
         gain_pattern_sweep(lay, w, LAM, ranges=np.array([-5.0]))
     with pytest.raises(ValueError):
         evaluate_gain(lay, np.ones(3) + 0.0j, Direction(0.0), LAM)
-
-
-def test_aggregate_gain_estimate_values():
-    assert aggregate_gain_estimate(16, 36.1) == pytest.approx(48.14, abs=0.005)
-    assert aggregate_gain_estimate(1, 36.1) == 36.1
-    lossless = aggregate_gain_estimate(16, 36.1)
-    lossy = aggregate_gain_estimate(16, 36.1, phase_error_var=np.log(10.0))
-    assert lossless - lossy == pytest.approx(10.0, abs=1e-9)
 
 
 def test_dish_gain_reference_points():

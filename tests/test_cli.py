@@ -487,6 +487,26 @@ def test_overflowing_ranges_exit_three(tmp_path, capsys):
             assert code == 3 and f"'{where}' must lie in (0, 1e+100]" in err, (name, argv)
 
 
+def test_counts_past_the_array_bound_exit_three(tmp_path, capsys):
+    # The largest array a count sizes holds at most 4 194 304 entries. An
+    # n_scan of 1e20 used to pass validate, then fail the run's allocation
+    # (exit 1, "Maximum allowed size exceeded").
+    for name, pairs, where in (
+        ("placement_search", [("n_scan: 2001", "n_scan: 100000000000000000000")], "analysis.n_scan"),
+        ("placement_search", [("n_candidates: 500", "n_candidates: 262145")], "analysis.n_candidates"),
+        ("beam_map_distributed", [("n_ranges: 60", "n_ranges: 2097"), ("n_theta: 201", "n_theta: 2001")], "analysis.n_ranges"),
+    ):
+        bad = tmp_path / "big.scenario"
+        bad.write_text(_edited(name, *pairs))
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and f"'{where}'" in err and "4194304" in err, (name, argv)
+    # 16 panels x 262 144 candidates is the bound itself.
+    bad.write_text(_edited("placement_search", ("n_candidates: 500", "n_candidates: 262144")))
+    assert run_cli(capsys, "validate", str(bad))[0] == 0
+    assert os.listdir(tmp_path) == ["big.scenario"]
+
+
 SATELLITE_MOUNT = "positions_m: [[-0.707, -0.5], [0.707, -0.5], [-0.707, 0.5], [0.707, 0.5]]"
 
 
@@ -734,21 +754,19 @@ def test_validate_and_package_import_load_no_numerics():
         assert out[-3:] == [str([0] * len(paths)), "[]", str(sorted(parser + extra))], names
 
 
-# Every name the package exported when it imported its modules eagerly.
+# Every name the package exports, each loaded from its module on first use.
 EXPORTED = """
 GAIN_FLOOR_DB REFERENCE_DISH_LARGE REFERENCE_DISH_SMALL BeamKernel DishSpec Direction GainGrid
-Point WeightVector aggregate_gain_estimate delay_and_sum_weights dish_gain evaluate_gain
-gain_pattern_sweep point_at response_sum write_gain_csv ZeroDistance channel_matrix
-ElementLayout FieldRegion LayoutFormatError OverlappingPanels PanelSpec PlacementInfeasible
-aperture_extent field_region fraunhofer_distance fresnel_distance load_layout
-make_distributed_panels make_upa random_panel_positions save_layout ConvergenceFailure
-DegenerateSpectrum SingularSpectrum condition_ratio dof_count exact_ratio_curve link_spectra
-link_spectrum r_max r_min singular_values svd_closed_form_2x2 theory_ratio_curve
-write_spectrum_csv PlacementObjective PlacementResult default_exclusion_halfwidth
-optimize_placement peak_sidelobe uniform_sparse_positions write_placement_json SPEED_OF_LIGHT
-ParseError RunReport Scenario ScenarioError ValidationError build_ground_layout
-build_satellite_layout load_scenario parse_scenario run_scenario scenario_hash
-serialize_scenario
+Point WeightVector delay_and_sum_weights dish_gain evaluate_gain gain_pattern_sweep point_at
+response_sum write_gain_csv ZeroDistance channel_matrix ElementLayout OverlappingPanels
+PanelSpec PlacementInfeasible make_distributed_panels make_upa random_panel_positions
+save_layout ConvergenceFailure DegenerateSpectrum SingularSpectrum condition_ratio dof_count
+exact_ratio_curve link_spectra r_max r_min singular_values svd_closed_form_2x2
+theory_ratio_curve write_spectrum_csv PlacementObjective PlacementResult
+default_exclusion_halfwidth optimize_placement peak_sidelobe uniform_sparse_positions
+write_placement_json SPEED_OF_LIGHT ParseError RunReport Scenario ScenarioError
+ValidationError build_ground_layout build_satellite_layout load_scenario parse_scenario
+run_scenario scenario_hash serialize_scenario
 """.split()
 
 

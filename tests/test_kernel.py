@@ -10,7 +10,7 @@ from nearlink import kernel as kn
 from nearlink import placement
 from nearlink.beamforming import Direction, _unit_vectors
 from nearlink.channel import channel_matrix
-from nearlink.geometry import ElementLayout, PanelSpec, aperture_extent, make_distributed_panels
+from nearlink.geometry import ElementLayout, PanelSpec, make_distributed_panels
 from nearlink.placement import PlacementObjective, peak_sidelobe
 
 LAM = 299792458.0 / 28.0e9
@@ -43,7 +43,6 @@ def evaluate():
         "exact_directions": kn._direction_sums(LAYOUT.positions, WEIGHTS, UNITS, LAM),
         "channel": channel_matrix(SATELLITE, LAYOUT, LAM),
         "sidelobe_db": peak_sidelobe(CENTRES, LAM, OBJECTIVE),
-        "extent": aperture_extent(LAYOUT.positions),
     }
 
 
@@ -56,7 +55,6 @@ def ragged_budgets():
         "exact": (n, s),
         "channel": (SATELLITE.n_elements, n),
         "sidelobe": (n_dirs, len(CENTRES)),
-        "extent": (n, n),
     }
     for name, (rows, width) in shapes.items():
         assert rows % STEP and rows > STEP, name
@@ -102,7 +100,6 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
     # Elementwise work only: the same bits whatever the blocks.
     assert got["factorized"]["plans"] == want["plans"]
     assert np.array_equal(got["channel"]["channel"], want["channel"])
-    assert got["extent"]["extent"] == want["extent"]
 
     # Matrix products and sums: BLAS and numpy's SIMD loops pick their
     # kernels, and with them the rounding and order of their sums, by the
