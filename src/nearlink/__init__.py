@@ -19,11 +19,11 @@ _EXPORTS = {
         "DishSpec", "GainGrid", "Point", "WeightVector", "delay_and_sum_weights", "dish_gain",
         "evaluate_gain", "gain_pattern_sweep", "point_at", "response_sum", "write_gain_csv",
     ),
-    "channel": ("ZeroDistance", "channel_matrix"),
     "geometry": (
         "ElementLayout", "make_distributed_panels", "make_upa", "random_panel_positions",
         "save_layout",
     ),
+    "kernel": ("ZeroDistance", "channel_matrix"),
     "mimo": (
         "ConvergenceFailure", "DegenerateSpectrum", "SingularSpectrum", "condition_ratio",
         "dof_count", "exact_ratio_curve", "link_spectra", "r_max", "r_min",

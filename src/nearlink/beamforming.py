@@ -11,9 +11,9 @@ reads 10 log10(N) above one element:
 Angles are polar angle theta from the +z boresight and azimuth phi in the x-y
 plane, radians. Exact nulls are clamped at -200 dB on the array factor.
 
-The coherent sums come from the exact and panel-factorized kernels of
-:mod:`nearlink.kernel`, which also decides which of them runs and with what
-error bound.
+The coherent sums come from :func:`nearlink.kernel.sums`, which decides
+between the exact and panel-factorized kernels and states the error bound of
+the one it ran.
 """
 
 from __future__ import annotations
@@ -147,19 +147,13 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
     if all(isinstance(t, Direction) for t in targets):
         theta = np.fromiter((t.theta for t in targets), np.float64, len(targets))
         phi = np.fromiter((t.phi for t in targets), np.float64, len(targets))
-        total, _ = _sums(layout, w, _unit_vectors(theta, phi), True, wavelength)
+        total, _ = kernel.sums(layout, w, kernel.unit_vectors(theta, phi), True, wavelength)
     elif all(isinstance(t, Point) for t in targets):
-        total, _ = _sums(layout, w, np.stack([t.position for t in targets]), False, wavelength)
+        points = np.stack([t.position for t in targets])
+        total, _ = kernel.sums(layout, w, points, False, wavelength)
     else:
         raise TypeError("evaluation targets must be all Directions or all Points")
     return complex(total[0]) if single else total
-
-
-def _unit_vectors(theta, phi) -> np.ndarray:
-    # Unit vectors toward (theta, phi); scalar angles give one 3-vector.
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
-    )
 
 
 def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
@@ -167,16 +161,6 @@ def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
     if w.shape != (layout.n_elements,):
         raise ValueError("weights do not match the layout")
     return w
-
-
-def _sums(layout, w, targets, directional, wavelength):
-    # Response at each target (unit vectors if ``directional``, else points)
-    # and the kernel that computed it.
-    plan, used = kernel.gate(layout, targets, directional, wavelength)
-    if plan is not None:
-        return kernel._factorized_sums(plan, w, targets, wavelength), used
-    exact = kernel._direction_sums if directional else kernel._point_sums
-    return exact(layout.positions, w, targets, wavelength), used
 
 
 def _to_gain_dbi(total, n: int, element_gain_dbi: float):
@@ -263,10 +247,10 @@ def gain_pattern_sweep(
     if (ranges <= 0.0).any():
         raise ValueError("evaluation ranges must be positive")
 
-    units = _unit_vectors(thetas, phi)
+    units = kernel.unit_vectors(thetas, phi)
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
     w = _weights_of(layout, weights)
-    totals, used = _sums(layout, w, pts, False, wavelength)
+    totals, used = kernel.sums(layout, w, pts, False, wavelength)
     gain = _to_gain_dbi(totals, layout.n_elements, layout.element_gain_dbi)
     steering = weights.focal if isinstance(weights, WeightVector) else Direction(0.0)
     return GainGrid(

@@ -46,17 +46,9 @@ class _PanelGrid(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ElementLayout:
-    """Concrete element positions plus the panel spec they were built from.
-
-    Attributes
-    ----------
-    positions : ndarray, shape (n, 3)
-        Element coordinates in meters.
-    panel_ids : ndarray, shape (n,)
-        Which panel each element belongs to; ids are 0-based and contiguous.
-    panel_spec : PanelSpec
-        The per-panel grid description (also carries the element gain).
-    """
+    """Element coordinates in meters, ``positions`` (n, 3), the panel of
+    each element, ``panel_ids`` (n,), 0-based and contiguous, and the
+    ``panel_spec`` of the per-panel grid, which carries the element gain."""
 
     positions: np.ndarray
     panel_ids: np.ndarray
@@ -139,20 +131,8 @@ def _grid_offsets(spec: PanelSpec) -> np.ndarray:
 
 
 def make_upa(spec: PanelSpec, center=(0.0, 0.0, 0.0)) -> ElementLayout:
-    """Build a single uniform planar array.
-
-    Parameters
-    ----------
-    spec : PanelSpec
-        Grid shape and pitch.
-    center : array-like, shape (3,)
-        Centroid of the array in meters.
-
-    Returns
-    -------
-    ElementLayout
-        Row-major elements in the z-plane of ``center``, panel id 0.
-    """
+    """One uniform planar array of ``spec``'s grid centred on the 3-vector
+    ``center`` (meters): row-major elements in its z-plane, panel id 0."""
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (3,):
         raise ValueError("center must be a 3-vector")
@@ -161,27 +141,11 @@ def make_upa(spec: PanelSpec, center=(0.0, 0.0, 0.0)) -> ElementLayout:
 
 
 def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
-    """Replicate one panel at each given center.
-
-    Parameters
-    ----------
-    spec : PanelSpec
-        Shared per-panel grid.
-    panel_centers : array-like, shape (k, 3)
-        Panel centroids in meters. Pairwise center distances must exceed the
-        panel diagonal so footprints cannot overlap.
-
-    Returns
-    -------
-    ElementLayout
-        Panels concatenated in input order; element i of panel p is at
-        ``panel_centers[p] + offset[i]`` with offsets identical across panels.
-
-    Raises
-    ------
-    OverlappingPanels
-        If any two centers are closer than the panel extent.
-    """
+    """One ``spec`` panel at each of the (k, 3) ``panel_centers`` (meters),
+    concatenated in input order: element i of panel p is at
+    ``panel_centers[p] + offset[i]``, with offsets identical across panels.
+    Raises OverlappingPanels if two centres are no farther apart than the
+    panel extent, where footprints would overlap."""
     centers = np.asarray(panel_centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3 or centers.shape[0] == 0:
         raise ValueError("panel_centers must be a nonempty (k, 3) array")

@@ -1,5 +1,6 @@
 """Phase-sum kernels: how a coherent sum over elements and targets is chunked,
-gated and rounded. This module imports no other part of the package.
+gated and rounded, which kernel runs (:func:`sums`), and the exact channel
+matrix. This module imports no other part of the package.
 
 Two kernels evaluate the coherent sum. The exact one pays one distance and one
 complex exponential per element and target. The panel-factorized one serves
@@ -9,11 +10,12 @@ second order (the Fresnel expansion), split into a row factor and a column
 factor, so a panel costs one small matrix product per target. The phase of a
 factor is quadratic along its axis, so the factors come from a product
 recurrence with five exps per panel, target and axis rather than one per
-element offset. The kernel runs only when a rigorous bound on the terms it
-drops, and on the rounding its recurrence adds, stays below the exact kernel's
-own phase rounding (:func:`gate`); otherwise the exact kernel runs. The exact
-kernel is also the oracle the factorized one is tested against. The same
-factors give the link spectra of the MIMO sweeps
+element offset; where the exact kernel itself rounds less than that
+recurrence would, each offset takes its own exp. The kernel runs only when a
+rigorous bound on the terms it drops, and on the rounding its recurrence adds,
+stays below the exact kernel's own phase rounding (:func:`gate`); otherwise
+the exact kernel runs. The exact kernel is also the oracle the factorized one
+is tested against. The same factors give the link spectra of the MIMO sweeps
 (:func:`nearlink.mimo.link_spectra`).
 
 A chunk of any kernel forms at most ``_BLOCK_BUDGET`` entries (targets x
@@ -83,6 +85,13 @@ class BeamKernel:
 EXACT_KERNEL = BeamKernel("exact", 0.0)
 
 
+def unit_vectors(theta, phi) -> np.ndarray:
+    """Unit vectors toward (theta, phi); scalar angles give one 3-vector."""
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
+
+
 def _direction_sums(positions, w, units, wavelength):
     k = wavenumber(wavelength)
     out = np.zeros(len(units), dtype=np.complex128)
@@ -98,6 +107,32 @@ def _point_sums(positions, w, pts, wavelength):
     for rows in blocks(len(positions), len(pts)):
         phase = np.sqrt(squared_distances(pts, positions[rows])) * -k
         out += np.exp(1j * phase) @ w[rows]
+    return out
+
+
+class ZeroDistance(ValueError):
+    """A transmit and receive element coincide; the coefficient is undefined."""
+
+
+def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
+    """Read-only (rx elements, tx elements) channel between two layouts:
+    ``exp(-j 2 pi d / lambda)`` at element distance ``d``, the free-space
+    coefficient at unit modulus (ratios of singular values see no common
+    scale). The phase is formed in float64 from the distance and wrapped only
+    inside the exp, so phase differences stay well below a microradian where
+    ``d / lambda`` nears 1e8. Raises ZeroDistance where two elements meet."""
+    wavenumber(wavelength)  # checks the wavelength
+    txp, rxp = tx.positions, rx.positions
+    out = np.empty((len(rxp), len(txp)), dtype=np.complex128)
+    for rows in blocks(len(rxp), len(txp)):
+        d = np.sqrt(squared_distances(rxp[rows], txp))
+        if (d == 0.0).any():
+            i, j = np.argwhere(d == 0.0)[0]
+            raise ZeroDistance(
+                f"rx element {rows.start + int(i)} coincides with tx element {int(j)}"
+            )
+        out[rows] = np.exp(-2j * np.pi * (d / wavelength))
+    out.setflags(write=False)
     return out
 
 
@@ -126,7 +161,7 @@ class _FactorizedPlan:
     rows: int  # offsets along a panel's y axis
     cols: int  # offsets along a panel's x axis
     spacing: float  # element pitch inside a panel
-    run: int  # most products along an axis chain between fresh exps
+    chained: bool  # factors step along whole chains, else one exp per offset
     directional: bool  # targets are unit vectors, not points
     bound_rad: float  # what the kernel drops or adds, at any element and target
     floor_rad: float  # exact kernel's own phase rounding (nearest target, for points)
@@ -140,6 +175,17 @@ def gate(layout, targets, directional, wavelength):
     if plan is not None and plan.bound_rad <= plan.floor_rad:
         return plan, BeamKernel("panel_factorized", plan.bound_rad)
     return None, EXACT_KERNEL
+
+
+def sums(layout, w, targets, directional, wavelength):
+    """``(response, kernel)``: the sum over ``layout``'s elements weighted by
+    ``w`` at each target (unit vectors if ``directional``, else points), from
+    the factorized kernel where :func:`gate` passes it, else the exact one."""
+    plan, used = gate(layout, targets, directional, wavelength)
+    if plan is not None:
+        return _factorized_sums(plan, w, targets, wavelength), used
+    exact = _direction_sums if directional else _point_sums
+    return exact(layout.positions, w, targets, wavelength), used
 
 
 def _factorized_plan(layout, targets, directional, wavelength):
@@ -204,36 +250,36 @@ def _factorized_plan(layout, targets, directional, wavelength):
         slope_x = slope_y = 1.0
         # (1 - u^2) / 2R is at most 1 / 2R.
         curvature = 0.5 / nearest
-    # The longest chain run between fresh exps whose rounding still fits
-    # under the floor: whole chains for point targets, shorter ones where the
-    # exact kernel itself rounds little (directions near broadside on a
-    # panel at the origin), down to one exp per offset.
-    for run in range(max(spec.rows, spec.cols) // 2 - 1, -1, -1):
-        drift = _recurrence_drift(run, spec.cols, s, k, slope_x, curvature)
-        drift += _recurrence_drift(run, spec.rows, s, k, slope_y, curvature)
-        bound_rad = float(k * bound + drift / (1.0 - drift))
-        if bound_rad <= k * floor:
-            break
+    # Whole chains where their rounding fits under the floor, as it does for
+    # every point target tried; else (directions near broadside on a
+    # panel at the origin, where the exact kernel itself rounds little) one
+    # exp per offset, which adds no rounding of its own.
+    drift = _recurrence_drift(spec.cols, s, k, slope_x, curvature)
+    drift += _recurrence_drift(spec.rows, s, k, slope_y, curvature)
+    bound_rad = float(k * bound + drift / (1.0 - drift))
+    chained = bound_rad <= k * floor
+    if not chained:
+        bound_rad = float(k * bound)
     return _FactorizedPlan(
-        grid.centres, spec.rows, spec.cols, s, run, directional, bound_rad, k * floor
+        grid.centres, spec.rows, spec.cols, s, chained, directional, bound_rad, k * floor
     )
 
 
-def _recurrence_drift(run, n, spacing, k, slope, curvature):
-    """First-order bound on the relative error _axis_factor adds to a factor
-    beyond the one rounded exp a factor costs when evaluated on its own.
+def _recurrence_drift(n, spacing, k, slope, curvature):
+    """First-order bound on the relative error _axis_factor's chains add to
+    a factor beyond the one rounded exp a factor costs when evaluated on its
+    own.
 
     ``slope`` bounds |u| and ``curvature`` bounds |c| = |(1 - u^2) / 2R|
-    along the axis (zero for directions). Each chain of ``_axis_factor``
-    restarts from an exp every ``run`` products, so a factor is at most
-    m = min(run, n // 2 - 1) steps from its segment's first exp, which is
-    that one exp; step i multiplies by r_(i-1) = r_0 q^(i-1). So the factor
-    is f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it: m
-    along the chain and i - 1 inside each r_(i-1). Each of those inputs
-    carries its own relative error, and they add to first order:
+    along the axis (zero for directions). A factor is at most
+    m = n // 2 - 1 steps from its chain's first exp, which is that one exp;
+    step i multiplies by r_(i-1) = r_0 q^(i-1). So the factor is
+    f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it: m along
+    the chain and i - 1 inside each r_(i-1). Each of those inputs carries its
+    own relative error, and they add to first order:
 
     - r_0 = exp(jk d (u - (2o + d) c)) with |d| = s and |2o + d| <= n s: its
-      phase takes five roundings, and the segment's start offset o one more,
+      phase takes five roundings, and the chain's first offset o one more,
       on values of at most k s (|u| + n s |c|), so it is within gamma_6 of
       that; exp adds at most 2 ulps per component, 4u; times m;
     - q = exp(-2jk s^2 c): three roundings of 2 k s^2 |c| plus the exp's 4u,
@@ -244,7 +290,7 @@ def _recurrence_drift(run, n, spacing, k, slope, curvature):
     The exact form of the compounding, prod (1 + e_i) - 1, stays below
     e / (1 - e) for e the sum returned here.
     """
-    m = max(min(run, n // 2 - 1), 0)
+    m = max(n // 2 - 1, 0)
     exp_err = 4.0 * _UNIT_ROUNDOFF
     ratio = _gamma(6) * k * spacing * (slope + n * spacing * curvature) + exp_err
     if curvature == 0.0:
@@ -276,8 +322,8 @@ def _factorized_sums(plan, w, targets, wavelength):
     out = np.empty(len(targets), dtype=np.complex128)
     for chunk in blocks(len(targets), len(w)):
         path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk], plan.directional)
-        col = _axis_factor(plan.cols, plan.spacing, plan.run, ux, inv_r, k)
-        row = _axis_factor(plan.rows, plan.spacing, plan.run, uy, inv_r, k)
+        col = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, inv_r, k)
+        row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, inv_r, k)
         inner = np.einsum("prt,prt->pt", w_p @ col, row)
         out[chunk] = (np.exp(-1j * k * path) * inner).sum(axis=0)
     return out
@@ -299,40 +345,40 @@ def _factorized_factors(plan, targets, wavelength):
     c = plan.centres
     t_norm = np.sqrt((targets * targets).sum(axis=-1))
     rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
-    row = _axis_factor(plan.rows, plan.spacing, plan.run, uy, inv_r, k)
+    row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, inv_r, k)
     row *= np.exp(-1j * k * rel)[:, None, :]
-    return row, _axis_factor(plan.cols, plan.spacing, plan.run, ux, inv_r, k)
+    return row, _axis_factor(plan.cols, plan.spacing, plan.chained, ux, inv_r, k)
 
 
-def _axis_factor(n, spacing, run, u, inv_r, k):
+def _axis_factor(n, spacing, chained, u, inv_r, k):
     # f(o) = exp(jk (o u - o^2 c)), c = (1 - u^2) / 2R, at the n offsets
     # o = m spacing, m = i - (n - 1) / 2, of one panel axis; u and inv_r are
     # (panels, targets) and the result is (panels, n, targets).
     #
-    # The phase is quadratic in o, so along steps d = +-spacing the ratio of
-    # neighbours is r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run
-    # outward from the centre and share q. A chain takes an exp of f and one
-    # of its first ratio, then one product per offset, and starts afresh
-    # after ``run`` products. A centre offset (odd n) is 0, where f is 1.
+    # Unchained, each offset takes its own exp. Chained, the phase is
+    # quadratic in o, so along steps d = +-spacing the ratio of neighbours is
+    # r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run outward from the
+    # centre and share q. A chain takes an exp of f at its innermost offset
+    # and one of its first ratio, then one product per offset. A centre
+    # offset (odd n) is 0, where f is 1. Chains of one offset are that exp.
     c = (1.0 - u * u) * (0.5 * inv_r)
-    out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
     half = n // 2
+    if not chained or half < 2:
+        o = ((np.arange(n) - (n - 1) / 2.0) * spacing)[:, None]
+        return np.exp(1j * ((k * o) * (u[:, None, :] - o * c[:, None, :])))
+    out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
     if n % 2:
         out[:, half] = 1.0
-    if run > 1:
+    if half > 2:
         q = np.exp(1j * ((-2.0 * k * spacing * spacing) * c))
     # The innermost offset above the centre, in pitches: 1 or 1/2.
     first = (n + 1) // 2 - (n - 1) / 2.0
     for sign, chain in ((1.0, range(n - half, n)), (-1.0, range(half - 1, -1, -1))):
-        d = sign * spacing
-        for start in range(0, half, run + 1):
-            seg = chain[start : start + run + 1]
-            o = sign * (first + start) * spacing
-            out[:, seg[0]] = np.exp(1j * ((k * o) * (u - o * c)))
-            if len(seg) > 1:
-                r = np.exp(1j * ((k * d) * (u - (2.0 * o + d) * c)))
-            for i in range(1, len(seg)):
-                if i > 1:
-                    r *= q
-                np.multiply(out[:, seg[i - 1]], r, out=out[:, seg[i]])
+        d, o = sign * spacing, sign * first * spacing
+        out[:, chain[0]] = np.exp(1j * ((k * o) * (u - o * c)))
+        r = np.exp(1j * ((k * d) * (u - (2.0 * o + d) * c)))
+        for i in range(1, half):
+            if i > 1:
+                r *= q
+            np.multiply(out[:, chain[i - 1]], r, out=out[:, chain[i]])
     return out

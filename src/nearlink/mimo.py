@@ -32,16 +32,16 @@ P S rows: 256 x 16 instead of 4 096 x 16 for 16 panels of 32 x 32 and a
 SIAM J. Sci. Comput. 34, 2012).
 
 :func:`link_spectra` runs many links, such as the ranges of a sweep, through
-one pass. Links that pass the gate against the same panel layout with the
-same chain run share one factor build and one batched first QR, a block of
-links at a time; each then takes its own second QR and SVD. A block holds as
-many links as keep its factors, (rows + cols) P S entries per link, within one
-link's Khatri-Rao stack of P min(rows, S) min(cols, S) S entries. Besides its
-factors or their R factors (no larger), a block holds at most two arrays of
-that size at once (a link's stack and the copy QR takes of it, or the next
-link's stack) and one link's R_p, P min(min(rows, S) min(cols, S), S) S
-entries. So it stays within three such stacks and one R_p, about what one
-link on its own holds.
+one pass. Links that pass the gate against the same panel layout, with
+chained factors or all without, share one factor build and one batched first
+QR, a block of links at a time; each then takes its own second QR and SVD. A
+block holds as many links as keep its factors, (rows + cols) P S entries per
+link, within one link's Khatri-Rao stack of P min(rows, S) min(cols, S) S
+entries. Besides its factors or their R factors (no larger), a block holds at
+most two arrays of that size at once (a link's stack and the copy QR takes of
+it, or the next link's stack) and one link's R_p, P min(min(rows, S) min(cols,
+S), S) S entries. So it stays within three such stacks and one R_p, about what
+one link on its own holds.
 
 Householder QR and LAPACK's SVD are backward stable: each returns the exact
 result for an input within a small multiple (about four times its size) of
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .channel import channel_matrix
+from .kernel import channel_matrix
 from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout, PanelSpec
 
@@ -152,7 +152,7 @@ def link_spectra(links, wavelength: float) -> list:
     spectrum comes from the factorized kernel's row and column factors,
     compressed by two levels of QR (see the module docstring);
     ``source_shape`` is still the channel matrix's. Links that pass the gate
-    with the same panel layout, chain run and number of point elements share
+    with the same panel layout, chaining and number of point elements share
     the factor build and the first QR, a block of them at a time. Every other
     link gives exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
     """
@@ -164,7 +164,7 @@ def link_spectra(links, wavelength: float) -> list:
         for panels, points in ((rx, tx), (tx, rx)):
             plan, used = kernel.gate(panels, points.positions, False, wavelength)
             if plan is not None:
-                key = (id(panels), plan.run, points.n_elements)
+                key = (id(panels), plan.chained, points.n_elements)
                 groups.setdefault(key, (plan, panels, []))[2].append((i, used, points))
                 break
         else:

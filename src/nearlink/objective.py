@@ -20,8 +20,8 @@ class Direction:
     @property
     def unit(self):
         # Only the numerics ask for the vector, so numpy is loaded by now.
-        from .beamforming import _unit_vectors
-        return _unit_vectors(self.theta, self.phi)
+        from .kernel import unit_vectors
+        return unit_vectors(self.theta, self.phi)
 
 
 def default_exclusion_halfwidth(aperture: float, wavelength: float) -> float:

@@ -30,10 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import _unit_vectors
 from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
-from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, wavenumber
+from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, unit_vectors, wavenumber
 from .objective import Direction, PlacementObjective, default_exclusion_halfwidth  # noqa: F401
 
 # The search's fine screen scans every _SCREEN_STRIDE-th kept direction and
@@ -100,7 +99,7 @@ def _scan_offsets(objective: PlacementObjective) -> np.ndarray:
     keep = np.abs(thetas - objective.steering.theta) > objective.exclusion_halfwidth
     if not keep.any():
         raise ValueError("no scan samples outside the exclusion zone")
-    units = _unit_vectors(thetas[keep], objective.steering.phi)
+    units = unit_vectors(thetas[keep], objective.steering.phi)
     return units - objective.steering.unit[None, :]
 
 

@@ -14,7 +14,7 @@ from . import beamforming, mimo, placement
 # ``channel_matrix`` is not called here since sweeps go through
 # ``mimo.link_spectra``; the name stays because the benchmark's traced run
 # (perfbench/traced_run.py) times channel builds by wrapping it.
-from .channel import channel_matrix  # noqa: F401
+from .kernel import channel_matrix  # noqa: F401
 from .fileio import atomic_write_text
 from .geometry import ElementLayout, PanelSpec, make_distributed_panels, make_upa
 from .geometry import random_panel_positions, save_layout

@@ -114,9 +114,10 @@ def _at_least(n: int) -> Bound:
 # A run allocates each array a count sizes in one piece: a beam analysis'
 # gain grid (n_theta x n_ranges), a sweep's range axis, a placement search's
 # scan directions (n_scan) and its candidates' positions (n_candidates x
-# n_panels). The largest of them may hold at most _MAX_ENTRIES entries, about
-# 100 MB at the 24 bytes of a position, so that a count validation passes
-# cannot fail the run's allocation.
+# n_panels), and a layout's element positions (panels x rows x cols). The
+# largest of them may hold at most _MAX_ENTRIES entries, about 100 MB at the
+# 24 bytes of a position, so that a count validation passes cannot fail the
+# run's allocation.
 _MAX_ENTRIES = 1 << 22
 
 
@@ -151,17 +152,30 @@ def _range_order(ana, path):
         raise ValidationError(f"'{path}.range_stop_m' must exceed range_start_m")
 
 
-def _entries_fit(*counts):
-    # Refuses a product of ``counts`` past _MAX_ENTRIES, naming the last count.
-    def check(ana, path):
-        entries = math.prod(getattr(ana, name) for name in counts)
-        if entries > _MAX_ENTRIES:
-            raise ValidationError(
-                f"'{path}.{counts[-1]}': {' x '.join(counts)} is {entries} entries, "
-                f"above the {_MAX_ENTRIES} one array may hold"
-            )
+def _refuse_entries(key, names, counts):
+    # Refuses a product of ``counts`` past _MAX_ENTRIES.
+    if math.prod(counts) > _MAX_ENTRIES:
+        raise ValidationError(
+            f"'{key}': {' x '.join(names)} is {math.prod(counts)} entries, "
+            f"above the {_MAX_ENTRIES} one array may hold"
+        )
 
-    return check
+
+def _entries_fit(*names):
+    # The check for a product of fields ``names``, naming the last.
+    return lambda obj, path: _refuse_entries(
+        f"{path}.{names[-1]}", names, [getattr(obj, n) for n in names]
+    )
+
+
+def _ground_fits(ground, path):
+    # A distributed ground holds panels x rows x cols elements; a upa
+    # ground's one panel has the panel's own rows x cols check.
+    if ground.kind == "distributed":
+        key = "random.n_panels" if ground.random else "positions_m"
+        panels = ground.random.n_panels if ground.random else len(ground.positions_m)
+        counts = (panels, ground.panel.rows, ground.panel.cols)
+        _refuse_entries(f"{path}.{key}", ("panels", "rows", "cols"), counts)
 
 
 def _placement_fits(cfg, path):
@@ -198,6 +212,24 @@ def _link_sections(s, path):
             if getattr(s, section) is None:
                 kind = analysis_kind(s.analysis)
                 raise ValidationError(f"missing required key '{section}': {kind} needs it")
+
+
+def _satellite_clears_ground(s, path):
+    # A sweep brings the satellite to its nearest range, where every element
+    # must sit above the ground's highest, or an element of each can meet.
+    # build_satellite_layout centres a mount on its mean; panels lie flat.
+    if not isinstance(s.analysis, _SWEEPS):
+        return
+    sat, r = s.satellite, min(s.analysis.range_start_m, s.satellite.range_m)
+    key = "analysis.range_start_m" if r < sat.range_m else "satellite.range_m"
+    zs = [p[2] for p in sat.positions_m or ((0.0, 0.0, 0.0),)]
+    lowest = r * math.cos(math.radians(sat.off_nadir_deg)) + (min(zs) - math.fsum(zs) / len(zs))
+    highest = max((p[2] for p in s.ground.positions_m or ()), default=0.0)
+    if not lowest > highest:
+        raise ValidationError(
+            f"'{key}': at this range the satellite's lowest element sits at z = "
+            f"{lowest:.6g} m, not above the ground's highest at z = {highest:.6g} m"
+        )
 
 
 def _panels_fit(s, path):
@@ -310,7 +342,7 @@ class PanelConfig:
     spacing_m: Optional[float] = _f(float, _POSITIVE, None)
     spacing_wavelengths: Optional[float] = _f(float, _POSITIVE, None)
     element_gain_dbi: float = _f(float, default=0.0)
-    _checks = (_exactly_one("spacing_m", "spacing_wavelengths"),)
+    _checks = (_exactly_one("spacing_m", "spacing_wavelengths"), _entries_fit("rows", "cols"))
 
 
 @dataclass(frozen=True)
@@ -329,7 +361,7 @@ class GroundConfig:
     panel: PanelConfig = _f(PanelConfig)
     random: Optional[RandomPlacementConfig] = _f(RandomPlacementConfig, default=None)
     positions_m: Optional[tuple] = _f(_POSITIONS, default=None)
-    _checks = (_ground_placement,)
+    _checks = (_ground_placement, _ground_fits)
 
 
 @dataclass(frozen=True)
@@ -449,6 +481,7 @@ class Scenario:
     output_dir: str = _f(str, default=".")
     _checks = (
         _link_sections,
+        _satellite_clears_ground,
         _panels_fit,
         _scan_outside_exclusion,
         _finite_wavelength,

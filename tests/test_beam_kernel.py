@@ -23,7 +23,7 @@ from nearlink.beamforming import (
     point_at,
     response_sum,
 )
-from nearlink.channel import channel_matrix
+from nearlink.kernel import channel_matrix
 from nearlink.geometry import (
     ElementLayout,
     PanelSpec,
@@ -162,21 +162,26 @@ def test_directions_on_a_built_layout_take_factorized_path():
         PanelSpec(4, 4, 0.5 * LAM), random_panel_positions(100.0, 100.0, 8, 5.0, 3)
     )
     units = unit_vectors(np.linspace(-1.0, 1.0, 9), 0.3)
-    _, kernel = bf._sums(lay, np.ones(lay.n_elements), units, True, LAM)
+    _, kernel = kn.sums(lay, np.ones(lay.n_elements), units, True, LAM)
     assert kernel.name == "panel_factorized"
     # A UPA at the origin, where the exact kernel rounds phases of a few
-    # radians only: the recurrence takes shorter chains to stay under that.
+    # radians only: whole chains would round more than that, so the factors
+    # take one exp per offset. The last is the acceptance gate's 128x128 UPA
+    # at its broadside and +-60 degree steering windows.
+    window = np.linspace(-2.0e-3, 2.0e-3, 201)
     for spec, thetas in (
         (PanelSpec(8, 8, 0.5 * LAM), [0.0]),
         (PanelSpec(32, 32, 0.5 * LAM), [0.1, -0.2]),
         (PanelSpec(128, 128, 0.5 * LAM, 6.0), np.linspace(-0.3, 0.3, 5)),
+        (PanelSpec(128, 128, 0.5 * LAM, 6.0), window),
+        (PanelSpec(128, 128, 0.5 * LAM, 6.0), np.deg2rad(60.0) + window),
     ):
         upa = make_upa(spec)
         units = unit_vectors(np.asarray(thetas), 0.3)
         plan = kn._factorized_plan(upa, units, True, LAM)
-        assert plan.run < spec.rows // 2 - 1 and plan.bound_rad <= plan.floor_rad
+        assert not plan.chained and plan.bound_rad <= plan.floor_rad
         w = random_weights(7, upa.n_elements)
-        total, kernel = bf._sums(upa, w, units, True, LAM)
+        total, kernel = kn.sums(upa, w, units, True, LAM)
         assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
         exact = kn._direction_sums(upa.positions, w, units, LAM)
         reach = np.linalg.norm(upa.positions, axis=1).max()
@@ -207,28 +212,38 @@ def long_double_axis_factor(n, spacing, u, inv_r):
 @PROPERTY
 @given(
     n=st.one_of(st.sampled_from([1, 2, 3, 32]), st.integers(1, 40)),
-    run=st.one_of(st.just(99), st.integers(0, 20)),
+    chained=st.booleans(),
     pitch=st.floats(0.2, 2.0),
     seed=st.integers(0, 2**32 - 1),
     log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
     directional=st.booleans(),
 )
 def test_axis_recurrence_within_its_drift_of_direct_exps(
-    n, run, pitch, seed, log_range, directional
+    n, chained, pitch, seed, log_range, directional
 ):
-    # run 99 is longer than any chain here: one exp pair per chain.
     rng = np.random.default_rng(seed)
     spacing = pitch * LAM
     theta, phi = rng.uniform(-1.4, 1.4, (3, 5)), rng.uniform(0.0, 2.0 * np.pi, (3, 5))
     u = np.sin(theta) * np.cos(phi)
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, (3, 5)))
     inv_r = np.zeros_like(ranges) if directional else 1.0 / ranges
-    got = kn._axis_factor(n, spacing, run, u, inv_r, K)
+    got = kn._axis_factor(n, spacing, chained, u, inv_r, K)
     want = direct_axis_factor(n, spacing, u, inv_r)
     assert got.shape == want.shape == (3, n, 5)
+    edge = (n - 1) / 2.0 * spacing
     curvature = 0.0 if directional else 0.5 / ranges.min()
-    drift = kn._recurrence_drift(run, n, spacing, K, 1.0, curvature)
-    drift /= 1.0 - drift
+    if chained:
+        # One exp pair per chain, from the innermost offset.
+        drift = kn._recurrence_drift(n, spacing, K, 1.0, curvature)
+        drift /= 1.0 - drift
+        start = ((n + 1) // 2 - (n - 1) / 2.0) * spacing if n > 1 else 0.0
+    else:
+        # One exp per offset, of the expression a chain starts from.
+        c = (1.0 - u * u) * (0.5 * inv_r)
+        for i in range(n):
+            o = (i - (n - 1) / 2.0) * spacing
+            assert np.array_equal(got[:, i], np.exp(1j * ((K * o) * (u - o * c))))
+        drift, start = 0.0, edge
 
     # A phase of at most k |o| (|u| + 2 |o c|) in five roundings, and an exp
     # within 2 ulps per component.
@@ -236,14 +251,11 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(
         return 5.0 * unit * (1.0 + 1e-9) * K * o * (1.0 + 2.0 * o * curvature) + 4.0 * unit
 
     # Each form pays one rounded exp per factor at an offset up to the edge.
-    edge = (n - 1) / 2.0 * spacing
     assert np.abs(got - want).max() <= drift + 2.0 * one_exp(edge, UNIT_ROUNDOFF)
-    # Against the long-double factor only the recurrence's first exp of each
-    # chain segment counts, at the segment's first offset.
-    first = (n + 1) // 2 - (n - 1) / 2.0
-    starts = [first + i for i in range(0, n // 2, run + 1)] or [0.0]
+    # Against the long-double factor only the exp a factor starts from
+    # counts: a chain's first, or the factor's own.
     ld_unit = float(np.finfo(np.longdouble).eps) / 2.0
-    tight = drift + one_exp(max(starts) * spacing, UNIT_ROUNDOFF) + one_exp(edge, ld_unit)
+    tight = drift + one_exp(start, UNIT_ROUNDOFF) + one_exp(edge, ld_unit)
     reference = long_double_axis_factor(n, spacing, u, inv_r)
     assert float(np.abs(got - reference).max()) <= tight
 
@@ -334,14 +346,14 @@ def test_perturbed_positions_take_exact_path():
     )
     target = point_at(400.0e3, 0.0).position[None]
     ones = np.ones(lay.n_elements)
-    assert bf._sums(lay, ones, target, False, LAM)[1].name == "panel_factorized"
+    assert kn.sums(lay, ones, target, False, LAM)[1].name == "panel_factorized"
 
     moved = lay.positions.copy()
     moved[21, 0] += 1.0e-7
     bent = ElementLayout(moved, lay.panel_ids, lay.panel_spec)
     plan = kn._factorized_plan(bent, target, False, LAM)
     assert plan.bound_rad > plan.floor_rad
-    total, kernel = bf._sums(bent, ones, target, False, LAM)
+    total, kernel = kn.sums(bent, ones, target, False, LAM)
     assert kernel == EXACT_KERNEL
     assert np.array_equal(total, kn._point_sums(moved, ones, target, LAM))
 
@@ -373,7 +385,7 @@ def test_layout_file_without_panel_comment_takes_exact_path():
     bare = ElementLayout(grid.positions, np.arange(grid.n_elements), PanelSpec(1, 1, 1.0))
     units = unit_vectors(np.array([0.0, 0.3]), 0.0)
     for lay, name in ((grid, "panel_factorized"), (bare, "exact")):
-        _, kernel = bf._sums(lay, np.ones(lay.n_elements), units, True, LAM)
+        _, kernel = kn.sums(lay, np.ones(lay.n_elements), units, True, LAM)
         assert kernel.name == name
 
 
@@ -384,7 +396,7 @@ def test_elements_out_of_grid_order_take_exact_path():
     units = Direction(0.1).unit[None]
     plan = kn._factorized_plan(swapped, units, True, LAM)
     assert plan.bound_rad > plan.floor_rad
-    assert bf._sums(swapped, np.ones(12), units, True, LAM)[1] == EXACT_KERNEL
+    assert kn.sums(swapped, np.ones(12), units, True, LAM)[1] == EXACT_KERNEL
 
 
 def test_run_report_carries_the_sweep_kernel(tmp_path):
@@ -682,32 +694,32 @@ def test_sweep_with_the_panels_on_the_satellite_side():
 
 
 def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
-    # Give alternate ranges plans with different chain runs: each factor
-    # build must then serve links of its own plan's run only.
+    # Give alternate ranges chained and unchained plans: each factor build
+    # must then serve links of its own plan's kind only.
     ground = make_distributed_panels(PanelSpec(8, 8, 0.5 * LAM), [[-30, 0, 0], [30, 0, 0]])
     ranges = np.geomspace(1.0e5, 1.0e6, 6)
-    run_of = {float(r): i % 2 for i, r in enumerate(ranges)}
+    chained_at = {float(r): i % 2 == 1 for i, r in enumerate(ranges)}
     planned = kn._factorized_plan
 
-    def alternating_runs(layout, targets, directional, wavelength):
+    def alternating_chains(layout, targets, directional, wavelength):
         plan = planned(layout, targets, directional, wavelength)
-        return plan and dataclasses.replace(plan, run=run_of[float(targets[0, 2])])
+        return plan and dataclasses.replace(plan, chained=chained_at[float(targets[0, 2])])
 
     built = []
     made = kn._factorized_factors
 
     def factors(plan, targets, wavelength):
-        built.append((plan.run, {run_of[float(z)] for z in targets[:, 2]}))
+        built.append((plan.chained, {chained_at[float(z)] for z in targets[:, 2]}))
         return made(plan, targets, wavelength)
 
-    monkeypatch.setattr(kn, "_factorized_plan", alternating_runs)
+    monkeypatch.setattr(kn, "_factorized_plan", alternating_chains)
     monkeypatch.setattr(kn, "_factorized_factors", factors)
     # Eight elements: a block holds four links' factors.
     mount = np.array([[0.2 * i, 0.1 * (i % 3), 0.0] for i in range(8)])
     sats = [point_layout(mount + [0.0, 0.0, r]) for r in ranges]
     link_spectra([(sat, ground) for sat in sats], LAM)
-    assert sorted(run for run, _ in built) == [0, 1]
-    assert all(runs == {run} for run, runs in built)
+    assert sorted(chained for chained, _ in built) == [False, True]
+    assert all(kinds == {chained} for chained, kinds in built)
 
 
 def test_sweep_transient_memory_stays_within_the_block_bound():

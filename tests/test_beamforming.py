@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nearlink import beamforming as bf
+from nearlink import kernel
 from nearlink.fileio import fmt
 from nearlink.beamforming import (
     GAIN_FLOOR_DB,
@@ -44,14 +45,12 @@ def test_direction_lists_use_the_per_object_unit_vectors_bit_for_bit():
     for phi in (np.zeros(2000), rng.uniform(0.0, 2.0 * np.pi, 2000)):
         directions = [Direction(float(t), float(p)) for t, p in zip(theta, phi)]
         want = np.stack([d.unit for d in directions])
-        assert np.array_equal(bf._unit_vectors(theta, phi), want)
+        assert np.array_equal(kernel.unit_vectors(theta, phi), want)
 
     lay = make_upa(PanelSpec(3, 4, LAM / 2.0))
     w = delay_and_sum_weights(lay, Direction(0.2, 0.7), LAM)
     directions = [Direction(float(t), float(p)) for t, p in zip(theta[:50], phi[:50])]
-    want, _ = bf._sums(
-        lay, w.weights, np.stack([d.unit for d in directions]), True, LAM
-    )
+    want, _ = kernel.sums(lay, w.weights, np.stack([d.unit for d in directions]), True, LAM)
     assert np.array_equal(response_sum(lay, w, directions, LAM), want)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nearlink import kernel
-from nearlink.channel import ZeroDistance, channel_matrix
+from nearlink.kernel import ZeroDistance, channel_matrix
 from nearlink.geometry import ElementLayout, PanelSpec
 from nearlink.mimo import condition_ratio, singular_values
 

@@ -507,6 +507,71 @@ def test_counts_past_the_array_bound_exit_three(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["big.scenario"]
 
 
+def test_layouts_past_the_array_bound_exit_three(tmp_path, capsys):
+    # A layout's element positions, panels x rows x cols, share the same
+    # bound. 1e20 random panels used to pass validate, then fail the run's
+    # allocation (exit 1, "Maximum allowed dimension exceeded").
+    ground = ("rows: 32", "rows: 512"), ("cols: 32", "cols: 512")
+    for name, pairs, where in (
+        (
+            "beam_theta_distributed",
+            [
+                ("n_panels: 16", "n_panels: 100000000000000000000"),
+                ("aperture_x_m: 1414.0", "aperture_x_m: 1.0e12"),
+                ("aperture_y_m: 1000.0", "aperture_y_m: 1.0e12"),
+            ],
+            "ground.random.n_panels",
+        ),
+        ("beam_theta_distributed", [*ground, ("n_panels: 16", "n_panels: 17")], "ground.random.n_panels"),
+        ("beam_theta_upa", [("rows: 128", "rows: 200000"), ("cols: 128", "cols: 200000")], "ground.panel.cols"),
+        ("beam_theta_upa", [("rows: 1\n", "rows: 2048\n"), ("cols: 1\n", "cols: 2049\n")], "satellite.panel.cols"),
+        ("ratio_vs_range_benchtop", [("rows: 1", "rows: 2048"), ("cols: 1", "cols: 1025")], "ground.positions_m"),
+    ):
+        bad = tmp_path / "big.scenario"
+        bad.write_text(_edited(name, *pairs))
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and f"'{where}'" in err and "4194304" in err, (name, argv)
+    # 16 panels of 512 x 512 and one of 2048 x 2048 are the bound itself.
+    for name, pairs in (
+        ("beam_theta_distributed", ground),
+        ("beam_theta_upa", [("rows: 128", "rows: 2048"), ("cols: 128", "cols: 2048")]),
+    ):
+        bad.write_text(_edited(name, *pairs))
+        assert run_cli(capsys, "validate", str(bad))[0] == 0, name
+    assert os.listdir(tmp_path) == ["big.scenario"]
+
+
+def _benchtop_ground_at(z):
+    ground = "    - [-0.1, 0.0]\n    - [0.1, 0.0]\n\nsatellite"
+    raised = f"    - [-0.1, 0.0, {z}]\n    - [0.1, 0.0, {z}]\n\nsatellite"
+    return _edited("ratio_vs_range_benchtop", (ground, raised))
+
+
+def test_sweep_whose_satellite_reaches_the_ground_exits_three(tmp_path, capsys):
+    # At its first range, 4 m, the satellite's elements sat on the raised
+    # ground's: this used to pass validate, then exit 1 with "rx element 0
+    # coincides with tx element 0". The reference range counts too.
+    below_reference = _benchtop_ground_at(3.5).replace("range_m: 8.0", "range_m: 3.0")
+    for text, where in (
+        (_benchtop_ground_at(4.0), "analysis.range_start_m"),
+        (below_reference, "satellite.range_m"),
+    ):
+        bad = tmp_path / "touch.scenario"
+        bad.write_text(text)
+        for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and out == "" and f"'{where}'" in err, (where, argv, err)
+            assert "not above the ground's highest at z = " in err
+    assert os.listdir(tmp_path) == ["touch.scenario"]
+    # Just below the satellite's first range, the same ground runs.
+    path = tmp_path / "clear.scenario"
+    path.write_text(_benchtop_ground_at(3.9))
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    code, _, err = run_cli(capsys, "run", str(path), "--output-dir", str(tmp_path / "out"))
+    assert code == 0 and err == ""
+
+
 SATELLITE_MOUNT = "positions_m: [[-0.707, -0.5], [0.707, -0.5], [-0.707, 0.5], [0.707, 0.5]]"
 
 
@@ -726,7 +791,6 @@ def test_cli_import_leaves_out_package_metadata():
 NUMERICS = (
     "numpy",
     "nearlink.beamforming",
-    "nearlink.channel",
     "nearlink.geometry",
     "nearlink.kernel",
     "nearlink.mimo",

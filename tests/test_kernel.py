@@ -8,8 +8,8 @@ import pytest
 
 from nearlink import kernel as kn
 from nearlink import placement
-from nearlink.beamforming import Direction, _unit_vectors
-from nearlink.channel import channel_matrix
+from nearlink.beamforming import Direction
+from nearlink.kernel import channel_matrix, unit_vectors
 from nearlink.geometry import ElementLayout, PanelSpec, make_distributed_panels
 from nearlink.placement import PlacementObjective, peak_sidelobe
 
@@ -23,9 +23,9 @@ LAYOUT = make_distributed_panels(
     PanelSpec(6, 7, 0.5 * LAM),
     [[-40, 10, 0], [25, -30, 1], [5, 35, -2], [60, 60, 0], [-60, -50, 0]],
 )
-POINTS = _unit_vectors(rng.uniform(-0.3, 0.3, 23), rng.uniform(0, 6, 23))
+POINTS = unit_vectors(rng.uniform(-0.3, 0.3, 23), rng.uniform(0, 6, 23))
 POINTS *= rng.uniform(1.0e5, 3.0e5, 23)[:, None]
-UNITS = _unit_vectors(rng.uniform(-1.0, 1.0, 23), rng.uniform(0, 6, 23))
+UNITS = unit_vectors(rng.uniform(-1.0, 1.0, 23), rng.uniform(0, 6, 23))
 WEIGHTS = rng.normal(size=LAYOUT.n_elements) + 1j * rng.normal(size=LAYOUT.n_elements)
 SATELLITE = ElementLayout(POINTS[:7], np.arange(7), PanelSpec(1, 1, 1.0))
 CENTRES = rng.uniform(-500.0, 500.0, (15, 3))
@@ -36,7 +36,7 @@ def evaluate():
     plan = kn._factorized_plan(LAYOUT, POINTS, False, LAM)
     dplan = kn._factorized_plan(LAYOUT, UNITS, True, LAM)
     return {
-        "plans": (plan.bound_rad, plan.run, dplan.bound_rad, dplan.run),
+        "plans": (plan.bound_rad, plan.chained, dplan.bound_rad, dplan.chained),
         "factorized_points": kn._factorized_sums(plan, WEIGHTS, POINTS, LAM),
         "factorized_directions": kn._factorized_sums(dplan, WEIGHTS, UNITS, LAM),
         "exact_points": kn._point_sums(LAYOUT.positions, WEIGHTS, POINTS, LAM),
@@ -82,8 +82,10 @@ def factorized_rounding(plan, targets, directional):
         nearest = np.linalg.norm(targets[:, None] - plan.centres[None], axis=2).min()
         slope_x = slope_y = 1.0
         curvature, reach = 0.5 / nearest, 0.0
-    drift = kn._recurrence_drift(plan.run, plan.cols, plan.spacing, K, slope_x, curvature)
-    drift += kn._recurrence_drift(plan.run, plan.rows, plan.spacing, K, slope_y, curvature)
+    drift = 0.0
+    if plan.chained:
+        drift += kn._recurrence_drift(plan.cols, plan.spacing, K, slope_x, curvature)
+        drift += kn._recurrence_drift(plan.rows, plan.spacing, K, slope_y, curvature)
     n_terms = plan.cols + plan.rows + len(plan.centres) + 6
     return drift / (1.0 - drift) + dot_rounding(n_terms, reach)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nearlink.channel import channel_matrix
+from nearlink.kernel import channel_matrix
 from nearlink.geometry import ElementLayout, PanelSpec, make_upa
 from nearlink.mimo import (
     ConvergenceFailure,

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nearlink
-from nearlink import beamforming, placement
+from nearlink import beamforming, kernel, placement
 from nearlink.objective import Direction, PlacementObjective, default_exclusion_halfwidth
 from nearlink.schema import _placement_objective, load_scenario
 
@@ -50,7 +50,7 @@ def test_the_package_and_both_numerics_modules_export_the_one_objective():
     assert beamforming.Direction is placement.Direction is nearlink.Direction is Direction
     assert placement.PlacementObjective is nearlink.PlacementObjective is PlacementObjective
     assert placement.default_exclusion_halfwidth is default_exclusion_halfwidth
-    assert np.array_equal(Direction(0.3, 1.1).unit, beamforming._unit_vectors(0.3, 1.1))
+    assert np.array_equal(Direction(0.3, 1.1).unit, kernel.unit_vectors(0.3, 1.1))
 
 
 @settings(max_examples=300, deadline=None)

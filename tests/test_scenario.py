@@ -39,7 +39,7 @@ from nearlink.scenario import (
     scenario_hash,
     serialize_scenario,
 )
-from nearlink.schema import _to_dict
+from nearlink.schema import _satellite_clears_ground, _to_dict
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -897,7 +897,15 @@ def sections(draw, cls):
         start, stop = sorted((values["range_start_m"], values["range_stop_m"]))
         assume(start < stop)
         values.update(range_start_m=start, range_stop_m=stop)
-    return cls(**values)
+    obj = cls(**values)
+    # A sweep whose satellite reaches down to the ground is refused; keep
+    # such draws out rather than spend examples on them.
+    if cls is Scenario and obj.ground is not None and obj.satellite is not None:
+        try:
+            _satellite_clears_ground(obj, "")
+        except ValidationError:
+            assume(False)
+    return obj
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
