@@ -216,9 +216,10 @@ def random_panel_positions(
     Notes
     -----
     Each seed draws from its own ``default_rng(seed)`` stream, in blocks of
-    ``_DRAW_BLOCK`` (x, y) pairs. ``uniform`` fills a (B, 2) block in C order
-    from one double per element, so a block reads the stream exactly as B
-    successive uniform(-hx, hx), uniform(-hy, hy) calls would.
+    ``_DRAW_BLOCK`` (x, y) pairs. ``random`` fills a (B, 2) block in C order
+    from one double per element, and each is scaled as ``uniform`` scales
+    it, so a block holds exactly what B successive uniform(-hx, hx),
+    uniform(-hy, hy) calls would return.
 
     All seeds advance together. Each keeps a mask of which unread draws of its
     block are clear of every point placed so far: the mask is computed when
@@ -229,8 +230,8 @@ def random_panel_positions(
     gets the same accept or reject as the one-draw-at-a-time loop, against
     the same points, in stream order.
     """
-    if aperture_x <= 0.0 or aperture_y <= 0.0:
-        raise ValueError("aperture sides must be positive")
+    if not (0.0 < aperture_x < np.inf and 0.0 < aperture_y < np.inf):
+        raise ValueError("aperture sides must be positive and finite")
     if n_panels < 1:
         raise ValueError("need at least one panel")
     if min_spacing < 0.0:
@@ -272,7 +273,7 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
     ids = np.arange(n_seeds)
     rows = ids
     gens = [np.random.default_rng(s) for s in seeds]
-    low, high = np.array([-hx, -hy]), np.array([hx, hy])
+    low, span = np.array([[-hx], [-hy]]), np.array([[2.0 * hx], [2.0 * hy]])
     # x and y as rows, so that the distance tests run along contiguous memory.
     points = np.full((n_seeds, 2, n_panels), np.inf)
     points[:, :, :4] = out[:, :4, :2].transpose(0, 2, 1)
@@ -287,7 +288,10 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
         if spent.any():
             spent = np.flatnonzero(spent)
             for r in spent.tolist():
-                draws[r] = gens[r].uniform(low, high, size=(_DRAW_BLOCK, 2)).T
+                draws[r] = gens[r].random((_DRAW_BLOCK, 2)).T
+            # What uniform(low, high) computes from the same stream, without
+            # its per-call range checks: the span is the finite aperture.
+            draws[spent] = low + span * draws[spent]
             unread[spent] = 0
             k = placed[spent].max()
             slab = max(1, _MASK_ELEMENTS // (k * _DRAW_BLOCK))

@@ -24,30 +24,51 @@ Inside panel p the channel block is the column-wise Kronecker (Khatri-Rao)
 product B_p (.) A_p of its row and column factors. With B_p = Q_b R_b and
 A_p = Q_a R_a, the mixed-product rule gives B_p (.) A_p = (Q_b x Q_a)
 (R_b (.) R_a), and Q_b x Q_a has orthonormal columns, so the channel has the
-singular values of the panels' R_b (.) R_a stacked: P min(rows, S) min(cols, S)
-rows for S targets instead of one per element. A second QR of each panel's
-R_b (.) R_a = Q_p R_p leaves the singular values of the stacked R_p, at most
-P S rows: 256 x 16 instead of 4 096 x 16 for 16 panels of 32 x 32 and a
-16-element satellite. This is the tall-skinny QR reduction (Demmel et al.,
-SIAM J. Sci. Comput. 34, 2012).
+singular values of the panels' R_b (.) R_a stacked: P rb ra rows for S
+targets instead of one per element, with rb = min(rows, S) and
+ra = min(cols, S).
+
+R_b and R_a are upper triangular, so row (i, j) of R_b (.) R_a is zero left
+of column max(i, j). A staircase of QRs reduces the stack one leading column
+at a time: for m from max(rb, ra) - 1 down to 0, step m takes every panel's
+rows with max(i, j) = m, from column m on, stacks the triangle left by the
+steps before under them, shifted one column, and keeps the R of their QR. The
+last triangle, at most S x S, has the channel's singular values: 16 x 16
+instead of 4 096 x 16 for 16 panels of 32 x 32 and a 16-element satellite,
+from 16 steps of at most 496 rows each. This is the tall-skinny QR reduction
+(Demmel et al., SIAM J. Sci. Comput. 34, 2012) ordered by the blocks' zeros;
+no Khatri-Rao block is formed whole. Where rb ra < S, a panel's block is
+wider than it is tall and no QR shrinks it, so the stacked blocks, P rb ra x
+S, go to the SVD as they are.
 
 :func:`link_spectra` runs many links, such as the ranges of a sweep, through
 one pass. Links that pass the gate against the same panel layout, with
-chained factors or all without, share one factor build and one batched first
-QR, a block of links at a time; each then takes its own second QR and SVD. A
-block holds as many links as keep its factors, (rows + cols) P S entries per
-link, within one link's Khatri-Rao stack of P min(rows, S) min(cols, S) S
-entries. Besides its factors or their R factors (no larger), a block holds at
-most two arrays of that size at once (a link's stack and the copy QR takes of
-it, or the next link's stack) and one link's R_p, P min(min(rows, S) min(cols,
-S), S) S entries. So it stays within three such stacks and one R_p, about what
-one link on its own holds.
+chained factors or all without, share one factor build, one batched QR per
+axis, one batched QR per staircase step and one batched SVD, a block of links
+at a time. A block holds L = max(1, (rows + cols) // S) links, so that its
+L S targets number no more than a panel's rows + cols offsets, unless one
+link alone has more: 4 links for 32 x 32 panels and S = 16, 16 for S = 4. Its
+factors, P (rows + cols) L S entries, are then within P (rows + cols)**2
+entries, or one link's. Besides them, a block holds at most one factor's copy
+for its QR and the R factors, P (rb + ra) L S entries (no larger); then the R
+factors and, during step m, a few arrays of at most L k_m (S - m) entries,
+k_m being the step's rows: the new rows, the shifted triangle, their stack,
+the copy QR takes and its R. For 16 panels of 32 x 32 and S = 16 those are
+far smaller than the factors, and a block stays within three times its
+factors. On the wide path it holds the stacked blocks themselves, L P rb ra S
+entries, which the SVD takes whole.
 
 Householder QR and LAPACK's SVD are backward stable: each returns the exact
-result for an input within a small multiple (about four times its size) of
-2**-53 of the one it was given, in Frobenius norm. By Weyl's inequality every
-singular value then moves by at most the sum of those perturbations, a few
-multiples of 2**-53 ||H||_F.
+result for an input within about 4 k n 2**-53 of the k x n one it was given,
+in Frobenius norm (Higham, "Accuracy and Stability of Numerical Algorithms",
+Thm 19.4). Each staircase step's input is a rotation of rows of the stack,
+of norm at most ||H||_F. Step m is k_m <= P (rb + ra - 1) + S - m - 1 rows by
+S - m columns, so the steps add at most 4 k_m (S - m) each: about 1.0e5 in
+all for 16 panels of 32 x 32 and S = 16, where the per-panel QRs and the
+stacked SVD they replace added 3.3e4, and 2.0e3 for S = 4. By Weyl's
+inequality no singular value moves by more than the sum over both QR levels
+and the SVD, times 2**-53 ||H||_F. That is a worst case: the moves seen are a
+few 2**-53 sigma_max.
 """
 
 from __future__ import annotations
@@ -117,28 +138,33 @@ def svd_closed_form_2x2(
     return float(hi), float(lo)
 
 
-def singular_values(channel) -> SingularSpectrum:
+def singular_values(channel):
     """Full singular spectrum of a 2-d complex channel array, from LAPACK's SVD.
+
+    A 3-d array is a stack of channels: it takes one batched SVD and gives a
+    list of spectra, one per channel, in order.
 
     Raises
     ------
     ValueError
-        If the array is not a nonempty 2-d array of finite entries.
+        If the array is not a nonempty 2-d or 3-d array of finite entries.
     ConvergenceFailure
         If LAPACK's SVD does not converge.
     """
     h = np.asarray(channel, dtype=np.complex128)
-    if h.ndim != 2 or h.size == 0:
-        raise ValueError("channel must be a nonempty 2-d array")
+    if h.ndim not in (2, 3) or h.size == 0:
+        raise ValueError("channel must be a nonempty 2-d array or a stack of them")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
     try:
         values = np.linalg.svd(h, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
-            f"LAPACK SVD did not converge on a {h.shape[0]}x{h.shape[1]} matrix"
+            f"LAPACK SVD did not converge on a {h.shape[-2]}x{h.shape[-1]} matrix"
         ) from exc
-    return SingularSpectrum(values, h.shape)
+    if h.ndim == 2:
+        return SingularSpectrum(values, h.shape)
+    return [SingularSpectrum(v, h.shape[1:]) for v in values]
 
 
 def link_spectra(links, wavelength: float) -> list:
@@ -171,34 +197,53 @@ def link_spectra(links, wavelength: float) -> list:
             out[i] = singular_values(channel_matrix(tx, rx, wavelength)), kernel.EXACT_KERNEL
     for (_, _, s), (plan, panels, members) in groups.items():
         spec = panels.panel_spec
-        # A block's factors hold no more entries than one link's Khatri-Rao
-        # stack, P min(rows, S) min(cols, S) S.
-        size = max(1, min(spec.rows, s) * min(spec.cols, s) // (spec.rows + spec.cols))
+        # A block's targets number no more than a panel's offsets on its two
+        # axes, or it is one link.
+        size = max(1, (spec.rows + spec.cols) // s)
         for start in range(0, len(members), size):
             block = members[start : start + size]
             targets = np.concatenate([points.positions for _, _, points in block])
             spectra = _compressed(plan, targets, wavelength, s)
-            for (i, used, _), values in zip(block, spectra):
-                shape = (panels.n_elements, s)
-                spectrum = SingularSpectrum(values, shape if panels is links[i][1] else shape[::-1])
-                out[i] = spectrum, used
+            for (i, used, _), spectrum in zip(block, spectra):
+                shape = (panels.n_elements, s)[:: 1 if panels is links[i][1] else -1]
+                out[i] = SingularSpectrum(spectrum.values, shape), used
     return out
 
 
 def _compressed(plan, targets, wavelength, s):
     # Singular values of each consecutive run of s targets' channel to the
-    # plan's panels, from the R factors of two levels of QR. The row factor
-    # is dropped once its R factors exist, before the column factor's QR.
+    # plan's panels, from the R factors of the first QR level and the
+    # staircase second level. The row factor is dropped once its R factors
+    # exist, before the column factor's QR.
     row, col = kernel._factorized_factors(plan, targets, wavelength)
     r_row = _panel_r(row, s)
     del row
     r_col = _panel_r(col, s)
     del col
-    n_panels, kr = len(plan.centres), r_row.shape[-2] * r_col.shape[-2]
-    for b, a in zip(r_row, r_col):
-        khatri_rao = (b[:, :, None, :] * a[:, None, :, :]).reshape(n_panels, kr, s)
-        r = np.linalg.qr(khatri_rao, mode="r")
-        yield singular_values(r.reshape(-1, s)).values
+    return singular_values(_second_level(r_row, r_col))
+
+
+def _second_level(r_row, r_col):
+    # For each link, a matrix of s columns with the singular values of its
+    # panels' stacked Khatri-Rao blocks R_b (.) R_a, from the (links, panels,
+    # rb, s) and (links, panels, ra, s) R factors. Where a block is wider
+    # than tall, no QR compresses it, and the stack itself is returned.
+    n_links, _, rb, s = r_row.shape
+    ra = r_col.shape[-2]
+    if rb * ra < s:
+        return (r_row[:, :, :, None] * r_col[:, :, None]).reshape(n_links, -1, s)
+    # Row (i, j) of a block is zero left of column max(i, j). Step m takes
+    # every panel's rows with max(i, j) = m, from column m on, and the
+    # triangle of the rows already taken, one column narrower, under them.
+    tri = np.empty((n_links, 0, s - max(rb, ra)), dtype=np.complex128)
+    for m in range(max(rb, ra) - 1, -1, -1):
+        b, a = r_row[:, :, : m + 1, m:], r_col[:, :, : m + 1, m:]
+        # Rows (m, j <= m), then (i < m, m); either is empty past its R's rows.
+        new = (b[:, :, m:, None] * a[:, :, None], b[:, :, :m, None] * a[:, :, None, m:])
+        below = np.concatenate([np.zeros((n_links, tri.shape[1], 1)), tri], axis=2)
+        step = np.concatenate([x.reshape(n_links, -1, s - m) for x in new] + [below], axis=1)
+        tri = np.linalg.qr(step, mode="r")
+    return tri
 
 
 def _panel_r(factor, s):

@@ -9,11 +9,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearlink import beamforming as bf
 from nearlink import kernel as kn
+from nearlink import mimo
 from nearlink.beamforming import (
     EXACT_KERNEL,
     Direction,
@@ -464,28 +465,51 @@ def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, 
     assert np.abs(spectrum.values - exact.values).max() <= weyl
 
 
+def staircase_steps(n_panels, rb, ra, s):
+    # (rows, columns) of each QR of the staircase, for R factors of rb and ra
+    # rows, and the rows of the triangle it leaves. Step m takes the rows
+    # (i, j) of each panel's block with max(i, j) = m, and the triangle.
+    steps, tri = [], 0
+    for m in range(max(rb, ra) - 1, -1, -1):
+        new = (m < rb) * min(m + 1, ra) + (m < ra) * min(m, rb)
+        steps.append((n_panels * new + tri, s - m))
+        tri = min(steps[-1][0], s - m)
+    return steps, tri
+
+
+def second_level_constant(n_panels, rb, ra, s):
+    # c in c u ||H||_F for the second level and the SVD of what it leaves.
+    # Householder QR of a k x w matrix is within gamma(k w) of it (Higham,
+    # "Accuracy and Stability of Numerical Algorithms", Thm 19.4), with
+    # gamma(k) = 4 k u for complex arithmetic, and so is LAPACK's SVD. Each
+    # step's input is a rotation of rows of the stack, of norm ||H||_F at
+    # most. Wide blocks (rb ra < s) skip the staircase: the stacked blocks
+    # go to the SVD as they are.
+    if rb * ra < s:
+        return 4.0 * n_panels * rb * ra * s
+    steps, tri = staircase_steps(n_panels, rb, ra, s)
+    return 4.0 * sum(k * w for k, w in steps) + 4.0 * tri * s
+
+
 def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     # Bound on |compressed - uncompressed| for every singular value, c u ||H||_F.
-    # - Householder QR of an m x s factor returns the R of a factor within
-    #   gamma(m s) of it, column by column (Higham, "Accuracy and Stability of
-    #   Numerical Algorithms", Thm 19.4), with gamma(k) = 4 k u for complex
-    #   arithmetic. A Kronecker column carries both factors' relative errors
-    #   and their product: g_row + g_col + g_row g_col.
-    # - Forming each panel's Khatri-Rao block M_p, and forming H in the test,
-    #   rounds each entry once: a complex product is within 2 sqrt(2) u of
-    #   exact.
-    # - The second QR, of each kr x s block M_p, is within gamma(kr s) of it.
-    # - LAPACK's SVD is backward stable with the same form of constant,
-    #   4 m s u, over the size of each matrix it factors: the stacked R_p and H.
+    # - The first QR, of each rows x s and cols x s factor, returns the R of
+    #   a factor within gamma(rows s) and gamma(cols s) of it, column by
+    #   column (see second_level_constant for gamma). A Kronecker column
+    #   carries both factors' relative errors and their product:
+    #   g_row + g_col + g_row g_col.
+    # - Forming each Khatri-Rao row, and forming H in the test, rounds each
+    #   entry once: a complex product is within 2 sqrt(2) u of exact.
+    # - The staircase steps and the SVD of the triangle they leave (or of the
+    #   wide stack): second_level_constant.
+    # - The test's own SVD of the n x s matrix H: 4 n s.
     # Weyl turns the sum of these Frobenius-norm perturbations into a bound
     # on every singular value.
     u = UNIT_ROUNDOFF
     g_row, g_col = 4.0 * rows * s * u, 4.0 * cols * s * u
-    kr = min(rows, s) * min(cols, s)
-    stacked = n_panels * min(kr, s)
     n = n_panels * rows * cols
-    qr_and_svd = 4.0 * (kr + stacked + n) * s
-    c = (g_row + g_col + g_row * g_col) / u + 2.0 * 2.0 * np.sqrt(2.0) + qr_and_svd
+    second = second_level_constant(n_panels, min(rows, s), min(cols, s), s)
+    c = (g_row + g_col + g_row * g_col) / u + 2.0 * 2.0 * np.sqrt(2.0) + second + 4.0 * n * s
     return c * u * h_fro
 
 
@@ -529,17 +553,63 @@ def test_compressed_spectrum_within_qr_bound_of_uncompressed(
     check_compressed_against_uncompressed(layout, pts, panels_receive)
 
 
+@PROPERTY
+@given(
+    n_links=st.integers(1, 3),
+    n_panels=st.integers(1, 4),
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    s=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(2, 3, 5, 4, 4, 0)  # both R square
+@example(2, 3, 3, 2, 5, 0)  # both R trapezoidal, blocks taller than wide
+@example(1, 2, 4, 4, 1, 0)  # one target
+@example(1, 2, 2, 2, 7, 0)  # blocks wider than tall: no staircase
+def test_staircase_within_its_bound_of_the_stacked_khatri_rao_blocks(
+    n_links, n_panels, rows, cols, s, seed
+):
+    # The second level alone, on the R factors of random complex factors;
+    # the property above covers it within links, with panels on either side.
+    rng = np.random.default_rng(seed)
+
+    def r_factor(n):
+        f = rng.normal(size=(n_links, n_panels, n, s, 2)) @ [1.0, 1.0j]
+        return np.linalg.qr(f, mode="r")
+
+    r_row, r_col = r_factor(rows), r_factor(cols)
+    rb, ra = r_row.shape[-2], r_col.shape[-2]
+    stacks = (r_row[:, :, :, None] * r_col[:, :, None]).reshape(n_links, -1, s)
+    reduced = mimo._second_level(r_row, r_col)
+    _, tri = staircase_steps(n_panels, rb, ra, s)
+    assert reduced.shape == (n_links, stacks.shape[1] if rb * ra < s else tri, s)
+    # Both sides round each Khatri-Rao entry once; the test's SVD is of the
+    # stack.
+    second = second_level_constant(n_panels, rb, ra, s)
+    c = 2.0 * 2.0 * np.sqrt(2.0) + second + 4.0 * stacks.shape[1] * s
+    for r, stack in zip(reduced, stacks):
+        got = np.linalg.svd(r, compute_uv=False)
+        want = np.linalg.svd(stack, compute_uv=False)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= c * UNIT_ROUNDOFF * np.linalg.norm(stack)
+
+
 def test_compressed_spectrum_shapes_of_r():
     rng = np.random.default_rng(17)
     far = np.array([0.0, 0.0, 5.0e4])
     cases = [
-        # more targets than panel rows: each R is rows x S
+        # more targets than panel rows: each R is rows x S, on the staircase
         (PanelSpec(2, 5, 0.5 * LAM), [[0, 0, 0], [30, 0, 0]], 6),
         # one target
         (PanelSpec(4, 4, 0.5 * LAM), [[0, 0, 0], [0, 40, 0], [30, 10, 0]], 1),
+        # more rows and columns than targets: both R square
+        (PanelSpec(4, 4, 0.5 * LAM), [[0, 0, 0], [30, 0, 0]], 3),
+        # a square row R and a trapezoidal column R
+        (PanelSpec(6, 2, 0.5 * LAM), [[0, 0, 0]], 4),
         # fewer elements than targets: a wide H
         (PanelSpec(1, 2, 0.5 * LAM), [[0, 0, 0]], 5),
-        # more targets than rows and columns on two panels: both R trapezoidal
+        # more targets than rows and columns on two panels: both R
+        # trapezoidal, and each Khatri-Rao block wide
         (PanelSpec(3, 2, 0.5 * LAM), [[-9, 0, 0], [9, 0, 0]], 8),
     ]
     for spec, centres, n_points in cases:
@@ -714,8 +784,9 @@ def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
 
     monkeypatch.setattr(kn, "_factorized_plan", alternating_chains)
     monkeypatch.setattr(kn, "_factorized_factors", factors)
-    # Eight elements: a block holds four links' factors.
-    mount = np.array([[0.2 * i, 0.1 * (i % 3), 0.0] for i in range(8)])
+    # Five elements: a block holds (8 + 8) // 5 = 3 links, every link of
+    # one kind.
+    mount = np.array([[0.2 * i, 0.1 * (i % 3), 0.0] for i in range(5)])
     sats = [point_layout(mount + [0.0, 0.0, r]) for r in ranges]
     link_spectra([(sat, ground) for sat in sats], LAM)
     assert sorted(chained for chained, _ in built) == [False, True]
@@ -724,17 +795,17 @@ def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
 
 def test_sweep_transient_memory_stays_within_the_block_bound():
     # The benchmark's dof_sweep: 25 ranges and the reference range, all
-    # factorized. A block's arrays stay within three Khatri-Rao stacks of one
-    # range and the second QR's R factors (mimo module docstring), so
-    # stacking every range at once fails here.
+    # factorized. A block of (rows + cols) // S links stays within three
+    # times its factors (mimo module docstring), so stacking every range at
+    # once fails here.
     ground = station_ground()
     mount = satellite_mount()
     ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
     links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
     link_spectra(links[:1], LAM)  # the ground's cached panel grid
-    n_panels, s = 16, len(mount)
-    stack = n_panels * min(32, s) * min(32, s) * s
-    r_p = n_panels * min(min(32, s) * min(32, s), s) * s
+    n_panels, rows, cols, s = 16, 32, 32, len(mount)
+    block = (rows + cols) // s
+    factors = n_panels * (rows + cols) * block * s
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -743,4 +814,4 @@ def test_sweep_transient_memory_stays_within_the_block_bound():
     finally:
         tracemalloc.stop()
     assert {kernel.name for _, kernel in results} == {"panel_factorized"}
-    assert peak <= 16 * (3 * stack + r_p)
+    assert peak <= 16 * 3 * factors

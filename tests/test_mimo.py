@@ -95,6 +95,19 @@ def test_singular_values_general_complex_vs_numpy_oracle():
         )
 
 
+def test_a_stack_of_channels_gives_each_channel_its_own_spectrum():
+    rng = np.random.default_rng(79)
+    stack = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+    spectra = singular_values(stack)
+    assert len(spectra) == 3
+    for spectrum, h in zip(spectra, stack):
+        assert spectrum.source_shape == (5, 4)
+        assert np.array_equal(spectrum.values, singular_values(h).values)
+    for bad in (np.ones(3), np.ones((2, 2, 2, 2)), np.ones((2, 0, 3))):
+        with pytest.raises(ValueError):
+            singular_values(bad)
+
+
 def test_satellite_shape_channel_vs_numpy_oracle():
     # 4 x 16384 phase-only channel, the shape the satellite sweeps produce
     rng = np.random.default_rng(4)

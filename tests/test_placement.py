@@ -288,6 +288,12 @@ def test_attempt_cap_counts_every_failed_draw(monkeypatch, cap):
         )
 
 
+def test_apertures_must_be_positive_and_finite():
+    for sides in ((0.0, 10.0), (10.0, -1.0), (np.inf, 10.0), (10.0, np.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            random_panel_positions(*sides, 8, 1.0, 0)
+
+
 def test_seed_is_an_int_or_a_1d_array():
     with pytest.raises(ValueError, match="1-D"):
         random_panel_positions(1414.0, 1000.0, 16, 50.0, np.zeros((2, 2), dtype=np.uint64))
