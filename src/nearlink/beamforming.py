@@ -13,7 +13,11 @@ plane, radians. Exact nulls are clamped at -200 dB on the array factor.
 
 The coherent sums come from :func:`nearlink.kernel.sums`, which decides
 between the exact and panel-factorized kernels and states the error bound of
-the one it ran.
+the one it ran. Weights from :func:`delay_and_sum_weights` carry their focal
+and wavelength; a sum at that wavelength hands the focal to the kernel, whose
+focused sums then need the weights only for the exact fallback. Weight
+arrays, weight vectors built by hand and sums at another wavelength are
+summed from the weights themselves.
 """
 
 from __future__ import annotations
@@ -60,10 +64,16 @@ def point_at(range_m: float, theta: float, phi: float = 0.0) -> Point:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Per-element phase-only weights plus the focal they were matched to."""
+    """Per-element phase-only weights plus the focal they were matched to.
+
+    ``wavelength`` is set where the weights are the delay-and-sum weights
+    toward ``focal`` at that wavelength (:func:`delay_and_sum_weights`); sums
+    at that wavelength then come from the focal rather than the weights.
+    """
 
     weights: np.ndarray
     focal: Focal
+    wavelength: float | None = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.complex128))
@@ -127,7 +137,7 @@ def delay_and_sum_weights(
     """
     wavenumber(wavelength)  # checks the wavelength
     d = _residual_path(layout.positions, focal)
-    return WeightVector(np.exp(2j * np.pi * (d / wavelength)), focal)
+    return WeightVector(np.exp(2j * np.pi * (d / wavelength)), focal, wavelength)
 
 
 def response_sum(layout: ElementLayout, weights, where, wavelength: float):
@@ -140,6 +150,7 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
     """
     wavenumber(wavelength)  # checks the wavelength
     w = _weights_of(layout, weights)
+    focus = _focus_of(weights, wavelength)
     single = isinstance(where, (Direction, Point))
     targets = [where] if single else list(where)
     if not targets:
@@ -147,10 +158,11 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
     if all(isinstance(t, Direction) for t in targets):
         theta = np.fromiter((t.theta for t in targets), np.float64, len(targets))
         phi = np.fromiter((t.phi for t in targets), np.float64, len(targets))
-        total, _ = kernel.sums(layout, w, kernel.unit_vectors(theta, phi), True, wavelength)
+        units = kernel.unit_vectors(theta, phi)
+        total, _ = kernel.sums(layout, w, units, True, wavelength, focus)
     elif all(isinstance(t, Point) for t in targets):
         points = np.stack([t.position for t in targets])
-        total, _ = kernel.sums(layout, w, points, False, wavelength)
+        total, _ = kernel.sums(layout, w, points, False, wavelength, focus)
     else:
         raise TypeError("evaluation targets must be all Directions or all Points")
     return complex(total[0]) if single else total
@@ -161,6 +173,16 @@ def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
     if w.shape != (layout.n_elements,):
         raise ValueError("weights do not match the layout")
     return w
+
+
+def _focus_of(weights, wavelength: float):
+    # The focal as kernel.sums takes it, (point, False) or (unit vector,
+    # True), where the weights are delay-and-sum toward it at this
+    # wavelength; else None.
+    if not isinstance(weights, WeightVector) or weights.wavelength != wavelength:
+        return None
+    focal = weights.focal
+    return (focal.unit, True) if isinstance(focal, Direction) else (focal.position, False)
 
 
 def _to_gain_dbi(total, n: int, element_gain_dbi: float):
@@ -250,7 +272,7 @@ def gain_pattern_sweep(
     units = kernel.unit_vectors(thetas, phi)
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
     w = _weights_of(layout, weights)
-    totals, used = kernel.sums(layout, w, pts, False, wavelength)
+    totals, used = kernel.sums(layout, w, pts, False, wavelength, _focus_of(weights, wavelength))
     gain = _to_gain_dbi(totals, layout.n_elements, layout.element_gain_dbi)
     steering = weights.focal if isinstance(weights, WeightVector) else Direction(0.0)
     return GainGrid(

@@ -7,21 +7,54 @@ complex exponential per element and target. The panel-factorized one serves
 layouts of identical panels (every UPA and every distributed layout): it keeps
 the exact path to each panel centre and expands the path inside a panel to
 second order (the Fresnel expansion), split into a row factor and a column
-factor, so a panel costs one small matrix product per target. The phase of a
-factor is quadratic along its axis, so the factors come from a product
-recurrence with five exps per panel, target and axis rather than one per
-element offset; where the exact kernel itself rounds less than that
-recurrence would, each offset takes its own exp. The kernel runs only when a
-rigorous bound on the terms it drops, and on the rounding its recurrence adds,
-stays below the exact kernel's own phase rounding (:func:`gate`); otherwise
-the exact kernel runs. The exact kernel is also the oracle the factorized one
-is tested against. The same factors give the link spectra of the MIMO sweeps
+factor. The phase of a factor is quadratic along its axis, so the factors
+come from a product recurrence with five exps per panel, target and axis
+rather than one per element offset; where the exact kernel itself rounds less
+than that recurrence would, each offset takes its own exp.
+
+How a panel meets its weights depends on what the weights are. The
+delay-and-sum weights toward a focal (a point or a direction), which every
+beam analysis uses, split the same way as the paths to a target, so a panel
+costs the product of two sums per target: each axis' chirp relative to the
+focus, exp(jk (o du - o^2 dc)), added up as the recurrence steps along it. No
+array then holds an entry per offset, and the weights are never read. On the
+benchmark's beam map (16 panels of 32 x 32, 861 targets, 2-core host) that
+took the CLI's median solve from 0.0365 s to 0.0217 s, and the solve of the
+shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
+0.12-0.17 s. Any other weights cost one small matrix product with the
+column factors per panel and target.
+
+The kernel runs only when a rigorous bound on the terms it drops, and on the
+rounding it adds, stays below the exact path's own rounding (:func:`gate`);
+otherwise the exact kernel runs. For the focused sums the bound is derived
+again. It holds what the expansion drops at the targets and at the focus
+(the exact weights differ from their split form by the latter), the chains'
+drift for a chirp whose slope |du| reaches 2 and whose curvature is
+|dc| <= |c_t| + |c_F|, the one rounding of du and of dc (which moves a
+term's phase by at most k |o| u |du| and k o^2 u |dc|), and the rounding of
+summing each axis' n terms one after another: within gamma_(n-1) of the
+terms' moduli (Higham 4.2), as if each term's phase moved by that much. The
+floor is the exact path's own rounding: at the nearest target, of the
+weights' phases (the focus's floor), and of its sum of N terms,
+gamma_(N-1). R_pt - R_pF is one subtraction, exact where the two are within
+a factor of two of each other (Sterbenz's lemma) and else within
+u max(R_pt, R_pF): no more than the exact path's own rounding of its path
+to that target or to the focus (in the weights). Like those roundings, which
+no bound here counts, it is held by the tests rather than gated against the
+floor, which the nearest target and the focus set: on ``beam_range_focus``
+|R_pt - R_pF| reaches 1.5 Mm, against their 0.1 + 0.5 Mm. At
+the focus itself du = dc = 0 and R_pt = R_pF bit for bit, so every term is
+exactly 1 and the sum is exactly N.
+
+The exact kernel is also the oracle the factorized one is tested against. The
+same factors give the link spectra of the MIMO sweeps
 (:func:`nearlink.mimo.link_spectra`).
 
 A chunk of any kernel forms at most ``_BLOCK_BUDGET`` entries (targets x
-elements, rows x columns, directions x panels), one :func:`blocks` slice at a
-time. Its float64 and complex128 temporaries take 8 to 24 bytes per entry, so
-each stays within 100 MB.
+elements, rows x columns, directions x panels, and targets x panels for the
+focused sums, which take cache-sized chunks of ``_CACHE_ENTRIES``), one
+:func:`blocks` slice at a time. Its float64 and complex128 temporaries take
+8 to 24 bytes per entry, so each stays within 100 MB.
 """
 
 from __future__ import annotations
@@ -31,6 +64,11 @@ from dataclasses import dataclass
 import numpy as np
 
 _BLOCK_BUDGET = 4_000_000
+# The focused sums hold about a dozen complex128 (panels, targets) arrays at
+# once; blocks of this many entries keep them near 1.5 MB, within a core's
+# cache. On the shipped 12 060-target map that ran 1.5 times as fast as one
+# block.
+_CACHE_ENTRIES = 1 << 13
 
 # Unit roundoff of float64: one rounding moves a value by at most this
 # fraction of itself.
@@ -51,10 +89,11 @@ def wavenumber(wavelength: float) -> float:
     return 2.0 * np.pi / wavelength
 
 
-def blocks(n: int, width: int):
+def blocks(n: int, width: int, budget: int | None = None):
     """Slices covering ``range(n)`` in order: as many rows of ``width`` entries
-    each as fit in ``_BLOCK_BUDGET`` (at least one), fewer in the last."""
-    step = max(1, _BLOCK_BUDGET // max(width, 1))
+    each as fit in ``budget`` (``_BLOCK_BUDGET`` unless given; at least one
+    row), fewer in the last."""
+    step = max(1, (budget or _BLOCK_BUDGET) // max(width, 1))
     for start in range(0, n, step):
         yield slice(start, start + step)
 
@@ -153,6 +192,16 @@ def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
 # with A the column factors, B the row factors and W_p the panel's weights as
 # a rows x cols matrix. A far-field Direction is the same with 1/R = 0 and
 # R_p = -u . c_p, where nothing is dropped.
+#
+# The delay-and-sum weights toward a focal F, exp(jk d_F) at each element,
+# split the same way into exp(jk R_pF) conj(B_F) conj(A_F), so the panel's
+# double sum splits into one sum per axis and the response is
+#
+#     sum_p exp(-jk (R_pt - R_pF)) S_row S_col,
+#     S = sum_i exp(jk (o_i du - o_i^2 dc)),
+#
+# with du = u_t - u_F and dc = c_t - c_F, c = (1 - u^2) / 2R, per panel and
+# target: a chirp of the same form as a factor, summed as it is stepped.
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,48 +213,106 @@ class _FactorizedPlan:
     chained: bool  # factors step along whole chains, else one exp per offset
     directional: bool  # targets are unit vectors, not points
     bound_rad: float  # what the kernel drops or adds, at any element and target
-    floor_rad: float  # exact kernel's own phase rounding (nearest target, for points)
+    floor_rad: float  # exact path's own rounding (at the nearest target, for points)
+    # (vector, directional) of the focal the weights are delay-and-sum toward:
+    # the sums are the focused ones, which take no weights. None: the given
+    # weights are contracted with the factors.
+    focus: tuple | None = None
 
 
-def gate(layout, targets, directional, wavelength):
+def gate(layout, targets, directional, wavelength, focus=None):
     """``(plan, kernel)``: the factorized plan and its kernel when the plan's
     bound is within the exact kernel's rounding floor, else
-    ``(None, EXACT_KERNEL)``."""
-    plan = _factorized_plan(layout, targets, directional, wavelength)
+    ``(None, EXACT_KERNEL)``. With ``focus``, the plan is of the focused sums
+    (see :func:`sums`)."""
+    plan = _factorized_plan(layout, targets, directional, wavelength, focus)
     if plan is not None and plan.bound_rad <= plan.floor_rad:
         return plan, BeamKernel("panel_factorized", plan.bound_rad)
     return None, EXACT_KERNEL
 
 
-def sums(layout, w, targets, directional, wavelength):
+def sums(layout, w, targets, directional, wavelength, focus=None):
     """``(response, kernel)``: the sum over ``layout``'s elements weighted by
-    ``w`` at each target (unit vectors if ``directional``, else points), from
-    the factorized kernel where :func:`gate` passes it, else the exact one."""
-    plan, used = gate(layout, targets, directional, wavelength)
+    ``w`` at each target (unit vectors if ``directional``, else points).
+
+    ``focus`` is ``(vector, directional)`` of the focal that ``w`` are the
+    delay-and-sum weights toward at ``wavelength`` (a point, or a unit vector
+    if ``directional``), or None. With a focus, the focused sums run where
+    :func:`gate` passes them, and never read ``w``; without one, the
+    factorized kernel contracts ``w`` where the gate passes it. Elsewhere the
+    exact kernel sums ``w``.
+    """
+    plan, used = gate(layout, targets, directional, wavelength, focus)
     if plan is not None:
         return _factorized_sums(plan, w, targets, wavelength), used
     exact = _direction_sums if directional else _point_sums
     return exact(layout.positions, w, targets, wavelength), used
 
 
-def _factorized_plan(layout, targets, directional, wavelength):
+def _factorized_plan(layout, targets, directional, wavelength, focus=None):
     """Panel geometry and error bound of the factorized kernel, or None.
 
     None means the layout is not one shared ``_grid_offsets`` grid repeated
     at each panel centre (for example 1x1 panels, or ids out of order), or a
-    point target lies within a panel's reach of its centre. Positions that
-    are off the grid by more than rounding stay eligible here: their offset
-    enters the bound, and the gate refuses them.
+    point target, or a point focus, lies within a panel's reach of its
+    centre. Positions that are off the grid by more than rounding stay
+    eligible here: their offset enters the bound, and the gate refuses them.
+
+    With a focus the plan is of the focused sums, and its bound and floor
+    are theirs (module docstring). The targets and the focus must each pass
+    the gate on their own, or the plan is None and the exact path runs.
     """
     spec = layout.panel_spec
     grid = layout._panel_grid if spec.n_elements > 1 else None
     if grid is None:
         return None
-    u = _UNIT_ROUNDOFF
     k = wavenumber(wavelength)
     s = spec.spacing
     half_x = float(np.abs(grid.offsets[: spec.cols, 0]).max())
     half_y = float(np.abs(grid.offsets[:: spec.cols, 1]).max())
+    drops = _expansion_bound(layout, grid, half_x, half_y, targets, directional)
+    if drops is None:
+        return None
+    bound, slope_x, slope_y, curvature, floor = drops
+    summing = exact_summing = 0.0
+    if focus is not None:
+        at_focus = _expansion_bound(layout, grid, half_x, half_y, focus[0][None], focus[1])
+        if at_focus is None:
+            return None
+        f_bound, f_slope_x, f_slope_y, f_curvature, f_floor = at_focus
+        if f_bound > f_floor or bound > floor:
+            return None
+        slope_x, slope_y = slope_x + f_slope_x, slope_y + f_slope_y
+        curvature += f_curvature
+        bound += f_bound + _UNIT_ROUNDOFF * (
+            slope_x * half_x + slope_y * half_y + curvature * (half_x**2 + half_y**2)
+        )
+        floor += f_floor
+        summing = _gamma(spec.cols - 1) + _gamma(spec.rows - 1)
+        exact_summing = _gamma(layout.n_elements - 1)
+    # Whole chains where their rounding fits under the floor, as it does for
+    # every point target tried; else (directions near broadside on a
+    # panel at the origin, where the exact kernel itself rounds little) one
+    # exp per offset, which adds no rounding of its own.
+    drift = _recurrence_drift(spec.cols, s, k, slope_x, curvature)
+    drift += _recurrence_drift(spec.rows, s, k, slope_y, curvature)
+    bound_rad = float(k * bound + summing + drift / (1.0 - drift))
+    floor_rad = float(k * floor + exact_summing)
+    chained = bound_rad <= floor_rad
+    if not chained:
+        bound_rad = float(k * bound + summing)
+    return _FactorizedPlan(
+        grid.centres, spec.rows, spec.cols, s, chained, directional, bound_rad, floor_rad, focus
+    )
+
+
+def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
+    """``(bound, slope_x, slope_y, curvature, floor)`` of the expansion toward
+    ``targets``, or None where a point lies within a panel's reach: the path
+    it drops or moves at any element and target (m), the bounds on |u_x|,
+    |u_y| and |c| its factors take, and the exact kernel's own rounding of a
+    path at the nearest target (m)."""
+    u = _UNIT_ROUNDOFF
     # The kernel places element (r, c) at centre + (m_c s, m_r s, 0) exactly,
     # with m_i = i - (n - 1) / 2 (the progression _axis_factor steps along).
     # The positions are within gap of centre + offset, summed exactly, and
@@ -224,45 +331,27 @@ def _factorized_plan(layout, targets, directional, wavelength):
         reach = float((np.abs(targets) @ peaks.T).max())
         slope_x, slope_y = float(np.abs(targets[:, 0]).max()), float(np.abs(targets[:, 1]).max())
         bound = grid.gap + u * (reach + 2.0 * grid.gap + slope_x * half_x + slope_y * half_y)
-        floor = _gamma(3) * reach
-        curvature = 0.0
-    else:
-        rho = float(np.hypot(half_x, half_y))
-        # |position - element the kernel uses|: the gap to the rebuilt grid,
-        # the one rounding (at most 2**-53 of each coordinate) that
-        # rebuilding took, and the offsets' distance from the progression.
-        residual = grid.gap + u * (grid.scale + rho)
-        nearest, skew = np.inf, 0.0
-        for chunk in blocks(len(targets), layout.n_elements):
-            path, ux, uy, inv_r = _panel_paths(grid.centres, targets[chunk], False)
-            nearest = min(nearest, float(path.min()))
-            if nearest <= rho:
-                return None
-            skew = max(skew, float((np.abs(ux * uy) * inv_r).max()))
-        # Cross term |x y u_x u_y| / R, plus the remainder of the second-order
-        # expansion: with a = u . o and q = |o|^2 - a^2 <= rho^2, the exact
-        # path sqrt((R - a)^2 + q) differs from R - a + q / 2R by at most
-        # q |a| / 2R(R - a) + q^2 / 8(R - a)^3.
-        near = nearest - rho
-        tail = rho**3 / (2.0 * nearest * near) + rho**4 / (8.0 * near**3)
-        bound = half_x * half_y * skew + tail + residual
-        floor = u * near
-        slope_x = slope_y = 1.0
-        # (1 - u^2) / 2R is at most 1 / 2R.
-        curvature = 0.5 / nearest
-    # Whole chains where their rounding fits under the floor, as it does for
-    # every point target tried; else (directions near broadside on a
-    # panel at the origin, where the exact kernel itself rounds little) one
-    # exp per offset, which adds no rounding of its own.
-    drift = _recurrence_drift(spec.cols, s, k, slope_x, curvature)
-    drift += _recurrence_drift(spec.rows, s, k, slope_y, curvature)
-    bound_rad = float(k * bound + drift / (1.0 - drift))
-    chained = bound_rad <= k * floor
-    if not chained:
-        bound_rad = float(k * bound)
-    return _FactorizedPlan(
-        grid.centres, spec.rows, spec.cols, s, chained, directional, bound_rad, k * floor
-    )
+        return bound, slope_x, slope_y, 0.0, _gamma(3) * reach
+    rho = float(np.hypot(half_x, half_y))
+    # |position - element the kernel uses|: the gap to the rebuilt grid,
+    # the one rounding (at most 2**-53 of each coordinate) that
+    # rebuilding took, and the offsets' distance from the progression.
+    residual = grid.gap + u * (grid.scale + rho)
+    nearest, skew = np.inf, 0.0
+    for chunk in blocks(len(targets), layout.n_elements):
+        path, ux, uy, inv_r = _panel_paths(grid.centres, targets[chunk], False)
+        nearest = min(nearest, float(path.min()))
+        if nearest <= rho:
+            return None
+        skew = max(skew, float((np.abs(ux * uy) * inv_r).max()))
+    # Cross term |x y u_x u_y| / R, plus the remainder of the second-order
+    # expansion: with a = u . o and q = |o|^2 - a^2 <= rho^2, the exact
+    # path sqrt((R - a)^2 + q) differs from R - a + q / 2R by at most
+    # q |a| / 2R(R - a) + q^2 / 8(R - a)^3.
+    near = nearest - rho
+    tail = rho**3 / (2.0 * nearest * near) + rho**4 / (8.0 * near**3)
+    # (1 - u^2) / 2R is at most 1 / 2R.
+    return half_x * half_y * skew + tail + residual, 1.0, 1.0, 0.5 / nearest, u * near
 
 
 def _recurrence_drift(n, spacing, k, slope, curvature):
@@ -270,13 +359,14 @@ def _recurrence_drift(n, spacing, k, slope, curvature):
     a factor beyond the one rounded exp a factor costs when evaluated on its
     own.
 
-    ``slope`` bounds |u| and ``curvature`` bounds |c| = |(1 - u^2) / 2R|
-    along the axis (zero for directions). A factor is at most
-    m = n // 2 - 1 steps from its chain's first exp, which is that one exp;
-    step i multiplies by r_(i-1) = r_0 q^(i-1). So the factor is
-    f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it: m along
-    the chain and i - 1 inside each r_(i-1). Each of those inputs carries its
-    own relative error, and they add to first order:
+    ``slope`` bounds |u| and ``curvature`` bounds |c| of the chirp along the
+    axis: c = (1 - u^2) / 2R for a factor (zero for directions), and du, dc
+    for the focused chirp. A factor is at most m = n // 2 - 1 steps from its
+    chain's first exp, which is that one exp; step i multiplies by
+    r_(i-1) = r_0 q^(i-1). So the factor is f_0 r_0^m q^(m(m-1)/2), and
+    m(m+1)/2 rounded products reach it: m along the chain and i - 1 inside
+    each r_(i-1). Each of those inputs carries its own relative error, and
+    they add to first order:
 
     - r_0 = exp(jk d (u - (2o + d) c)) with |d| = s and |2o + d| <= n s: its
       phase takes five roundings, and the chain's first offset o one more,
@@ -316,15 +406,38 @@ def _panel_paths(centres, targets, directional):
     return path, v[..., 0] * inv_r, v[..., 1] * inv_r, inv_r
 
 
+def _curvature(u, inv_r):
+    # c = (1 - u^2) / 2R of a factor's chirp along an axis.
+    return (1.0 - u * u) * (0.5 * inv_r)
+
+
 def _factorized_sums(plan, w, targets, wavelength):
+    # The focused sums take cache-sized blocks of (panels, targets) arrays;
+    # the contraction takes (panels, offsets, targets) factors, a block of
+    # targets per _BLOCK_BUDGET / elements.
     k = wavenumber(wavelength)
-    w_p = w.reshape(len(plan.centres), plan.rows, plan.cols)
+    n_panels = len(plan.centres)
+    if plan.focus is not None:
+        vector, directional = plan.focus
+        f_path, f_ux, f_uy, f_inv_r = _panel_paths(plan.centres, vector[None], directional)
+        f_cx, f_cy = _curvature(f_ux, f_inv_r), _curvature(f_uy, f_inv_r)
+        width, budget = n_panels, min(_BLOCK_BUDGET, _CACHE_ENTRIES)
+    else:
+        w_p = w.reshape(n_panels, plan.rows, plan.cols)
+        width, budget = len(w), _BLOCK_BUDGET
     out = np.empty(len(targets), dtype=np.complex128)
-    for chunk in blocks(len(targets), len(w)):
+    for chunk in blocks(len(targets), width, budget):
         path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk], plan.directional)
-        col = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, inv_r, k)
-        row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, inv_r, k)
-        inner = np.einsum("prt,prt->pt", w_p @ col, row)
+        cx, cy = _curvature(ux, inv_r), _curvature(uy, inv_r)
+        if plan.focus is not None:
+            ux, cx, uy, cy = ux - f_ux, cx - f_cx, uy - f_uy, cy - f_cy
+            inner = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, cx, k, summed=True)
+            inner *= _axis_factor(plan.rows, plan.spacing, plan.chained, uy, cy, k, summed=True)
+            path = path - f_path
+        else:
+            col = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, cx, k)
+            row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, cy, k)
+            inner = np.einsum("prt,prt->pt", w_p @ col, row)
         out[chunk] = (np.exp(-1j * k * path) * inner).sum(axis=0)
     return out
 
@@ -345,15 +458,17 @@ def _factorized_factors(plan, targets, wavelength):
     c = plan.centres
     t_norm = np.sqrt((targets * targets).sum(axis=-1))
     rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
-    row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, inv_r, k)
+    row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, _curvature(uy, inv_r), k)
     row *= np.exp(-1j * k * rel)[:, None, :]
-    return row, _axis_factor(plan.cols, plan.spacing, plan.chained, ux, inv_r, k)
+    col = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, _curvature(ux, inv_r), k)
+    return row, col
 
 
-def _axis_factor(n, spacing, chained, u, inv_r, k):
-    # f(o) = exp(jk (o u - o^2 c)), c = (1 - u^2) / 2R, at the n offsets
-    # o = m spacing, m = i - (n - 1) / 2, of one panel axis; u and inv_r are
-    # (panels, targets) and the result is (panels, n, targets).
+def _axis_factor(n, spacing, chained, u, c, k, summed=False):
+    # f(o) = exp(jk (o u - o^2 c)) at the n offsets o = m spacing,
+    # m = i - (n - 1) / 2, of one panel axis; u and c are (panels, targets)
+    # and the result is (panels, n, targets), or with ``summed`` the
+    # (panels, targets) sum over the offsets, each term added as it is made.
     #
     # Unchained, each offset takes its own exp. Chained, the phase is
     # quadratic in o, so along steps d = +-spacing the ratio of neighbours is
@@ -361,24 +476,40 @@ def _axis_factor(n, spacing, chained, u, inv_r, k):
     # centre and share q. A chain takes an exp of f at its innermost offset
     # and one of its first ratio, then one product per offset. A centre
     # offset (odd n) is 0, where f is 1. Chains of one offset are that exp.
-    c = (1.0 - u * u) * (0.5 * inv_r)
     half = n // 2
     if not chained or half < 2:
-        o = ((np.arange(n) - (n - 1) / 2.0) * spacing)[:, None]
-        return np.exp(1j * ((k * o) * (u[:, None, :] - o * c[:, None, :])))
-    out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
-    if n % 2:
-        out[:, half] = 1.0
+        o = (np.arange(n) - (n - 1) / 2.0) * spacing
+        if not summed:
+            o = o[:, None]
+            return np.exp(1j * ((k * o) * (u[:, None, :] - o * c[:, None, :])))
+        out = np.zeros(u.shape, dtype=np.complex128)
+        for o_i in o:
+            out += np.exp(1j * ((k * o_i) * (u - o_i * c)))
+        return out
+    if summed:
+        out = np.full(u.shape, float(n % 2), dtype=np.complex128)
+    else:
+        out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
+        if n % 2:
+            out[:, half] = 1.0
     if half > 2:
         q = np.exp(1j * ((-2.0 * k * spacing * spacing) * c))
     # The innermost offset above the centre, in pitches: 1 or 1/2.
     first = (n + 1) // 2 - (n - 1) / 2.0
     for sign, chain in ((1.0, range(n - half, n)), (-1.0, range(half - 1, -1, -1))):
         d, o = sign * spacing, sign * first * spacing
-        out[:, chain[0]] = np.exp(1j * ((k * o) * (u - o * c)))
+        f = np.exp(1j * ((k * o) * (u - o * c)))
         r = np.exp(1j * ((k * d) * (u - (2.0 * o + d) * c)))
+        if summed:
+            out += f
+        else:
+            out[:, chain[0]] = f
         for i in range(1, half):
             if i > 1:
                 r *= q
-            np.multiply(out[:, chain[i - 1]], r, out=out[:, chain[i]])
+            if summed:
+                f *= r
+                out += f
+            else:
+                f = np.multiply(f, r, out=out[:, chain[i]])
     return out

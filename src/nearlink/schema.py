@@ -114,7 +114,8 @@ def _at_least(n: int) -> Bound:
 # A run allocates each array a count sizes in one piece: a beam analysis'
 # gain grid (n_theta x n_ranges), a sweep's range axis, a placement search's
 # scan directions (n_scan) and its candidates' positions (n_candidates x
-# n_panels), and a layout's element positions (panels x rows x cols). The
+# n_panels), a layout's element positions (panels x rows x cols), and a
+# sweep's channel between the two layouts (ground x satellite elements). The
 # largest of them may hold at most _MAX_ENTRIES entries, about 100 MB at the
 # 24 bytes of a position, so that a count validation passes cannot fail the
 # run's allocation.
@@ -168,14 +169,33 @@ def _entries_fit(*names):
     )
 
 
+def _n_panels(ground) -> int:
+    # Drawn or placed panels; a upa ground is one panel.
+    if ground.kind != "distributed":
+        return 1
+    return ground.random.n_panels if ground.random else len(ground.positions_m)
+
+
 def _ground_fits(ground, path):
     # A distributed ground holds panels x rows x cols elements; a upa
     # ground's one panel has the panel's own rows x cols check.
     if ground.kind == "distributed":
         key = "random.n_panels" if ground.random else "positions_m"
-        panels = ground.random.n_panels if ground.random else len(ground.positions_m)
-        counts = (panels, ground.panel.rows, ground.panel.cols)
+        counts = (_n_panels(ground), ground.panel.rows, ground.panel.cols)
         _refuse_entries(f"{path}.{key}", ("panels", "rows", "cols"), counts)
+
+
+def _link_fits(s, path):
+    # A sweep's spectra stand for the ground x satellite channel, which the
+    # exact path builds whole.
+    if isinstance(s.analysis, _SWEEPS):
+        sat = s.satellite
+        key, n_sat = "satellite.positions_m", len(sat.positions_m or ())
+        if sat.panel is not None:
+            key, n_sat = "satellite.panel", sat.panel.rows * sat.panel.cols
+        g = s.ground
+        n_ground = _n_panels(g) * g.panel.rows * g.panel.cols
+        _refuse_entries(key, ("ground elements", "satellite elements"), (n_ground, n_sat))
 
 
 def _placement_fits(cfg, path):
@@ -481,6 +501,7 @@ class Scenario:
     output_dir: str = _f(str, default=".")
     _checks = (
         _link_sections,
+        _link_fits,
         _satellite_clears_ground,
         _panels_fit,
         _scan_outside_exclusion,

@@ -1,5 +1,6 @@
 """Panel-factorized kernel against the exact kernel, its oracle: beam sums
-against the exact per-element sum, link spectra against the exact channel
+against the exact per-element sum, the focused sums of delay-and-sum weights
+against that sum with the exact weights, link spectra against the exact channel
 matrix, and the QR-compressed link spectra against the uncompressed
 Khatri-Rao product of the same factors."""
 
@@ -72,6 +73,22 @@ def tolerance(plan, w, reach):
     # kernels also round every path they form, to about reach * 2**-53 per
     # operation; four such roundings per element cover the pair.
     return np.abs(w).sum() * (plan.bound_rad + 4.0 * K * UNIT_ROUNDOFF * reach)
+
+
+def focused_tolerance(plan, layout, targets, focus, focus_directional):
+    # Against the exact kernel with the exact weights, which round their own
+    # paths to the focus: the bound, eight roundings of the paths to a target
+    # and to the focus per element (each side forms both, and the focused
+    # sums their difference), and the exact kernel's sum of N terms.
+    def reach(where, directional):
+        if directional:
+            return np.abs(layout.positions @ where.T).max()
+        return np.linalg.norm(where[:, None, :] - layout.positions[None], axis=2).max()
+
+    n = layout.n_elements
+    paths = reach(targets, plan.directional) + reach(focus[None], focus_directional)
+    per_element = plan.bound_rad + 8.0 * K * UNIT_ROUNDOFF * paths
+    return n * (per_element + np.sqrt(2.0) * kn._gamma(n + 2))
 
 
 @st.composite
@@ -150,12 +167,195 @@ def test_station_map_takes_factorized_path_within_bound():
     assert grid.kernel.name == "panel_factorized"
     assert 0.0 < grid.kernel.bound_rad <= K * UNIT_ROUNDOFF * 250.0e3
 
+    # The focused sums' bound is the targets' bound plus the focus's, the
+    # rounding of du and dc, the two axis sums, and the drift of chains whose
+    # slope reaches 2 and whose curvature is |c_t| + |c_F|.
     pts = (unit_vectors(thetas, 0.0)[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
-    plan = kn._factorized_plan(lay, pts, False, LAM)
-    assert plan.bound_rad == grid.kernel.bound_rad
-    fast = kn._factorized_sums(plan, w.weights, pts, LAM)
+    focus = w.focal.position
+    half = 15.5 * spec.spacing
+    expansion = [
+        kn._expansion_bound(lay, lay._panel_grid, half, half, where, False)
+        for where in (pts, focus[None])
+    ]
+    (b_t, _, _, c_t, floor_t), (b_f, _, _, c_f, floor_f) = expansion
+    curvature = c_t + c_f
+    rounding = UNIT_ROUNDOFF * (4.0 * half + 2.0 * curvature * half**2)
+    drift = 2.0 * kn._recurrence_drift(32, spec.spacing, K, 2.0, curvature)
+    summing = 2.0 * kn._gamma(31)
+    want = K * (b_t + b_f + rounding) + summing + drift / (1.0 - drift)
+    assert grid.kernel.bound_rad == pytest.approx(want, rel=1e-12, abs=0.0)
+    plan, kernel = kn.gate(lay, pts, False, LAM, (focus, False))
+    assert plan.chained and kernel == grid.kernel
+    assert plan.floor_rad == pytest.approx(
+        K * (floor_t + floor_f) + kn._gamma(lay.n_elements - 1), rel=1e-12, abs=0.0
+    )
+    totals = kn._factorized_sums(plan, w.weights, pts, LAM)
     exact = kn._point_sums(lay.positions, w.weights, pts, LAM)
-    assert np.abs(fast - exact).max() <= tolerance(plan, w.weights, 1001.0e3)
+    assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus, False)
+
+    # The weights alone, as an array, are contracted with the targets' factors.
+    plain = kn._factorized_plan(lay, pts, False, LAM)
+    assert plain.focus is None and plain.bound_rad < grid.kernel.bound_rad
+    fast = kn._factorized_sums(plain, w.weights, pts, LAM)
+    assert np.abs(fast - exact).max() <= tolerance(plain, w.weights, 1001.0e3)
+
+
+# ----- focused sums -----
+
+
+@PROPERTY
+@given(
+    layout=panel_layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    n_targets=st.integers(1, 5),
+    log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
+    point_focus=st.booleans(),
+    point_targets=st.booleans(),
+    opposite=st.booleans(),
+)
+@example(make_upa(PanelSpec(1, 2, 0.5 * LAM)), 1, 3, np.log(1.0e3), True, True, True)
+@example(make_upa(PanelSpec(2, 1, 0.5 * LAM)), 2, 2, np.log(3.0e6), False, True, False)
+@example(make_upa(PanelSpec(7, 6, 0.5 * LAM)), 3, 4, np.log(5.0e5), True, False, True)
+def test_focused_sums_within_bound_of_exact_weights_and_kernel(
+    layout, seed, n_targets, log_range, point_focus, point_targets, opposite
+):
+    # Delay-and-sum weights toward a Point or a Direction, evaluated off axis
+    # from 1 km to 3 Mm: within the focused bound of the exact kernel with the
+    # exact weights, or bit for bit that sum where the gate refuses. Opposite
+    # targets sit across the axis from the focus, where |du| nears 2.
+    rng = np.random.default_rng(seed)
+    theta_f, phi = rng.uniform(1.2, 1.4) * rng.choice([-1.0, 1.0]), rng.uniform(0, 2 * np.pi)
+    if opposite:
+        thetas, phis = -theta_f + rng.uniform(-0.05, 0.05, n_targets), np.full(n_targets, phi)
+    else:
+        thetas, phis = rng.uniform(-1.4, 1.4, n_targets), rng.uniform(0, 2 * np.pi, n_targets)
+    if point_focus:
+        focal = point_at(np.exp(log_range + rng.uniform(-0.5, 0.5)), theta_f, phi)
+        focus = (focal.position, False)
+    else:
+        focal = Direction(theta_f, phi)
+        focus = (focal.unit, True)
+    w = delay_and_sum_weights(layout, focal, LAM)
+    units = unit_vectors(thetas, phis)
+    if point_targets:
+        ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
+        targets = units * ranges[:, None]
+        where = [Point(p) for p in targets]
+        exact = kn._point_sums(layout.positions, w.weights, targets, LAM)
+    else:
+        targets = units
+        where = [Direction(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
+        exact = kn._direction_sums(layout.positions, w.weights, targets, LAM)
+    got = response_sum(layout, w, where, LAM)
+    plan, kernel = kn.gate(layout, targets, not point_targets, LAM, focus)
+    if plan is None:
+        assert kernel == EXACT_KERNEL
+        assert np.array_equal(got, exact)
+        return
+    assert plan.focus is focus and kernel.bound_rad == plan.bound_rad
+    bound = focused_tolerance(plan, layout, targets, focus[0], focus[1])
+    assert np.abs(got - exact).max() <= bound
+
+
+def test_a_target_at_the_focus_sums_to_exactly_n():
+    # du = dc = 0 and R_pt = R_pF there, so every term is exactly 1.
+    spec = PanelSpec(32, 32, 0.5 * LAM, 6.0)
+    station = make_distributed_panels(spec, random_panel_positions(1414.0, 1000.0, 16, 50.0, 11))
+    upa = make_upa(spec)
+    for lay, focal in (
+        (station, point_at(500.0e3, np.deg2rad(10.0))),
+        (station, Direction(0.2, 1.0)),
+        (upa, point_at(50.0e3, 0.4)),
+        (upa, Direction(-0.7)),
+    ):
+        w = delay_and_sum_weights(lay, focal, LAM)
+        focus = bf._focus_of(w, LAM)
+        at = focus[0][None]
+        assert kn.gate(lay, at, focus[1], LAM, focus)[0].focus is focus
+        assert response_sum(lay, w, focal, LAM) == lay.n_elements
+        n = float(lay.n_elements)
+        assert bf.evaluate_gain(lay, w, focal, LAM) == 10.0 * np.log10(n) + lay.element_gain_dbi
+    w = delay_and_sum_weights(station, point_at(500.0e3, 0.0), LAM)
+    grid = gain_pattern_sweep(station, w, LAM, ranges=[250.0e3, 500.0e3, 1000.0e3])
+    assert grid.kernel.name == "panel_factorized"
+    assert grid.gain_dbi[0, 1] == 10.0 * np.log10(16384.0) + 6.0
+
+
+def test_a_focus_the_gate_refuses_takes_the_exact_path_bit_for_bit():
+    # Targets far enough for the factorized kernel, a focus half a metre from
+    # the panel: the focused sums are refused, and so is the contraction.
+    lay = make_upa(PanelSpec(8, 8, 0.5 * LAM, 6.0))
+    focal = point_at(0.5, 0.1)
+    w = delay_and_sum_weights(lay, focal, LAM)
+    pts = unit_vectors(np.linspace(0.0, 0.2, 11), 0.0) * 2.0e4
+    assert kn.gate(lay, pts, False, LAM)[1].name == "panel_factorized"
+    assert kn.gate(lay, pts, False, LAM, (focal.position, False)) == (None, EXACT_KERNEL)
+    grid = gain_pattern_sweep(lay, w, LAM, thetas=np.linspace(0.0, 0.2, 11), fixed_range=2.0e4)
+    assert grid.kernel == EXACT_KERNEL
+    want = bf._to_gain_dbi(
+        kn._point_sums(lay.positions, w.weights, pts, LAM), lay.n_elements, lay.element_gain_dbi
+    )
+    assert np.array_equal(grid.gain_dbi[:, 0], want)
+    units = unit_vectors(np.array([0.0, 0.1]), 0.0)
+    got = response_sum(lay, w, [Direction(0.0), Direction(0.1)], LAM)
+    assert np.array_equal(got, kn._direction_sums(lay.positions, w.weights, units, LAM))
+
+
+def test_weights_without_their_focus_take_the_contraction(monkeypatch):
+    # A raw array, a weight vector built by hand, and weights matched at
+    # another wavelength carry no focus the sums can use.
+    lay = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-30, 0, 0], [30, 0, 0]])
+    focal = point_at(2.0e4, 0.05)
+    w = delay_and_sum_weights(lay, focal, LAM)
+    other = delay_and_sum_weights(lay, focal, 1.01 * LAM)
+    thetas = np.linspace(0.0, 0.1, 7)
+    pts = unit_vectors(thetas, 0.0) * 2.0e4
+    focused = []
+    made = kn._factorized_sums
+
+    def spy(plan, weights, targets, wavelength):
+        focused.append(plan.focus is not None)
+        return made(plan, weights, targets, wavelength)
+
+    monkeypatch.setattr(kn, "_factorized_sums", spy)
+    plain = kn._factorized_plan(lay, pts, False, LAM)
+    for weights in (w.weights, bf.WeightVector(w.weights, focal), other):
+        array = getattr(weights, "weights", weights)
+        grid = gain_pattern_sweep(lay, weights, LAM, thetas=thetas, fixed_range=2.0e4)
+        assert grid.kernel == bf.BeamKernel("panel_factorized", plain.bound_rad)
+        want = bf._to_gain_dbi(made(plain, array, pts, LAM), lay.n_elements, 0.0)
+        assert np.array_equal(grid.gain_dbi[:, 0], want)
+    assert focused == [False, False, False]
+    gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=2.0e4)
+    assert focused[-1]
+
+
+def test_beam_sweep_transient_memory_stays_within_the_block_bound():
+    # The benchmark's beam map: 16 panels of 32 x 32 and 41 x 21 targets.
+    # The focused sums hold (panels, targets) arrays of at most
+    # _CACHE_ENTRIES entries at once: the block's paths, in-plane unit
+    # vectors, 1/R and the four chirp inputs (eight float64 arrays, four
+    # complex128 ones' worth), the first axis' sum, and in the second axis'
+    # chain its sum, q, the term, the ratio and the phase temporaries of one
+    # exp (at most three): 4 + 1 + 4 + 3 = 12 complex128 arrays. The sweep
+    # adds its points, sums and gains, 64 bytes per target. The contraction
+    # that weight arrays take holds (panels, offsets, targets) factors and
+    # their weighted product, 2 MB each per block of 244 targets here.
+    ground = station_ground()
+    steer = np.deg2rad(7.0)
+    w = delay_and_sum_weights(ground, point_at(500.0e3, steer), LAM)
+    thetas = steer + np.deg2rad(np.linspace(-0.01, 0.01, 41))
+    ranges = np.geomspace(250.0e3, 1000.0e3, 21)
+    gain_pattern_sweep(ground, w, LAM, thetas=thetas[:2], ranges=ranges[:2])  # cached grid
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grid = gain_pattern_sweep(ground, w, LAM, thetas=thetas, ranges=ranges)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert grid.kernel.name == "panel_factorized"
+    assert peak <= 12 * 16 * kn._CACHE_ENTRIES + 64 * len(thetas) * len(ranges)
 
 
 def test_directions_on_a_built_layout_take_factorized_path():
@@ -228,9 +428,14 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(
     u = np.sin(theta) * np.cos(phi)
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, (3, 5)))
     inv_r = np.zeros_like(ranges) if directional else 1.0 / ranges
-    got = kn._axis_factor(n, spacing, chained, u, inv_r, K)
+    c = (1.0 - u * u) * (0.5 * inv_r)
+    got = kn._axis_factor(n, spacing, chained, u, c, K)
     want = direct_axis_factor(n, spacing, u, inv_r)
     assert got.shape == want.shape == (3, n, 5)
+    # The summed form adds the same terms, one after another.
+    summed = kn._axis_factor(n, spacing, chained, u, c, K, summed=True)
+    assert summed.shape == (3, 5)
+    assert np.abs(summed - got.sum(axis=1)).max() <= 2.0 * n * kn._gamma(n)
     edge = (n - 1) / 2.0 * spacing
     curvature = 0.0 if directional else 0.5 / ranges.min()
     if chained:
@@ -771,8 +976,8 @@ def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
     chained_at = {float(r): i % 2 == 1 for i, r in enumerate(ranges)}
     planned = kn._factorized_plan
 
-    def alternating_chains(layout, targets, directional, wavelength):
-        plan = planned(layout, targets, directional, wavelength)
+    def alternating_chains(layout, targets, directional, wavelength, focus=None):
+        plan = planned(layout, targets, directional, wavelength, focus)
         return plan and dataclasses.replace(plan, chained=chained_at[float(targets[0, 2])])
 
     built = []

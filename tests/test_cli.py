@@ -423,6 +423,33 @@ def test_placement_that_cannot_pack_exits_three(tmp_path, capsys):
     assert run_cli(capsys, "validate", str(bad))[0] == 3
 
 
+def test_sweep_past_the_channel_bound_exits_three(tmp_path, capsys):
+    # A 256 x 256 satellite panel against the 16 x 32 x 32 station: spectra
+    # of 2**30 channel entries. This used to pass validate.
+    text = open(scen("dof_vs_range")).read()
+    mount = "  positions_m: [[-0.707, -0.5], [0.707, -0.5], [-0.707, 0.5], [0.707, 0.5]]"
+    assert mount in text and "n_ranges: 100" in text
+    text = text.replace("n_ranges: 100", "n_ranges: 2")
+    bad = tmp_path / "wide.scenario"
+
+    def panel(rows, cols):
+        return f"  panel:\n    rows: {rows}\n    cols: {cols}\n    spacing_wavelengths: 0.5"
+
+    bad.write_text(text.replace(mount, panel(256, 256)))
+    for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert (
+            "'satellite.panel': ground elements x satellite elements is 1073741824 entries, "
+            "above the 4194304 one array may hold"
+        ) in err
+    # 16 384 x 256 is the bound itself.
+    bad.write_text(text.replace(mount, panel(16, 16)))
+    assert run_cli(capsys, "validate", str(bad))[0] == 0
+    bad.write_text(text.replace(mount, panel(16, 17)))
+    assert run_cli(capsys, "validate", str(bad))[0] == 3
+
+
 def test_random_ground_that_could_overlap_exits_three(tmp_path, capsys):
     # 80 panels of 8x8 at lambda/2 in a 1 x 1 m field at 1 mm spacing: this
     # seed draws two centres 26.6 mm apart, inside the 53.0 mm panel extent.

@@ -30,15 +30,21 @@ WEIGHTS = rng.normal(size=LAYOUT.n_elements) + 1j * rng.normal(size=LAYOUT.n_ele
 SATELLITE = ElementLayout(POINTS[:7], np.arange(7), PanelSpec(1, 1, 1.0))
 CENTRES = rng.uniform(-500.0, 500.0, (15, 3))
 OBJECTIVE = PlacementObjective(Direction(0.1, 0.2), 0.01, (-0.5, 0.5), 401)
+# Targets in the plane of the focus, where the focused sums pass the gate.
+FOCUS = (2.0e5 * unit_vectors(0.1, 0.0), False)
+FOCUSED_POINTS = unit_vectors(np.linspace(-0.3, 0.3, 23), 0.0)
+FOCUSED_POINTS *= np.geomspace(1.0e5, 3.0e5, 23)[:, None]
 
 
 def evaluate():
     plan = kn._factorized_plan(LAYOUT, POINTS, False, LAM)
     dplan = kn._factorized_plan(LAYOUT, UNITS, True, LAM)
+    fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, False, LAM, FOCUS)
     return {
-        "plans": (plan.bound_rad, plan.chained, dplan.bound_rad, dplan.chained),
+        "plans": (plan.bound_rad, plan.chained, dplan.bound_rad, dplan.chained, fplan.bound_rad),
         "factorized_points": kn._factorized_sums(plan, WEIGHTS, POINTS, LAM),
         "factorized_directions": kn._factorized_sums(dplan, WEIGHTS, UNITS, LAM),
+        "focused_points": kn._factorized_sums(fplan, None, FOCUSED_POINTS, LAM),
         "exact_points": kn._point_sums(LAYOUT.positions, WEIGHTS, POINTS, LAM),
         "exact_directions": kn._direction_sums(LAYOUT.positions, WEIGHTS, UNITS, LAM),
         "channel": channel_matrix(SATELLITE, LAYOUT, LAM),
@@ -52,6 +58,7 @@ def ragged_budgets():
     n_dirs = len(placement._scan_offsets(OBJECTIVE))
     shapes = {
         "factorized": (s, n),
+        "focused": (len(FOCUSED_POINTS), len(LAYOUT._panel_grid.centres)),
         "exact": (n, s),
         "channel": (SATELLITE.n_elements, n),
         "sidelobe": (n_dirs, len(CENTRES)),
@@ -101,6 +108,7 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
 
     # Elementwise work only: the same bits whatever the blocks.
     assert got["factorized"]["plans"] == want["plans"]
+    assert got["focused"]["plans"] == want["plans"]
     assert np.array_equal(got["channel"]["channel"], want["channel"])
 
     # Matrix products and sums: BLAS and numpy's SIMD loops pick their
@@ -114,6 +122,13 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
         ("factorized_directions", factorized_rounding(dplan, UNITS, True)),
     ):
         assert np.abs(got["factorized"][key] - want[key]).max() <= 2.0 * total * bound, key
+    # The focused sums take each block's (panels, targets) arrays through the
+    # same elementwise steps, and sum two axes and the panels.
+    n = LAYOUT.n_elements
+    fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, False, LAM, FOCUS)
+    assert fplan.chained and fplan.bound_rad <= fplan.floor_rad
+    bound = fplan.bound_rad + dot_rounding(fplan.cols + fplan.rows + len(fplan.centres) + 6)
+    assert np.abs(got["focused"]["focused_points"] - want["focused_points"]).max() <= n * bound
     reach = float((np.abs(UNITS) @ np.abs(LAYOUT.positions).T).max())
     for key, bound in (
         ("exact_points", dot_rounding(LAYOUT.n_elements)),
