@@ -13,16 +13,17 @@ plane, radians. Exact nulls are clamped at -200 dB on the array factor.
 
 The coherent sums come from :func:`nearlink.kernel.sums`, which decides
 between the exact and panel-factorized kernels and states the error bound of
-the one it ran. Weights from :func:`delay_and_sum_weights` carry their focal
-and wavelength; a sum at that wavelength hands the focal to the kernel, whose
-focused sums then need the weights only for the exact fallback. Weight
-arrays, weight vectors built by hand and sums at another wavelength are
-summed from the weights themselves.
+the one it ran. Weights from :func:`delay_and_sum_weights` remember the
+layout and wavelength they were matched at; a sum on that same layout at that
+wavelength hands their focal to the kernel, whose focused sums read the
+weights only where they fall back. Weight arrays, weight vectors built by
+hand or by ``dataclasses.replace``, and sums on another layout or at another
+wavelength are summed from the weights themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -64,16 +65,15 @@ def point_at(range_m: float, theta: float, phi: float = 0.0) -> Point:
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """Per-element phase-only weights plus the focal they were matched to.
-
-    ``wavelength`` is set where the weights are the delay-and-sum weights
-    toward ``focal`` at that wavelength (:func:`delay_and_sum_weights`); sums
-    at that wavelength then come from the focal rather than the weights.
-    """
+    """Per-element phase-only weights plus the focal they were matched to."""
 
     weights: np.ndarray
     focal: Focal
-    wavelength: float | None = None
+    # The layout and wavelength the weights are the delay-and-sum weights
+    # toward ``focal`` for; set only by delay_and_sum_weights, so weights
+    # built any other way (``replace`` too) are never taken for them.
+    _layout: ElementLayout | None = field(default=None, init=False, repr=False)
+    _wavelength: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.complex128))
@@ -137,7 +137,10 @@ def delay_and_sum_weights(
     """
     wavenumber(wavelength)  # checks the wavelength
     d = _residual_path(layout.positions, focal)
-    return WeightVector(np.exp(2j * np.pi * (d / wavelength)), focal, wavelength)
+    out = WeightVector(np.exp(2j * np.pi * (d / wavelength)), focal)
+    object.__setattr__(out, "_layout", layout)
+    object.__setattr__(out, "_wavelength", wavelength)
+    return out
 
 
 def response_sum(layout: ElementLayout, weights, where, wavelength: float):
@@ -150,7 +153,7 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
     """
     wavenumber(wavelength)  # checks the wavelength
     w = _weights_of(layout, weights)
-    focus = _focus_of(weights, wavelength)
+    focus = _focus_of(weights, layout, wavelength)
     single = isinstance(where, (Direction, Point))
     targets = [where] if single else list(where)
     if not targets:
@@ -175,11 +178,13 @@ def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
     return w
 
 
-def _focus_of(weights, wavelength: float):
+def _focus_of(weights, layout: ElementLayout, wavelength: float):
     # The focal as kernel.sums takes it, (point, False) or (unit vector,
-    # True), where the weights are delay-and-sum toward it at this
-    # wavelength; else None.
-    if not isinstance(weights, WeightVector) or weights.wavelength != wavelength:
+    # True), where the weights are delay-and-sum toward it on this layout at
+    # this wavelength; else None.
+    if not isinstance(weights, WeightVector):
+        return None
+    if weights._layout is not layout or weights._wavelength != wavelength:
         return None
     focal = weights.focal
     return (focal.unit, True) if isinstance(focal, Direction) else (focal.position, False)
@@ -272,7 +277,8 @@ def gain_pattern_sweep(
     units = kernel.unit_vectors(thetas, phi)
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
     w = _weights_of(layout, weights)
-    totals, used = kernel.sums(layout, w, pts, False, wavelength, _focus_of(weights, wavelength))
+    focus = _focus_of(weights, layout, wavelength)
+    totals, used = kernel.sums(layout, w, pts, False, wavelength, focus)
     gain = _to_gain_dbi(totals, layout.n_elements, layout.element_gain_dbi)
     steering = weights.focal if isinstance(weights, WeightVector) else Direction(0.0)
     return GainGrid(

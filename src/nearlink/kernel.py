@@ -25,19 +25,20 @@ shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
 column factors per panel and target.
 
 The kernel runs only when a rigorous bound on the terms it drops, and on the
-rounding it adds, stays below the exact path's own rounding (:func:`gate`);
-otherwise the exact kernel runs. For the focused sums the bound is derived
-again. It holds what the expansion drops at the targets and at the focus
-(the exact weights differ from their split form by the latter), the chains'
-drift for a chirp whose slope |du| reaches 2 and whose curvature is
-|dc| <= |c_t| + |c_F|, the one rounding of du and of dc (which moves a
-term's phase by at most k |o| u |du| and k o^2 u |dc|), and the rounding of
-summing each axis' n terms one after another: within gamma_(n-1) of the
-terms' moduli (Higham 4.2), as if each term's phase moved by that much. The
-floor is the exact path's own rounding: at the nearest target, of the
-weights' phases (the focus's floor), and of its sum of N terms,
-gamma_(N-1). R_pt - R_pF is one subtraction, exact where the two are within
-a factor of two of each other (Sterbenz's lemma) and else within
+rounding it adds, stays below the exact kernel's own phase rounding
+(:func:`gate`). Where the focused sums fail that test the weights are
+contracted, and where the contraction fails too the exact kernel runs. For
+the focused sums the bound is derived again. It holds what the expansion
+drops at the targets and at the focus (the exact weights differ from their
+split form by the latter), the chains' drift for a chirp whose slope |du|
+reaches 2 and whose curvature is |dc| <= |c_t| + |c_F|, the one rounding of
+du and of dc (which moves a term's phase by at most k |o| u |du| and
+k o^2 u |dc|), and the rounding of summing each axis' n terms one after
+another: within gamma_(n-1) of the terms' moduli (Higham 4.2), as if each
+term's phase moved by that much. The floor is the exact path's phase
+rounding at the nearest target plus that of the weights' phases (the
+focus's floor). R_pt - R_pF is one subtraction, exact where the two are
+within a factor of two of each other (Sterbenz's lemma) and else within
 u max(R_pt, R_pF): no more than the exact path's own rounding of its path
 to that target or to the focus (in the weights). Like those roundings, which
 no bound here counts, it is held by the tests rather than gated against the
@@ -213,7 +214,7 @@ class _FactorizedPlan:
     chained: bool  # factors step along whole chains, else one exp per offset
     directional: bool  # targets are unit vectors, not points
     bound_rad: float  # what the kernel drops or adds, at any element and target
-    floor_rad: float  # exact path's own rounding (at the nearest target, for points)
+    floor_rad: float  # exact kernel's own phase rounding (nearest target, for points)
     # (vector, directional) of the focal the weights are delay-and-sum toward:
     # the sums are the focused ones, which take no weights. None: the given
     # weights are contracted with the factors.
@@ -223,11 +224,12 @@ class _FactorizedPlan:
 def gate(layout, targets, directional, wavelength, focus=None):
     """``(plan, kernel)``: the factorized plan and its kernel when the plan's
     bound is within the exact kernel's rounding floor, else
-    ``(None, EXACT_KERNEL)``. With ``focus``, the plan is of the focused sums
-    (see :func:`sums`)."""
-    plan = _factorized_plan(layout, targets, directional, wavelength, focus)
-    if plan is not None and plan.bound_rad <= plan.floor_rad:
-        return plan, BeamKernel("panel_factorized", plan.bound_rad)
+    ``(None, EXACT_KERNEL)``. With ``focus``, the plan of the focused sums
+    (see :func:`sums`) where it passes, else the contraction's."""
+    for f in (focus, None) if focus is not None else (None,):
+        plan = _factorized_plan(layout, targets, directional, wavelength, f)
+        if plan is not None and plan.bound_rad <= plan.floor_rad:
+            return plan, BeamKernel("panel_factorized", plan.bound_rad)
     return None, EXACT_KERNEL
 
 
@@ -238,9 +240,9 @@ def sums(layout, w, targets, directional, wavelength, focus=None):
     ``focus`` is ``(vector, directional)`` of the focal that ``w`` are the
     delay-and-sum weights toward at ``wavelength`` (a point, or a unit vector
     if ``directional``), or None. With a focus, the focused sums run where
-    :func:`gate` passes them, and never read ``w``; without one, the
-    factorized kernel contracts ``w`` where the gate passes it. Elsewhere the
-    exact kernel sums ``w``.
+    :func:`gate` passes them, and never read ``w``. Elsewhere the factorized
+    kernel contracts ``w`` where the gate passes it, else the exact kernel
+    sums ``w``: a focus the gate refuses gives the bits of a call without it.
     """
     plan, used = gate(layout, targets, directional, wavelength, focus)
     if plan is not None:
@@ -260,7 +262,7 @@ def _factorized_plan(layout, targets, directional, wavelength, focus=None):
 
     With a focus the plan is of the focused sums, and its bound and floor
     are theirs (module docstring). The targets and the focus must each pass
-    the gate on their own, or the plan is None and the exact path runs.
+    the gate on their own, or the plan is None.
     """
     spec = layout.panel_spec
     grid = layout._panel_grid if spec.n_elements > 1 else None
@@ -274,7 +276,7 @@ def _factorized_plan(layout, targets, directional, wavelength, focus=None):
     if drops is None:
         return None
     bound, slope_x, slope_y, curvature, floor = drops
-    summing = exact_summing = 0.0
+    summing = 0.0
     if focus is not None:
         at_focus = _expansion_bound(layout, grid, half_x, half_y, focus[0][None], focus[1])
         if at_focus is None:
@@ -289,7 +291,6 @@ def _factorized_plan(layout, targets, directional, wavelength, focus=None):
         )
         floor += f_floor
         summing = _gamma(spec.cols - 1) + _gamma(spec.rows - 1)
-        exact_summing = _gamma(layout.n_elements - 1)
     # Whole chains where their rounding fits under the floor, as it does for
     # every point target tried; else (directions near broadside on a
     # panel at the origin, where the exact kernel itself rounds little) one
@@ -297,7 +298,7 @@ def _factorized_plan(layout, targets, directional, wavelength, focus=None):
     drift = _recurrence_drift(spec.cols, s, k, slope_x, curvature)
     drift += _recurrence_drift(spec.rows, s, k, slope_y, curvature)
     bound_rad = float(k * bound + summing + drift / (1.0 - drift))
-    floor_rad = float(k * floor + exact_summing)
+    floor_rad = float(k * floor)
     chained = bound_rad <= floor_rad
     if not chained:
         bound_rad = float(k * bound + summing)
@@ -421,7 +422,7 @@ def _factorized_sums(plan, w, targets, wavelength):
         vector, directional = plan.focus
         f_path, f_ux, f_uy, f_inv_r = _panel_paths(plan.centres, vector[None], directional)
         f_cx, f_cy = _curvature(f_ux, f_inv_r), _curvature(f_uy, f_inv_r)
-        width, budget = n_panels, min(_BLOCK_BUDGET, _CACHE_ENTRIES)
+        width, budget = n_panels, _CACHE_ENTRIES
     else:
         w_p = w.reshape(n_panels, plan.rows, plan.cols)
         width, budget = len(w), _BLOCK_BUDGET

@@ -186,9 +186,7 @@ def test_station_map_takes_factorized_path_within_bound():
     assert grid.kernel.bound_rad == pytest.approx(want, rel=1e-12, abs=0.0)
     plan, kernel = kn.gate(lay, pts, False, LAM, (focus, False))
     assert plan.chained and kernel == grid.kernel
-    assert plan.floor_rad == pytest.approx(
-        K * (floor_t + floor_f) + kn._gamma(lay.n_elements - 1), rel=1e-12, abs=0.0
-    )
+    assert plan.floor_rad == pytest.approx(K * (floor_t + floor_f), rel=1e-12, abs=0.0)
     totals = kn._factorized_sums(plan, w.weights, pts, LAM)
     exact = kn._point_sums(lay.positions, w.weights, pts, LAM)
     assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus, False)
@@ -221,8 +219,10 @@ def test_focused_sums_within_bound_of_exact_weights_and_kernel(
 ):
     # Delay-and-sum weights toward a Point or a Direction, evaluated off axis
     # from 1 km to 3 Mm: within the focused bound of the exact kernel with the
-    # exact weights, or bit for bit that sum where the gate refuses. Opposite
-    # targets sit across the axis from the focus, where |du| nears 2.
+    # exact weights. Where the gate refuses the focus, bit for bit the sums
+    # without one: the contraction where the targets pass, else the exact
+    # kernel. Opposite targets sit across the axis from the focus, where |du|
+    # nears 2.
     rng = np.random.default_rng(seed)
     theta_f, phi = rng.uniform(1.2, 1.4) * rng.choice([-1.0, 1.0]), rng.uniform(0, 2 * np.pi)
     if opposite:
@@ -252,6 +252,10 @@ def test_focused_sums_within_bound_of_exact_weights_and_kernel(
         assert kernel == EXACT_KERNEL
         assert np.array_equal(got, exact)
         return
+    if plan.focus is None:
+        assert kernel == kn.gate(layout, targets, not point_targets, LAM)[1]
+        assert np.array_equal(got, kn._factorized_sums(plan, w.weights, targets, LAM))
+        return
     assert plan.focus is focus and kernel.bound_rad == plan.bound_rad
     bound = focused_tolerance(plan, layout, targets, focus[0], focus[1])
     assert np.abs(got - exact).max() <= bound
@@ -262,14 +266,17 @@ def test_a_target_at_the_focus_sums_to_exactly_n():
     spec = PanelSpec(32, 32, 0.5 * LAM, 6.0)
     station = make_distributed_panels(spec, random_panel_positions(1414.0, 1000.0, 16, 50.0, 11))
     upa = make_upa(spec)
+    # One panel off the origin: at the origin, the exact kernel rounds a
+    # direction's phases too little for the focused sums to pass the gate.
+    panel = make_distributed_panels(spec, [[300.0, 200.0, 0.0]])
     for lay, focal in (
         (station, point_at(500.0e3, np.deg2rad(10.0))),
         (station, Direction(0.2, 1.0)),
         (upa, point_at(50.0e3, 0.4)),
-        (upa, Direction(-0.7)),
+        (panel, Direction(-0.7)),
     ):
         w = delay_and_sum_weights(lay, focal, LAM)
-        focus = bf._focus_of(w, LAM)
+        focus = bf._focus_of(w, lay, LAM)
         at = focus[0][None]
         assert kn.gate(lay, at, focus[1], LAM, focus)[0].focus is focus
         assert response_sum(lay, w, focal, LAM) == lay.n_elements
@@ -281,33 +288,47 @@ def test_a_target_at_the_focus_sums_to_exactly_n():
     assert grid.gain_dbi[0, 1] == 10.0 * np.log10(16384.0) + 6.0
 
 
-def test_a_focus_the_gate_refuses_takes_the_exact_path_bit_for_bit():
-    # Targets far enough for the factorized kernel, a focus half a metre from
-    # the panel: the focused sums are refused, and so is the contraction.
+def test_a_focus_the_gate_refuses_gives_the_sums_without_it_bit_for_bit():
+    # A focus half a metre from the panel: the focused sums are refused, and
+    # the weights are summed as an array would be. Targets far enough for the
+    # factorized kernel take the contraction; targets a metre away take the
+    # exact kernel.
     lay = make_upa(PanelSpec(8, 8, 0.5 * LAM, 6.0))
     focal = point_at(0.5, 0.1)
     w = delay_and_sum_weights(lay, focal, LAM)
-    pts = unit_vectors(np.linspace(0.0, 0.2, 11), 0.0) * 2.0e4
-    assert kn.gate(lay, pts, False, LAM)[1].name == "panel_factorized"
-    assert kn.gate(lay, pts, False, LAM, (focal.position, False)) == (None, EXACT_KERNEL)
-    grid = gain_pattern_sweep(lay, w, LAM, thetas=np.linspace(0.0, 0.2, 11), fixed_range=2.0e4)
-    assert grid.kernel == EXACT_KERNEL
-    want = bf._to_gain_dbi(
-        kn._point_sums(lay.positions, w.weights, pts, LAM), lay.n_elements, lay.element_gain_dbi
-    )
-    assert np.array_equal(grid.gain_dbi[:, 0], want)
+    thetas = np.linspace(0.0, 0.2, 11)
+    for fixed_range, name in ((2.0e4, "panel_factorized"), (1.0, "exact")):
+        pts = unit_vectors(thetas, 0.0) * fixed_range
+        plan, kernel = kn.gate(lay, pts, False, LAM, (focal.position, False))
+        assert kernel == kn.gate(lay, pts, False, LAM)[1] and kernel.name == name
+        want, _ = kn.sums(lay, w.weights, pts, False, LAM)
+        grid = gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=fixed_range)
+        assert grid.kernel == kernel
+        gain = bf._to_gain_dbi(want, lay.n_elements, lay.element_gain_dbi)
+        assert np.array_equal(grid.gain_dbi[:, 0], gain)
+    assert np.array_equal(want, kn._point_sums(lay.positions, w.weights, pts, LAM))
     units = unit_vectors(np.array([0.0, 0.1]), 0.0)
     got = response_sum(lay, w, [Direction(0.0), Direction(0.1)], LAM)
-    assert np.array_equal(got, kn._direction_sums(lay.positions, w.weights, units, LAM))
+    assert np.array_equal(got, kn.sums(lay, w.weights, units, True, LAM)[0])
 
 
 def test_weights_without_their_focus_take_the_contraction(monkeypatch):
-    # A raw array, a weight vector built by hand, and weights matched at
-    # another wavelength carry no focus the sums can use.
-    lay = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-30, 0, 0], [30, 0, 0]])
+    # A raw array, weight vectors built by hand or by replace, weights
+    # matched at another wavelength, and weights matched on another layout
+    # of the same size carry no focus the sums can use.
+    spec = PanelSpec(4, 4, 0.5 * LAM)
+    lay = make_distributed_panels(spec, [[-30, 0, 0], [30, 0, 0]])
+    twin = make_distributed_panels(spec, [[-40, 0, 0], [40, 0, 0]])
     focal = point_at(2.0e4, 0.05)
     w = delay_and_sum_weights(lay, focal, LAM)
-    other = delay_and_sum_weights(lay, focal, 1.01 * LAM)
+    perturbed = w.weights * np.exp(0.3j * np.random.default_rng(3).uniform(-1.0, 1.0, len(w)))
+    cases = [
+        (lay, w.weights),
+        (lay, bf.WeightVector(w.weights, focal)),
+        (lay, dataclasses.replace(w, weights=perturbed)),
+        (lay, delay_and_sum_weights(lay, focal, 1.01 * LAM)),
+        (twin, w),
+    ]
     thetas = np.linspace(0.0, 0.1, 7)
     pts = unit_vectors(thetas, 0.0) * 2.0e4
     focused = []
@@ -318,14 +339,14 @@ def test_weights_without_their_focus_take_the_contraction(monkeypatch):
         return made(plan, weights, targets, wavelength)
 
     monkeypatch.setattr(kn, "_factorized_sums", spy)
-    plain = kn._factorized_plan(lay, pts, False, LAM)
-    for weights in (w.weights, bf.WeightVector(w.weights, focal), other):
-        array = getattr(weights, "weights", weights)
-        grid = gain_pattern_sweep(lay, weights, LAM, thetas=thetas, fixed_range=2.0e4)
+    for layout, weights in cases:
+        plain = kn._factorized_plan(layout, pts, False, LAM)
+        want = made(plain, getattr(weights, "weights", weights), pts, LAM)
+        grid = gain_pattern_sweep(layout, weights, LAM, thetas=thetas, fixed_range=2.0e4)
         assert grid.kernel == bf.BeamKernel("panel_factorized", plain.bound_rad)
-        want = bf._to_gain_dbi(made(plain, array, pts, LAM), lay.n_elements, 0.0)
-        assert np.array_equal(grid.gain_dbi[:, 0], want)
-    assert focused == [False, False, False]
+        assert np.array_equal(grid.gain_dbi[:, 0], bf._to_gain_dbi(want, layout.n_elements, 0.0))
+        assert np.array_equal(response_sum(layout, weights, [Point(p) for p in pts], LAM), want)
+    assert focused == [False] * 2 * len(cases)
     gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=2.0e4)
     assert focused[-1]
 

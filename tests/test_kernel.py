@@ -104,6 +104,7 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
     got = {}
     for name, budget in budgets.items():
         monkeypatch.setattr(kn, "_BLOCK_BUDGET", budget)
+        monkeypatch.setattr(kn, "_CACHE_ENTRIES", budget)
         got[name] = evaluate()
 
     # Elementwise work only: the same bits whatever the blocks.
