@@ -309,10 +309,10 @@ def _factorized_plan(layout, targets, directional, wavelength, focus=None):
 
 def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
     """``(bound, slope_x, slope_y, curvature, floor)`` of the expansion toward
-    ``targets``, or None where a point lies within a panel's reach: the path
-    it drops or moves at any element and target (m), the bounds on |u_x|,
-    |u_y| and |c| its factors take, and the exact kernel's own rounding of a
-    path at the nearest target (m)."""
+    ``targets``, or None where a point lies within a panel's reach or the
+    bound overflows: the path it drops or moves at any element and target
+    (m), the bounds on |u_x|, |u_y| and |c| its factors take, and the exact
+    kernel's own rounding of a path at the nearest target (m)."""
     u = _UNIT_ROUNDOFF
     # The kernel places element (r, c) at centre + (m_c s, m_r s, 0) exactly,
     # with m_i = i - (n - 1) / 2 (the progression _axis_factor steps along).
@@ -340,7 +340,10 @@ def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
     residual = grid.gap + u * (grid.scale + rho)
     nearest, skew = np.inf, 0.0
     for chunk in blocks(len(targets), layout.n_elements):
-        path, ux, uy, inv_r = _panel_paths(grid.centres, targets[chunk], False)
+        paths = _panel_paths(grid.centres, targets[chunk], False)
+        if paths is None:
+            return None
+        path, ux, uy, inv_r = paths
         nearest = min(nearest, float(path.min()))
         if nearest <= rho:
             return None
@@ -350,7 +353,10 @@ def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
     # path sqrt((R - a)^2 + q) differs from R - a + q / 2R by at most
     # q |a| / 2R(R - a) + q^2 / 8(R - a)^3.
     near = nearest - rho
-    tail = rho**3 / (2.0 * nearest * near) + rho**4 / (8.0 * near**3)
+    try:
+        tail = rho**3 / (2.0 * nearest * near) + rho**4 / (8.0 * near**3)
+    except (OverflowError, ZeroDivisionError):  # a power past float64's range
+        return None
     # (1 - u^2) / 2R is at most 1 / 2R.
     return half_x * half_y * skew + tail + residual, 1.0, 1.0, 0.5 / nearest, u * near
 
@@ -395,7 +401,8 @@ def _recurrence_drift(n, spacing, k, slope, curvature):
 def _panel_paths(centres, targets, directional):
     # Per (panel, target): the path to the panel centre (R, or -u . c for a
     # Direction), the in-plane components of its unit vector, and 1/R (zero
-    # for a Direction).
+    # for a Direction); None where a point sits on a centre. A nonzero R is
+    # at least 2e-162 m (a root of the least float64), so 1/R stays finite.
     if directional:
         path = -(centres @ targets.T)
         ux = np.broadcast_to(targets[:, 0], path.shape)
@@ -403,6 +410,8 @@ def _panel_paths(centres, targets, directional):
         return path, ux, uy, np.zeros(path.shape)
     v = targets - centres[:, None, :]
     path = np.sqrt((v * v).sum(axis=-1))
+    if not path.all():
+        return None
     inv_r = 1.0 / path
     return path, v[..., 0] * inv_r, v[..., 1] * inv_r, inv_r
 

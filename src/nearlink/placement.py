@@ -109,7 +109,8 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
     The factor treats each panel center as a single matched-weight element
     steered at ``objective.steering``; the main-lobe reference is the exact
     on-focus value (the panel count), so the result never depends on whether
-    the scan grid happens to sample the peak.
+    the scan grid happens to sample the peak; a sum that rounds above it, in
+    a scan that reaches into the main lobe, reads 0 dB.
     """
     k = wavenumber(wavelength)
     pos = np.asarray(positions, dtype=np.float64)
@@ -122,7 +123,7 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
         phase = (rel[rows] @ pos.T) * k
         mags = np.abs(np.exp(1j * phase).sum(axis=1))
         worst = max(worst, float(mags.max()))
-    return 20.0 * np.log10(max(worst, 1e-300) / pos.shape[0])
+    return 20.0 * np.log10(min(max(worst, 1e-300), pos.shape[0]) / pos.shape[0])
 
 
 def _screen_bounds(candidates: np.ndarray, rel: np.ndarray, k: float) -> np.ndarray:
@@ -222,7 +223,8 @@ def optimize_placement(
     best, best_db, best_amp = -1, np.inf, np.inf
     scored = 0
     for i in np.argsort(bounds, kind="stable"):
-        cutoff = best_amp + margin * n_panels
+        # At 0 dB no score is worse, and any candidate ties the best.
+        cutoff = best_amp + margin * n_panels if best_db < 0.0 else np.inf
         if bounds[i] > cutoff:
             break
         screen_exps += n_panels * len(fine)

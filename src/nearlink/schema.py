@@ -93,9 +93,12 @@ _HALFWIDTH_DEG = Bound(0.0, 90.0, "(]")
 # gain), and the factorized kernel's error bound cubes them. At 1e100 m that
 # cube, 8e300, stays below the float64 maximum of 1.8e308 with room for
 # element offsets of the same size; past it a square or cube overflows, and
-# the run writes NaN gains or fails. Apertures, spacings and every coordinate
-# of a position list share the bound, so no distance can outgrow it.
-_LENGTH = Bound(0.0, 1.0e100, "(]")
+# the run writes NaN gains or fails. At 1e-100 m the cube, 1e-300, stays
+# above the smallest normal float64, 2.2e-308; below it a square or cube
+# underflows, and elements that are apart coincide. Ranges, apertures, panel
+# pitches and every coordinate of a position list share the ceiling, so no
+# distance can outgrow it.
+_LENGTH = Bound(1.0e-100, 1.0e100)
 _SPACING = Bound(0.0, 1.0e100, text="must be non-negative and at most 1e+100")
 _COORDINATE = Bound(-1.0e100, 1.0e100)
 _VERSION = Bound(
@@ -111,14 +114,11 @@ def _at_least(n: int) -> Bound:
     return Bound(n, text=f"must be at least {n}")
 
 
-# A run allocates each array a count sizes in one piece: a beam analysis'
-# gain grid (n_theta x n_ranges), a sweep's range axis, a placement search's
-# scan directions (n_scan) and its candidates' positions (n_candidates x
-# n_panels), a layout's element positions (panels x rows x cols), and a
-# sweep's channel between the two layouts (ground x satellite elements). The
-# largest of them may hold at most _MAX_ENTRIES entries, about 100 MB at the
-# 24 bytes of a position, so that a count validation passes cannot fail the
-# run's allocation.
+# An array a run allocates in one piece holds at most this many entries,
+# about 100 MB at the 24 bytes of a position, so that a count validation
+# passes cannot fail the run's allocation. A count bounds its own axis (a
+# sweep's ranges, a placement search's scan directions); _arrays_fit lists, by
+# analysis kind, the arrays that products of counts size.
 _MAX_ENTRIES = 1 << 22
 
 
@@ -151,51 +151,6 @@ def _exactly_one(a, b):
 def _range_order(ana, path):
     if ana.range_stop_m <= ana.range_start_m:
         raise ValidationError(f"'{path}.range_stop_m' must exceed range_start_m")
-
-
-def _refuse_entries(key, names, counts):
-    # Refuses a product of ``counts`` past _MAX_ENTRIES.
-    if math.prod(counts) > _MAX_ENTRIES:
-        raise ValidationError(
-            f"'{key}': {' x '.join(names)} is {math.prod(counts)} entries, "
-            f"above the {_MAX_ENTRIES} one array may hold"
-        )
-
-
-def _entries_fit(*names):
-    # The check for a product of fields ``names``, naming the last.
-    return lambda obj, path: _refuse_entries(
-        f"{path}.{names[-1]}", names, [getattr(obj, n) for n in names]
-    )
-
-
-def _n_panels(ground) -> int:
-    # Drawn or placed panels; a upa ground is one panel.
-    if ground.kind != "distributed":
-        return 1
-    return ground.random.n_panels if ground.random else len(ground.positions_m)
-
-
-def _ground_fits(ground, path):
-    # A distributed ground holds panels x rows x cols elements; a upa
-    # ground's one panel has the panel's own rows x cols check.
-    if ground.kind == "distributed":
-        key = "random.n_panels" if ground.random else "positions_m"
-        counts = (_n_panels(ground), ground.panel.rows, ground.panel.cols)
-        _refuse_entries(f"{path}.{key}", ("panels", "rows", "cols"), counts)
-
-
-def _link_fits(s, path):
-    # A sweep's spectra stand for the ground x satellite channel, which the
-    # exact path builds whole.
-    if isinstance(s.analysis, _SWEEPS):
-        sat = s.satellite
-        key, n_sat = "satellite.positions_m", len(sat.positions_m or ())
-        if sat.panel is not None:
-            key, n_sat = "satellite.panel", sat.panel.rows * sat.panel.cols
-        g = s.ground
-        n_ground = _n_panels(g) * g.panel.rows * g.panel.cols
-        _refuse_entries(key, ("ground elements", "satellite elements"), (n_ground, n_sat))
 
 
 def _placement_fits(cfg, path):
@@ -234,6 +189,40 @@ def _link_sections(s, path):
                 raise ValidationError(f"missing required key '{section}': {kind} needs it")
 
 
+def _arrays_fit(s, path):
+    # The table of the arrays a run allocates whole, by analysis kind: the
+    # key path that sets each, what it holds, and the counts whose product
+    # is its entries, which must not pass _MAX_ENTRIES.
+    a, g, sat, rows = s.analysis, s.ground, s.satellite, []
+    if isinstance(a, OptimizePlacementAnalysis):
+        counts = (a.n_panels, a.n_candidates)
+        rows.append(("analysis.n_candidates", "n_panels x n_candidates", counts))
+    if isinstance(a, _SWEEPS + _BEAMS):
+        key, panels = "ground.panel.cols", 1  # a upa ground is one panel
+        if g.random is not None:
+            key, panels = "ground.random.n_panels", g.random.n_panels
+        elif g.positions_m is not None:
+            key, panels = "ground.positions_m", len(g.positions_m)
+        ground = (panels, g.panel.rows, g.panel.cols)
+        rows.append((key, "panels x rows x cols", ground))
+        key, n_sat = "satellite.positions_m", len(sat.positions_m or ())
+        if sat.panel is not None:
+            key, n_sat = "satellite.panel", sat.panel.rows * sat.panel.cols
+            rows.append(("satellite.panel.cols", "rows x cols", (sat.panel.rows, sat.panel.cols)))
+        if isinstance(a, _SWEEPS):
+            # A sweep's spectra stand for the ground x satellite channel,
+            # which the exact path builds whole.
+            rows.append((key, "ground elements x satellite elements", (math.prod(ground), n_sat)))
+    if isinstance(a, BeamMapAnalysis):
+        rows.append(("analysis.n_ranges", "n_theta x n_ranges", (a.n_theta, a.n_ranges)))
+    for key, what, counts in rows:
+        if math.prod(counts) > _MAX_ENTRIES:
+            raise ValidationError(
+                f"'{key}': {what} is {math.prod(counts)} entries, "
+                f"above the {_MAX_ENTRIES} one array may hold"
+            )
+
+
 def _satellite_clears_ground(s, path):
     # A sweep brings the satellite to its nearest range, where every element
     # must sit above the ground's highest, or an element of each can meet.
@@ -253,16 +242,16 @@ def _satellite_clears_ground(s, path):
 
 
 def _panels_fit(s, path):
-    # A pitch in wavelengths can overflow or underflow once scaled, and
-    # ground panels must not overlap, whether placed or drawn.
+    # A pitch in wavelengths is a length once scaled, and ground panels must
+    # not overlap, whether placed or drawn.
     for section in ("ground", "satellite"):
         panel = getattr(getattr(s, section), "panel", None)
         if panel is not None and panel.spacing_wavelengths is not None:
             pitch = panel.spacing_wavelengths * s.wavelength
-            if not 0.0 < pitch < math.inf:
+            if not _LENGTH.holds(pitch):
                 raise ValidationError(
                     f"'{section}.panel.spacing_wavelengths' gives a pitch of {pitch:.6g} m "
-                    f"at wavelength {s.wavelength:.6g} m; it must be positive and finite"
+                    f"at wavelength {s.wavelength:.6g} m; it {_LENGTH.describe()}"
                 )
     if s.ground is None or s.ground.kind == "upa":
         return
@@ -359,10 +348,10 @@ def wavelength_of(frequency_hz: float, path="frequency_hz") -> float:
 class PanelConfig:
     rows: int = _f(int, _at_least(1))
     cols: int = _f(int, _at_least(1))
-    spacing_m: Optional[float] = _f(float, _POSITIVE, None)
+    spacing_m: Optional[float] = _f(float, _LENGTH, None)
     spacing_wavelengths: Optional[float] = _f(float, _POSITIVE, None)
     element_gain_dbi: float = _f(float, default=0.0)
-    _checks = (_exactly_one("spacing_m", "spacing_wavelengths"), _entries_fit("rows", "cols"))
+    _checks = (_exactly_one("spacing_m", "spacing_wavelengths"),)
 
 
 @dataclass(frozen=True)
@@ -381,7 +370,7 @@ class GroundConfig:
     panel: PanelConfig = _f(PanelConfig)
     random: Optional[RandomPlacementConfig] = _f(RandomPlacementConfig, default=None)
     positions_m: Optional[tuple] = _f(_POSITIONS, default=None)
-    _checks = (_ground_placement, _ground_fits)
+    _checks = (_ground_placement,)
 
 
 @dataclass(frozen=True)
@@ -442,7 +431,6 @@ class BeamMapAnalysis(_RangeSpan):
     n_theta: int = _f(int, _count(3), 2001)
     n_ranges: int = _f(int, _count(2), 200)
     spacing: str = _f(_SPACING_MODES, default="log")
-    _checks = (_range_order, _entries_fit("n_theta", "n_ranges"))
 
 
 @dataclass(frozen=True)
@@ -458,7 +446,7 @@ class OptimizePlacementAnalysis:
     exclusion_halfwidth_rad: Optional[float] = _f(float, _POSITIVE, None)
     steer_theta_rad: float = _f(float, default=0.0)
     steer_phi_rad: float = _f(float, default=0.0)
-    _checks = (_placement_fits, _entries_fit("n_panels", "n_candidates"))
+    _checks = (_placement_fits,)
 
 
 @dataclass(frozen=True)
@@ -501,7 +489,7 @@ class Scenario:
     output_dir: str = _f(str, default=".")
     _checks = (
         _link_sections,
-        _link_fits,
+        _arrays_fit,
         _satellite_clears_ground,
         _panels_fit,
         _scan_outside_exclusion,

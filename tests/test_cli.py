@@ -511,7 +511,7 @@ def test_overflowing_ranges_exit_three(tmp_path, capsys):
         bad.write_text(_edited(name, *pairs))
         for argv in (("validate", str(bad)), ("run", str(bad), "--output-dir", str(tmp_path))):
             code, _, err = run_cli(capsys, *argv)
-            assert code == 3 and f"'{where}' must lie in (0, 1e+100]" in err, (name, argv)
+            assert code == 3 and f"'{where}' must lie in [1e-100, 1e+100]" in err, (name, argv)
 
 
 def test_counts_past_the_array_bound_exit_three(tmp_path, capsys):

@@ -5,12 +5,13 @@ import json
 import math
 import os
 import re
+import tempfile
 from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearlink.scenario import (
@@ -39,6 +40,7 @@ from nearlink.scenario import (
     scenario_hash,
     serialize_scenario,
 )
+from nearlink.panels import PlacementInfeasible
 from nearlink.schema import _satellite_clears_ground, _to_dict
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -920,6 +922,83 @@ def test_generated_scenarios_round_trip(s):
         assume(False)
     assert again == s
     assert scenario_hash(again) == scenario_hash(s)
+
+
+def _shipped(name, *pairs):
+    """Shipped scenario ``name``'s text with each (old, new) pair replaced."""
+    with open(os.path.join(SCENARIO_DIR, f"{name}.scenario")) as handle:
+        text = handle.read()
+    for old, new in pairs:
+        assert old in text, (name, old)
+        text = text.replace(old, new, 1)
+    return text
+
+
+def _small_upa(n, *pairs):
+    # beam_theta_upa with an n x n ground, cut to 11 angles.
+    upa = (("rows: 128", f"rows: {n}"), ("cols: 128", f"cols: {n}"))
+    return _shipped("beam_theta_upa", *upa, ("n_theta: 2001", "n_theta: 11"), *pairs)
+
+
+def _capped(s):
+    """``s`` as text, with an n_theta or n_ranges left at its default (2001
+    or 200, about 1.3 s a run) cut to 11. Drawn counts lie within 10 of
+    their floor, so each run stays near 50 ms."""
+    counts = {n: 11 for n in ("n_theta", "n_ranges") if getattr(s.analysis, n, 0) > 13}
+    return serialize_scenario(replace(s, analysis=replace(s.analysis, **counts)))
+
+
+# Scenarios that validate used to accept and run then failed (exit 1 or a
+# RuntimeWarning): a range or a pitch whose square underflows, a pitch in
+# wavelengths past the length bound, a focus on the panel centre, a kernel
+# bound whose tail overflows, and a scan that rounds above the main lobe.
+@example(_shipped("ratio_vs_range_benchtop", ("range_m: 8.0", "range_m: 5.0e-324")))
+@example(_small_upa(4, ("spacing_wavelengths: 0.5", "spacing_m: 5.0e-324")))
+@example(_small_upa(4, ("frequency_hz: 28.0e9", "frequency_hz: 1.0e-150")))
+@example(
+    _small_upa(
+        128,
+        ("range_m: 500.0e3", "range_m: 1.0e-20"),
+        ("  panel:\n    rows: 1\n    cols: 1\n    spacing_wavelengths: 0.5\n",
+         "  positions_m: [[0, 0, -1], [0, 0, 1]]\n"),
+    )
+)
+@example(
+    _small_upa(
+        2,
+        ("frequency_hz: 28.0e9", "frequency_hz: 1.0e-70"),
+        ("range_m: 500.0e3", "range_m: 1.0e90"),
+    )
+)
+@example(
+    _shipped(
+        "placement_search",
+        ("frequency_hz: 28.0e9", "frequency_hz: 904.0536097983003"),
+        ("aperture_x_m: 1414.0", "aperture_x_m: 8.054464598295456e-80"),
+        ("aperture_y_m: 1000.0", "aperture_y_m: 951.9970079672213"),
+        ("n_panels: 16", "n_panels: 2"),
+        ("min_spacing_m: 50.0", "min_spacing_m: 2.653672424725589e-274"),
+        ("n_candidates: 500", "n_candidates: 6"),
+        ("seed: 0", "seed: 9"),
+        ("scan_halfwidth_rad: 2.5e-4", "scan_halfwidth_rad: 2.0"),
+        ("n_scan: 2001", "n_scan: 101\n  exclusion_halfwidth_rad: 1.175494351e-38"),
+        ("steer_phi_rad: 0.5235987755982988", "steer_phi_rad: 640.6411895306169"),
+    )
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sections(Scenario).map(_capped))
+def test_every_scenario_validate_accepts_runs(text):
+    # validate => run: a scenario the parser accepts runs with no exception
+    # and no RuntimeWarning. Only a random draw may fail, for want of room.
+    try:
+        s = parse_scenario(text)
+    except ValidationError:
+        assume(False)
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_scenario(s, output_dir=out)
+        except PlacementInfeasible:
+            assert isinstance(s.analysis, OptimizePlacementAnalysis) or s.ground.random
 
 
 def _numeric_fields(obj, path=()):
