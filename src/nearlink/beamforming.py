@@ -17,13 +17,12 @@ the one it ran. Weights from :func:`delay_and_sum_weights` remember the
 layout and wavelength they were matched at; a sum on that same layout at that
 wavelength hands their focal to the kernel, whose focused sums read the
 weights only where they fall back. Weight arrays, weight vectors built by
-hand or by ``dataclasses.replace``, and sums on another layout or at another
-wavelength are summed from the weights themselves.
+hand or by ``replace``, and sums on another layout or at another wavelength
+are summed from the weights themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -33,14 +32,14 @@ from .geometry import ElementLayout
 from . import kernel
 from .kernel import EXACT_KERNEL, BeamKernel, wavenumber
 from .objective import Direction
+from .record import Record
 
 GAIN_FLOOR_DB = -200.0
 
 # ===== focal targets =====
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
+class Point(Record, eq=False):
     """Near-field focal target at an absolute position in meters."""
 
     position: np.ndarray
@@ -63,17 +62,15 @@ def point_at(range_m: float, theta: float, phi: float = 0.0) -> Point:
     return Point(range_m * Direction(theta, phi).unit)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(Record, eq=False):
     """Per-element phase-only weights plus the focal they were matched to."""
 
     weights: np.ndarray
     focal: Focal
     # The layout and wavelength the weights are the delay-and-sum weights
-    # toward ``focal`` for; set only by delay_and_sum_weights, so weights
-    # built any other way (``replace`` too) are never taken for them.
-    _layout: ElementLayout | None = field(default=None, init=False, repr=False)
-    _wavelength: float | None = field(default=None, init=False, repr=False)
+    # toward ``focal`` for; not fields, and set only by delay_and_sum_weights,
+    # so weights built any other way (``replace`` too) are never taken for them.
+    _layout = _wavelength = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.complex128))
@@ -91,8 +88,7 @@ class WeightVector:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class DishSpec:
+class DishSpec(Record):
     """Parabolic dish: diameter in meters, aperture efficiency in (0, 1]."""
 
     diameter: float
@@ -209,8 +205,7 @@ def evaluate_gain(layout: ElementLayout, weights, where, wavelength: float) -> f
 # ===== sweeps =====
 
 
-@dataclass(frozen=True, eq=False)
-class GainGrid:
+class GainGrid(Record, eq=False):
     """Gain samples over a theta and/or range grid.
 
     ``gain_dbi`` has shape (len(theta), len(ranges)); single-axis sweeps carry

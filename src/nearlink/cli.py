@@ -16,14 +16,15 @@ flags against the field declarations too.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from . import __version__
 from .fileio import fmt
+from .record import MISSING, replace
 # The parser only, so that ``validate`` loads no numerics; runs import scenario.
 from .schema import (
     ANALYSIS_KINDS,
+    WAVELENGTH,
     Scenario,
     ScenarioError,
     ValidationError,
@@ -39,10 +40,9 @@ from .schema import (
 
 
 def _wavelength(args) -> float:
-    # A wavelength shares the frequency's declaration: a positive finite number.
     if args.wavelength_m is not None:
-        return check_value(Scenario, "frequency_hz", args.wavelength_m, "--lambda")
-    frequency = check_value(Scenario, "frequency_hz", args.frequency_hz, "--frequency")
+        return check_value(WAVELENGTH, args.wavelength_m, "--lambda")
+    frequency = check_value(Scenario._fields["frequency_hz"], args.frequency_hz, "--frequency")
     return wavelength_of(frequency, "--frequency")
 
 
@@ -78,7 +78,7 @@ def _cmd_closed_form(args) -> int:
     flag checked as the field it sets is declared."""
     lam = _wavelength(args)
     cls = ANALYSIS_KINDS[args.kind]
-    checked = {n: check_value(cls, n, getattr(args, n), flag) for n, flag in args.flags.items()}
+    checked = {n: check_value(cls._fields[n], getattr(args, n), f) for n, f in args.flags.items()}
     analysis = cls(**checked)
     # The payload repeats the inputs, the flags and the wavelength, before the results.
     for key, value in closed_form(analysis, lam).items():
@@ -105,15 +105,15 @@ def _cmd_analysis(args) -> int:
     given = {
         name: getattr(args, name)
         for name in args.flags
-        if name in cls.__dataclass_fields__ and getattr(args, name) is not None
+        if name in cls._fields and getattr(args, name) is not None
     }
     if isinstance(s.analysis, cls):
-        analysis = dataclasses.replace(s.analysis, **given)
+        analysis = replace(s.analysis, **given)
     else:
         missing = [
-            args.flags.get(f.name, f"analysis.{f.name}")
-            for f in dataclasses.fields(cls)
-            if f.default is dataclasses.MISSING and f.name not in given
+            args.flags.get(name, f"analysis.{name}")
+            for name, decl in cls._fields.items()
+            if decl.default is MISSING and name not in given
         ]
         if missing:
             needs = ", ".join(missing)
@@ -121,7 +121,7 @@ def _cmd_analysis(args) -> int:
         analysis = cls(**given)
     # Flag values bypass the parser's checks; a serialize/parse round trip
     # pushes the final configuration back through all of them.
-    s = parse_scenario(serialize_scenario(dataclasses.replace(s, analysis=analysis)))
+    s = parse_scenario(serialize_scenario(replace(s, analysis=analysis)))
     _print_report(run_scenario(s, output_dir=args.output_dir))
     return 0
 
@@ -140,8 +140,8 @@ def _field_flags(parser, *flags):
     """Add ``(option, field name[, add_argument keywords])`` flags that set
     analysis fields, each typed as its field declares."""
     for option, name, *extra in flags:
-        cls = next(c for c in ANALYSIS_KINDS.values() if name in c.__dataclass_fields__)
-        coerce = cls.__dataclass_fields__[name].metadata["coerce"]
+        cls = next(c for c in ANALYSIS_KINDS.values() if name in c._fields)
+        coerce = cls._fields[name].metadata["coerce"]
         typed = {"choices": coerce} if isinstance(coerce, tuple) else {"type": coerce}
         parser.add_argument(option, dest=name, **typed, **(extra or [{"default": None}])[0])
     parser.set_defaults(flags={name: option for option, name, *_ in flags})
@@ -150,21 +150,12 @@ def _field_flags(parser, *flags):
 def _calculator(sub, name, help, kind, *flags):
     p = sub.add_parser(name, help=help)
     _field_flags(p, *flags)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--lambda",
-        dest="wavelength_m",
-        type=float,
-        metavar="METERS",
-        help="carrier wavelength in meters",
-    )
-    group.add_argument(
-        "--frequency",
-        dest="frequency_hz",
-        type=float,
-        metavar="HZ",
-        help="carrier frequency in Hz",
-    )
+    carrier = p.add_mutually_exclusive_group(required=True)
+    for option, dest, unit, what in (
+        ("--lambda", "wavelength_m", "METERS", "wavelength in meters"),
+        ("--frequency", "frequency_hz", "HZ", "frequency in Hz"),
+    ):
+        carrier.add_argument(option, dest=dest, type=float, metavar=unit, help=f"carrier {what}")
     p.set_defaults(func=_cmd_closed_form, kind=kind)
 
 

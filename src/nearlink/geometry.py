@@ -10,7 +10,6 @@ The same types describe the space segment: a satellite-side array is just an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -19,6 +18,7 @@ import numpy as np
 from .fileio import atomic_write_text, fmt
 from .panels import OverlappingPanels, PanelSpec, PlacementInfeasible, check_packing  # noqa: F401
 from .panels import aperture_corners, check_corner_spacing, check_panel_overlap
+from .record import Record
 
 # Per-point rejection budget for random placement; exceeding it means the
 # requested density is not achievable and the caller gets a clear error
@@ -44,8 +44,7 @@ class _PanelGrid(NamedTuple):
     scale: float  # largest |centre + offset|
 
 
-@dataclass(frozen=True, eq=False)
-class ElementLayout:
+class ElementLayout(Record, eq=False):
     """Element coordinates in meters, ``positions`` (n, 3), the panel of
     each element, ``panel_ids`` (n,), 0-based and contiguous, and the
     ``panel_spec`` of the per-panel grid, which carries the element gain."""

@@ -1,6 +1,6 @@
 """Phase-sum kernels: how a coherent sum over elements and targets is chunked,
 gated and rounded, which kernel runs (:func:`sums`), and the exact channel
-matrix. This module imports no other part of the package.
+matrix. Of the package, this module imports only :mod:`nearlink.record`.
 
 Two kernels evaluate the coherent sum. The exact one pays one distance and one
 complex exponential per element and target. The panel-factorized one serves
@@ -60,9 +60,9 @@ focused sums, which take cache-sized chunks of ``_CACHE_ENTRIES``), one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .record import Record
 
 _BLOCK_BUDGET = 4_000_000
 # The focused sums hold about a dozen complex128 (panels, targets) arrays at
@@ -108,8 +108,7 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-@dataclass(frozen=True)
-class BeamKernel:
+class BeamKernel(Record):
     """The kernel that evaluated a response or built a channel matrix, and
     its per-element phase bound.
 
@@ -205,8 +204,7 @@ def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
 # target: a chirp of the same form as a factor, summed as it is stepped.
 
 
-@dataclass(frozen=True, eq=False)
-class _FactorizedPlan:
+class _FactorizedPlan(Record, eq=False):
     centres: np.ndarray  # (panels, 3) panel centres
     rows: int  # offsets along a panel's y axis
     cols: int  # offsets along a panel's x axis

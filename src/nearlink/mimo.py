@@ -73,14 +73,13 @@ few 2**-53 sigma_max.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernel
 from .kernel import channel_matrix
 from .fileio import atomic_write_text, fmt
 from .geometry import ElementLayout, PanelSpec
+from .record import Record
 
 
 class ConvergenceFailure(RuntimeError):
@@ -91,8 +90,7 @@ class DegenerateSpectrum(ValueError):
     """All singular values are zero; ratios and counts are undefined."""
 
 
-@dataclass(frozen=True, eq=False)
-class SingularSpectrum:
+class SingularSpectrum(Record, eq=False):
     """Singular values in descending order plus the matrix shape they came from."""
 
     values: np.ndarray

@@ -3,11 +3,11 @@ numpy, so that checking a scenario loads no numerics. :mod:`nearlink.placement`
 and :mod:`nearlink.beamforming` re-export these names."""
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     """Far-field steering target: polar angle ``theta``, azimuth ``phi``."""
 
     theta: float
@@ -38,8 +38,7 @@ def support_width(aperture_x: float, aperture_y: float, phi: float) -> float:
     return aperture_x * abs(math.cos(phi)) + aperture_y * abs(math.sin(phi))
 
 
-@dataclass(frozen=True)
-class PlacementObjective:
+class PlacementObjective(Record):
     """Scan definition for scoring a placement's sidelobes.
 
     The placement factor is scanned over polar angles ``scan_range`` through

@@ -3,7 +3,8 @@ and :mod:`nearlink.geometry` alike. ``sqrt(dx*dx + dy*dy + dz*dz)`` and
 ``abs(complex(a, b))`` round as ``np.linalg.norm(axis=1)`` and ``np.hypot`` do."""
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
 class OverlappingPanels(ValueError):
@@ -14,20 +15,11 @@ class PlacementInfeasible(RuntimeError):
     """Random placement could not satisfy the minimum spacing constraint."""
 
 
-@dataclass(frozen=True)
-class PanelSpec:
-    """Shape of one rectangular panel.
-
-    Parameters
-    ----------
-    rows, cols : int
-        Element grid dimensions, both at least 1.
-    spacing : float
-        Element pitch in meters, strictly positive. The same pitch applies to
-        rows and columns.
-    element_gain_dbi : float
-        Gain of a single element, added on top of the array factor when
-        patterns are evaluated. Elements are otherwise isotropic.
+class PanelSpec(Record):
+    """Shape of one rectangular panel: a ``rows`` x ``cols`` grid of elements,
+    both at least 1, at one positive pitch ``spacing`` in meters along rows and
+    columns. ``element_gain_dbi`` is one element's gain, added on top of the
+    array factor when patterns are evaluated; elements are otherwise isotropic.
     """
 
     rows: int

@@ -25,7 +25,6 @@ bit. Scan directions, shared by screens and score, are built in one place
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
 from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, unit_vectors, wavenumber
 from .objective import Direction, PlacementObjective, default_exclusion_halfwidth  # noqa: F401
+from .record import Record
 
 # The search's fine screen scans every _SCREEN_STRIDE-th kept direction and
 # its coarse screen every fourth of those, in blocks of candidates whose
@@ -44,8 +44,7 @@ _SCREEN_BLOCK_BYTES = 1 << 20
 _SCREEN_BYTES_PER_TERM = 40
 
 
-@dataclass(frozen=True, eq=False)
-class PlacementResult:
+class PlacementResult(Record, eq=False):
     """A search's winner. ``candidates_scored`` is how many candidates the
     search scored in full, ``prune_margin`` the margin delta it pruned with
     and ``screen_exps`` how many phasors its screens formed, candidates x

@@ -6,24 +6,22 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from importlib import import_module
 
 import numpy as np
 
-from . import beamforming, mimo, placement
-# ``channel_matrix`` is not called here since sweeps go through
-# ``mimo.link_spectra``; the name stays because the benchmark's traced run
-# (perfbench/traced_run.py) times channel builds by wrapping it.
-from .kernel import channel_matrix  # noqa: F401
+# Sweeps reach ``channel_matrix`` through ``mimo.link_spectra``; the name stays
+# here for the benchmark's traced run (perfbench/traced_run.py) to wrap.
+from .kernel import EXACT_KERNEL, channel_matrix  # noqa: F401
 from .fileio import atomic_write_text
 from .geometry import ElementLayout, PanelSpec, make_distributed_panels, make_upa
 from .geometry import random_panel_positions, save_layout
+from .record import Record
 from .schema import *  # noqa: F401,F403  the parse API, re-exported
 from .schema import _CLOSED_FORMS, _panel_spec, _placement_objective
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     """What a run did. ``details`` holds the report lines that depend on the
     analysis kind, in print order, from line name to value: the kernel of a
     beam sweep or of a sweep's channel matrices with its error bound (the
@@ -90,7 +88,7 @@ def _range_axis(ana):
 # that depend on the kind: the files, the key scalars and the details.
 
 
-def _run_closed_form(s, outdir, tag):
+def _run_closed_form(s, outdir, tag, module):
     _, name, keys = _CLOSED_FORMS[analysis_kind(s.analysis)]
     payload = closed_form(s.analysis, s.wavelength)
     path = os.path.join(outdir, name)
@@ -99,7 +97,7 @@ def _run_closed_form(s, outdir, tag):
     return {"output_files": (path,), "key_scalars": scalars, "details": {}}
 
 
-def _run_sweep(s, outdir, tag):
+def _run_sweep(s, outdir, tag, mimo):
     ana, lam = s.analysis, s.wavelength
     ground = build_ground_layout(s)
     ranges = _range_axis(ana)
@@ -117,13 +115,13 @@ def _run_sweep(s, outdir, tag):
         "ratio_at_reference_range": mimo.condition_ratio(ref_spec),
     }
     details = {
-        "channel_kernel": "exact" if beamforming.EXACT_KERNEL in kernels else "panel_factorized",
+        "channel_kernel": "exact" if EXACT_KERNEL in kernels else "panel_factorized",
         "channel_kernel_bound_rad": max(k.bound_rad for k in kernels),
     }
     return {"output_files": (path,), "key_scalars": scalars, "details": details}
 
 
-def _run_beam(s, outdir, tag):
+def _run_beam(s, outdir, tag, beamforming):
     # A theta axis where the analysis has a halfwidth, a range axis where it
     # has a range span; the sweep fixes whichever axis is missing.
     ana, lam = s.analysis, s.wavelength
@@ -160,7 +158,7 @@ def _run_beam(s, outdir, tag):
     return {"output_files": (path,), "key_scalars": scalars, "details": details}
 
 
-def _run_placement(s, outdir, tag):
+def _run_placement(s, outdir, tag, placement):
     ana, lam = s.analysis, s.wavelength
     objective = _placement_objective(ana, lam)
     result = placement.optimize_placement(
@@ -194,14 +192,14 @@ def _run_placement(s, outdir, tag):
 
 
 _RUNNERS = {
-    "boundaries": _run_closed_form,
-    "svd_sweep": _run_sweep,
-    "dof_sweep": _run_sweep,
-    "beam_theta": _run_beam,
-    "beam_range": _run_beam,
-    "beam_map": _run_beam,
-    "optimize_placement": _run_placement,
-    "dish_gain": _run_closed_form,
+    "boundaries": (_run_closed_form, None),
+    "svd_sweep": (_run_sweep, "mimo"),
+    "dof_sweep": (_run_sweep, "mimo"),
+    "beam_theta": (_run_beam, "beamforming"),
+    "beam_range": (_run_beam, "beamforming"),
+    "beam_map": (_run_beam, "beamforming"),
+    "optimize_placement": (_run_placement, "placement"),
+    "dish_gain": (_run_closed_form, None),
 }
 
 
@@ -214,11 +212,14 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     kernels' block budget, the BLAS build and the CPU set the summation order,
     and with it the last digits of gains and sidelobe levels.
     """
+    # Import the kind's numerics, and numpy.random if it draws, before the clock.
+    runner, name = _RUNNERS[analysis_kind(s.analysis)]
+    module = name and import_module(f".{name}", __package__)
+    if isinstance(s.analysis, OptimizePlacementAnalysis) or (s.ground and s.ground.random):
+        import_module("numpy.random")
     t0 = time.perf_counter()
     outdir = s.output_dir if output_dir is None else output_dir
     os.makedirs(outdir, exist_ok=True)
     tag = scenario_hash(s)
-    kind_fields = _RUNNERS[analysis_kind(s.analysis)](s, outdir, tag)
-    return RunReport(
-        scenario_hash=tag, wall_time_s=time.perf_counter() - t0, **kind_fields
-    )
+    kind_fields = runner(s, outdir, tag, module)
+    return RunReport(scenario_hash=tag, wall_time_s=time.perf_counter() - t0, **kind_fields)

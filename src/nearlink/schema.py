@@ -5,12 +5,12 @@ optional ``ground`` and ``satellite`` sections, and exactly one ``analysis``
 block naming what to compute. Parsing is strict: unknown keys anywhere are
 errors, so typos fail loudly instead of silently running defaults.
 
-Each key is declared once, as a dataclass field whose ``_f(coerce, bound,
-default, not_with)`` metadata gives its coercion (``float``, which must be
-finite, ``int``, ``str``, a tuple of allowed strings, ``_POSITIONS``, a
-nested section's class, or ``ANALYSIS_KINDS``, whose ``kind`` key picks the
-class), its :class:`Bound`, its default (none: the key is required) and any
-sibling key that carries it instead. One walker, :func:`_walk`, checks every
+Each key is declared once, as a record field (:mod:`nearlink.record`) whose
+``_f(coerce, bound, default, not_with)`` metadata gives its coercion
+(``float``, which must be finite, ``int``, ``str``, a tuple of allowed
+strings, ``_POSITIONS``, a nested section's class, or ``ANALYSIS_KINDS``,
+whose ``kind`` key picks the class), its :class:`Bound`, its default (none:
+the key is required) and any sibling key that carries it instead. One walker, :func:`_walk`, checks every
 section for unknown keys, then required keys, coercion and bounds, then the
 checks between fields that each class lists in ``_checks``. The scenario's own
 checks, which need the wavelength or several sections, run last. Errors name
@@ -28,12 +28,12 @@ do. :mod:`nearlink.scenario` runs it.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Optional, Union
 
 import yaml
 
 from .fileio import sha256_hex
+from .record import MISSING, Field, Record
 from .panels import OverlappingPanels, PanelSpec, PlacementInfeasible, check_packing
 from .panels import check_corner_spacing, check_panel_overlap
 
@@ -44,7 +44,7 @@ __all__ = [
     "DofSweepAnalysis", "BeamThetaAnalysis", "BeamRangeAnalysis", "BeamMapAnalysis",
     "OptimizePlacementAnalysis", "DishGainAnalysis", "Scenario", "analysis_kind",
     "check_value", "closed_form", "load_scenario", "parse_scenario", "scenario_hash",
-    "serialize_scenario", "wavelength_of",
+    "serialize_scenario", "WAVELENGTH", "wavelength_of",
 ]
 
 SPEED_OF_LIGHT = 299792458.0
@@ -99,6 +99,10 @@ _HALFWIDTH_DEG = Bound(0.0, 90.0, "(]")
 # pitches and every coordinate of a position list share the ceiling, so no
 # distance can outgrow it.
 _LENGTH = Bound(1.0e-100, 1.0e100)
+# A carrier of at most 1e200 Hz has a wavelength of at least 1.5e-192 m, so
+# the phase k d of a distance at that ceiling stays below 1e293, which
+# float64 holds; past about 2.8e307 wavelengths it overflows.
+_FREQUENCY = Bound(0.0, 1.0e200, "(]", "must be positive and at most 1e+200")
 _SPACING = Bound(0.0, 1.0e100, text="must be non-negative and at most 1e+100")
 _COORDINATE = Bound(-1.0e100, 1.0e100)
 _VERSION = Bound(
@@ -128,9 +132,7 @@ def _count(n: int) -> Bound:
 
 def _f(coerce, bound=None, default=MISSING, not_with=None):
     """Declare one scenario key; see the module docstring."""
-    return field(
-        default=default, metadata={"coerce": coerce, "bound": bound, "not_with": not_with}
-    )
+    return Field(default, {"coerce": coerce, "bound": bound, "not_with": not_with})
 
 
 # ----- cross checks -----
@@ -341,11 +343,14 @@ def wavelength_of(frequency_hz: float, path="frequency_hz") -> float:
     return wavelength
 
 
+# A wavelength flag: any positive finite length, with no bound of the carrier's.
+WAVELENGTH = _f(float, _POSITIVE)
+
+
 # ----- configuration tree -----
 
 
-@dataclass(frozen=True)
-class PanelConfig:
+class PanelConfig(Record):
     rows: int = _f(int, _at_least(1))
     cols: int = _f(int, _at_least(1))
     spacing_m: Optional[float] = _f(float, _LENGTH, None)
@@ -354,8 +359,7 @@ class PanelConfig:
     _checks = (_exactly_one("spacing_m", "spacing_wavelengths"),)
 
 
-@dataclass(frozen=True)
-class RandomPlacementConfig:
+class RandomPlacementConfig(Record):
     aperture_x_m: float = _f(float, _LENGTH)
     aperture_y_m: float = _f(float, _LENGTH)
     n_panels: int = _f(int, _at_least(1))
@@ -364,8 +368,7 @@ class RandomPlacementConfig:
     _checks = (_placement_fits,)
 
 
-@dataclass(frozen=True)
-class GroundConfig:
+class GroundConfig(Record):
     kind: str = _f(("upa", "distributed"))
     panel: PanelConfig = _f(PanelConfig)
     random: Optional[RandomPlacementConfig] = _f(RandomPlacementConfig, default=None)
@@ -373,8 +376,7 @@ class GroundConfig:
     _checks = (_ground_placement,)
 
 
-@dataclass(frozen=True)
-class SatelliteConfig:
+class SatelliteConfig(Record):
     range_m: float = _f(float, _LENGTH)
     off_nadir_deg: float = _f(float, Bound(0.0, 90.0, "[)"), 0.0)
     element_gain_dbi: float = _f(float, default=0.0, not_with="panel")
@@ -383,15 +385,13 @@ class SatelliteConfig:
     _checks = (_exactly_one("panel", "positions_m"), _distinct_points)
 
 
-@dataclass(frozen=True)
-class BoundariesAnalysis:
+class BoundariesAnalysis(Record):
     d_tx_m: float = _f(float, _POSITIVE)
     d_rx_m: float = _f(float, _POSITIVE)
     tau: float = _f(float, _TAU)
 
 
-@dataclass(frozen=True)
-class _RangeSpan:
+class _RangeSpan(Record):
     """The range span that sweeps and range cuts share; they add the rest."""
 
     range_start_m: float = _f(float, _LENGTH)
@@ -399,33 +399,28 @@ class _RangeSpan:
     _checks = (_range_order,)
 
 
-@dataclass(frozen=True)
 class SvdSweepAnalysis(_RangeSpan):
     n_ranges: int = _f(int, _count(2))
     spacing: str = _f(_SPACING_MODES, default="log")
     tau: float = _f(float, _TAU, 0.1)
 
 
-@dataclass(frozen=True)
 class DofSweepAnalysis(_RangeSpan):
     n_ranges: int = _f(int, _count(2))
     tau: float = _f(float, _TAU)
     spacing: str = _f(_SPACING_MODES, default="log")
 
 
-@dataclass(frozen=True)
-class BeamThetaAnalysis:
+class BeamThetaAnalysis(Record):
     halfwidth_deg: float = _f(float, _HALFWIDTH_DEG, 2.0)
     n_theta: int = _f(int, _count(3), 2001)
 
 
-@dataclass(frozen=True)
 class BeamRangeAnalysis(_RangeSpan):
     n_ranges: int = _f(int, _count(2), 200)
     spacing: str = _f(_SPACING_MODES, default="log")
 
 
-@dataclass(frozen=True)
 class BeamMapAnalysis(_RangeSpan):
     halfwidth_deg: float = _f(float, _HALFWIDTH_DEG, 2.0)
     n_theta: int = _f(int, _count(3), 2001)
@@ -433,8 +428,7 @@ class BeamMapAnalysis(_RangeSpan):
     spacing: str = _f(_SPACING_MODES, default="log")
 
 
-@dataclass(frozen=True)
-class OptimizePlacementAnalysis:
+class OptimizePlacementAnalysis(Record):
     aperture_x_m: float = _f(float, _LENGTH)
     aperture_y_m: float = _f(float, _LENGTH)
     n_panels: int = _f(int, _at_least(2))
@@ -449,8 +443,7 @@ class OptimizePlacementAnalysis:
     _checks = (_placement_fits,)
 
 
-@dataclass(frozen=True)
-class DishGainAnalysis:
+class DishGainAnalysis(Record):
     diameter_m: float = _f(float, _POSITIVE)
     efficiency: float = _f(float, Bound(0.0, 1.0, "(]"))
 
@@ -479,10 +472,9 @@ def analysis_kind(analysis) -> str:
     return _KIND_OF[type(analysis)]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     version: int = _f(int, _VERSION)
-    frequency_hz: float = _f(float, _POSITIVE)
+    frequency_hz: float = _f(float, _FREQUENCY)
     analysis: Analysis = _f(ANALYSIS_KINDS)
     ground: Optional[GroundConfig] = _f(GroundConfig, default=None)
     satellite: Optional[SatelliteConfig] = _f(SatelliteConfig, default=None)
@@ -614,12 +606,11 @@ def _coerce(coerce, value, path):
     return _walk(coerce, value, path)
 
 
-def check_value(cls, name, value, path):
-    """``value`` coerced and bounded as field ``name`` of ``cls`` declares,
-    with any error naming ``path``."""
-    decl = cls.__dataclass_fields__[name].metadata
-    value = _coerce(decl["coerce"], value, path)
-    bound = decl["bound"]
+def check_value(decl: Field, value, path):
+    """``value`` coerced and bounded as the field ``decl`` declares, with any
+    error naming ``path``."""
+    value = _coerce(decl.metadata["coerce"], value, path)
+    bound = decl.metadata["bound"]
     if bound is not None and not bound.holds(value):
         raise ValidationError(f"'{path}' {bound.describe()}, got {value}")
     return value
@@ -628,14 +619,14 @@ def check_value(cls, name, value, path):
 def _walk(cls, node, path):
     """Build ``cls`` from a parsed mapping, checked against its declarations."""
     node = _as_mapping(node, path)
-    decls = {f.name: f for f in fields(cls)}
+    decls = cls._fields
     for key in node:
         if key not in decls:
             raise ValidationError(f"unknown key '{path or 'scenario'}.{key}'")
     for name, decl in decls.items():
         if name not in node and decl.default is MISSING:
             raise ValidationError(f"missing required key '{_join(path, name)}'")
-    values = {k: check_value(cls, k, v, _join(path, k)) for k, v in node.items()}
+    values = {k: check_value(decls[k], v, _join(path, k)) for k, v in node.items()}
     for key in values:
         sibling = decls[key].metadata["not_with"]
         if sibling in values:
@@ -669,16 +660,15 @@ def load_scenario(path) -> Scenario:
 def _to_dict(obj) -> dict:
     """Every set field as plain YAML types; an analysis leads with its kind."""
     out = {"kind": _KIND_OF[type(obj)]} if type(obj) in _KIND_OF else {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for (name, f), value in zip(obj._fields.items(), obj._values()):
         sibling = f.metadata["not_with"]
         if value is None or (sibling and getattr(obj, sibling) is not None):
             continue
-        if is_dataclass(value):
+        if isinstance(value, Record):
             value = _to_dict(value)
         elif isinstance(value, tuple):
             value = [list(row) for row in value]
-        out[f.name] = value
+        out[name] = value
     return out
 
 

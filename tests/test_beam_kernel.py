@@ -4,7 +4,6 @@ against that sum with the exact weights, link spectra against the exact channel
 matrix, and the QR-compressed link spectra against the uncompressed
 Khatri-Rao product of the same factors."""
 
-import dataclasses
 import os
 import tracemalloc
 
@@ -26,6 +25,7 @@ from nearlink.beamforming import (
     response_sum,
 )
 from nearlink.kernel import channel_matrix
+from nearlink.record import replace
 from nearlink.geometry import (
     ElementLayout,
     PanelSpec,
@@ -325,7 +325,7 @@ def test_weights_without_their_focus_take_the_contraction(monkeypatch):
     cases = [
         (lay, w.weights),
         (lay, bf.WeightVector(w.weights, focal)),
-        (lay, dataclasses.replace(w, weights=perturbed)),
+        (lay, replace(w, weights=perturbed)),
         (lay, delay_and_sum_weights(lay, focal, 1.01 * LAM)),
         (twin, w),
     ]
@@ -999,7 +999,7 @@ def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
 
     def alternating_chains(layout, targets, directional, wavelength, focus=None):
         plan = planned(layout, targets, directional, wavelength, focus)
-        return plan and dataclasses.replace(plan, chained=chained_at[float(targets[0, 2])])
+        return plan and replace(plan, chained=chained_at[float(targets[0, 2])])
 
     built = []
     made = kn._factorized_factors

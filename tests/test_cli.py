@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, printed output, flag overrides."""
 
+import glob
 import math
 import os
 import subprocess
@@ -64,6 +65,18 @@ def test_validation_error_is_three(capsys):
         assert code == 3, argv
         assert err.startswith("error: ")
         assert flag in err, argv
+
+
+def test_lambda_takes_no_bound_of_the_frequency(capsys):
+    # A wavelength is any positive finite length; a frequency keeps the
+    # scenario's ceiling of 1e200 Hz.
+    calculator = ("boundaries", "--dtx", "0.2", "--drx", "0.2", "--tau", "0.1")
+    for wavelength in ("1e-250", "1e201"):
+        code, out, err = run_cli(capsys, *calculator, "--lambda", wavelength)
+        assert code == 0 and err == "" and "r_max_m=" in out, wavelength
+    code, out, err = run_cli(capsys, *calculator, "--frequency", "1e201")
+    assert code == 3 and out == ""
+    assert err == "error: '--frequency' must be positive and at most 1e+200, got 1e+201\n"
 
 
 def test_tau_bounds_checked(capsys):
@@ -827,12 +840,15 @@ NUMERICS = (
 
 
 def test_validate_and_package_import_load_no_numerics():
-    # numpy alone is about half of a validate child's start-up.
-    loaded = f"print(sorted(m for m in {NUMERICS!r} if m in sys.modules))"
+    # numpy alone is about half of a validate child's start-up; records are
+    # not dataclasses, so dataclasses and the inspect it imports stay out.
+    unneeded = NUMERICS + ("dataclasses", "inspect")
+    loaded = f"print(sorted(m for m in {unneeded!r} if m in sys.modules))"
     assert _fresh(f"import sys, nearlink; {loaded}") == "[]\n"
     assert _fresh(f"import sys, nearlink; nearlink.Direction; {loaded}") == "[]\n"
     package = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nearlink'))"
-    parser = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.panels", "nearlink.schema"]
+    parser = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.panels", "nearlink.record"]
+    parser.append("nearlink.schema")
     # Only a placement check loads the objective's module, and no numerics.
     for names, extra in (
         (["dof_vs_range", "beam_map_distributed"], []),
@@ -843,6 +859,42 @@ def test_validate_and_package_import_load_no_numerics():
         validate += f"codes = [main(['validate', p]) for p in {paths}]"
         out = _fresh(f"import sys; {validate}; print(codes); {loaded}; {package}").splitlines()
         assert out[-3:] == [str([0] * len(paths)), "[]", str(sorted(parser + extra))], names
+
+
+def test_each_run_loads_only_its_own_kinds_numerics(tmp_path):
+    # A beam run loads no mimo or placement, a sweep no beamforming or
+    # placement, a placement search no beamforming or mimo. No run loads
+    # dataclasses; numpy.random is loaded by the runs that draw (a placement
+    # search, a drawn ground) and by no other.
+    shared = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.geometry"]
+    shared += ["nearlink.kernel", "nearlink.panels", "nearlink.record", "nearlink.scenario"]
+    shared += ["nearlink.schema"]
+    loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nearlink'"
+    loaded += " or m in ('dataclasses', 'numpy.random')))"
+    for name, own in (
+        ("beam_theta_upa", ["nearlink.beamforming", "nearlink.objective"]),
+        ("dof_vs_range", ["nearlink.mimo", "numpy.random"]),
+        ("placement_search", ["nearlink.objective", "nearlink.placement", "numpy.random"]),
+    ):
+        argv = ["run", scen(name), "--output-dir", str(tmp_path / name)]
+        out = _fresh(f"import sys; from nearlink.cli import main; print(main({argv})); {loaded}")
+        assert out.splitlines()[-2:] == ["0", str(sorted(shared + own))], name
+
+
+def test_validate_prints_the_shipped_hashes(capsys):
+    # Each shipped scenario's hash as validate prints it, in glob order.
+    want = [
+        "a260e856f64ccc8e", "568ef37a2c921f3c", "a8d9023b542c6ef4", "9980bf7ee630e1fc",
+        "5653002d5bf83b33", "bdef47a462de8294", "4ee41e4417327676", "7527f045ff47f6bc",
+        "b28b88fb62eb0ccd",
+    ]
+    paths = sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.scenario")))
+    got = []
+    for path in paths:
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 0 and err == "", path
+        got.append(out.split("hash=")[1].strip())
+    assert got == want
 
 
 # Every name the package exports, each loaded from its module on first use.

@@ -2,7 +2,6 @@
 replaced, bit for bit: the same default exclusion halfwidth, and the same
 refusals with the same messages on both sides of each bound."""
 
-import dataclasses
 import math
 import os
 
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 import nearlink
 from nearlink import beamforming, kernel, placement
 from nearlink.objective import Direction, PlacementObjective, default_exclusion_halfwidth
+from nearlink.record import replace
 from nearlink.schema import _placement_objective, load_scenario
 
 SCENARIO = os.path.join(os.path.dirname(__file__), "..", "scenarios", "placement_search.scenario")
@@ -62,7 +62,7 @@ def test_the_package_and_both_numerics_modules_export_the_one_objective():
 )
 @example(ax=1414.0, ay=1000.0, phi=PLACEMENT.steer_phi_rad, lam=299792458.0 / 28.0e9)
 def test_default_exclusion_matches_the_numpy_formula(ax, ay, phi, lam):
-    ana = dataclasses.replace(
+    ana = replace(
         PLACEMENT, aperture_x_m=ax, aperture_y_m=ay, steer_phi_rad=phi, scan_halfwidth_rad=1e10
     )
     expected = 2.0 * lam / (ax * abs(np.cos(phi)) + ay * abs(np.sin(phi)))

@@ -6,7 +6,6 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import MISSING, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from nearlink.scenario import (
     serialize_scenario,
 )
 from nearlink.panels import PlacementInfeasible
+from nearlink.record import MISSING, Record, replace
 from nearlink.schema import _satellite_clears_ground, _to_dict
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -869,8 +869,8 @@ def sections(draw, cls):
     pair = EXCLUSIVE.get(cls, ())
     keep = draw(st.sampled_from(pair + ((None,) if cls is GroundConfig else ()))) if pair else None
     values = {}
-    for decl in fields(cls):
-        coerce, name = decl.metadata["coerce"], decl.name
+    for name, decl in cls._fields.items():
+        coerce = decl.metadata["coerce"]
         if (name in pair and name != keep) or (keep and decl.metadata["not_with"] == keep):
             continue
         if decl.default is not MISSING and name != keep and draw(st.booleans()):
@@ -951,8 +951,17 @@ def _capped(s):
 # Scenarios that validate used to accept and run then failed (exit 1 or a
 # RuntimeWarning): a range or a pitch whose square underflows, a pitch in
 # wavelengths past the length bound, a focus on the panel centre, a kernel
-# bound whose tail overflows, and a scan that rounds above the main lobe.
+# bound whose tail overflows, a scan that rounds above the main lobe, and a
+# carrier so high that k d overflows (now refused at frequency_hz).
 @example(_shipped("ratio_vs_range_benchtop", ("range_m: 8.0", "range_m: 5.0e-324")))
+@example(
+    _shipped(
+        "ratio_vs_range_benchtop",
+        ("frequency_hz: 29979245800.0", "frequency_hz: 1.0e+300"),
+        ("range_stop_m: 100.0", "range_stop_m: 1.0e+20"),
+        ("spacing_wavelengths: 0.5", "spacing_m: 0.005"),
+    )
+)
 @example(_small_upa(4, ("spacing_wavelengths: 0.5", "spacing_m: 5.0e-324")))
 @example(_small_upa(4, ("frequency_hz: 28.0e9", "frequency_hz: 1.0e-150")))
 @example(
@@ -1003,9 +1012,9 @@ def test_every_scenario_validate_accepts_runs(text):
 
 def _numeric_fields(obj, path=()):
     """(key path, value, bound) of every number set in a parsed section."""
-    for decl in fields(obj):
-        value, where = getattr(obj, decl.name), path + (decl.name,)
-        if is_dataclass(value):
+    for name, decl in obj._fields.items():
+        value, where = getattr(obj, name), path + (name,)
+        if isinstance(value, Record):
             yield from _numeric_fields(value, where)
         elif isinstance(value, tuple):
             yield where + (0, 0), value[0][0], None
