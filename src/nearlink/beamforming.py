@@ -13,16 +13,17 @@ plane, radians. Exact nulls are clamped at -200 dB on the array factor.
 
 The coherent sums come from :func:`nearlink.kernel.sums`, which decides
 between the exact and panel-factorized kernels and states the error bound of
-the one it ran. Weights from :func:`delay_and_sum_weights` remember the
-layout and wavelength they were matched at; a sum on that same layout at that
-wavelength hands their focal to the kernel, whose focused sums read the
-weights only where they fall back. Weight arrays, weight vectors built by
-hand or by ``replace``, and sums on another layout or at another wavelength
+the one it ran. A :class:`WeightVector` is the beam itself: the layout, focal
+and wavelength it is matched to, with its weight array formed on first read.
+A sum on that same layout at that wavelength hands the focal to the kernel,
+whose focused sums never read the array; only the kernels' fallbacks form it.
+Weight arrays, and beams summed on another layout or at another wavelength,
 are summed from the weights themselves.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -63,29 +64,35 @@ def point_at(range_m: float, theta: float, phi: float = 0.0) -> Point:
 
 
 class WeightVector(Record, eq=False):
-    """Per-element phase-only weights plus the focal they were matched to."""
+    """The delay-and-sum beam of ``layout`` toward ``focal`` at ``wavelength``:
+    weights ``w_i = exp(+j 2 pi d_i / lambda)``, with ``d_i`` the effective
+    path of element i toward the focal, so the response from the focal sums
+    exactly in phase."""
 
-    weights: np.ndarray
+    layout: ElementLayout
     focal: Focal
-    # The layout and wavelength the weights are the delay-and-sum weights
-    # toward ``focal`` for; not fields, and set only by delay_and_sum_weights,
-    # so weights built any other way (``replace`` too) are never taken for them.
-    _layout = _wavelength = None
+    wavelength: float
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.complex128))
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a nonempty 1-d array")
+        wavenumber(self.wavelength)  # checks the wavelength
+        if not isinstance(self.focal, (Direction, Point)):
+            raise TypeError("focal must be a Direction or a Point")
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The read-only weight array, formed and checked on first read."""
+        d = _residual_path(self.layout.positions, self.focal)
+        w = np.exp(2j * np.pi * (d / self.wavelength))
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        worst = float(np.abs(np.abs(w) - 1.0).max())
-        if worst > 1e-9:
-            raise ValueError(f"weights must be unit modulus (off by {worst:.3g})")
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        return w
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.weights, dtype=dtype, copy=copy)
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return self.layout.n_elements
 
 
 class DishSpec(Record):
@@ -118,25 +125,15 @@ def _residual_path(positions: np.ndarray, focal: Focal) -> np.ndarray:
     # Point case up to a common constant).
     if isinstance(focal, Direction):
         return -(positions @ focal.unit)
-    if isinstance(focal, Point):
-        return np.sqrt(kernel.squared_distances(positions, focal.position[None]))[:, 0]
-    raise TypeError("focal must be a Direction or a Point")
+    return np.sqrt(kernel.squared_distances(positions, focal.position[None]))[:, 0]
 
 
 def delay_and_sum_weights(
     layout: ElementLayout, focal: Focal, wavelength: float
 ) -> WeightVector:
-    """Matched phase weights ``w_i = exp(+j 2 pi d_i / lambda)``.
-
-    ``d_i`` is the effective path length of element i toward the focal, so the
-    weighted response from the focal sums exactly in phase.
-    """
-    wavenumber(wavelength)  # checks the wavelength
-    d = _residual_path(layout.positions, focal)
-    out = WeightVector(np.exp(2j * np.pi * (d / wavelength)), focal)
-    object.__setattr__(out, "_layout", layout)
-    object.__setattr__(out, "_wavelength", wavelength)
-    return out
+    """The delay-and-sum beam of ``layout`` toward ``focal`` (see
+    :class:`WeightVector`); its weights are formed where a kernel reads them."""
+    return WeightVector(layout, focal, wavelength)
 
 
 def response_sum(layout: ElementLayout, weights, where, wavelength: float):
@@ -148,7 +145,6 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
     bounded memory.
     """
     wavenumber(wavelength)  # checks the wavelength
-    w = _weights_of(layout, weights)
     focus = _focus_of(weights, layout, wavelength)
     single = isinstance(where, (Direction, Point))
     targets = [where] if single else list(where)
@@ -158,29 +154,22 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
         theta = np.fromiter((t.theta for t in targets), np.float64, len(targets))
         phi = np.fromiter((t.phi for t in targets), np.float64, len(targets))
         units = kernel.unit_vectors(theta, phi)
-        total, _ = kernel.sums(layout, w, units, True, wavelength, focus)
+        total, _ = kernel.sums(layout, weights, units, True, wavelength, focus)
     elif all(isinstance(t, Point) for t in targets):
         points = np.stack([t.position for t in targets])
-        total, _ = kernel.sums(layout, w, points, False, wavelength, focus)
+        total, _ = kernel.sums(layout, weights, points, False, wavelength, focus)
     else:
         raise TypeError("evaluation targets must be all Directions or all Points")
     return complex(total[0]) if single else total
 
 
-def _weights_of(layout: ElementLayout, weights) -> np.ndarray:
-    w = weights.weights if isinstance(weights, WeightVector) else np.asarray(weights)
-    if w.shape != (layout.n_elements,):
-        raise ValueError("weights do not match the layout")
-    return w
-
-
 def _focus_of(weights, layout: ElementLayout, wavelength: float):
     # The focal as kernel.sums takes it, (point, False) or (unit vector,
-    # True), where the weights are delay-and-sum toward it on this layout at
-    # this wavelength; else None.
+    # True), where the weights are the beam toward it on this layout at this
+    # wavelength; else None.
     if not isinstance(weights, WeightVector):
         return None
-    if weights._layout is not layout or weights._wavelength != wavelength:
+    if weights.layout is not layout or weights.wavelength != wavelength:
         return None
     focal = weights.focal
     return (focal.unit, True) if isinstance(focal, Direction) else (focal.position, False)
@@ -266,14 +255,15 @@ def gain_pattern_sweep(
         ranges = np.array([fixed_range])
     else:
         ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
+    if not (np.isfinite(thetas).all() and np.isfinite(ranges).all() and np.isfinite(phi)):
+        raise ValueError("evaluation angles and ranges must be finite")
     if (ranges <= 0.0).any():
         raise ValueError("evaluation ranges must be positive")
 
     units = kernel.unit_vectors(thetas, phi)
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
-    w = _weights_of(layout, weights)
     focus = _focus_of(weights, layout, wavelength)
-    totals, used = kernel.sums(layout, w, pts, False, wavelength, focus)
+    totals, used = kernel.sums(layout, weights, pts, False, wavelength, focus)
     gain = _to_gain_dbi(totals, layout.n_elements, layout.element_gain_dbi)
     steering = weights.focal if isinstance(weights, WeightVector) else Direction(0.0)
     return GainGrid(

@@ -17,12 +17,13 @@ delay-and-sum weights toward a focal (a point or a direction), which every
 beam analysis uses, split the same way as the paths to a target, so a panel
 costs the product of two sums per target: each axis' chirp relative to the
 focus, exp(jk (o du - o^2 dc)), added up as the recurrence steps along it. No
-array then holds an entry per offset, and the weights are never read. On the
-benchmark's beam map (16 panels of 32 x 32, 861 targets, 2-core host) that
-took the CLI's median solve from 0.0365 s to 0.0217 s, and the solve of the
-shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
-0.12-0.17 s. Any other weights cost one small matrix product with the
-column factors per panel and target.
+array then holds an entry per offset, and the weights are never formed: the
+beam comes as its focal, and only the two fallbacks below form its array
+(:func:`sums`). On the benchmark's beam map (16 panels of 32 x 32, 861
+targets, 2-core host) that took the CLI's median solve from 0.0365 s to
+0.0217 s, and the solve of the shipped 12 060-target ``beam_map_distributed``
+from 0.21-0.31 s to 0.12-0.17 s. Any other weights cost one small matrix
+product with the column factors per panel and target.
 
 The kernel runs only when a rigorous bound on the terms it drops, and on the
 rounding it adds, stays below the exact kernel's own phase rounding
@@ -131,20 +132,16 @@ def unit_vectors(theta, phi) -> np.ndarray:
     )
 
 
-def _direction_sums(positions, w, units, wavelength):
+def _exact_sums(positions, w, targets, directional, wavelength):
+    # One exp per element and target: the phase k u . p toward a unit vector,
+    # or -k |t - p| toward a point.
     k = wavenumber(wavelength)
-    out = np.zeros(len(units), dtype=np.complex128)
-    for rows in blocks(len(positions), len(units)):
-        phase = (units @ positions[rows].T) * k
-        out += np.exp(1j * phase) @ w[rows]
-    return out
-
-
-def _point_sums(positions, w, pts, wavelength):
-    k = wavenumber(wavelength)
-    out = np.zeros(len(pts), dtype=np.complex128)
-    for rows in blocks(len(positions), len(pts)):
-        phase = np.sqrt(squared_distances(pts, positions[rows])) * -k
+    out = np.zeros(len(targets), dtype=np.complex128)
+    for rows in blocks(len(positions), len(targets)):
+        if directional:
+            phase = (targets @ positions[rows].T) * k
+        else:
+            phase = np.sqrt(squared_distances(targets, positions[rows])) * -k
         out += np.exp(1j * phase) @ w[rows]
     return out
 
@@ -235,18 +232,24 @@ def sums(layout, w, targets, directional, wavelength, focus=None):
     """``(response, kernel)``: the sum over ``layout``'s elements weighted by
     ``w`` at each target (unit vectors if ``directional``, else points).
 
-    ``focus`` is ``(vector, directional)`` of the focal that ``w`` are the
-    delay-and-sum weights toward at ``wavelength`` (a point, or a unit vector
-    if ``directional``), or None. With a focus, the focused sums run where
-    :func:`gate` passes them, and never read ``w``. Elsewhere the factorized
-    kernel contracts ``w`` where the gate passes it, else the exact kernel
-    sums ``w``: a focus the gate refuses gives the bits of a call without it.
+    ``focus`` is ``(vector, directional)`` of the focal that ``w`` is the
+    delay-and-sum beam toward at ``wavelength`` (a point, or a unit vector if
+    ``directional``), or None. With a focus, the focused sums run where
+    :func:`gate` passes them, and never read ``w``. Elsewhere ``np.asarray(w)``
+    forms the weights, which the factorized kernel contracts where the gate
+    passes it, else the exact kernel sums them: a focus the gate refuses
+    gives the bits of a call without it. Raises ValueError where the weights
+    are not one per element.
     """
     plan, used = gate(layout, targets, directional, wavelength, focus)
+    if plan is not None and plan.focus is not None:
+        return _factorized_sums(plan, None, targets, wavelength), used
+    w = np.asarray(w)
+    if w.shape != (layout.n_elements,):
+        raise ValueError("weights do not match the layout")
     if plan is not None:
         return _factorized_sums(plan, w, targets, wavelength), used
-    exact = _direction_sums if directional else _point_sums
-    return exact(layout.positions, w, targets, wavelength), used
+    return _exact_sums(layout.positions, w, targets, directional, wavelength), used
 
 
 def _factorized_plan(layout, targets, directional, wavelength, focus=None):

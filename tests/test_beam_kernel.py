@@ -136,7 +136,7 @@ def test_factorized_points_within_bound_of_exact(layout, seed, n_targets, log_ra
     assume(plan is not None)
     w = random_weights(seed, layout.n_elements)
     fast = kn._factorized_sums(plan, w, pts, LAM)
-    exact = kn._point_sums(layout.positions, w, pts, LAM)
+    exact = kn._exact_sums(layout.positions, w, pts, False, LAM)
     reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
     assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
 
@@ -149,7 +149,7 @@ def test_factorized_directions_within_bound_of_exact(layout, seed, n_targets):
     plan = kn._factorized_plan(layout, units, True, LAM)
     w = random_weights(seed, layout.n_elements)
     fast = kn._factorized_sums(plan, w, units, LAM)
-    exact = kn._direction_sums(layout.positions, w, units, LAM)
+    exact = kn._exact_sums(layout.positions, w, units, True, LAM)
     reach = np.linalg.norm(layout.positions, axis=1).max()
     assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
 
@@ -188,7 +188,7 @@ def test_station_map_takes_factorized_path_within_bound():
     assert plan.chained and kernel == grid.kernel
     assert plan.floor_rad == pytest.approx(K * (floor_t + floor_f), rel=1e-12, abs=0.0)
     totals = kn._factorized_sums(plan, w.weights, pts, LAM)
-    exact = kn._point_sums(lay.positions, w.weights, pts, LAM)
+    exact = kn._exact_sums(lay.positions, w.weights, pts, False, LAM)
     assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus, False)
 
     # The weights alone, as an array, are contracted with the targets' factors.
@@ -241,11 +241,11 @@ def test_focused_sums_within_bound_of_exact_weights_and_kernel(
         ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
         targets = units * ranges[:, None]
         where = [Point(p) for p in targets]
-        exact = kn._point_sums(layout.positions, w.weights, targets, LAM)
+        exact = kn._exact_sums(layout.positions, w.weights, targets, False, LAM)
     else:
         targets = units
         where = [Direction(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
-        exact = kn._direction_sums(layout.positions, w.weights, targets, LAM)
+        exact = kn._exact_sums(layout.positions, w.weights, targets, True, LAM)
     got = response_sum(layout, w, where, LAM)
     plan, kernel = kn.gate(layout, targets, not point_targets, LAM, focus)
     if plan is None:
@@ -306,16 +306,17 @@ def test_a_focus_the_gate_refuses_gives_the_sums_without_it_bit_for_bit():
         assert grid.kernel == kernel
         gain = bf._to_gain_dbi(want, lay.n_elements, lay.element_gain_dbi)
         assert np.array_equal(grid.gain_dbi[:, 0], gain)
-    assert np.array_equal(want, kn._point_sums(lay.positions, w.weights, pts, LAM))
+    assert np.array_equal(want, kn._exact_sums(lay.positions, w.weights, pts, False, LAM))
     units = unit_vectors(np.array([0.0, 0.1]), 0.0)
     got = response_sum(lay, w, [Direction(0.0), Direction(0.1)], LAM)
     assert np.array_equal(got, kn.sums(lay, w.weights, units, True, LAM)[0])
 
 
 def test_weights_without_their_focus_take_the_contraction(monkeypatch):
-    # A raw array, weight vectors built by hand or by replace, weights
-    # matched at another wavelength, and weights matched on another layout
-    # of the same size carry no focus the sums can use.
+    # Weight arrays (the beam's own, or perturbed), a beam matched at another
+    # wavelength, and a beam matched on another layout of the same size carry
+    # no focus the sums can use. A beam moved to another focal by replace is
+    # the beam toward that focal, and takes the focused sums.
     spec = PanelSpec(4, 4, 0.5 * LAM)
     lay = make_distributed_panels(spec, [[-30, 0, 0], [30, 0, 0]])
     twin = make_distributed_panels(spec, [[-40, 0, 0], [40, 0, 0]])
@@ -324,8 +325,7 @@ def test_weights_without_their_focus_take_the_contraction(monkeypatch):
     perturbed = w.weights * np.exp(0.3j * np.random.default_rng(3).uniform(-1.0, 1.0, len(w)))
     cases = [
         (lay, w.weights),
-        (lay, bf.WeightVector(w.weights, focal)),
-        (lay, replace(w, weights=perturbed)),
+        (lay, perturbed),
         (lay, delay_and_sum_weights(lay, focal, 1.01 * LAM)),
         (twin, w),
     ]
@@ -349,6 +349,15 @@ def test_weights_without_their_focus_take_the_contraction(monkeypatch):
     assert focused == [False] * 2 * len(cases)
     gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=2.0e4)
     assert focused[-1]
+    other = point_at(2.5e4, 0.08)
+    moved = replace(w, focal=other)
+    got = response_sum(lay, moved, [Point(p) for p in pts], LAM)
+    assert focused[-1] and "weights" not in vars(moved)
+    plan, _ = kn.gate(lay, pts, False, LAM, (other.position, False))
+    exact_w = delay_and_sum_weights(lay, other, LAM).weights
+    assert np.array_equal(moved.weights, exact_w)
+    exact = kn._exact_sums(lay.positions, exact_w, pts, False, LAM)
+    assert np.abs(got - exact).max() <= focused_tolerance(plan, lay, pts, other.position, False)
 
 
 def test_beam_sweep_transient_memory_stays_within_the_block_bound():
@@ -405,7 +414,7 @@ def test_directions_on_a_built_layout_take_factorized_path():
         w = random_weights(7, upa.n_elements)
         total, kernel = kn.sums(upa, w, units, True, LAM)
         assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
-        exact = kn._direction_sums(upa.positions, w, units, LAM)
+        exact = kn._exact_sums(upa.positions, w, units, True, LAM)
         reach = np.linalg.norm(upa.positions, axis=1).max()
         assert np.abs(total - exact).max() <= tolerance(plan, w, reach)
 
@@ -518,7 +527,7 @@ def test_factorized_sums_on_every_axis_length_within_bound(shape, seed, n_target
     assert plan is not None
     w = random_weights(seed, layout.n_elements)
     fast = kn._factorized_sums(plan, w, pts, LAM)
-    exact = kn._point_sums(layout.positions, w, pts, LAM)
+    exact = kn._exact_sums(layout.positions, w, pts, False, LAM)
     reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
     assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
 
@@ -547,6 +556,26 @@ def test_shipped_scenarios_keep_their_kernels(tmp_path):
         assert kernels == want, name
 
 
+def test_shipped_beam_runs_form_no_weight_array(tmp_path, monkeypatch):
+    # Each shipped beam run sums its beam with the focused sums, which take
+    # the focal and never form the weight array, and the matched gain still
+    # reads exactly 10 log10(N) plus the element gain.
+    formed = []
+    residual_path = bf._residual_path
+    monkeypatch.setattr(bf, "_residual_path", lambda *a: formed.append(a) or residual_path(*a))
+    names = [name for name in SHIPPED_KERNELS if name.startswith("beam_")]
+    assert len(names) == 4
+    for name in names:
+        s = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.scenario"))
+        report = run_scenario(s, str(tmp_path / name))
+        assert report.details["beam_kernel"] == "panel_factorized", name
+        if name == "beam_range_focus":
+            ground = build_ground_layout(s)
+            matched = 10.0 * np.log10(float(ground.n_elements)) + ground.element_gain_dbi
+            assert ground.element_gain_dbi == 6.0
+            assert report.key_scalars["gain_at_focus_dbi"] == matched
+    assert formed == []
+
 # ----- the gate -----
 
 
@@ -560,11 +589,13 @@ def test_short_range_takes_exact_path_bit_for_bit():
 
     grid = gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=0.5)
     assert grid.kernel == EXACT_KERNEL
-    totals = kn._point_sums(lay.positions, w.weights, unit_vectors(thetas, 0.0) * 0.5, LAM)
+    pts = unit_vectors(thetas, 0.0) * 0.5
+    totals = kn._exact_sums(lay.positions, w.weights, pts, False, LAM)
     want = bf._to_gain_dbi(totals, lay.n_elements, lay.element_gain_dbi)
     assert np.array_equal(grid.gain_dbi[:, 0], want)
     got = response_sum(lay, w, focus, LAM)
-    assert got == complex(kn._point_sums(lay.positions, w.weights, focus.position[None], LAM)[0])
+    at_focus = kn._exact_sums(lay.positions, w.weights, focus.position[None], False, LAM)
+    assert got == complex(at_focus[0])
 
 
 def test_perturbed_positions_take_exact_path():
@@ -582,7 +613,7 @@ def test_perturbed_positions_take_exact_path():
     assert plan.bound_rad > plan.floor_rad
     total, kernel = kn.sums(bent, ones, target, False, LAM)
     assert kernel == EXACT_KERNEL
-    assert np.array_equal(total, kn._point_sums(moved, ones, target, LAM))
+    assert np.array_equal(total, kn._exact_sums(moved, ones, target, False, LAM))
 
 
 def test_single_element_panels_take_exact_path():

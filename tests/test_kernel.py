@@ -45,8 +45,8 @@ def evaluate():
         "factorized_points": kn._factorized_sums(plan, WEIGHTS, POINTS, LAM),
         "factorized_directions": kn._factorized_sums(dplan, WEIGHTS, UNITS, LAM),
         "focused_points": kn._factorized_sums(fplan, None, FOCUSED_POINTS, LAM),
-        "exact_points": kn._point_sums(LAYOUT.positions, WEIGHTS, POINTS, LAM),
-        "exact_directions": kn._direction_sums(LAYOUT.positions, WEIGHTS, UNITS, LAM),
+        "exact_points": kn._exact_sums(LAYOUT.positions, WEIGHTS, POINTS, False, LAM),
+        "exact_directions": kn._exact_sums(LAYOUT.positions, WEIGHTS, UNITS, True, LAM),
         "channel": channel_matrix(SATELLITE, LAYOUT, LAM),
         "sidelobe_db": peak_sidelobe(CENTRES, LAM, OBJECTIVE),
     }
