@@ -197,9 +197,10 @@ def random_panel_positions(
     min_spacing : float
         Minimum pairwise center distance in meters, non-negative.
     seed : int or 1-D array of int
-        Seed for the draw; identical inputs give identical output. An array
-        draws one placement per seed in a single pass, and its row i equals
-        the placement drawn with ``int(seed[i])``, bit for bit.
+        Non-negative seed for the draw, of any size; identical inputs give
+        identical output. An array draws one placement per seed in a single
+        pass, and its row i equals the placement drawn with ``int(seed[i])``,
+        bit for bit.
 
     Returns
     -------
@@ -214,8 +215,10 @@ def random_panel_positions(
 
     Notes
     -----
-    Each seed draws from its own ``default_rng(seed)`` stream, in blocks of
-    ``_DRAW_BLOCK`` (x, y) pairs. ``random`` fills a (B, 2) block in C order
+    Each seed draws from its own generator, the one ``default_rng(seed)``
+    builds, with the seeds hashed for all generators in one pass
+    (:func:`nearlink.seeding.generators`). It is read in blocks of
+    ``_DRAW_BLOCK`` (x, y) pairs: ``random`` fills a (B, 2) block in C order
     from one double per element, and each is scaled as ``uniform`` scales
     it, so a block holds exactly what B successive uniform(-hx, hx),
     uniform(-hy, hy) calls would return.
@@ -268,10 +271,13 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
     placed hold inf, which is clear of every draw at a finite spacing; a NaN
     spacing already rejects every draw at the corners.
     """
+    # Loads numpy.random, which only the runs that draw need.
+    from .seeding import generators
+
     n_seeds, n_panels, _ = out.shape
     ids = np.arange(n_seeds)
     rows = ids
-    gens = [np.random.default_rng(s) for s in seeds]
+    gens = generators(seeds)
     low, span = np.array([[-hx], [-hy]]), np.array([[2.0 * hx], [2.0 * hy]])
     # x and y as rows, so that the distance tests run along contiguous memory.
     points = np.full((n_seeds, 2, n_panels), np.inf)

@@ -14,12 +14,14 @@ reaches is screened again over every 16th direction, a tighter lower bound,
 and scored in full only if that bound too is within a margin delta of the
 best score so far; the walk stops at the first coarse bound past it. Both
 screens take a maximum over a subset of the directions the score scans, with
-the same expression, and delta bounds the rounding gap between either screen
-and the full score (about 2e-12 of the main lobe at the shipped sizes). The
-best score only falls, so a candidate pruned at either level provably scores
-worse: the winner and its score are those of scoring every candidate, bit for
-bit. Scan directions, shared by screens and score, are built in one place
-(``_scan_offsets``).
+the same phase expression, and delta bounds the rounding gap between either
+screen and the full score, in any summation order (about 2e-12 of the main
+lobe at the shipped sizes). The best score only falls, so a candidate pruned
+at either level provably scores worse: the winner and its score are those of
+scoring every candidate, bit for bit. Scan directions, shared by screens and
+score, are built in one place (``_scan_offsets``), and the phasors of the
+aperture corners, shared by every drawn candidate, are formed once per screen
+level and search.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ _SCREEN_BYTES_PER_TERM = 40
 class PlacementResult(Record, eq=False):
     """A search's winner. ``candidates_scored`` is how many candidates the
     search scored in full, ``prune_margin`` the margin delta it pruned with
-    and ``screen_exps`` how many phasors its screens formed, candidates x
+    and ``screen_exps`` how many terms its screens summed, candidates x
     panels x directions over both levels (see :func:`optimize_placement`);
     all three are None for a result built by hand."""
 
@@ -125,19 +127,42 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
     return 20.0 * np.log10(min(max(worst, 1e-300), pos.shape[0]) / pos.shape[0])
 
 
-def _screen_bounds(candidates: np.ndarray, rel: np.ndarray, k: float) -> np.ndarray:
+def _shared_head(candidates: np.ndarray, rel: np.ndarray, k: float):
+    """``(m, head)``: the first m rows that every candidate shares, at most
+    four and fewer than all (a search's aperture corners), and ``head``, the
+    sum of their phasors along each direction of ``rel``, in row order.
+
+    The phases come from the first candidate's rows of the product
+    :func:`_screen_bounds` forms, so they are bit for bit the ones it would
+    form for any candidate.
+    """
+    m = 0
+    while m < min(candidates.shape[1] - 1, 4) and (candidates[:, m] == candidates[0, m]).all():
+        m += 1
+    phase = (candidates[:1] @ rel.T)[0, :m] * k
+    return m, np.exp(1j * phase).sum(axis=0)
+
+
+def _screen_bounds(candidates: np.ndarray, rel: np.ndarray, k: float, head=None) -> np.ndarray:
     """Peak |sum_p exp(j k rel.p)| of each candidate over the directions ``rel``.
 
-    ``candidates`` is (n_candidates, n_panels, 3). Candidates go through in
-    blocks sized so that the block's temporaries stay near
-    ``_SCREEN_BLOCK_BYTES``.
+    ``candidates`` is (n_candidates, n_panels, 3). ``head`` is the
+    :func:`_shared_head` of the stack they come from (by default, of
+    ``candidates``): its sum stands in for the shared rows' phasors, and the
+    other rows are added to it one at a time, the order a sum over every row
+    takes, so the bounds are those of forming every phasor, bit for bit.
+    Candidates go through in blocks sized so that the block's temporaries
+    stay near ``_SCREEN_BLOCK_BYTES``.
     """
+    m, shared = _shared_head(candidates, rel, k) if head is None else head
     n_cand, n_panels, _ = candidates.shape
     block = max(1, _SCREEN_BLOCK_BYTES // (_SCREEN_BYTES_PER_TERM * n_panels * len(rel)))
     bounds = np.empty(n_cand)
     for start in range(0, n_cand, block):
         phase = (candidates[start : start + block] @ rel.T) * k
-        bounds[start : start + block] = np.abs(np.exp(1j * phase).sum(axis=1)).max(axis=1)
+        terms = np.exp(1j * phase[:, m:])
+        terms[:, 0] += shared
+        bounds[start : start + block] = np.abs(terms.sum(axis=1)).max(axis=1)
     return bounds
 
 
@@ -201,7 +226,9 @@ def optimize_placement(
     subsets of the scored directions, so a skipped candidate, and every one
     after the stop, scores strictly worse than the best: the winner and its
     score are the ones the full search over all N gives. ``screen_exps``
-    counts the phasors both screens formed.
+    counts the terms both screens summed, candidates x panels x directions;
+    the phasors of the corners every candidate shares are formed once per
+    search and level, so fewer phasors than that are formed.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
@@ -216,6 +243,7 @@ def optimize_placement(
     fine = rel[::_SCREEN_STRIDE]
     coarse = rel[:: 4 * _SCREEN_STRIDE]
     bounds = _screen_bounds(candidates, coarse, k)
+    fine_head = _shared_head(candidates, fine, k)
     margin = _prune_margin(rel, candidates, k)
     screen_exps = n_candidates * n_panels * len(coarse)
 
@@ -227,7 +255,7 @@ def optimize_placement(
         if bounds[i] > cutoff:
             break
         screen_exps += n_panels * len(fine)
-        if _screen_bounds(candidates[i : i + 1], fine, k)[0] > cutoff:
+        if _screen_bounds(candidates[i : i + 1], fine, k, fine_head)[0] > cutoff:
             continue
         score = peak_sidelobe(candidates[i], wavelength, objective)
         scored += 1

@@ -212,11 +212,12 @@ def run_scenario(s: Scenario, output_dir=None) -> RunReport:
     kernels' block budget, the BLAS build and the CPU set the summation order,
     and with it the last digits of gains and sidelobe levels.
     """
-    # Import the kind's numerics, and numpy.random if it draws, before the clock.
+    # Import the kind's numerics, and the seeding (with numpy.random) if it
+    # draws, before the clock.
     runner, name = _RUNNERS[analysis_kind(s.analysis)]
     module = name and import_module(f".{name}", __package__)
     if isinstance(s.analysis, OptimizePlacementAnalysis) or (s.ground and s.ground.random):
-        import_module("numpy.random")
+        import_module(".seeding", __package__)
     t0 = time.perf_counter()
     outdir = s.output_dir if output_dir is None else output_dir
     os.makedirs(outdir, exist_ok=True)

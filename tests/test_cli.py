@@ -864,17 +864,18 @@ def test_validate_and_package_import_load_no_numerics():
 def test_each_run_loads_only_its_own_kinds_numerics(tmp_path):
     # A beam run loads no mimo or placement, a sweep no beamforming or
     # placement, a placement search no beamforming or mimo. No run loads
-    # dataclasses; numpy.random is loaded by the runs that draw (a placement
-    # search, a drawn ground) and by no other.
+    # dataclasses; numpy.random and the seeding are loaded by the runs that
+    # draw (a placement search, a drawn ground) and by no other.
     shared = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.geometry"]
     shared += ["nearlink.kernel", "nearlink.panels", "nearlink.record", "nearlink.scenario"]
     shared += ["nearlink.schema"]
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nearlink'"
     loaded += " or m in ('dataclasses', 'numpy.random')))"
+    draws = ["nearlink.seeding", "numpy.random"]
     for name, own in (
         ("beam_theta_upa", ["nearlink.beamforming", "nearlink.objective"]),
-        ("dof_vs_range", ["nearlink.mimo", "numpy.random"]),
-        ("placement_search", ["nearlink.objective", "nearlink.placement", "numpy.random"]),
+        ("dof_vs_range", ["nearlink.mimo", *draws]),
+        ("placement_search", ["nearlink.objective", "nearlink.placement", *draws]),
     ):
         argv = ["run", scen(name), "--output-dir", str(tmp_path / name)]
         out = _fresh(f"import sys; from nearlink.cli import main; print(main({argv})); {loaded}")

@@ -226,11 +226,17 @@ def outcome(draw, *args):
     aperture_y=st.floats(1.0, 2000.0),
     n_panels=st.integers(1, 24),
     spacing_fraction=st.floats(0.0, 0.7),
-    seed=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**256),
 )
 @example(1414.0, 1000.0, 16, 50.0 / 1000.0, 7)
 @example(1000.0, 1000.0, 30, 0.4, 0)  # a panel fails every one of its draws
 @example(10.0, 10.0, 4, 10.0, 0)  # the corners alone are too close
+# Seeds of three, five and seven 32-bit words: more than four are mixed in
+# past SeedSequence's pool.
+@example(1414.0, 1000.0, 16, 50.0 / 1000.0, 2**64)
+@example(1414.0, 1000.0, 16, 50.0 / 1000.0, 2**128)
+@example(1414.0, 1000.0, 16, 50.0 / 1000.0, 2**128 + 1)
+@example(1414.0, 1000.0, 16, 50.0 / 1000.0, 2**200)
 def test_blocked_draws_equal_the_per_draw_loop(
     aperture_x, aperture_y, n_panels, spacing_fraction, seed
 ):
@@ -292,6 +298,13 @@ def test_apertures_must_be_positive_and_finite():
     for sides in ((0.0, 10.0), (10.0, -1.0), (np.inf, 10.0), (10.0, np.nan)):
         with pytest.raises(ValueError, match="positive and finite"):
             random_panel_positions(*sides, 8, 1.0, 0)
+
+
+def test_negative_seeds_raise_as_default_rng_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        random_panel_positions(1414.0, 1000.0, 16, 50.0, -1)
 
 
 def test_seed_is_an_int_or_a_1d_array():
@@ -370,19 +383,30 @@ def test_all_tied_candidates_are_scored_and_the_first_wins():
         assert res.candidates_scored == 12
 
 
+def drawn_stack():
+    children = np.random.SeedSequence(4).generate_state(40, dtype=np.uint64)
+    return np.stack(
+        [random_panel_positions(1414.0, 1000.0, 16, 50.0, int(c)) for c in children]
+    )
+
+
+def tie_stack():
+    """A worse line, a placement and its point reflection: no shared corner."""
+    base = random_panel_positions(1414.0, 1000.0, 16, 50.0, 3)
+    # A line along the scan azimuth throws a full-strength grating lobe.
+    azimuth = (np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0)
+    return np.stack([uniform_sparse_positions(1400.0, 16, axis=azimuth), -base, base])
+
+
 @pytest.mark.parametrize("lower_later_bound", [False, True])
 def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
     monkeypatch, lower_later_bound
 ):
     # A placement and its point reflection score the same to the last bit:
     # each phasor becomes its conjugate, in the same summation order.
-    base = random_panel_positions(1414.0, 1000.0, 16, 50.0, 3)
-    # A line along the scan azimuth throws a full-strength grating lobe.
-    azimuth = (np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0)
-    worse = uniform_sparse_positions(1400.0, 16, axis=azimuth)
-    monkeypatch.setattr(
-        placement, "random_panel_positions", lambda *args: np.stack([worse, -base, base])
-    )
+    stack = tie_stack()
+    base = stack[2]
+    monkeypatch.setattr(placement, "random_panel_positions", lambda *args: stack)
     if lower_later_bound:
         # A looser (still valid) bound on the last candidate, at both screen
         # levels, makes the search score it before its tied twin at index 1.
@@ -390,8 +414,8 @@ def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
         # found by its positions, not by its place in the batch.
         screen = placement._screen_bounds
 
-        def looser(candidates, rel, k):
-            bounds = screen(candidates, rel, k)
+        def looser(candidates, *args):
+            bounds = screen(candidates, *args)
             bounds[(candidates == base).all(axis=(1, 2))] -= 1.0
             return bounds
 
@@ -402,16 +426,13 @@ def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
     np.testing.assert_array_equal(res.positions, -base)
 
 
-def test_screen_bound_is_within_the_margin_of_the_score():
+def check_screen_within_margin(cands, n_shared):
     # Over every kept direction the screen computes the score's amplitude by
     # another route; the margin must cover the gap, dB round trip included.
     obj = field_objective(n_scan=2001)
-    children = np.random.SeedSequence(4).generate_state(40, dtype=np.uint64)
-    cands = np.stack(
-        [random_panel_positions(1414.0, 1000.0, 16, 50.0, int(c)) for c in children]
-    )
     k = 2.0 * np.pi / LAM
     rel = placement._scan_offsets(obj)
+    assert placement._shared_head(cands, rel, k)[0] == n_shared
     bounds = placement._screen_bounds(cands, rel, k)
     margin = placement._prune_margin(rel, cands, k)
     amps = np.array([16 * 10.0 ** (peak_sidelobe(c, LAM, obj) / 20.0) for c in cands])
@@ -420,6 +441,30 @@ def test_screen_bound_is_within_the_margin_of_the_score():
     for stride in (placement._SCREEN_STRIDE, 4 * placement._SCREEN_STRIDE):
         strided = placement._screen_bounds(cands, rel[::stride], k)
         assert (strided <= amps + margin * 16).all()
+
+
+def test_screen_bound_is_within_the_margin_of_the_score():
+    check_screen_within_margin(drawn_stack(), n_shared=4)
+
+
+def test_screen_bound_without_shared_corners_is_within_the_margin():
+    check_screen_within_margin(tie_stack(), n_shared=0)
+
+
+@pytest.mark.parametrize("stack", [drawn_stack, tie_stack])
+def test_shared_rows_leave_the_screen_bounds_unchanged(stack):
+    # The shared rows' phasors, summed once, give the bounds of forming every
+    # candidate's phasors, bit for bit: the phases come from the same product
+    # and every sum runs in row order.
+    cands = stack()
+    k = 2.0 * np.pi / LAM
+    for rel in (placement._scan_offsets(field_objective(n)) for n in (101, 801, 2001)):
+        none_shared = (0, np.zeros(len(rel), dtype=complex))
+        want = placement._screen_bounds(cands, rel, k, none_shared)
+        head = placement._shared_head(cands, rel, k)
+        np.testing.assert_array_equal(placement._screen_bounds(cands, rel, k), want)
+        for i, c in enumerate(cands):
+            assert placement._screen_bounds(c[None], rel, k, head)[0] == want[i]
 
 
 def test_shipped_placement_outputs_are_unchanged(tmp_path):
