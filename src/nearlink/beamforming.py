@@ -16,9 +16,9 @@ between the exact and panel-factorized kernels and states the error bound of
 the one it ran. A :class:`WeightVector` is the beam itself: the layout, focal
 and wavelength it is matched to, with its weight array formed on first read.
 A sum on that same layout at that wavelength hands the focal to the kernel,
-whose focused sums never read the array; only the kernels' fallbacks form it.
-Weight arrays, and beams summed on another layout or at another wavelength,
-are summed from the weights themselves.
+whose focused sums never read the array. Weight arrays, beams summed on
+another layout or at another wavelength, and foci the kernel's gate refuses
+take the exact kernel, which forms the array.
 """
 
 from __future__ import annotations

@@ -12,51 +12,47 @@ come from a product recurrence with five exps per panel, target and axis
 rather than one per element offset; where the exact kernel itself rounds less
 than that recurrence would, each offset takes its own exp.
 
-How a panel meets its weights depends on what the weights are. The
-delay-and-sum weights toward a focal (a point or a direction), which every
-beam analysis uses, split the same way as the paths to a target, so a panel
-costs the product of two sums per target: each axis' chirp relative to the
-focus, exp(jk (o du - o^2 dc)), added up as the recurrence steps along it. No
-array then holds an entry per offset, and the weights are never formed: the
-beam comes as its focal, and only the two fallbacks below form its array
-(:func:`sums`). On the benchmark's beam map (16 panels of 32 x 32, 861
-targets, 2-core host) that took the CLI's median solve from 0.0365 s to
-0.0217 s, and the solve of the shipped 12 060-target ``beam_map_distributed``
-from 0.21-0.31 s to 0.12-0.17 s. Any other weights cost one small matrix
-product with the column factors per panel and target.
+The factorized kernel sums the delay-and-sum weights toward a focal (a point
+or a direction), which every beam analysis uses. Those weights split the same
+way as the paths to a target, so a panel costs the product of two sums per
+target: each axis' chirp relative to the focus, exp(jk (o du - o^2 dc)), added
+up as the recurrence steps along it. No array then holds an entry per offset,
+and the weights are never formed: the beam comes as its focal (:func:`sums`).
+On the benchmark's beam map (16 panels of 32 x 32, 861 targets, 2-core host)
+that took the CLI's median solve from 0.0365 s to 0.0217 s, and the solve of
+the shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
+0.12-0.17 s. Weight arrays, beams on another layout or at another
+wavelength, and foci the gate refuses take the exact kernel.
 
 The kernel runs only when a rigorous bound on the terms it drops, and on the
 rounding it adds, stays below the exact kernel's own phase rounding
-(:func:`gate`). Where the focused sums fail that test the weights are
-contracted, and where the contraction fails too the exact kernel runs. For
-the focused sums the bound is derived again. It holds what the expansion
-drops at the targets and at the focus (the exact weights differ from their
-split form by the latter), the chains' drift for a chirp whose slope |du|
-reaches 2 and whose curvature is |dc| <= |c_t| + |c_F|, the one rounding of
-du and of dc (which moves a term's phase by at most k |o| u |du| and
-k o^2 u |dc|), and the rounding of summing each axis' n terms one after
+(:func:`gate`); else the exact kernel runs. The focused sums' bound holds what
+the expansion drops at the targets and at the focus (the exact weights differ
+from their split form by the latter), the chains' drift for a chirp whose
+slope |du| reaches 2 and whose curvature is |dc| <= |c_t| + |c_F|, the one
+rounding of du and of dc (which moves a term's phase by at most k |o| u |du|
+and k o^2 u |dc|), and the rounding of summing each axis' n terms one after
 another: within gamma_(n-1) of the terms' moduli (Higham 4.2), as if each
-term's phase moved by that much. The floor is the exact path's phase
-rounding at the nearest target plus that of the weights' phases (the
-focus's floor). R_pt - R_pF is one subtraction, exact where the two are
-within a factor of two of each other (Sterbenz's lemma) and else within
-u max(R_pt, R_pF): no more than the exact path's own rounding of its path
-to that target or to the focus (in the weights). Like those roundings, which
-no bound here counts, it is held by the tests rather than gated against the
-floor, which the nearest target and the focus set: on ``beam_range_focus``
-|R_pt - R_pF| reaches 1.5 Mm, against their 0.1 + 0.5 Mm. At
-the focus itself du = dc = 0 and R_pt = R_pF bit for bit, so every term is
-exactly 1 and the sum is exactly N.
+term's phase moved by that much. The floor is the exact path's phase rounding
+at the nearest target plus that of the weights' phases (the focus's floor).
+R_pt - R_pF is one subtraction, exact where the two are within a factor of two
+of each other (Sterbenz's lemma) and else within u max(R_pt, R_pF): no more
+than the exact path's own rounding of its path to that target or to the focus
+(in the weights). Like those roundings, which no bound here counts, it is held
+by the tests rather than gated against the floor, which the nearest target and
+the focus set: on ``beam_range_focus`` |R_pt - R_pF| reaches 1.5 Mm, against
+their 0.1 + 0.5 Mm. At the focus itself du = dc = 0 and R_pt = R_pF bit for
+bit, so every term is exactly 1 and the sum is exactly N.
 
 The exact kernel is also the oracle the factorized one is tested against. The
 same factors give the link spectra of the MIMO sweeps
 (:func:`nearlink.mimo.link_spectra`).
 
-A chunk of any kernel forms at most ``_BLOCK_BUDGET`` entries (targets x
-elements, rows x columns, directions x panels, and targets x panels for the
-focused sums, which take cache-sized chunks of ``_CACHE_ENTRIES``), one
+A chunk of the exact sums, the channel matrix or the gate's bound forms at
+most ``_BLOCK_BUDGET`` entries (targets x elements, rows x columns), one
 :func:`blocks` slice at a time. Its float64 and complex128 temporaries take
-8 to 24 bytes per entry, so each stays within 100 MB.
+8 to 24 bytes per entry, so each stays within 100 MB. The focused sums take
+cache-sized chunks of ``_CACHE_ENTRIES`` targets x panels.
 """
 
 from __future__ import annotations
@@ -182,12 +178,9 @@ def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
 #           - x y u_x u_y / R + remainder,
 #
 # so dropping the cross term and the remainder leaves a row factor times a
-# column factor, and the response is
-#
-#     sum_p exp(-jkR_p) sum_r B_pr (W_p A_p)_r
-#
-# with A the column factors, B the row factors and W_p the panel's weights as
-# a rows x cols matrix. A far-field Direction is the same with 1/R = 0 and
+# column factor: the element's term is exp(-jkR_p) B_pr A_pc, with A the
+# column factors and B the row factors (the link spectra's factors,
+# _factorized_factors). A far-field Direction is the same with 1/R = 0 and
 # R_p = -u . c_p, where nothing is dropped.
 #
 # The delay-and-sum weights toward a focal F, exp(jk d_F) at each element,
@@ -211,20 +204,19 @@ class _FactorizedPlan(Record, eq=False):
     bound_rad: float  # what the kernel drops or adds, at any element and target
     floor_rad: float  # exact kernel's own phase rounding (nearest target, for points)
     # (vector, directional) of the focal the weights are delay-and-sum toward:
-    # the sums are the focused ones, which take no weights. None: the given
-    # weights are contracted with the factors.
+    # the plan of the focused sums, which take no weights. None: the plan of
+    # the targets' factors alone, which the link spectra take.
     focus: tuple | None = None
 
 
 def gate(layout, targets, directional, wavelength, focus=None):
-    """``(plan, kernel)``: the factorized plan and its kernel when the plan's
-    bound is within the exact kernel's rounding floor, else
-    ``(None, EXACT_KERNEL)``. With ``focus``, the plan of the focused sums
-    (see :func:`sums`) where it passes, else the contraction's."""
-    for f in (focus, None) if focus is not None else (None,):
-        plan = _factorized_plan(layout, targets, directional, wavelength, f)
-        if plan is not None and plan.bound_rad <= plan.floor_rad:
-            return plan, BeamKernel("panel_factorized", plan.bound_rad)
+    """``(plan, kernel)``: the factorized plan toward ``targets`` (with
+    ``focus``, of the focused sums, see :func:`sums`; else of the factors
+    alone) and its kernel when the plan's bound is within the exact kernel's
+    rounding floor, else ``(None, EXACT_KERNEL)``."""
+    plan = _factorized_plan(layout, targets, directional, wavelength, focus)
+    if plan is not None and plan.bound_rad <= plan.floor_rad:
+        return plan, BeamKernel("panel_factorized", plan.bound_rad)
     return None, EXACT_KERNEL
 
 
@@ -236,20 +228,18 @@ def sums(layout, w, targets, directional, wavelength, focus=None):
     delay-and-sum beam toward at ``wavelength`` (a point, or a unit vector if
     ``directional``), or None. With a focus, the focused sums run where
     :func:`gate` passes them, and never read ``w``. Elsewhere ``np.asarray(w)``
-    forms the weights, which the factorized kernel contracts where the gate
-    passes it, else the exact kernel sums them: a focus the gate refuses
-    gives the bits of a call without it. Raises ValueError where the weights
-    are not one per element.
+    forms the weights and the exact kernel sums them: a focus the gate
+    refuses gives the bits of a call without it. Raises ValueError where the
+    weights are not one per element.
     """
-    plan, used = gate(layout, targets, directional, wavelength, focus)
-    if plan is not None and plan.focus is not None:
-        return _factorized_sums(plan, None, targets, wavelength), used
+    if focus is not None:
+        plan, used = gate(layout, targets, directional, wavelength, focus)
+        if plan is not None:
+            return _factorized_sums(plan, targets, wavelength), used
     w = np.asarray(w)
     if w.shape != (layout.n_elements,):
         raise ValueError("weights do not match the layout")
-    if plan is not None:
-        return _factorized_sums(plan, w, targets, wavelength), used
-    return _exact_sums(layout.positions, w, targets, directional, wavelength), used
+    return _exact_sums(layout.positions, w, targets, directional, wavelength), EXACT_KERNEL
 
 
 def _factorized_plan(layout, targets, directional, wavelength, focus=None):
@@ -422,34 +412,21 @@ def _curvature(u, inv_r):
     return (1.0 - u * u) * (0.5 * inv_r)
 
 
-def _factorized_sums(plan, w, targets, wavelength):
-    # The focused sums take cache-sized blocks of (panels, targets) arrays;
-    # the contraction takes (panels, offsets, targets) factors, a block of
-    # targets per _BLOCK_BUDGET / elements.
+def _factorized_sums(plan, targets, wavelength):
+    # The focused sums of a plan with a focus, in cache-sized blocks of
+    # (panels, targets) arrays.
     k = wavenumber(wavelength)
-    n_panels = len(plan.centres)
-    if plan.focus is not None:
-        vector, directional = plan.focus
-        f_path, f_ux, f_uy, f_inv_r = _panel_paths(plan.centres, vector[None], directional)
-        f_cx, f_cy = _curvature(f_ux, f_inv_r), _curvature(f_uy, f_inv_r)
-        width, budget = n_panels, _CACHE_ENTRIES
-    else:
-        w_p = w.reshape(n_panels, plan.rows, plan.cols)
-        width, budget = len(w), _BLOCK_BUDGET
+    vector, directional = plan.focus
+    f_path, f_ux, f_uy, f_inv_r = _panel_paths(plan.centres, vector[None], directional)
+    f_cx, f_cy = _curvature(f_ux, f_inv_r), _curvature(f_uy, f_inv_r)
     out = np.empty(len(targets), dtype=np.complex128)
-    for chunk in blocks(len(targets), width, budget):
+    for chunk in blocks(len(targets), len(plan.centres), _CACHE_ENTRIES):
         path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk], plan.directional)
-        cx, cy = _curvature(ux, inv_r), _curvature(uy, inv_r)
-        if plan.focus is not None:
-            ux, cx, uy, cy = ux - f_ux, cx - f_cx, uy - f_uy, cy - f_cy
-            inner = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, cx, k, summed=True)
-            inner *= _axis_factor(plan.rows, plan.spacing, plan.chained, uy, cy, k, summed=True)
-            path = path - f_path
-        else:
-            col = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, cx, k)
-            row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, cy, k)
-            inner = np.einsum("prt,prt->pt", w_p @ col, row)
-        out[chunk] = (np.exp(-1j * k * path) * inner).sum(axis=0)
+        cx, cy = _curvature(ux, inv_r) - f_cx, _curvature(uy, inv_r) - f_cy
+        ux, uy = ux - f_ux, uy - f_uy
+        inner = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, cx, k, summed=True)
+        inner *= _axis_factor(plan.rows, plan.spacing, plan.chained, uy, cy, k, summed=True)
+        out[chunk] = (np.exp(-1j * k * (path - f_path)) * inner).sum(axis=0)
     return out
 
 

@@ -1,8 +1,8 @@
-"""Panel-factorized kernel against the exact kernel, its oracle: beam sums
-against the exact per-element sum, the focused sums of delay-and-sum weights
-against that sum with the exact weights, link spectra against the exact channel
-matrix, and the QR-compressed link spectra against the uncompressed
-Khatri-Rao product of the same factors."""
+"""Panel-factorized kernel against the exact kernel, its oracle: the factors'
+channel entries against the exact channel matrix, the focused sums of
+delay-and-sum weights against the exact per-element sum with the exact
+weights, link spectra against the exact channel matrix, and the QR-compressed
+link spectra against the uncompressed Khatri-Rao product of the same factors."""
 
 import os
 import tracemalloc
@@ -68,13 +68,6 @@ def unit_vectors(theta, phi):
     )
 
 
-def tolerance(plan, w, reach):
-    # The plan's bound covers the terms the factorized kernel drops. Both
-    # kernels also round every path they form, to about reach * 2**-53 per
-    # operation; four such roundings per element cover the pair.
-    return np.abs(w).sum() * (plan.bound_rad + 4.0 * K * UNIT_ROUNDOFF * reach)
-
-
 def focused_tolerance(plan, layout, targets, focus, focus_directional):
     # Against the exact kernel with the exact weights, which round their own
     # paths to the focus: the bound, eight roundings of the paths to a target
@@ -117,6 +110,35 @@ def random_weights(seed, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+def point_layout(positions):
+    return ElementLayout(positions, np.arange(len(positions)), PanelSpec(1, 1, 1.0))
+
+
+def factorized_channel(layout, plan, pts):
+    # The channel the unfocused plan's factors stand for, as the link spectra
+    # take it: panel p's block is the column-wise Kronecker product of its
+    # row and column factors.
+    row, col = kn._factorized_factors(plan, pts, LAM)
+    return (row[:, :, None, :] * col[:, None, :, :]).reshape(layout.n_elements, len(pts))
+
+
+def check_factors_against_the_channel(layout, pts, plan):
+    # Column a of the factorized channel is the exact channel's times
+    # exp(jk |t_a|) (kernel._factorized_factors). Entry by entry, within the
+    # plan's bound of the terms dropped, plus rounding: the exact entry
+    # rounds its phase about four times at the size of its path (squares,
+    # root, division by the wavelength, product with 2 pi), the column's
+    # scale as often at the size of |t_a|, and each exp and product of
+    # unit-modulus values adds a few ulps.
+    h = factorized_channel(layout, plan, pts)
+    t_norm = np.linalg.norm(pts, axis=1)
+    exact = channel_matrix(point_layout(pts), layout, LAM) * np.exp(1j * K * t_norm)
+    paths = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
+    reach = max(paths, t_norm.max())
+    rounding = 8.0 * K * UNIT_ROUNDOFF * reach + 16.0 * UNIT_ROUNDOFF
+    assert np.abs(h - exact).max() <= plan.bound_rad + rounding
+
+
 # ----- fast against exact -----
 
 
@@ -134,24 +156,7 @@ def test_factorized_points_within_bound_of_exact(layout, seed, n_targets, log_ra
     pts = units * ranges[:, None]
     plan = kn._factorized_plan(layout, pts, False, LAM)
     assume(plan is not None)
-    w = random_weights(seed, layout.n_elements)
-    fast = kn._factorized_sums(plan, w, pts, LAM)
-    exact = kn._exact_sums(layout.positions, w, pts, False, LAM)
-    reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
-    assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
-
-
-@PROPERTY
-@given(layout=panel_layouts(), seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 5))
-def test_factorized_directions_within_bound_of_exact(layout, seed, n_targets):
-    rng = np.random.default_rng(seed)
-    units = unit_vectors(rng.uniform(-1.5, 1.5, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
-    plan = kn._factorized_plan(layout, units, True, LAM)
-    w = random_weights(seed, layout.n_elements)
-    fast = kn._factorized_sums(plan, w, units, LAM)
-    exact = kn._exact_sums(layout.positions, w, units, True, LAM)
-    reach = np.linalg.norm(layout.positions, axis=1).max()
-    assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
+    check_factors_against_the_channel(layout, pts, plan)
 
 
 def test_station_map_takes_factorized_path_within_bound():
@@ -187,15 +192,14 @@ def test_station_map_takes_factorized_path_within_bound():
     plan, kernel = kn.gate(lay, pts, False, LAM, (focus, False))
     assert plan.chained and kernel == grid.kernel
     assert plan.floor_rad == pytest.approx(K * (floor_t + floor_f), rel=1e-12, abs=0.0)
-    totals = kn._factorized_sums(plan, w.weights, pts, LAM)
+    totals = kn._factorized_sums(plan, pts, LAM)
     exact = kn._exact_sums(lay.positions, w.weights, pts, False, LAM)
     assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus, False)
 
-    # The weights alone, as an array, are contracted with the targets' factors.
-    plain = kn._factorized_plan(lay, pts, False, LAM)
-    assert plain.focus is None and plain.bound_rad < grid.kernel.bound_rad
-    fast = kn._factorized_sums(plain, w.weights, pts, LAM)
-    assert np.abs(fast - exact).max() <= tolerance(plain, w.weights, 1001.0e3)
+    # The targets' factors alone, which link spectra take, bound less.
+    plain, kernel = kn.gate(lay, pts, False, LAM)
+    assert plain.focus is None and kernel.bound_rad < grid.kernel.bound_rad
+    check_factors_against_the_channel(lay, pts, plain)
 
 
 # ----- focused sums -----
@@ -219,8 +223,7 @@ def test_focused_sums_within_bound_of_exact_weights_and_kernel(
 ):
     # Delay-and-sum weights toward a Point or a Direction, evaluated off axis
     # from 1 km to 3 Mm: within the focused bound of the exact kernel with the
-    # exact weights. Where the gate refuses the focus, bit for bit the sums
-    # without one: the contraction where the targets pass, else the exact
+    # exact weights. Where the gate refuses the focus, bit for bit the exact
     # kernel. Opposite targets sit across the axis from the focus, where |du|
     # nears 2.
     rng = np.random.default_rng(seed)
@@ -251,10 +254,6 @@ def test_focused_sums_within_bound_of_exact_weights_and_kernel(
     if plan is None:
         assert kernel == EXACT_KERNEL
         assert np.array_equal(got, exact)
-        return
-    if plan.focus is None:
-        assert kernel == kn.gate(layout, targets, not point_targets, LAM)[1]
-        assert np.array_equal(got, kn._factorized_sums(plan, w.weights, targets, LAM))
         return
     assert plan.focus is focus and kernel.bound_rad == plan.bound_rad
     bound = focused_tolerance(plan, layout, targets, focus[0], focus[1])
@@ -290,33 +289,35 @@ def test_a_target_at_the_focus_sums_to_exactly_n():
 
 def test_a_focus_the_gate_refuses_gives_the_sums_without_it_bit_for_bit():
     # A focus half a metre from the panel: the focused sums are refused, and
-    # the weights are summed as an array would be. Targets far enough for the
-    # factorized kernel take the contraction; targets a metre away take the
-    # exact kernel.
+    # the exact kernel sums the weights as it would an array, at targets far
+    # enough for the factorized kernel on their own and at targets a metre
+    # away.
     lay = make_upa(PanelSpec(8, 8, 0.5 * LAM, 6.0))
     focal = point_at(0.5, 0.1)
     w = delay_and_sum_weights(lay, focal, LAM)
     thetas = np.linspace(0.0, 0.2, 11)
-    for fixed_range, name in ((2.0e4, "panel_factorized"), (1.0, "exact")):
+    for fixed_range, alone in ((2.0e4, "panel_factorized"), (1.0, "exact")):
         pts = unit_vectors(thetas, 0.0) * fixed_range
-        plan, kernel = kn.gate(lay, pts, False, LAM, (focal.position, False))
-        assert kernel == kn.gate(lay, pts, False, LAM)[1] and kernel.name == name
-        want, _ = kn.sums(lay, w.weights, pts, False, LAM)
+        assert kn.gate(lay, pts, False, LAM)[1].name == alone
+        assert kn.gate(lay, pts, False, LAM, (focal.position, False)) == (None, EXACT_KERNEL)
+        want, kernel = kn.sums(lay, w.weights, pts, False, LAM)
+        assert kernel == EXACT_KERNEL
+        assert np.array_equal(want, kn._exact_sums(lay.positions, w.weights, pts, False, LAM))
         grid = gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=fixed_range)
-        assert grid.kernel == kernel
+        assert grid.kernel == EXACT_KERNEL
         gain = bf._to_gain_dbi(want, lay.n_elements, lay.element_gain_dbi)
         assert np.array_equal(grid.gain_dbi[:, 0], gain)
-    assert np.array_equal(want, kn._exact_sums(lay.positions, w.weights, pts, False, LAM))
     units = unit_vectors(np.array([0.0, 0.1]), 0.0)
     got = response_sum(lay, w, [Direction(0.0), Direction(0.1)], LAM)
     assert np.array_equal(got, kn.sums(lay, w.weights, units, True, LAM)[0])
 
 
-def test_weights_without_their_focus_take_the_contraction(monkeypatch):
+def test_weights_without_their_focus_take_the_exact_kernel(monkeypatch):
     # Weight arrays (the beam's own, or perturbed), a beam matched at another
     # wavelength, and a beam matched on another layout of the same size carry
-    # no focus the sums can use. A beam moved to another focal by replace is
-    # the beam toward that focal, and takes the focused sums.
+    # no focus the sums can use, and take the exact kernel. A beam moved to
+    # another focal by replace is the beam toward that focal, and takes the
+    # focused sums.
     spec = PanelSpec(4, 4, 0.5 * LAM)
     lay = make_distributed_panels(spec, [[-30, 0, 0], [30, 0, 0]])
     twin = make_distributed_panels(spec, [[-40, 0, 0], [40, 0, 0]])
@@ -334,25 +335,26 @@ def test_weights_without_their_focus_take_the_contraction(monkeypatch):
     focused = []
     made = kn._factorized_sums
 
-    def spy(plan, weights, targets, wavelength):
-        focused.append(plan.focus is not None)
-        return made(plan, weights, targets, wavelength)
+    def spy(plan, targets, wavelength):
+        focused.append(plan.focus[0])
+        return made(plan, targets, wavelength)
 
     monkeypatch.setattr(kn, "_factorized_sums", spy)
     for layout, weights in cases:
-        plain = kn._factorized_plan(layout, pts, False, LAM)
-        want = made(plain, getattr(weights, "weights", weights), pts, LAM)
+        array = getattr(weights, "weights", weights)
+        want = kn._exact_sums(layout.positions, array, pts, False, LAM)
         grid = gain_pattern_sweep(layout, weights, LAM, thetas=thetas, fixed_range=2.0e4)
-        assert grid.kernel == bf.BeamKernel("panel_factorized", plain.bound_rad)
+        assert grid.kernel == EXACT_KERNEL
         assert np.array_equal(grid.gain_dbi[:, 0], bf._to_gain_dbi(want, layout.n_elements, 0.0))
         assert np.array_equal(response_sum(layout, weights, [Point(p) for p in pts], LAM), want)
-    assert focused == [False] * 2 * len(cases)
+    assert focused == []
     gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=2.0e4)
-    assert focused[-1]
+    assert len(focused) == 1 and focused[-1] is focal.position
     other = point_at(2.5e4, 0.08)
     moved = replace(w, focal=other)
     got = response_sum(lay, moved, [Point(p) for p in pts], LAM)
-    assert focused[-1] and "weights" not in vars(moved)
+    assert len(focused) == 2 and focused[-1] is other.position
+    assert "weights" not in vars(moved)
     plan, _ = kn.gate(lay, pts, False, LAM, (other.position, False))
     exact_w = delay_and_sum_weights(lay, other, LAM).weights
     assert np.array_equal(moved.weights, exact_w)
@@ -368,9 +370,9 @@ def test_beam_sweep_transient_memory_stays_within_the_block_bound():
     # complex128 ones' worth), the first axis' sum, and in the second axis'
     # chain its sum, q, the term, the ratio and the phase temporaries of one
     # exp (at most three): 4 + 1 + 4 + 3 = 12 complex128 arrays. The sweep
-    # adds its points, sums and gains, 64 bytes per target. The contraction
-    # that weight arrays take holds (panels, offsets, targets) factors and
-    # their weighted product, 2 MB each per block of 244 targets here.
+    # adds its points, sums and gains, 64 bytes per target. Weight arrays
+    # take the exact kernel instead, whose (elements, targets) blocks of up
+    # to _BLOCK_BUDGET entries take up to 64 MB each.
     ground = station_ground()
     steer = np.deg2rad(7.0)
     w = delay_and_sum_weights(ground, point_at(500.0e3, steer), LAM)
@@ -393,12 +395,14 @@ def test_directions_on_a_built_layout_take_factorized_path():
         PanelSpec(4, 4, 0.5 * LAM), random_panel_positions(100.0, 100.0, 8, 5.0, 3)
     )
     units = unit_vectors(np.linspace(-1.0, 1.0, 9), 0.3)
-    _, kernel = kn.sums(lay, np.ones(lay.n_elements), units, True, LAM)
+    w = delay_and_sum_weights(lay, Direction(0.2, 0.3), LAM)
+    _, kernel = kn.sums(lay, w, units, True, LAM, (w.focal.unit, True))
     assert kernel.name == "panel_factorized"
     # A UPA at the origin, where the exact kernel rounds phases of a few
     # radians only: whole chains would round more than that, so the factors
-    # take one exp per offset. The last is the acceptance gate's 128x128 UPA
-    # at its broadside and +-60 degree steering windows.
+    # would take one exp per offset. The last is the acceptance gate's
+    # 128x128 UPA at its broadside and +-60 degree steering windows. Weight
+    # arrays there take the exact kernel.
     window = np.linspace(-2.0e-3, 2.0e-3, 201)
     for spec, thetas in (
         (PanelSpec(8, 8, 0.5 * LAM), [0.0]),
@@ -413,10 +417,20 @@ def test_directions_on_a_built_layout_take_factorized_path():
         assert not plan.chained and plan.bound_rad <= plan.floor_rad
         w = random_weights(7, upa.n_elements)
         total, kernel = kn.sums(upa, w, units, True, LAM)
-        assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
-        exact = kn._exact_sums(upa.positions, w, units, True, LAM)
-        reach = np.linalg.norm(upa.positions, axis=1).max()
-        assert np.abs(total - exact).max() <= tolerance(plan, w, reach)
+        assert kernel == EXACT_KERNEL
+        assert np.array_equal(total, kn._exact_sums(upa.positions, w, units, True, LAM))
+    # One 128x128 panel off the origin, steered to broadside: the focused
+    # sums pass the gate with one exp per offset, the unchained path.
+    panel = make_distributed_panels(PanelSpec(128, 128, 0.5 * LAM, 6.0), [[300.0, 200.0, 0.0]])
+    w = delay_and_sum_weights(panel, Direction(0.0, 0.3), LAM)
+    focus = (w.focal.unit, True)
+    units = unit_vectors(window, 0.3)
+    plan, kernel = kn.gate(panel, units, True, LAM, focus)
+    assert not plan.chained and kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
+    total, used = kn.sums(panel, w, units, True, LAM, focus)
+    assert used == kernel
+    exact = kn._exact_sums(panel.positions, w.weights, units, True, LAM)
+    assert np.abs(total - exact).max() <= focused_tolerance(plan, panel, units, *focus)
 
 
 # ----- the axis recurrence -----
@@ -513,7 +527,7 @@ def test_grid_offsets_are_the_rounded_progression():
     n_targets=st.integers(1, 4),
     log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
 )
-def test_factorized_sums_on_every_axis_length_within_bound(shape, seed, n_targets, log_range):
+def test_factorized_points_on_every_axis_length_within_bound(shape, seed, n_targets, log_range):
     # One or two offsets on an axis, odd and even counts, and the
     # benchmark's 32x32 panels, off axis from 1 km to 3 Mm.
     rng = np.random.default_rng(seed)
@@ -525,11 +539,7 @@ def test_factorized_sums_on_every_axis_length_within_bound(shape, seed, n_target
     pts = units * ranges[:, None]
     plan = kn._factorized_plan(layout, pts, False, LAM)
     assert plan is not None
-    w = random_weights(seed, layout.n_elements)
-    fast = kn._factorized_sums(plan, w, pts, LAM)
-    exact = kn._exact_sums(layout.positions, w, pts, False, LAM)
-    reach = np.linalg.norm(pts[:, None, :] - layout.positions[None], axis=2).max()
-    assert np.abs(fast - exact).max() <= tolerance(plan, w, reach)
+    check_factors_against_the_channel(layout, pts, plan)
 
 
 SHIPPED_KERNELS = {
@@ -602,18 +612,20 @@ def test_perturbed_positions_take_exact_path():
     lay = make_distributed_panels(
         PanelSpec(4, 4, 0.5 * LAM), random_panel_positions(200.0, 100.0, 5, 10.0, 4)
     )
-    target = point_at(400.0e3, 0.0).position[None]
-    ones = np.ones(lay.n_elements)
-    assert kn.sums(lay, ones, target, False, LAM)[1].name == "panel_factorized"
+    focal = point_at(400.0e3, 0.0)
+    target = focal.position[None]
+    assert kn.gate(lay, target, False, LAM)[1].name == "panel_factorized"
 
     moved = lay.positions.copy()
     moved[21, 0] += 1.0e-7
     bent = ElementLayout(moved, lay.panel_ids, lay.panel_spec)
     plan = kn._factorized_plan(bent, target, False, LAM)
     assert plan.bound_rad > plan.floor_rad
-    total, kernel = kn.sums(bent, ones, target, False, LAM)
+    assert kn.gate(bent, target, False, LAM) == (None, EXACT_KERNEL)
+    w = delay_and_sum_weights(bent, focal, LAM)
+    total, kernel = kn.sums(bent, w, target, False, LAM, (focal.position, False))
     assert kernel == EXACT_KERNEL
-    assert np.array_equal(total, kn._exact_sums(moved, ones, target, False, LAM))
+    assert np.array_equal(total, kn._exact_sums(moved, w.weights, target, False, LAM))
 
 
 def test_single_element_panels_take_exact_path():
@@ -643,8 +655,7 @@ def test_layout_file_without_panel_comment_takes_exact_path():
     bare = ElementLayout(grid.positions, np.arange(grid.n_elements), PanelSpec(1, 1, 1.0))
     units = unit_vectors(np.array([0.0, 0.3]), 0.0)
     for lay, name in ((grid, "panel_factorized"), (bare, "exact")):
-        _, kernel = kn.sums(lay, np.ones(lay.n_elements), units, True, LAM)
-        assert kernel.name == name
+        assert kn.gate(lay, units, True, LAM)[1].name == name
 
 
 def test_elements_out_of_grid_order_take_exact_path():
@@ -654,7 +665,7 @@ def test_elements_out_of_grid_order_take_exact_path():
     units = Direction(0.1).unit[None]
     plan = kn._factorized_plan(swapped, units, True, LAM)
     assert plan.bound_rad > plan.floor_rad
-    assert kn.sums(swapped, np.ones(12), units, True, LAM)[1] == EXACT_KERNEL
+    assert kn.gate(swapped, units, True, LAM) == (None, EXACT_KERNEL)
 
 
 def test_run_report_carries_the_sweep_kernel(tmp_path):
@@ -689,10 +700,6 @@ analysis:
 
 
 # ----- link spectra -----
-
-
-def point_layout(positions):
-    return ElementLayout(positions, np.arange(len(positions)), PanelSpec(1, 1, 1.0))
 
 
 @PROPERTY
@@ -777,11 +784,9 @@ def check_compressed_against_uncompressed(layout, pts, panels_receive):
     spectrum, kernel = link_spectra([(tx, rx)], LAM)[0]
     assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
 
-    # The channel the compressed path stands for: panel p's block is the
-    # column-wise Kronecker product of its row and column factors.
-    row, col = kn._factorized_factors(plan, pts, LAM)
+    # The channel the compressed path stands for.
+    h = factorized_channel(layout, plan, pts)
     spec = layout.panel_spec
-    h = (row[:, :, None, :] * col[:, None, :, :]).reshape(layout.n_elements, len(pts))
     want = np.linalg.svd(h if panels_receive else h.T, compute_uv=False)
     assert spectrum.source_shape == (h.shape if panels_receive else h.T.shape)
     assert spectrum.values.shape == want.shape

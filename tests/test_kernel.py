@@ -42,9 +42,7 @@ def evaluate():
     fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, False, LAM, FOCUS)
     return {
         "plans": (plan.bound_rad, plan.chained, dplan.bound_rad, dplan.chained, fplan.bound_rad),
-        "factorized_points": kn._factorized_sums(plan, WEIGHTS, POINTS, LAM),
-        "factorized_directions": kn._factorized_sums(dplan, WEIGHTS, UNITS, LAM),
-        "focused_points": kn._factorized_sums(fplan, None, FOCUSED_POINTS, LAM),
+        "focused_points": kn._factorized_sums(fplan, FOCUSED_POINTS, LAM),
         "exact_points": kn._exact_sums(LAYOUT.positions, WEIGHTS, POINTS, False, LAM),
         "exact_directions": kn._exact_sums(LAYOUT.positions, WEIGHTS, UNITS, True, LAM),
         "channel": channel_matrix(SATELLITE, LAYOUT, LAM),
@@ -57,7 +55,7 @@ def ragged_budgets():
     n, s = LAYOUT.n_elements, len(POINTS)
     n_dirs = len(placement._scan_offsets(OBJECTIVE))
     shapes = {
-        "factorized": (s, n),
+        "gate": (s, n),
         "focused": (len(FOCUSED_POINTS), len(LAYOUT._panel_grid.centres)),
         "exact": (n, s),
         "channel": (SATELLITE.n_elements, n),
@@ -78,25 +76,6 @@ def dot_rounding(n_terms, phase_reach=0.0):
     return kn._gamma(4) * K * phase_reach + 8.0 * U + np.sqrt(2.0) * kn._gamma(n_terms + 2)
 
 
-def factorized_rounding(plan, targets, directional):
-    # The factorized sum nests three such sums (columns, rows, panels) and
-    # three complex products (sqrt(2) gamma_2 each), on factors whose
-    # recurrence adds at most the drift the plan's bound counts.
-    if directional:
-        slope_x, slope_y, curvature = np.abs(targets[:, :2]).max(axis=0).tolist() + [0.0]
-        reach = float((np.abs(targets) @ np.abs(plan.centres).T).max())
-    else:
-        nearest = np.linalg.norm(targets[:, None] - plan.centres[None], axis=2).min()
-        slope_x = slope_y = 1.0
-        curvature, reach = 0.5 / nearest, 0.0
-    drift = 0.0
-    if plan.chained:
-        drift += kn._recurrence_drift(plan.cols, plan.spacing, K, slope_x, curvature)
-        drift += kn._recurrence_drift(plan.rows, plan.spacing, K, slope_y, curvature)
-    n_terms = plan.cols + plan.rows + len(plan.centres) + 6
-    return drift / (1.0 - drift) + dot_rounding(n_terms, reach)
-
-
 @pytest.mark.parametrize("ragged", [False, True], ids=["step_one", "ragged_last_block"])
 def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, ragged):
     want = evaluate()
@@ -107,22 +86,15 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
         monkeypatch.setattr(kn, "_CACHE_ENTRIES", budget)
         got[name] = evaluate()
 
-    # Elementwise work only: the same bits whatever the blocks.
-    assert got["factorized"]["plans"] == want["plans"]
+    # Elementwise work only: the same bits whatever the blocks. The gate's
+    # bound walks the targets in blocks of targets x elements.
+    assert got["gate"]["plans"] == want["plans"]
     assert got["focused"]["plans"] == want["plans"]
     assert np.array_equal(got["channel"]["channel"], want["channel"])
 
     # Matrix products and sums: BLAS and numpy's SIMD loops pick their
     # kernels, and with them the rounding and order of their sums, by the
     # width of the block, so these hold to their rounding bounds.
-    total = np.abs(WEIGHTS).sum()
-    plan = kn._factorized_plan(LAYOUT, POINTS, False, LAM)
-    dplan = kn._factorized_plan(LAYOUT, UNITS, True, LAM)
-    for key, bound in (
-        ("factorized_points", factorized_rounding(plan, POINTS, False)),
-        ("factorized_directions", factorized_rounding(dplan, UNITS, True)),
-    ):
-        assert np.abs(got["factorized"][key] - want[key]).max() <= 2.0 * total * bound, key
     # The focused sums take each block's (panels, targets) arrays through the
     # same elementwise steps, and sum two axes and the panels.
     n = LAYOUT.n_elements
@@ -130,6 +102,7 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
     assert fplan.chained and fplan.bound_rad <= fplan.floor_rad
     bound = fplan.bound_rad + dot_rounding(fplan.cols + fplan.rows + len(fplan.centres) + 6)
     assert np.abs(got["focused"]["focused_points"] - want["focused_points"]).max() <= n * bound
+    total = np.abs(WEIGHTS).sum()
     reach = float((np.abs(UNITS) @ np.abs(LAYOUT.positions).T).max())
     for key, bound in (
         ("exact_points", dot_rounding(LAYOUT.n_elements)),
