@@ -159,6 +159,24 @@ def test_factorized_points_within_bound_of_exact(layout, seed, n_targets, log_ra
     check_factors_against_the_channel(layout, pts, plan)
 
 
+@PROPERTY
+@given(layout=panel_layouts(), seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 5))
+def test_factorized_directions_within_bound_of_exact(layout, seed, n_targets):
+    # Directions anywhere off axis, summed by the delay-and-sum beam toward
+    # another direction anywhere off axis: the factorized kernel's focused
+    # sums against the exact kernel with the exact weights.
+    rng = np.random.default_rng(seed)
+    units = unit_vectors(rng.uniform(-1.5, 1.5, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
+    focal = Direction(rng.uniform(-1.5, 1.5), rng.uniform(0, 2 * np.pi))
+    focus = (focal.unit, True)
+    plan = kn._factorized_plan(layout, units, True, LAM, focus)
+    assume(plan is not None)
+    fast = kn._factorized_sums(plan, units, LAM)
+    w = delay_and_sum_weights(layout, focal, LAM)
+    exact = kn._exact_sums(layout.positions, w.weights, units, True, LAM)
+    assert np.abs(fast - exact).max() <= focused_tolerance(plan, layout, units, *focus)
+
+
 def test_station_map_takes_factorized_path_within_bound():
     # Sixteen 32x32 panels over a kilometre field, mapped from 250 to 1000 km
     # around a focus 10 degrees off nadir: the benchmark's geometry.
