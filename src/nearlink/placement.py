@@ -7,21 +7,21 @@ optimizer here is a seeded best-of-N search over random placements scored by
 their worst sidelobe along a scan cut.
 
 The search is exact but best-first (branch and bound; Land & Doig,
-Econometrica 1960), with a screen on two levels. A coarse screen over every
-64th kept scan direction gives each candidate a lower bound on its worst
-sidelobe, and candidates are walked in order of that bound. Each one the walk
-reaches is screened again over every 16th direction, a tighter lower bound,
-and scored in full only if that bound too is within a margin delta of the
-best score so far; the walk stops at the first coarse bound past it. Both
-screens take a maximum over a subset of the directions the score scans, with
-the same phase expression, and delta bounds the rounding gap between either
-screen and the full score, in any summation order (about 2e-12 of the main
-lobe at the shipped sizes). The best score only falls, so a candidate pruned
-at either level provably scores worse: the winner and its score are those of
-scoring every candidate, bit for bit. Scan directions, shared by screens and
-score, are built in one place (``_scan_offsets``), and the phasors of the
-aperture corners, shared by every drawn candidate, are formed once per screen
-level and search.
+Econometrica 1960), and it works in two precisions. The score,
+:func:`peak_sidelobe`, sums complex128 phasors; the screen,
+:func:`_screen_peaks`, sums float32 cos and sin of the same float64 phases
+in float64. A screen peak is within n E of the score's amplitude over the
+same directions, for n panels and E from :func:`_prune_margin`. A coarse
+screen over every 64th kept scan direction orders the candidates; the walk
+screens each one it reaches again over every 16th direction and then over
+all of them, and stops or skips where a screen peak exceeds the best full
+screen peak so far by more than 2 n E. Only the walked candidates whose full
+screen peak is within 2 n E of the best are scored, and the lowest score
+wins. Every candidate left out scores strictly worse than one that is
+scored, so the winner and its score are those of scoring every candidate,
+bit for bit. The search checks the bound on every scored candidate and
+raises if a screen peak is off by more. Scan directions, shared by screens
+and score, are built in one place (``_scan_offsets``).
 """
 
 from __future__ import annotations
@@ -40,18 +40,29 @@ from .record import Record
 # The search's fine screen scans every _SCREEN_STRIDE-th kept direction and
 # its coarse screen every fourth of those, in blocks of candidates whose
 # temporaries (about _SCREEN_BYTES_PER_TERM bytes per panel and direction:
-# phases, complex phasors, their exponentials) stay near _SCREEN_BLOCK_BYTES.
+# float64 phases, their float32 cast, its cos and its sin) stay near
+# _SCREEN_BLOCK_BYTES.
 _SCREEN_STRIDE = 16
 _SCREEN_BLOCK_BYTES = 1 << 20
-_SCREEN_BYTES_PER_TERM = 40
+_SCREEN_BYTES_PER_TERM = 20
+# Unit roundoff of float32, and the error assumed of numpy's float32 cos and
+# sin, per component, against the exact cos and sin of their float32
+# argument (tests/test_placement.py holds a numpy build to it).
+_F32_ROUNDOFF = 2.0**-24
+_F32_TRIG_ERROR = 2.0 * _F32_ROUNDOFF
+# Screen phases are clipped to this magnitude before the float32 cast, so
+# the cast never overflows; a clip only happens where the cast term of
+# _prune_margin alone exceeds 2, the most any two unit phasors differ by.
+_F32_PHASE_CEILING = 2.0**127
 
 
 class PlacementResult(Record, eq=False):
     """A search's winner. ``candidates_scored`` is how many candidates the
-    search scored in full, ``prune_margin`` the margin delta it pruned with
-    and ``screen_exps`` how many terms its screens summed, candidates x
-    panels x directions over both levels (see :func:`optimize_placement`);
-    all three are None for a result built by hand."""
+    search scored exactly with :func:`peak_sidelobe`, ``prune_margin`` the
+    bound E it pruned with (see :func:`_prune_margin`) and ``screen_exps``
+    how many float32 phasors its screens formed, candidates x panels x
+    directions over every level (see :func:`optimize_placement`); all three
+    are None for a result built by hand."""
 
     positions: np.ndarray
     peak_sidelobe_db: float
@@ -127,70 +138,67 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
     return 20.0 * np.log10(min(max(worst, 1e-300), pos.shape[0]) / pos.shape[0])
 
 
-def _shared_head(candidates: np.ndarray, rel: np.ndarray, k: float):
-    """``(m, head)``: the first m rows that every candidate shares, at most
-    four and fewer than all (a search's aperture corners), and ``head``, the
-    sum of their phasors along each direction of ``rel``, in row order.
+def _screen_peaks(candidates: np.ndarray, rel: np.ndarray, k: float) -> np.ndarray:
+    """Peak |sum_p exp(j k rel.p)| of each candidate over the directions
+    ``rel``, from float32 phasors.
 
-    The phases come from the first candidate's rows of the product
-    :func:`_screen_bounds` forms, so they are bit for bit the ones it would
-    form for any candidate.
-    """
-    m = 0
-    while m < min(candidates.shape[1] - 1, 4) and (candidates[:, m] == candidates[0, m]).all():
-        m += 1
-    phase = (candidates[:1] @ rel.T)[0, :m] * k
-    return m, np.exp(1j * phase).sum(axis=0)
-
-
-def _screen_bounds(candidates: np.ndarray, rel: np.ndarray, k: float, head=None) -> np.ndarray:
-    """Peak |sum_p exp(j k rel.p)| of each candidate over the directions ``rel``.
-
-    ``candidates`` is (n_candidates, n_panels, 3). ``head`` is the
-    :func:`_shared_head` of the stack they come from (by default, of
-    ``candidates``): its sum stands in for the shared rows' phasors, and the
-    other rows are added to it one at a time, the order a sum over every row
-    takes, so the bounds are those of forming every phasor, bit for bit.
+    ``candidates`` is (n_candidates, n_panels, 3). The phases are formed in
+    float64, as the score forms them, and cast to float32 (clipped to
+    ``_F32_PHASE_CEILING`` first); their float32 cos and sin are summed over
+    the panels in float64, and the peak is the root of the largest squared
+    modulus (``np.hypot`` per direction costs several times more, for no
+    gain within the bound). Each peak is within ``n_panels`` times
+    :func:`_prune_margin` of the score's amplitude over the same directions.
     Candidates go through in blocks sized so that the block's temporaries
     stay near ``_SCREEN_BLOCK_BYTES``.
     """
-    m, shared = _shared_head(candidates, rel, k) if head is None else head
     n_cand, n_panels, _ = candidates.shape
     block = max(1, _SCREEN_BLOCK_BYTES // (_SCREEN_BYTES_PER_TERM * n_panels * len(rel)))
-    bounds = np.empty(n_cand)
+    peaks = np.empty(n_cand)
     for start in range(0, n_cand, block):
-        phase = (candidates[start : start + block] @ rel.T) * k
-        terms = np.exp(1j * phase[:, m:])
-        terms[:, 0] += shared
-        bounds[start : start + block] = np.abs(terms.sum(axis=1)).max(axis=1)
-    return bounds
+        phase = candidates[start : start + block] @ rel.T
+        phase *= k
+        np.clip(phase, -_F32_PHASE_CEILING, _F32_PHASE_CEILING, out=phase)
+        phase = phase.astype(np.float32)
+        re = np.cos(phase).sum(axis=1, dtype=np.float64)
+        im = np.sin(phase).sum(axis=1, dtype=np.float64)
+        peaks[start : start + block] = np.sqrt((re * re + im * im).max(axis=1))
+    return peaks
 
 
 def _prune_margin(rel: np.ndarray, candidates: np.ndarray, k: float) -> float:
-    """Margin delta, per unit of main lobe, that makes screen pruning exact.
+    """E: per unit of main lobe, a bound on the gap between a screen peak of
+    :func:`_screen_peaks` and the amplitude :func:`peak_sidelobe` scores
+    over the same directions, read back from its dB score.
 
-    A candidate whose screen bound exceeds the incumbent's amplitude by more
-    than ``delta * n_panels`` scores strictly worse in dB under
-    :func:`peak_sidelobe`. The three terms bound, per unit of main lobe:
+    Two candidates whose screen peaks are more than ``2 E n_panels`` apart
+    score apart, the higher one strictly worse, unless both score 0 dB. The
+    terms bound, per unit of main lobe:
 
-    - the gap between a screen's phases and the scorer's: each side forms
-      k * (rel . p) with a 3-term dot product and one product, so each is
-      within gamma_4 * k * sum_c |rel_c p_c| of the exact phase (Higham,
+    - the gap between a screen's float64 phases and the scorer's: each side
+      forms k * (rel . p) with a 3-term dot product and one product, so each
+      is within gamma_4 * k * sum_c |rel_c p_c| of the exact phase (Higham,
       *Accuracy and Stability of Numerical Algorithms*, 3.1);
-    - each side's exp (4u per component), summation over n panels in any
-      order (gamma_{n-1} per component) and modulus (2u);
-    - the dB round trip: the incumbent's amplitude is recovered from its dB
+    - the float32 cast of the screen's phases, a relative 2^-24 (a phasor
+      moves by at most its phase's move; past the clip the term exceeds 2);
+    - float32 cos and sin, ``_F32_TRIG_ERROR`` per component;
+    - each side's sum over n panels in float64 in any order (gamma_{n-1} per
+      component), the scorer's exp (4u per component) and either modulus;
+    - the dB round trip: the scored amplitude is read back from its dB
       score, and a worse amplitude must stay worse through log10 and the
       1e-300 floor of the score, where |log10(amplitude / n)| <= 300 + log10 n.
     """
     u = _UNIT_ROUNDOFF
     n = candidates.shape[1]
-    # Bounds sum_c |rel_c p_c| for every kept direction and panel.
-    reach = float(np.abs(rel).max(axis=0) @ np.abs(candidates).max(axis=(0, 1)))
+    # Bounds sum_c |rel_c p_c| for every kept direction and panel; reducing
+    # the two panel axes one at a time is ten times faster than at once.
+    reach = float(np.abs(rel).max(axis=0) @ np.abs(candidates).max(axis=0).max(axis=0))
     phase_gap = 2.0 * _gamma(4) * k * reach
+    cast_gap = _F32_ROUNDOFF * (1.0 + _gamma(4)) * k * reach
+    trig_gap = 2.0 * _F32_TRIG_ERROR
     sum_gap = 3.0 * _gamma(n - 1) + 20.0 * u
     db_gap = 64.0 * u * (301.0 + np.log10(n))
-    return float(phase_gap + sum_gap + db_gap)
+    return float(phase_gap + cast_gap + trig_gap + sum_gap + db_gap)
 
 
 def optimize_placement(
@@ -213,22 +221,29 @@ def optimize_placement(
     alone; if any seed fails, the search raises the
     :class:`~nearlink.geometry.PlacementInfeasible` of the first one.
 
-    The search scores only the candidates that can win. A coarse screen
-    computes, for every candidate, its peak placement-factor amplitude over
-    every ``4 * _SCREEN_STRIDE``-th kept scan direction: a lower bound on the
-    peak over all of them. Candidates are walked in order of (coarse bound,
-    index), and the walk stops at the first one whose bound exceeds the best
-    amplitude so far by more than ``delta * n_panels``, delta being
-    :func:`_prune_margin`, a bound on the rounding gap between a screen and
-    the score. Each candidate the walk reaches is screened again over every
-    ``_SCREEN_STRIDE``-th direction and skipped if that bound exceeds the
-    same cutoff; otherwise it is scored in full. Both bounds are maxima over
-    subsets of the scored directions, so a skipped candidate, and every one
-    after the stop, scores strictly worse than the best: the winner and its
-    score are the ones the full search over all N gives. ``screen_exps``
-    counts the terms both screens summed, candidates x panels x directions;
-    the phasors of the corners every candidate shares are formed once per
-    search and level, so fewer phasors than that are formed.
+    The search scores only the candidates that can win. A float32 screen
+    (:func:`_screen_peaks`) computes, for every candidate, its peak
+    placement-factor amplitude over every ``4 * _SCREEN_STRIDE``-th kept
+    scan direction. Candidates are walked in order of (coarse peak, index),
+    and the walk stops at the first one whose coarse peak exceeds the best
+    full peak so far by more than the slack ``2 E n_panels``, E being
+    :func:`_prune_margin`. Each candidate the walk reaches is screened over
+    every ``_SCREEN_STRIDE``-th direction and skipped if that peak exceeds
+    the same cutoff; otherwise it is screened over every kept direction,
+    its full peak. The finalists are the walked candidates whose full peak
+    is within the slack of the best; each is scored in float64, and the
+    lowest score wins, the lower index on ties. A screen peak over a subset
+    of the directions is within ``E n_panels`` of the score's amplitude
+    over that subset, which is at most the amplitude scored, so every
+    candidate skipped, stopped at or not a finalist scores strictly worse
+    than the finalist with the best full peak. If the best score is 0 dB,
+    where scores clamp and tie, every candidate is scored. The winner and
+    its score are the ones the full search over all N gives.
+
+    The search holds the bound at run time: a finalist whose full peak is
+    more than ``E n_panels`` from its scored amplitude raises RuntimeError.
+    ``screen_exps`` counts the float32 phasors the screens formed,
+    candidates x panels x directions over every level.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
@@ -242,32 +257,45 @@ def optimize_placement(
     rel = _scan_offsets(objective)
     fine = rel[::_SCREEN_STRIDE]
     coarse = rel[:: 4 * _SCREEN_STRIDE]
-    bounds = _screen_bounds(candidates, coarse, k)
-    fine_head = _shared_head(candidates, fine, k)
     margin = _prune_margin(rel, candidates, k)
+    slack = 2.0 * margin * n_panels
+    coarse_peaks = _screen_peaks(candidates, coarse, k)
     screen_exps = n_candidates * n_panels * len(coarse)
 
-    best, best_db, best_amp = -1, np.inf, np.inf
-    scored = 0
-    for i in np.argsort(bounds, kind="stable"):
-        # At 0 dB no score is worse, and any candidate ties the best.
-        cutoff = best_amp + margin * n_panels if best_db < 0.0 else np.inf
-        if bounds[i] > cutoff:
+    peaks = {}
+    best_peak = np.inf
+    for i in np.argsort(coarse_peaks, kind="stable"):
+        if coarse_peaks[i] > best_peak + slack:
             break
         screen_exps += n_panels * len(fine)
-        if _screen_bounds(candidates[i : i + 1], fine, k, fine_head)[0] > cutoff:
+        if _screen_peaks(candidates[i : i + 1], fine, k)[0] > best_peak + slack:
             continue
-        score = peak_sidelobe(candidates[i], wavelength, objective)
-        scored += 1
-        if score < best_db or (score == best_db and i < best):
-            best, best_db = int(i), score
-            best_amp = n_panels * 10.0 ** (score / 20.0)
+        screen_exps += n_panels * len(rel)
+        peaks[int(i)] = peak = _screen_peaks(candidates[i : i + 1], rel, k)[0]
+        best_peak = min(best_peak, peak)
+
+    def score(i):
+        return peak_sidelobe(candidates[i], wavelength, objective)
+
+    scores = {i: score(i) for i, peak in peaks.items() if peak <= best_peak + slack}
+    for i in scores:
+        gap = abs(peaks[i] - n_panels * 10.0 ** (scores[i] / 20.0))
+        if not gap <= margin * n_panels:
+            raise RuntimeError(
+                f"float32 screen peak of candidate {i} is {gap:.3g} from its score's "
+                f"amplitude, past the bound {margin * n_panels:.3g}; numpy "
+                f"{np.__version__}'s float32 cos or sin breaks the error the search assumes"
+            )
+    # At 0 dB scores clamp and tie, and the lowest index of all must win.
+    if min(scores.values()) == 0.0:
+        scores.update((i, score(i)) for i in range(n_candidates) if i not in scores)
+    best = min(scores, key=lambda i: (scores[i], i))
     return PlacementResult(
         positions=candidates[best].copy(),
-        peak_sidelobe_db=float(best_db),
+        peak_sidelobe_db=float(scores[best]),
         seed=seed,
         candidates_evaluated=n_candidates,
-        candidates_scored=scored,
+        candidates_scored=len(scores),
         prune_margin=margin,
         screen_exps=screen_exps,
     )

@@ -315,7 +315,7 @@ def test_placement_search_lines_follow_the_report(tmp_path, capsys):
     key, _, scored = lines[-3].partition("=")
     assert key == "placement_scored" and 1 <= int(scored) < 500
     key, _, margin = lines[-2].partition("=")
-    assert key == "placement_prune_margin" and 0.0 < float(margin) < 1e-10
+    assert key == "placement_prune_margin" and 0.0 < float(margin) < 1e-4
     key, _, exps = lines[-1].partition("=")
     # 500 candidates of 16 panels, each screened over at least one direction.
     assert key == "placement_screen_exps" and int(exps) >= 500 * 16

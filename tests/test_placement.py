@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nearlink import geometry, placement
@@ -21,6 +21,7 @@ from nearlink.placement import (
     write_placement_json,
 )
 from nearlink.scenario import load_scenario, run_scenario
+from nearlink.schema import _placement_objective
 
 LAM = 299792458.0 / 28.0e9
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -359,16 +360,18 @@ def test_search_winner_is_the_first_argmin_of_all_candidates(seed, n_scan, n_pan
     assert 1 <= res.candidates_scored <= 80
     if n_panels > 4:
         assert res.candidates_scored < 80
-    assert 0.0 < res.prune_margin < 1e-10
+    # E: at these sizes the float32 cast and trig terms, far below 1e-4.
+    assert 2.0 * placement._F32_TRIG_ERROR < res.prune_margin < 1e-4
     # Every candidate is screened coarsely, and every scored one (at most
-    # all of them) finely as well.
+    # all of them) finely and over every kept direction as well.
     rel = placement._scan_offsets(obj)
     n_coarse = len(rel[:: 4 * placement._SCREEN_STRIDE])
     n_fine = len(rel[:: placement._SCREEN_STRIDE])
-    assert n_coarse < n_fine
+    assert n_coarse < n_fine < len(rel)
     coarse_exps = 80 * n_panels * n_coarse
-    assert coarse_exps + res.candidates_scored * n_panels * n_fine <= res.screen_exps
-    assert res.screen_exps <= coarse_exps + 80 * n_panels * n_fine
+    walked_exps = n_panels * (n_fine + len(rel))
+    assert coarse_exps + res.candidates_scored * walked_exps <= res.screen_exps
+    assert res.screen_exps <= coarse_exps + 80 * walked_exps
 
 
 def test_all_tied_candidates_are_scored_and_the_first_wins():
@@ -407,64 +410,207 @@ def test_exact_ties_between_distinct_candidates_keep_the_lower_index(
     stack = tie_stack()
     base = stack[2]
     monkeypatch.setattr(placement, "random_panel_positions", lambda *args: stack)
-    if lower_later_bound:
-        # A looser (still valid) bound on the last candidate, at both screen
-        # levels, makes the search score it before its tied twin at index 1.
-        # The fine level screens one candidate at a time, so the candidate is
-        # found by its positions, not by its place in the batch.
-        screen = placement._screen_bounds
-
-        def looser(candidates, *args):
-            bounds = screen(candidates, *args)
-            bounds[(candidates == base).all(axis=(1, 2))] -= 1.0
-            return bounds
-
-        monkeypatch.setattr(placement, "_screen_bounds", looser)
     obj = field_objective()
+    if lower_later_bound:
+        # A looser (still valid) bound on the last candidate, at both pruning
+        # levels, makes the search walk it before its tied twin at index 1.
+        # Its full peak, which the search checks against its score, moves by
+        # half the bound: it alone has the lowest peak, and its twin must be
+        # scored all the same. The fine and full levels screen one candidate
+        # at a time, so the candidate is found by its positions, not by its
+        # place in the batch.
+        screen = placement._screen_peaks
+        kept = placement._scan_offsets(obj)
+        half_bound = 0.5 * 16 * placement._prune_margin(kept, stack, 2.0 * np.pi / LAM)
+
+        def looser(candidates, rel, k):
+            peaks = screen(candidates, rel, k)
+            is_base = (candidates == base).all(axis=(1, 2))
+            peaks[is_base] -= 1.0 if len(rel) < len(kept) else half_bound
+            return peaks
+
+        monkeypatch.setattr(placement, "_screen_peaks", looser)
     assert peak_sidelobe(base, LAM, obj) == peak_sidelobe(-base, LAM, obj)
     res = optimize_placement(1414.0, 1000.0, 16, 50.0, LAM, obj, 3, 0)
     np.testing.assert_array_equal(res.positions, -base)
 
 
-def check_screen_within_margin(cands, n_shared):
-    # Over every kept direction the screen computes the score's amplitude by
-    # another route; the margin must cover the gap, dB round trip included.
+def exact_peaks(cands, rel, k):
+    """Peak amplitude of each candidate over ``rel`` from complex128 phasors,
+    the way the score forms them."""
+    return np.array([np.abs(np.exp(1j * (rel @ c.T) * k).sum(axis=1)).max() for c in cands])
+
+
+def check_screen_within_margin(cands):
+    # Over every kept direction the float32 screen computes the score's
+    # amplitude by another route; E must cover the gap, dB round trip
+    # included, and the gap at each pruning level too.
     obj = field_objective(n_scan=2001)
     k = 2.0 * np.pi / LAM
     rel = placement._scan_offsets(obj)
-    assert placement._shared_head(cands, rel, k)[0] == n_shared
-    bounds = placement._screen_bounds(cands, rel, k)
+    peaks = placement._screen_peaks(cands, rel, k)
     margin = placement._prune_margin(rel, cands, k)
     amps = np.array([16 * 10.0 ** (peak_sidelobe(c, LAM, obj) / 20.0) for c in cands])
-    assert np.abs(bounds - amps).max() <= margin * 16
-    # Both levels of the search's screen are lower bounds within the margin.
+    assert np.abs(peaks - amps).max() <= margin * 16
     for stride in (placement._SCREEN_STRIDE, 4 * placement._SCREEN_STRIDE):
-        strided = placement._screen_bounds(cands, rel[::stride], k)
+        strided = placement._screen_peaks(cands, rel[::stride], k)
+        assert np.abs(strided - exact_peaks(cands, rel[::stride], k)).max() <= margin * 16
         assert (strided <= amps + margin * 16).all()
 
 
 def test_screen_bound_is_within_the_margin_of_the_score():
-    check_screen_within_margin(drawn_stack(), n_shared=4)
+    check_screen_within_margin(drawn_stack())
 
 
 def test_screen_bound_without_shared_corners_is_within_the_margin():
-    check_screen_within_margin(tie_stack(), n_shared=0)
+    check_screen_within_margin(tie_stack())
 
 
-@pytest.mark.parametrize("stack", [drawn_stack, tie_stack])
-def test_shared_rows_leave_the_screen_bounds_unchanged(stack):
-    # The shared rows' phasors, summed once, give the bounds of forming every
-    # candidate's phasors, bit for bit: the phases come from the same product
-    # and every sum runs in row order.
-    cands = stack()
-    k = 2.0 * np.pi / LAM
-    for rel in (placement._scan_offsets(field_objective(n)) for n in (101, 801, 2001)):
-        none_shared = (0, np.zeros(len(rel), dtype=complex))
-        want = placement._screen_bounds(cands, rel, k, none_shared)
-        head = placement._shared_head(cands, rel, k)
-        np.testing.assert_array_equal(placement._screen_bounds(cands, rel, k), want)
-        for i, c in enumerate(cands):
-            assert placement._screen_bounds(c[None], rel, k, head)[0] == want[i]
+def test_a_screen_peak_past_its_bound_raises(monkeypatch):
+    # The search checks every finalist's full float32 peak against its score.
+    obj = field_objective()
+    screen = placement._screen_peaks
+    n_kept = len(placement._scan_offsets(obj))
+
+    def off(candidates, rel, k):
+        peaks = screen(candidates, rel, k)
+        return peaks - 1e-3 if len(rel) == n_kept else peaks
+
+    monkeypatch.setattr(placement, "_screen_peaks", off)
+    with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
+        optimize_placement(1414.0, 1000.0, 16, 50.0, LAM, obj, 20, 0)
+
+
+def test_phases_past_the_float32_range_are_clipped_and_every_candidate_is_scored():
+    # A 1e-50 m wavelength (a carrier validate accepts) makes phases near
+    # 1e50 rad: cast unclipped, they overflow float32 (a RuntimeWarning, an
+    # error here) and their cos is NaN. Clipped, E exceeds 2 and every
+    # candidate is a finalist.
+    lam = 1e-50
+    obj = field_objective()
+    res = optimize_placement(1414.0, 1000.0, 16, 50.0, lam, obj, 12, 5)
+    children = np.random.SeedSequence(5).generate_state(12, dtype=np.uint64)
+    cands = [random_panel_positions(1414.0, 1000.0, 16, 50.0, int(c)) for c in children]
+    scores = [peak_sidelobe(c, lam, obj) for c in cands]
+    np.testing.assert_array_equal(res.positions, cands[int(np.argmin(scores))])
+    assert res.peak_sidelobe_db == min(scores)
+    assert res.prune_margin > 2.0
+    assert res.candidates_scored == 12
+
+
+def test_a_scan_inside_the_main_lobe_scores_every_candidate_and_the_first_wins():
+    # Offsets of at most 1e-15 rad: every phasor rounds to 1, every
+    # candidate's worst sidelobe is the main lobe, and every score clamps to
+    # 0 dB, so all tie and candidate 0 wins.
+    obj = PlacementObjective(Direction(0.0, np.pi / 6.0), 1e-17, (-1e-15, 1e-15), 101)
+    res = optimize_placement(1414.0, 1000.0, 16, 50.0, LAM, obj, 30, 3)
+    pos, score = brute_force(1414.0, 1000.0, 16, 50.0, obj, 30, 3)
+    assert score == 0.0
+    np.testing.assert_array_equal(res.positions, pos)
+    first = random_panel_positions(
+        1414.0, 1000.0, 16, 50.0, int(np.random.SeedSequence(3).generate_state(1, np.uint64)[0])
+    )
+    np.testing.assert_array_equal(res.positions, first)
+    assert res.peak_sidelobe_db == 0.0
+    assert res.candidates_scored == 30
+
+
+# The random fields of the property below: apertures up to PROPERTY_APERTURE
+# metres a side, scan cuts up to PROPERTY_HALFWIDTH rad either side of a
+# steering angle up to PROPERTY_THETA rad off zenith.
+PROPERTY_APERTURE = 2000.0
+PROPERTY_HALFWIDTH = 2e-3
+PROPERTY_THETA = 0.5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    aperture_x=st.floats(20.0, PROPERTY_APERTURE),
+    aperture_y=st.floats(20.0, PROPERTY_APERTURE),
+    n_panels=st.integers(2, 20),
+    spacing_fraction=st.floats(0.0, 0.2),
+    n_scan=st.integers(100, 1200),
+    theta=st.floats(-PROPERTY_THETA, PROPERTY_THETA),
+    phi=st.floats(0.0, 2.0 * np.pi),
+    halfwidth=st.floats(1e-5, PROPERTY_HALFWIDTH),
+    exclusion_fraction=st.floats(1e-3, 0.9),
+    n_candidates=st.integers(1, 40),
+    seed=st.integers(0, 2**64),
+)
+def test_search_equals_scoring_every_candidate_on_random_fields(
+    aperture_x, aperture_y, n_panels, spacing_fraction, n_scan, theta, phi, halfwidth,
+    exclusion_fraction, n_candidates, seed,
+):
+    # A narrow exclusion zone lets the main lobe into the scan, where
+    # scores near or at 0 dB tie.
+    obj = PlacementObjective(
+        Direction(theta, phi),
+        exclusion_fraction * halfwidth,
+        (theta - halfwidth, theta + halfwidth),
+        n_scan,
+    )
+    args = (aperture_x, aperture_y, n_panels, spacing_fraction * min(aperture_x, aperture_y))
+    try:
+        pos, score = brute_force(*args, obj, n_candidates, seed)
+    except PlacementInfeasible:
+        assume(False)
+    res = optimize_placement(*args, LAM, obj, n_candidates, seed)
+    np.testing.assert_array_equal(res.positions, pos)
+    assert res.peak_sidelobe_db == score
+
+
+def screen_phase_reach(aperture_x, aperture_y, obj):
+    """k * sum_c max|rel_c| max|p_c| over a scan and an aperture: the largest
+    |phase| the search's screen forms for them."""
+    rel = placement._scan_offsets(obj)
+    half = np.array([aperture_x / 2.0, aperture_y / 2.0, 0.0])
+    return 2.0 * np.pi / LAM * float(np.abs(rel).max(axis=0) @ half)
+
+
+def test_float32_trig_stays_within_the_error_the_search_assumes():
+    # E assumes numpy's float32 cos and sin within _F32_TRIG_ERROR of the
+    # exact cos and sin of their float32 argument. A build that breaks it
+    # fails here rather than return a wrong winner.
+    covered = 1.0e4
+    # The phases the screen forms: the shipped search (and acceptance check
+    # 08, which scans the same cut), the objectives of these tests, and the
+    # corners of the property above.
+    shipped = load_scenario(os.path.join(SCENARIO_DIR, "placement_search.scenario"))
+    reaches = [
+        screen_phase_reach(
+            shipped.analysis.aperture_x_m,
+            shipped.analysis.aperture_y_m,
+            _placement_objective(shipped.analysis, shipped.wavelength),
+        ),
+        screen_phase_reach(1414.0, 1000.0, field_objective(2001)),
+        screen_phase_reach(400.0, 300.0, small_objective()),
+    ] + [
+        screen_phase_reach(
+            PROPERTY_APERTURE,
+            PROPERTY_APERTURE,
+            PlacementObjective(
+                Direction(theta, phi),
+                1e-3 * PROPERTY_HALFWIDTH,
+                (theta - PROPERTY_HALFWIDTH, theta + PROPERTY_HALFWIDTH),
+                101,
+            ),
+        )
+        for theta in (-PROPERTY_THETA, PROPERTY_THETA)
+        for phi in np.linspace(0.0, 2.0 * np.pi, 9)
+    ]
+    assert max(reaches) <= covered
+    # A million phases spread evenly up to that reach, and a million spread
+    # by magnitude up to the clip, the largest phase the screen ever casts.
+    rng = np.random.default_rng(2024)
+    ceiling = np.log10(placement._F32_PHASE_CEILING)
+    magnitudes = np.concatenate(
+        [rng.uniform(0.0, covered, 10**6), 10.0 ** rng.uniform(-6.0, ceiling, 10**6)]
+    )
+    phases = (magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)).astype(np.float32)
+    exact = phases.astype(np.float64)
+    for f32, f64 in ((np.cos(phases), np.cos(exact)), (np.sin(phases), np.sin(exact))):
+        assert f32.dtype == np.float32
+        assert np.abs(f32 - f64).max() <= placement._F32_TRIG_ERROR
 
 
 def test_shipped_placement_outputs_are_unchanged(tmp_path):
