@@ -15,10 +15,11 @@ The coherent sums come from :func:`nearlink.kernel.sums`, which decides
 between the exact and panel-factorized kernels and states the error bound of
 the one it ran. A :class:`WeightVector` is the beam itself: the layout, focal
 and wavelength it is matched to, with its weight array formed on first read.
-A sum on that same layout at that wavelength hands the focal to the kernel,
-whose focused sums never read the array. Weight arrays, beams summed on
-another layout or at another wavelength, and foci the kernel's gate refuses
-take the exact kernel, which forms the array.
+A sum at points on that same layout at that wavelength hands a Point focal
+to the kernel, whose focused sums never read the array. Weight arrays, beams
+summed on another layout or at another wavelength, Direction targets or
+focals, and foci the kernel's gate refuses take the exact kernel, which
+forms the array.
 """
 
 from __future__ import annotations
@@ -164,15 +165,13 @@ def response_sum(layout: ElementLayout, weights, where, wavelength: float):
 
 
 def _focus_of(weights, layout: ElementLayout, wavelength: float):
-    # The focal as kernel.sums takes it, (point, False) or (unit vector,
-    # True), where the weights are the beam toward it on this layout at this
-    # wavelength; else None.
-    if not isinstance(weights, WeightVector):
+    # The focus kernel.sums takes: the Point the weights are the beam toward
+    # on this layout at this wavelength; else None.
+    if not isinstance(weights, WeightVector) or isinstance(weights.focal, Direction):
         return None
     if weights.layout is not layout or weights.wavelength != wavelength:
         return None
-    focal = weights.focal
-    return (focal.unit, True) if isinstance(focal, Direction) else (focal.position, False)
+    return weights.focal.position
 
 
 def _to_gain_dbi(total, n: int, element_gain_dbi: float):

@@ -2,27 +2,29 @@
 gated and rounded, which kernel runs (:func:`sums`), and the exact channel
 matrix. Of the package, this module imports only :mod:`nearlink.record`.
 
-Two kernels evaluate the coherent sum. The exact one pays one distance and one
-complex exponential per element and target. The panel-factorized one serves
-layouts of identical panels (every UPA and every distributed layout): it keeps
-the exact path to each panel centre and expands the path inside a panel to
-second order (the Fresnel expansion), split into a row factor and a column
-factor. The phase of a factor is quadratic along its axis, so the factors
-come from a product recurrence with five exps per panel, target and axis
-rather than one per element offset; where the exact kernel itself rounds less
-than that recurrence would, each offset takes its own exp.
+Two kernels evaluate the coherent sum. The exact one pays one path and one
+complex exponential per element and target; it is the package's one float64
+direction sum, and the placement factor that
+:func:`nearlink.placement.peak_sidelobe` scores. The panel-factorized one
+serves near-field point targets of layouts of identical panels (every UPA and
+every distributed layout): it keeps the exact path to each panel centre and
+expands the path inside a panel to second order (the Fresnel expansion), split
+into a row factor and a column factor. The phase of a factor is quadratic
+along its axis, so the factors come from a product recurrence with five exps
+per panel, target and axis rather than one per element offset.
 
-The factorized kernel sums the delay-and-sum weights toward a focal (a point
-or a direction), which every beam analysis uses. Those weights split the same
-way as the paths to a target, so a panel costs the product of two sums per
-target: each axis' chirp relative to the focus, exp(jk (o du - o^2 dc)), added
-up as the recurrence steps along it. No array then holds an entry per offset,
-and the weights are never formed: the beam comes as its focal (:func:`sums`).
-On the benchmark's beam map (16 panels of 32 x 32, 861 targets, 2-core host)
-that took the CLI's median solve from 0.0365 s to 0.0217 s, and the solve of
-the shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
+The factorized kernel sums the delay-and-sum weights toward a point focus,
+which every beam analysis uses. Those weights split the same way as the paths
+to a target, so a panel costs the product of two sums per target: each axis'
+chirp relative to the focus, exp(jk (o du - o^2 dc)), added up as the
+recurrence steps along it. No array then holds an entry per offset, and the
+weights are never formed: the beam comes as its focus (:func:`sums`). On the
+benchmark's beam map (16 panels of 32 x 32, 861 targets, 2-core host) that
+took the CLI's median solve from 0.0365 s to 0.0217 s, and the solve of the
+shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
 0.12-0.17 s. Weight arrays, beams on another layout or at another
-wavelength, and foci the gate refuses take the exact kernel.
+wavelength, direction targets or foci, and foci the gate refuses take the
+exact kernel.
 
 The kernel runs only when a rigorous bound on the terms it drops, and on the
 rounding it adds, stays below the exact kernel's own phase rounding
@@ -130,7 +132,8 @@ def unit_vectors(theta, phi) -> np.ndarray:
 
 def _exact_sums(positions, w, targets, directional, wavelength):
     # One exp per element and target: the phase k u . p toward a unit vector,
-    # or -k |t - p| toward a point.
+    # or -k |t - p| toward a point, weighted in place and summed along the
+    # elements: the placement score's bits are those of this order.
     k = wavenumber(wavelength)
     out = np.zeros(len(targets), dtype=np.complex128)
     for rows in blocks(len(positions), len(targets)):
@@ -138,7 +141,9 @@ def _exact_sums(positions, w, targets, directional, wavelength):
             phase = (targets @ positions[rows].T) * k
         else:
             phase = np.sqrt(squared_distances(targets, positions[rows])) * -k
-        out += np.exp(1j * phase) @ w[rows]
+        terms = np.exp(1j * phase)
+        terms *= w[rows]
+        out += terms.sum(axis=1)
     return out
 
 
@@ -180,10 +185,9 @@ def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
 # so dropping the cross term and the remainder leaves a row factor times a
 # column factor: the element's term is exp(-jkR_p) B_pr A_pc, with A the
 # column factors and B the row factors (the link spectra's factors,
-# _factorized_factors). A far-field Direction is the same with 1/R = 0 and
-# R_p = -u . c_p, where nothing is dropped.
+# _factorized_factors).
 #
-# The delay-and-sum weights toward a focal F, exp(jk d_F) at each element,
+# The delay-and-sum weights toward a focus F, exp(jk d_F) at each element,
 # split the same way into exp(jk R_pF) conj(B_F) conj(A_F), so the panel's
 # double sum splits into one sum per axis and the response is
 #
@@ -199,22 +203,19 @@ class _FactorizedPlan(Record, eq=False):
     rows: int  # offsets along a panel's y axis
     cols: int  # offsets along a panel's x axis
     spacing: float  # element pitch inside a panel
-    chained: bool  # factors step along whole chains, else one exp per offset
-    directional: bool  # targets are unit vectors, not points
     bound_rad: float  # what the kernel drops or adds, at any element and target
-    floor_rad: float  # exact kernel's own phase rounding (nearest target, for points)
-    # (vector, directional) of the focal the weights are delay-and-sum toward:
-    # the plan of the focused sums, which take no weights. None: the plan of
-    # the targets' factors alone, which the link spectra take.
-    focus: tuple | None = None
+    floor_rad: float  # exact kernel's own phase rounding at the nearest target
+    # The point the weights are delay-and-sum toward (the focused sums' plan,
+    # which takes no weights), or None (the link spectra's plan of factors).
+    focus: np.ndarray | None = None
 
 
-def gate(layout, targets, directional, wavelength, focus=None):
-    """``(plan, kernel)``: the factorized plan toward ``targets`` (with
-    ``focus``, of the focused sums, see :func:`sums`; else of the factors
-    alone) and its kernel when the plan's bound is within the exact kernel's
-    rounding floor, else ``(None, EXACT_KERNEL)``."""
-    plan = _factorized_plan(layout, targets, directional, wavelength, focus)
+def gate(layout, targets, wavelength, focus=None):
+    """``(plan, kernel)``: the factorized plan toward the points ``targets``
+    (with the point ``focus``, of the focused sums, see :func:`sums`; else of
+    the factors alone) and its kernel when the plan's bound is within the
+    exact kernel's rounding floor, else ``(None, EXACT_KERNEL)``."""
+    plan = _factorized_plan(layout, targets, wavelength, focus)
     if plan is not None and plan.bound_rad <= plan.floor_rad:
         return plan, BeamKernel("panel_factorized", plan.bound_rad)
     return None, EXACT_KERNEL
@@ -224,16 +225,15 @@ def sums(layout, w, targets, directional, wavelength, focus=None):
     """``(response, kernel)``: the sum over ``layout``'s elements weighted by
     ``w`` at each target (unit vectors if ``directional``, else points).
 
-    ``focus`` is ``(vector, directional)`` of the focal that ``w`` is the
-    delay-and-sum beam toward at ``wavelength`` (a point, or a unit vector if
-    ``directional``), or None. With a focus, the focused sums run where
-    :func:`gate` passes them, and never read ``w``. Elsewhere ``np.asarray(w)``
-    forms the weights and the exact kernel sums them: a focus the gate
-    refuses gives the bits of a call without it. Raises ValueError where the
-    weights are not one per element.
+    ``focus`` is the point that ``w`` is the delay-and-sum beam toward at
+    ``wavelength``, or None. With a focus and point targets, the focused sums
+    run where :func:`gate` passes them, and never read ``w``. Elsewhere
+    ``np.asarray(w)`` forms the weights and the exact kernel sums them: a
+    focus the gate refuses gives the bits of a call without it. Raises
+    ValueError where the weights are not one per element.
     """
-    if focus is not None:
-        plan, used = gate(layout, targets, directional, wavelength, focus)
+    if focus is not None and not directional:
+        plan, used = gate(layout, targets, wavelength, focus)
         if plan is not None:
             return _factorized_sums(plan, targets, wavelength), used
     w = np.asarray(w)
@@ -242,14 +242,16 @@ def sums(layout, w, targets, directional, wavelength, focus=None):
     return _exact_sums(layout.positions, w, targets, directional, wavelength), EXACT_KERNEL
 
 
-def _factorized_plan(layout, targets, directional, wavelength, focus=None):
-    """Panel geometry and error bound of the factorized kernel, or None.
+def _factorized_plan(layout, targets, wavelength, focus=None):
+    """Panel geometry and error bound of the factorized kernel toward the
+    points ``targets``, or None.
 
     None means the layout is not one shared ``_grid_offsets`` grid repeated
     at each panel centre (for example 1x1 panels, or ids out of order), or a
-    point target, or a point focus, lies within a panel's reach of its
-    centre. Positions that are off the grid by more than rounding stay
-    eligible here: their offset enters the bound, and the gate refuses them.
+    target, or the focus, lies within a panel's reach of its centre.
+    Positions that are off the grid by more than rounding stay eligible
+    here: their offset enters the bound, and the gate refuses them, as it
+    does chains that round past the floor.
 
     With a focus the plan is of the focused sums, and its bound and floor
     are theirs (module docstring). The targets and the focus must each pass
@@ -263,46 +265,37 @@ def _factorized_plan(layout, targets, directional, wavelength, focus=None):
     s = spec.spacing
     half_x = float(np.abs(grid.offsets[: spec.cols, 0]).max())
     half_y = float(np.abs(grid.offsets[:: spec.cols, 1]).max())
-    drops = _expansion_bound(layout, grid, half_x, half_y, targets, directional)
+    drops = _expansion_bound(layout, grid, half_x, half_y, targets)
     if drops is None:
         return None
-    bound, slope_x, slope_y, curvature, floor = drops
-    summing = 0.0
+    bound, curvature, floor = drops
+    slope, summing = 1.0, 0.0
     if focus is not None:
-        at_focus = _expansion_bound(layout, grid, half_x, half_y, focus[0][None], focus[1])
+        at_focus = _expansion_bound(layout, grid, half_x, half_y, focus[None])
         if at_focus is None:
             return None
-        f_bound, f_slope_x, f_slope_y, f_curvature, f_floor = at_focus
+        f_bound, f_curvature, f_floor = at_focus
         if f_bound > f_floor or bound > floor:
             return None
-        slope_x, slope_y = slope_x + f_slope_x, slope_y + f_slope_y
-        curvature += f_curvature
+        slope, curvature = 2.0, curvature + f_curvature
         bound += f_bound + _UNIT_ROUNDOFF * (
-            slope_x * half_x + slope_y * half_y + curvature * (half_x**2 + half_y**2)
+            slope * (half_x + half_y) + curvature * (half_x**2 + half_y**2)
         )
         floor += f_floor
         summing = _gamma(spec.cols - 1) + _gamma(spec.rows - 1)
-    # Whole chains where their rounding fits under the floor, as it does for
-    # every point target tried; else (directions near broadside on a
-    # panel at the origin, where the exact kernel itself rounds little) one
-    # exp per offset, which adds no rounding of its own.
-    drift = _recurrence_drift(spec.cols, s, k, slope_x, curvature)
-    drift += _recurrence_drift(spec.rows, s, k, slope_y, curvature)
+    drift = _recurrence_drift(spec.cols, s, k, slope, curvature)
+    drift += _recurrence_drift(spec.rows, s, k, slope, curvature)
     bound_rad = float(k * bound + summing + drift / (1.0 - drift))
-    floor_rad = float(k * floor)
-    chained = bound_rad <= floor_rad
-    if not chained:
-        bound_rad = float(k * bound + summing)
     return _FactorizedPlan(
-        grid.centres, spec.rows, spec.cols, s, chained, directional, bound_rad, floor_rad, focus
+        grid.centres, spec.rows, spec.cols, s, bound_rad, float(k * floor), focus
     )
 
 
-def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
-    """``(bound, slope_x, slope_y, curvature, floor)`` of the expansion toward
+def _expansion_bound(layout, grid, half_x, half_y, targets):
+    """``(bound, curvature, floor)`` of the expansion toward the points
     ``targets``, or None where a point lies within a panel's reach or the
     bound overflows: the path it drops or moves at any element and target
-    (m), the bounds on |u_x|, |u_y| and |c| its factors take, and the exact
+    (m), the bound on |c| its factors take (|u| is at most 1), and the exact
     kernel's own rounding of a path at the nearest target (m)."""
     u = _UNIT_ROUNDOFF
     # The kernel places element (r, c) at centre + (m_c s, m_r s, 0) exactly,
@@ -310,20 +303,6 @@ def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
     # The positions are within gap of centre + offset, summed exactly, and
     # _grid_offsets rounds each offset once from m_i s, so each offset
     # coordinate is within u half_x or u half_y of the progression.
-    if directional:
-        # Nothing is dropped. The phase u . p moves by at most |u| gap for
-        # the gap, u sum_c |u_c| (|p_c| + gap) for the one rounding of each
-        # coordinate of centre + offset, and u (|u_x| half_x + |u_y| half_y)
-        # for the progression. The exact kernel forms u . p as a 3-term dot
-        # product, within gamma_3 sum_c |u_c p_c| of it (Higham 3.1). reach
-        # is the largest sum_c |u_c p_c|: on a grid each panel's |p_c| peak
-        # at one corner together, so the sum of the componentwise peaks is
-        # attained, to within the gap.
-        peaks = np.abs(grid.positions).max(axis=1)
-        reach = float((np.abs(targets) @ peaks.T).max())
-        slope_x, slope_y = float(np.abs(targets[:, 0]).max()), float(np.abs(targets[:, 1]).max())
-        bound = grid.gap + u * (reach + 2.0 * grid.gap + slope_x * half_x + slope_y * half_y)
-        return bound, slope_x, slope_y, 0.0, _gamma(3) * reach
     rho = float(np.hypot(half_x, half_y))
     # |position - element the kernel uses|: the gap to the rebuilt grid,
     # the one rounding (at most 2**-53 of each coordinate) that
@@ -331,7 +310,7 @@ def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
     residual = grid.gap + u * (grid.scale + rho)
     nearest, skew = np.inf, 0.0
     for chunk in blocks(len(targets), layout.n_elements):
-        paths = _panel_paths(grid.centres, targets[chunk], False)
+        paths = _panel_paths(grid.centres, targets[chunk])
         if paths is None:
             return None
         path, ux, uy, inv_r = paths
@@ -349,7 +328,7 @@ def _expansion_bound(layout, grid, half_x, half_y, targets, directional):
     except (OverflowError, ZeroDivisionError):  # a power past float64's range
         return None
     # (1 - u^2) / 2R is at most 1 / 2R.
-    return half_x * half_y * skew + tail + residual, 1.0, 1.0, 0.5 / nearest, u * near
+    return half_x * half_y * skew + tail + residual, 0.5 / nearest, u * near
 
 
 def _recurrence_drift(n, spacing, k, slope, curvature):
@@ -358,20 +337,19 @@ def _recurrence_drift(n, spacing, k, slope, curvature):
     own.
 
     ``slope`` bounds |u| and ``curvature`` bounds |c| of the chirp along the
-    axis: c = (1 - u^2) / 2R for a factor (zero for directions), and du, dc
-    for the focused chirp. A factor is at most m = n // 2 - 1 steps from its
-    chain's first exp, which is that one exp; step i multiplies by
-    r_(i-1) = r_0 q^(i-1). So the factor is f_0 r_0^m q^(m(m-1)/2), and
-    m(m+1)/2 rounded products reach it: m along the chain and i - 1 inside
-    each r_(i-1). Each of those inputs carries its own relative error, and
-    they add to first order:
+    axis: c = (1 - u^2) / 2R for a factor, and du, dc for the focused chirp.
+    A factor is at most m = n // 2 - 1 steps from its chain's first exp,
+    which is that one exp; step i multiplies by r_(i-1) = r_0 q^(i-1). So the
+    factor is f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it:
+    m along the chain and i - 1 inside each r_(i-1). Each of those inputs
+    carries its own relative error, and they add to first order:
 
     - r_0 = exp(jk d (u - (2o + d) c)) with |d| = s and |2o + d| <= n s: its
       phase takes five roundings, and the chain's first offset o one more,
       on values of at most k s (|u| + n s |c|), so it is within gamma_6 of
       that; exp adds at most 2 ulps per component, 4u; times m;
     - q = exp(-2jk s^2 c): three roundings of 2 k s^2 |c| plus the exp's 4u,
-      times m(m - 1) / 2. With c = 0, q and every r_i product are exact;
+      times m(m - 1) / 2;
     - each complex product of unit-modulus values: sqrt(2) gamma_2
       (Higham, Lemma 3.5).
 
@@ -381,24 +359,15 @@ def _recurrence_drift(n, spacing, k, slope, curvature):
     m = max(n // 2 - 1, 0)
     exp_err = 4.0 * _UNIT_ROUNDOFF
     ratio = _gamma(6) * k * spacing * (slope + n * spacing * curvature) + exp_err
-    if curvature == 0.0:
-        chirp, products = 0.0, m
-    else:
-        chirp = _gamma(3) * 2.0 * k * spacing * spacing * curvature + exp_err
-        products = m * (m + 1) // 2
-    return m * ratio + m * (m - 1) // 2 * chirp + products * 2.0**0.5 * _gamma(2)
+    chirp = _gamma(3) * 2.0 * k * spacing * spacing * curvature + exp_err
+    return m * ratio + m * (m - 1) // 2 * chirp + m * (m + 1) // 2 * 2.0**0.5 * _gamma(2)
 
 
-def _panel_paths(centres, targets, directional):
-    # Per (panel, target): the path to the panel centre (R, or -u . c for a
-    # Direction), the in-plane components of its unit vector, and 1/R (zero
-    # for a Direction); None where a point sits on a centre. A nonzero R is
-    # at least 2e-162 m (a root of the least float64), so 1/R stays finite.
-    if directional:
-        path = -(centres @ targets.T)
-        ux = np.broadcast_to(targets[:, 0], path.shape)
-        uy = np.broadcast_to(targets[:, 1], path.shape)
-        return path, ux, uy, np.zeros(path.shape)
+def _panel_paths(centres, targets):
+    # Per (panel, target): the path R to the panel centre, the in-plane
+    # components of its unit vector, and 1/R; None where a point sits on a
+    # centre. A nonzero R is at least 2e-162 m (a root of the least float64),
+    # so 1/R stays finite.
     v = targets - centres[:, None, :]
     path = np.sqrt((v * v).sum(axis=-1))
     if not path.all():
@@ -416,16 +385,15 @@ def _factorized_sums(plan, targets, wavelength):
     # The focused sums of a plan with a focus, in cache-sized blocks of
     # (panels, targets) arrays.
     k = wavenumber(wavelength)
-    vector, directional = plan.focus
-    f_path, f_ux, f_uy, f_inv_r = _panel_paths(plan.centres, vector[None], directional)
+    f_path, f_ux, f_uy, f_inv_r = _panel_paths(plan.centres, plan.focus[None])
     f_cx, f_cy = _curvature(f_ux, f_inv_r), _curvature(f_uy, f_inv_r)
     out = np.empty(len(targets), dtype=np.complex128)
     for chunk in blocks(len(targets), len(plan.centres), _CACHE_ENTRIES):
-        path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk], plan.directional)
+        path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk])
         cx, cy = _curvature(ux, inv_r) - f_cx, _curvature(uy, inv_r) - f_cy
         ux, uy = ux - f_ux, uy - f_uy
-        inner = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, cx, k, summed=True)
-        inner *= _axis_factor(plan.rows, plan.spacing, plan.chained, uy, cy, k, summed=True)
+        inner = _axis_factor(plan.cols, plan.spacing, ux, cx, k, summed=True)
+        inner *= _axis_factor(plan.rows, plan.spacing, uy, cy, k, summed=True)
         out[chunk] = (np.exp(-1j * k * (path - f_path)) * inner).sum(axis=0)
     return out
 
@@ -442,30 +410,30 @@ def _factorized_factors(plan, targets, wavelength):
     # element of the panel. The difference is formed without cancellation as
     # (|c_p|^2 - 2 t_a . c_p) / (R_pa + |t_a|).
     k = wavenumber(wavelength)
-    path, ux, uy, inv_r = _panel_paths(plan.centres, targets, False)
+    path, ux, uy, inv_r = _panel_paths(plan.centres, targets)
     c = plan.centres
     t_norm = np.sqrt((targets * targets).sum(axis=-1))
     rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
-    row = _axis_factor(plan.rows, plan.spacing, plan.chained, uy, _curvature(uy, inv_r), k)
+    row = _axis_factor(plan.rows, plan.spacing, uy, _curvature(uy, inv_r), k)
     row *= np.exp(-1j * k * rel)[:, None, :]
-    col = _axis_factor(plan.cols, plan.spacing, plan.chained, ux, _curvature(ux, inv_r), k)
+    col = _axis_factor(plan.cols, plan.spacing, ux, _curvature(ux, inv_r), k)
     return row, col
 
 
-def _axis_factor(n, spacing, chained, u, c, k, summed=False):
+def _axis_factor(n, spacing, u, c, k, summed=False):
     # f(o) = exp(jk (o u - o^2 c)) at the n offsets o = m spacing,
     # m = i - (n - 1) / 2, of one panel axis; u and c are (panels, targets)
     # and the result is (panels, n, targets), or with ``summed`` the
     # (panels, targets) sum over the offsets, each term added as it is made.
     #
-    # Unchained, each offset takes its own exp. Chained, the phase is
-    # quadratic in o, so along steps d = +-spacing the ratio of neighbours is
-    # r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run outward from the
-    # centre and share q. A chain takes an exp of f at its innermost offset
-    # and one of its first ratio, then one product per offset. A centre
-    # offset (odd n) is 0, where f is 1. Chains of one offset are that exp.
+    # The phase is quadratic in o, so along steps d = +-spacing the ratio of
+    # neighbours is r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run
+    # outward from the centre and share q. A chain takes an exp of f at its
+    # innermost offset and one of its first ratio, then one product per
+    # offset. A centre offset (odd n) is 0, where f is 1. Axes of at most
+    # three offsets take one exp per offset.
     half = n // 2
-    if not chained or half < 2:
+    if half < 2:
         o = (np.arange(n) - (n - 1) / 2.0) * spacing
         if not summed:
             o = o[:, None]

@@ -42,10 +42,10 @@ wider than it is tall and no QR shrinks it, so the stacked blocks, P rb ra x
 S, go to the SVD as they are.
 
 :func:`link_spectra` runs many links, such as the ranges of a sweep, through
-one pass. Links that pass the gate against the same panel layout, with
-chained factors or all without, share one factor build, one batched QR per
-axis, one batched QR per staircase step and one batched SVD, a block of links
-at a time. A block holds L = max(1, (rows + cols) // S) links, so that its
+one pass. Links that pass the gate against the same panel layout share one
+factor build, one batched QR per axis, one batched QR per staircase step and
+one batched SVD, a block of links at a time. A block holds
+L = max(1, (rows + cols) // S) links, so that its
 L S targets number no more than a panel's rows + cols offsets, unless one
 link alone has more: 4 links for 32 x 32 panels and S = 16, 16 for S = 4. Its
 factors, P (rows + cols) L S entries, are then within P (rows + cols)**2
@@ -176,9 +176,9 @@ def link_spectra(links, wavelength: float) -> list:
     spectrum comes from the factorized kernel's row and column factors,
     compressed by two levels of QR (see the module docstring);
     ``source_shape`` is still the channel matrix's. Links that pass the gate
-    with the same panel layout, chaining and number of point elements share
-    the factor build and the first QR, a block of them at a time. Every other
-    link gives exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
+    with the same panel layout and number of point elements share the factor
+    build and the first QR, a block of them at a time. Every other link gives
+    exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
     """
     kernel.wavenumber(wavelength)  # checks the wavelength
     links = list(links)
@@ -186,14 +186,14 @@ def link_spectra(links, wavelength: float) -> list:
     groups = {}
     for i, (tx, rx) in enumerate(links):
         for panels, points in ((rx, tx), (tx, rx)):
-            plan, used = kernel.gate(panels, points.positions, False, wavelength)
+            plan, used = kernel.gate(panels, points.positions, wavelength)
             if plan is not None:
-                key = (id(panels), plan.chained, points.n_elements)
+                key = (id(panels), points.n_elements)
                 groups.setdefault(key, (plan, panels, []))[2].append((i, used, points))
                 break
         else:
             out[i] = singular_values(channel_matrix(tx, rx, wavelength)), kernel.EXACT_KERNEL
-    for (_, _, s), (plan, panels, members) in groups.items():
+    for (_, s), (plan, panels, members) in groups.items():
         spec = panels.panel_spec
         # A block's targets number no more than a panel's offsets on its two
         # axes, or it is one link.

@@ -8,20 +8,20 @@ their worst sidelobe along a scan cut.
 
 The search is exact but best-first (branch and bound; Land & Doig,
 Econometrica 1960), and it works in two precisions. The score,
-:func:`peak_sidelobe`, sums complex128 phasors; the screen,
-:func:`_screen_peaks`, sums float32 cos and sin of the same float64 phases
-in float64. A screen peak is within n E of the score's amplitude over the
-same directions, for n panels and E from :func:`_prune_margin`. A coarse
-screen over every 64th kept scan direction orders the candidates; the walk
-screens each one it reaches again over every 16th direction and then over
-all of them, and stops or skips where a screen peak exceeds the best full
-screen peak so far by more than 2 n E. Only the walked candidates whose full
-screen peak is within 2 n E of the best are scored, and the lowest score
-wins. Every candidate left out scores strictly worse than one that is
-scored, so the winner and its score are those of scoring every candidate,
-bit for bit. The search checks the bound on every scored candidate and
-raises if a screen peak is off by more. Scan directions, shared by screens
-and score, are built in one place (``_scan_offsets``).
+:func:`peak_sidelobe`, sums complex128 phasors through the exact kernel of
+:mod:`nearlink.kernel`; the screen, :func:`_screen_peaks`, sums float32 cos
+and sin of the same float64 phases in float64. A screen peak is within n E of
+the score's amplitude over the same directions, for n panels and E from
+:func:`_prune_margin`. A coarse screen over every 64th kept scan direction
+orders the candidates; the walk screens each one it reaches again over every
+16th direction and then over all of them, and stops or skips where a screen
+peak exceeds the best full screen peak so far by more than 2 n E. Only the
+walked candidates whose full screen peak is within 2 n E of the best are
+scored, and the lowest score wins. Every candidate left out scores strictly
+worse than one that is scored, so the winner and its score are those of
+scoring every candidate, bit for bit. The search checks the bound on every
+scored candidate and raises if a screen peak is off by more. Scan directions,
+shared by screens and score, are built in one place (``_scan_offsets``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
-from .kernel import _UNIT_ROUNDOFF, _gamma, blocks, unit_vectors, wavenumber
+from .kernel import _UNIT_ROUNDOFF, _exact_sums, _gamma, unit_vectors, wavenumber
 from .objective import Direction, PlacementObjective, default_exclusion_halfwidth  # noqa: F401
 from .record import Record
 
@@ -76,8 +76,8 @@ class PlacementResult(Record, eq=False):
         pos = np.asarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be (k, 3)")
-        if self.peak_sidelobe_db > 0.0:
-            raise ValueError("peak sidelobe is relative to the main lobe; it cannot be positive")
+        if not self.peak_sidelobe_db <= 0.0:
+            raise ValueError("peak sidelobe is relative to the main lobe: at most 0 dB, not NaN")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -124,18 +124,15 @@ def peak_sidelobe(positions, wavelength: float, objective: PlacementObjective) -
     the scan grid happens to sample the peak; a sum that rounds above it, in
     a scan that reaches into the main lobe, reads 0 dB.
     """
-    k = wavenumber(wavelength)
     pos = np.asarray(positions, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
         raise ValueError("positions must be (k, 3) with at least two panels")
-
-    rel = _scan_offsets(objective)
-    worst = 0.0
-    for rows in blocks(len(rel), len(pos)):
-        phase = (rel[rows] @ pos.T) * k
-        mags = np.abs(np.exp(1j * phase).sum(axis=1))
-        worst = max(worst, float(mags.max()))
-    return 20.0 * np.log10(min(max(worst, 1e-300), pos.shape[0]) / pos.shape[0])
+    if not np.isfinite(pos).all():
+        raise ValueError("positions must be finite")
+    n = pos.shape[0]
+    factor = _exact_sums(pos, np.ones(n), _scan_offsets(objective), True, wavelength)
+    worst = float(np.abs(factor).max())
+    return 20.0 * np.log10(min(max(worst, 1e-300), n) / n)
 
 
 def _screen_peaks(candidates: np.ndarray, rel: np.ndarray, k: float) -> np.ndarray:

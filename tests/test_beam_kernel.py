@@ -68,18 +68,16 @@ def unit_vectors(theta, phi):
     )
 
 
-def focused_tolerance(plan, layout, targets, focus, focus_directional):
+def focused_tolerance(plan, layout, targets, focus):
     # Against the exact kernel with the exact weights, which round their own
     # paths to the focus: the bound, eight roundings of the paths to a target
     # and to the focus per element (each side forms both, and the focused
     # sums their difference), and the exact kernel's sum of N terms.
-    def reach(where, directional):
-        if directional:
-            return np.abs(layout.positions @ where.T).max()
+    def reach(where):
         return np.linalg.norm(where[:, None, :] - layout.positions[None], axis=2).max()
 
     n = layout.n_elements
-    paths = reach(targets, plan.directional) + reach(focus[None], focus_directional)
+    paths = reach(targets) + reach(focus[None])
     per_element = plan.bound_rad + 8.0 * K * UNIT_ROUNDOFF * paths
     return n * (per_element + np.sqrt(2.0) * kn._gamma(n + 2))
 
@@ -154,27 +152,47 @@ def test_factorized_points_within_bound_of_exact(layout, seed, n_targets, log_ra
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
     units = unit_vectors(rng.uniform(-1.4, 1.4, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
     pts = units * ranges[:, None]
-    plan = kn._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None)
     check_factors_against_the_channel(layout, pts, plan)
 
 
 @PROPERTY
-@given(layout=panel_layouts(), seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 5))
-def test_factorized_directions_within_bound_of_exact(layout, seed, n_targets):
-    # Directions anywhere off axis, summed by the delay-and-sum beam toward
-    # another direction anywhere off axis: the factorized kernel's focused
-    # sums against the exact kernel with the exact weights.
+@given(
+    layout=panel_layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    n_targets=st.integers(1, 5),
+    log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
+)
+def test_directions_take_the_exact_kernel_bit_for_bit(layout, seed, n_targets, log_range):
+    # Direction targets, summed by the beam toward a Direction or a Point, and
+    # Point targets summed by the beam toward a Direction: the exact kernel
+    # with the beam's weight array, bit for bit, through response_sum,
+    # gain_pattern_sweep and kernel.sums.
     rng = np.random.default_rng(seed)
-    units = unit_vectors(rng.uniform(-1.5, 1.5, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
-    focal = Direction(rng.uniform(-1.5, 1.5), rng.uniform(0, 2 * np.pi))
-    focus = (focal.unit, True)
-    plan = kn._factorized_plan(layout, units, True, LAM, focus)
-    assume(plan is not None)
-    fast = kn._factorized_sums(plan, units, LAM)
-    w = delay_and_sum_weights(layout, focal, LAM)
-    exact = kn._exact_sums(layout.positions, w.weights, units, True, LAM)
-    assert np.abs(fast - exact).max() <= focused_tolerance(plan, layout, units, *focus)
+    thetas, phis = rng.uniform(-1.5, 1.5, n_targets), rng.uniform(0, 2 * np.pi, n_targets)
+    units = unit_vectors(thetas, phis)
+    directions = [Direction(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
+    theta_f, phi_f = rng.uniform(-1.5, 1.5), rng.uniform(0, 2 * np.pi)
+    for focal in (Direction(theta_f, phi_f), point_at(np.exp(log_range), theta_f, phi_f)):
+        w = delay_and_sum_weights(layout, focal, LAM)
+        exact = kn._exact_sums(layout.positions, w.weights, units, True, LAM)
+        got, kernel = kn.sums(layout, w, units, True, LAM, bf._focus_of(w, layout, LAM))
+        assert kernel == EXACT_KERNEL and np.array_equal(got, exact)
+        assert np.array_equal(response_sum(layout, w, directions, LAM), exact)
+
+    # Point targets: the beam toward the Direction hands the kernel no focus.
+    w = delay_and_sum_weights(layout, Direction(theta_f, phi_f), LAM)
+    assert bf._focus_of(w, layout, LAM) is None
+    ranges = np.exp(log_range + rng.uniform(0.0, 0.5, 3))
+    grid = gain_pattern_sweep(layout, w, LAM, thetas=thetas, ranges=ranges, phi=phis[0])
+    pts = (unit_vectors(thetas, phis[0])[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
+    exact = kn._exact_sums(layout.positions, w.weights, pts, False, LAM)
+    got, kernel = kn.sums(layout, w, pts, False, LAM)
+    assert grid.kernel == kernel == EXACT_KERNEL and np.array_equal(got, exact)
+    assert np.array_equal(response_sum(layout, w, [Point(p) for p in pts], LAM), exact)
+    gain = bf._to_gain_dbi(exact, layout.n_elements, layout.element_gain_dbi)
+    assert np.array_equal(grid.gain_dbi.ravel(), gain)
 
 
 def test_station_map_takes_factorized_path_within_bound():
@@ -197,25 +215,25 @@ def test_station_map_takes_factorized_path_within_bound():
     focus = w.focal.position
     half = 15.5 * spec.spacing
     expansion = [
-        kn._expansion_bound(lay, lay._panel_grid, half, half, where, False)
+        kn._expansion_bound(lay, lay._panel_grid, half, half, where)
         for where in (pts, focus[None])
     ]
-    (b_t, _, _, c_t, floor_t), (b_f, _, _, c_f, floor_f) = expansion
+    (b_t, c_t, floor_t), (b_f, c_f, floor_f) = expansion
     curvature = c_t + c_f
     rounding = UNIT_ROUNDOFF * (4.0 * half + 2.0 * curvature * half**2)
     drift = 2.0 * kn._recurrence_drift(32, spec.spacing, K, 2.0, curvature)
     summing = 2.0 * kn._gamma(31)
     want = K * (b_t + b_f + rounding) + summing + drift / (1.0 - drift)
     assert grid.kernel.bound_rad == pytest.approx(want, rel=1e-12, abs=0.0)
-    plan, kernel = kn.gate(lay, pts, False, LAM, (focus, False))
-    assert plan.chained and kernel == grid.kernel
+    plan, kernel = kn.gate(lay, pts, LAM, focus)
+    assert kernel == grid.kernel
     assert plan.floor_rad == pytest.approx(K * (floor_t + floor_f), rel=1e-12, abs=0.0)
     totals = kn._factorized_sums(plan, pts, LAM)
     exact = kn._exact_sums(lay.positions, w.weights, pts, False, LAM)
-    assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus, False)
+    assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus)
 
     # The targets' factors alone, which link spectra take, bound less.
-    plain, kernel = kn.gate(lay, pts, False, LAM)
+    plain, kernel = kn.gate(lay, pts, LAM)
     assert plain.focus is None and kernel.bound_rad < grid.kernel.bound_rad
     check_factors_against_the_channel(lay, pts, plain)
 
@@ -229,53 +247,39 @@ def test_station_map_takes_factorized_path_within_bound():
     seed=st.integers(0, 2**32 - 1),
     n_targets=st.integers(1, 5),
     log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
-    point_focus=st.booleans(),
-    point_targets=st.booleans(),
     opposite=st.booleans(),
 )
-@example(make_upa(PanelSpec(1, 2, 0.5 * LAM)), 1, 3, np.log(1.0e3), True, True, True)
-@example(make_upa(PanelSpec(2, 1, 0.5 * LAM)), 2, 2, np.log(3.0e6), False, True, False)
-@example(make_upa(PanelSpec(7, 6, 0.5 * LAM)), 3, 4, np.log(5.0e5), True, False, True)
+@example(make_upa(PanelSpec(1, 2, 0.5 * LAM)), 1, 3, np.log(1.0e3), True)
+@example(make_upa(PanelSpec(2, 1, 0.5 * LAM)), 2, 2, np.log(3.0e6), False)
+@example(make_upa(PanelSpec(7, 6, 0.5 * LAM)), 3, 4, np.log(5.0e5), True)
 def test_focused_sums_within_bound_of_exact_weights_and_kernel(
-    layout, seed, n_targets, log_range, point_focus, point_targets, opposite
+    layout, seed, n_targets, log_range, opposite
 ):
-    # Delay-and-sum weights toward a Point or a Direction, evaluated off axis
-    # from 1 km to 3 Mm: within the focused bound of the exact kernel with the
+    # Delay-and-sum weights toward a Point, evaluated at Points off axis from
+    # 1 km to 3 Mm: within the focused bound of the exact kernel with the
     # exact weights. Where the gate refuses the focus, bit for bit the exact
     # kernel. Opposite targets sit across the axis from the focus, where |du|
-    # nears 2.
+    # nears 2. (Direction targets and focals take the exact kernel:
+    # test_directions_take_the_exact_kernel_bit_for_bit.)
     rng = np.random.default_rng(seed)
     theta_f, phi = rng.uniform(1.2, 1.4) * rng.choice([-1.0, 1.0]), rng.uniform(0, 2 * np.pi)
     if opposite:
         thetas, phis = -theta_f + rng.uniform(-0.05, 0.05, n_targets), np.full(n_targets, phi)
     else:
         thetas, phis = rng.uniform(-1.4, 1.4, n_targets), rng.uniform(0, 2 * np.pi, n_targets)
-    if point_focus:
-        focal = point_at(np.exp(log_range + rng.uniform(-0.5, 0.5)), theta_f, phi)
-        focus = (focal.position, False)
-    else:
-        focal = Direction(theta_f, phi)
-        focus = (focal.unit, True)
+    focal = point_at(np.exp(log_range + rng.uniform(-0.5, 0.5)), theta_f, phi)
     w = delay_and_sum_weights(layout, focal, LAM)
-    units = unit_vectors(thetas, phis)
-    if point_targets:
-        ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
-        targets = units * ranges[:, None]
-        where = [Point(p) for p in targets]
-        exact = kn._exact_sums(layout.positions, w.weights, targets, False, LAM)
-    else:
-        targets = units
-        where = [Direction(t, p) for t, p in zip(thetas.tolist(), phis.tolist())]
-        exact = kn._exact_sums(layout.positions, w.weights, targets, True, LAM)
-    got = response_sum(layout, w, where, LAM)
-    plan, kernel = kn.gate(layout, targets, not point_targets, LAM, focus)
+    ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
+    targets = unit_vectors(thetas, phis) * ranges[:, None]
+    exact = kn._exact_sums(layout.positions, w.weights, targets, False, LAM)
+    got = response_sum(layout, w, [Point(p) for p in targets], LAM)
+    plan, kernel = kn.gate(layout, targets, LAM, focal.position)
     if plan is None:
         assert kernel == EXACT_KERNEL
         assert np.array_equal(got, exact)
         return
-    assert plan.focus is focus and kernel.bound_rad == plan.bound_rad
-    bound = focused_tolerance(plan, layout, targets, focus[0], focus[1])
-    assert np.abs(got - exact).max() <= bound
+    assert plan.focus is focal.position and kernel.bound_rad == plan.bound_rad
+    assert np.abs(got - exact).max() <= focused_tolerance(plan, layout, targets, focal.position)
 
 
 def test_a_target_at_the_focus_sums_to_exactly_n():
@@ -283,19 +287,13 @@ def test_a_target_at_the_focus_sums_to_exactly_n():
     spec = PanelSpec(32, 32, 0.5 * LAM, 6.0)
     station = make_distributed_panels(spec, random_panel_positions(1414.0, 1000.0, 16, 50.0, 11))
     upa = make_upa(spec)
-    # One panel off the origin: at the origin, the exact kernel rounds a
-    # direction's phases too little for the focused sums to pass the gate.
-    panel = make_distributed_panels(spec, [[300.0, 200.0, 0.0]])
     for lay, focal in (
         (station, point_at(500.0e3, np.deg2rad(10.0))),
-        (station, Direction(0.2, 1.0)),
         (upa, point_at(50.0e3, 0.4)),
-        (panel, Direction(-0.7)),
     ):
         w = delay_and_sum_weights(lay, focal, LAM)
         focus = bf._focus_of(w, lay, LAM)
-        at = focus[0][None]
-        assert kn.gate(lay, at, focus[1], LAM, focus)[0].focus is focus
+        assert kn.gate(lay, focus[None], LAM, focus)[0].focus is focus
         assert response_sum(lay, w, focal, LAM) == lay.n_elements
         n = float(lay.n_elements)
         assert bf.evaluate_gain(lay, w, focal, LAM) == 10.0 * np.log10(n) + lay.element_gain_dbi
@@ -316,8 +314,8 @@ def test_a_focus_the_gate_refuses_gives_the_sums_without_it_bit_for_bit():
     thetas = np.linspace(0.0, 0.2, 11)
     for fixed_range, alone in ((2.0e4, "panel_factorized"), (1.0, "exact")):
         pts = unit_vectors(thetas, 0.0) * fixed_range
-        assert kn.gate(lay, pts, False, LAM)[1].name == alone
-        assert kn.gate(lay, pts, False, LAM, (focal.position, False)) == (None, EXACT_KERNEL)
+        assert kn.gate(lay, pts, LAM)[1].name == alone
+        assert kn.gate(lay, pts, LAM, focal.position) == (None, EXACT_KERNEL)
         want, kernel = kn.sums(lay, w.weights, pts, False, LAM)
         assert kernel == EXACT_KERNEL
         assert np.array_equal(want, kn._exact_sums(lay.positions, w.weights, pts, False, LAM))
@@ -354,7 +352,7 @@ def test_weights_without_their_focus_take_the_exact_kernel(monkeypatch):
     made = kn._factorized_sums
 
     def spy(plan, targets, wavelength):
-        focused.append(plan.focus[0])
+        focused.append(plan.focus)
         return made(plan, targets, wavelength)
 
     monkeypatch.setattr(kn, "_factorized_sums", spy)
@@ -373,11 +371,11 @@ def test_weights_without_their_focus_take_the_exact_kernel(monkeypatch):
     got = response_sum(lay, moved, [Point(p) for p in pts], LAM)
     assert len(focused) == 2 and focused[-1] is other.position
     assert "weights" not in vars(moved)
-    plan, _ = kn.gate(lay, pts, False, LAM, (other.position, False))
+    plan, _ = kn.gate(lay, pts, LAM, other.position)
     exact_w = delay_and_sum_weights(lay, other, LAM).weights
     assert np.array_equal(moved.weights, exact_w)
     exact = kn._exact_sums(lay.positions, exact_w, pts, False, LAM)
-    assert np.abs(got - exact).max() <= focused_tolerance(plan, lay, pts, other.position, False)
+    assert np.abs(got - exact).max() <= focused_tolerance(plan, lay, pts, other.position)
 
 
 def test_beam_sweep_transient_memory_stays_within_the_block_bound():
@@ -408,47 +406,27 @@ def test_beam_sweep_transient_memory_stays_within_the_block_bound():
     assert peak <= 12 * 16 * kn._CACHE_ENTRIES + 64 * len(thetas) * len(ranges)
 
 
-def test_directions_on_a_built_layout_take_factorized_path():
+def test_directions_on_a_built_layout_take_the_exact_kernel():
+    # Direction targets on a distributed layout and on the acceptance gate's
+    # 128x128 UPA, at its broadside and +-60 degree steering windows, take
+    # the exact kernel for the beam toward a Direction or a Point alike, with
+    # the bits of the beam's weight array.
     lay = make_distributed_panels(
         PanelSpec(4, 4, 0.5 * LAM), random_panel_positions(100.0, 100.0, 8, 5.0, 3)
     )
-    units = unit_vectors(np.linspace(-1.0, 1.0, 9), 0.3)
-    w = delay_and_sum_weights(lay, Direction(0.2, 0.3), LAM)
-    _, kernel = kn.sums(lay, w, units, True, LAM, (w.focal.unit, True))
-    assert kernel.name == "panel_factorized"
-    # A UPA at the origin, where the exact kernel rounds phases of a few
-    # radians only: whole chains would round more than that, so the factors
-    # would take one exp per offset. The last is the acceptance gate's
-    # 128x128 UPA at its broadside and +-60 degree steering windows. Weight
-    # arrays there take the exact kernel.
+    upa = make_upa(PanelSpec(128, 128, 0.5 * LAM, 6.0))
     window = np.linspace(-2.0e-3, 2.0e-3, 201)
-    for spec, thetas in (
-        (PanelSpec(8, 8, 0.5 * LAM), [0.0]),
-        (PanelSpec(32, 32, 0.5 * LAM), [0.1, -0.2]),
-        (PanelSpec(128, 128, 0.5 * LAM, 6.0), np.linspace(-0.3, 0.3, 5)),
-        (PanelSpec(128, 128, 0.5 * LAM, 6.0), window),
-        (PanelSpec(128, 128, 0.5 * LAM, 6.0), np.deg2rad(60.0) + window),
+    for layout, thetas in (
+        (lay, np.linspace(-1.0, 1.0, 9)),
+        (upa, window),
+        (upa, np.deg2rad(60.0) + window),
     ):
-        upa = make_upa(spec)
-        units = unit_vectors(np.asarray(thetas), 0.3)
-        plan = kn._factorized_plan(upa, units, True, LAM)
-        assert not plan.chained and plan.bound_rad <= plan.floor_rad
-        w = random_weights(7, upa.n_elements)
-        total, kernel = kn.sums(upa, w, units, True, LAM)
-        assert kernel == EXACT_KERNEL
-        assert np.array_equal(total, kn._exact_sums(upa.positions, w, units, True, LAM))
-    # One 128x128 panel off the origin, steered to broadside: the focused
-    # sums pass the gate with one exp per offset, the unchained path.
-    panel = make_distributed_panels(PanelSpec(128, 128, 0.5 * LAM, 6.0), [[300.0, 200.0, 0.0]])
-    w = delay_and_sum_weights(panel, Direction(0.0, 0.3), LAM)
-    focus = (w.focal.unit, True)
-    units = unit_vectors(window, 0.3)
-    plan, kernel = kn.gate(panel, units, True, LAM, focus)
-    assert not plan.chained and kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
-    total, used = kn.sums(panel, w, units, True, LAM, focus)
-    assert used == kernel
-    exact = kn._exact_sums(panel.positions, w.weights, units, True, LAM)
-    assert np.abs(total - exact).max() <= focused_tolerance(plan, panel, units, *focus)
+        units = unit_vectors(thetas, 0.3)
+        for focal in (Direction(0.2, 0.3), point_at(5.0e4, 0.2, 0.3)):
+            w = delay_and_sum_weights(layout, focal, LAM)
+            total, kernel = kn.sums(layout, w, units, True, LAM, bf._focus_of(w, layout, LAM))
+            exact = kn._exact_sums(layout.positions, w.weights, units, True, LAM)
+            assert kernel == EXACT_KERNEL and np.array_equal(total, exact)
 
 
 # ----- the axis recurrence -----
@@ -475,39 +453,34 @@ def long_double_axis_factor(n, spacing, u, inv_r):
 @PROPERTY
 @given(
     n=st.one_of(st.sampled_from([1, 2, 3, 32]), st.integers(1, 40)),
-    chained=st.booleans(),
     pitch=st.floats(0.2, 2.0),
     seed=st.integers(0, 2**32 - 1),
     log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
-    directional=st.booleans(),
 )
-def test_axis_recurrence_within_its_drift_of_direct_exps(
-    n, chained, pitch, seed, log_range, directional
-):
+def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_range):
     rng = np.random.default_rng(seed)
     spacing = pitch * LAM
     theta, phi = rng.uniform(-1.4, 1.4, (3, 5)), rng.uniform(0.0, 2.0 * np.pi, (3, 5))
     u = np.sin(theta) * np.cos(phi)
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, (3, 5)))
-    inv_r = np.zeros_like(ranges) if directional else 1.0 / ranges
+    inv_r = 1.0 / ranges
     c = (1.0 - u * u) * (0.5 * inv_r)
-    got = kn._axis_factor(n, spacing, chained, u, c, K)
+    got = kn._axis_factor(n, spacing, u, c, K)
     want = direct_axis_factor(n, spacing, u, inv_r)
     assert got.shape == want.shape == (3, n, 5)
     # The summed form adds the same terms, one after another.
-    summed = kn._axis_factor(n, spacing, chained, u, c, K, summed=True)
+    summed = kn._axis_factor(n, spacing, u, c, K, summed=True)
     assert summed.shape == (3, 5)
     assert np.abs(summed - got.sum(axis=1)).max() <= 2.0 * n * kn._gamma(n)
     edge = (n - 1) / 2.0 * spacing
-    curvature = 0.0 if directional else 0.5 / ranges.min()
-    if chained:
+    curvature = 0.5 / ranges.min()
+    if n // 2 >= 2:
         # One exp pair per chain, from the innermost offset.
         drift = kn._recurrence_drift(n, spacing, K, 1.0, curvature)
         drift /= 1.0 - drift
-        start = ((n + 1) // 2 - (n - 1) / 2.0) * spacing if n > 1 else 0.0
+        start = ((n + 1) // 2 - (n - 1) / 2.0) * spacing
     else:
         # One exp per offset, of the expression a chain starts from.
-        c = (1.0 - u * u) * (0.5 * inv_r)
         for i in range(n):
             o = (i - (n - 1) / 2.0) * spacing
             assert np.array_equal(got[:, i], np.exp(1j * ((K * o) * (u - o * c))))
@@ -555,7 +528,7 @@ def test_factorized_points_on_every_axis_length_within_bound(shape, seed, n_targ
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, n_targets))
     units = unit_vectors(rng.uniform(-1.2, 1.2, n_targets), rng.uniform(0, 2 * np.pi, n_targets))
     pts = units * ranges[:, None]
-    plan = kn._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, LAM)
     assert plan is not None
     check_factors_against_the_channel(layout, pts, plan)
 
@@ -612,7 +585,7 @@ def test_short_range_takes_exact_path_bit_for_bit():
     focus = point_at(0.5, 0.1)
     w = delay_and_sum_weights(lay, focus, LAM)
     thetas = np.linspace(0.0, 0.2, 11)
-    plan = kn._factorized_plan(lay, unit_vectors(thetas, 0.0) * 0.5, False, LAM)
+    plan = kn._factorized_plan(lay, unit_vectors(thetas, 0.0) * 0.5, LAM)
     assert plan.bound_rad > plan.floor_rad
 
     grid = gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=0.5)
@@ -632,16 +605,16 @@ def test_perturbed_positions_take_exact_path():
     )
     focal = point_at(400.0e3, 0.0)
     target = focal.position[None]
-    assert kn.gate(lay, target, False, LAM)[1].name == "panel_factorized"
+    assert kn.gate(lay, target, LAM)[1].name == "panel_factorized"
 
     moved = lay.positions.copy()
     moved[21, 0] += 1.0e-7
     bent = ElementLayout(moved, lay.panel_ids, lay.panel_spec)
-    plan = kn._factorized_plan(bent, target, False, LAM)
+    plan = kn._factorized_plan(bent, target, LAM)
     assert plan.bound_rad > plan.floor_rad
-    assert kn.gate(bent, target, False, LAM) == (None, EXACT_KERNEL)
+    assert kn.gate(bent, target, LAM) == (None, EXACT_KERNEL)
     w = delay_and_sum_weights(bent, focal, LAM)
-    total, kernel = kn.sums(bent, w, target, False, LAM, (focal.position, False))
+    total, kernel = kn.sums(bent, w, target, False, LAM, focal.position)
     assert kernel == EXACT_KERNEL
     assert np.array_equal(total, kn._exact_sums(moved, w.weights, target, False, LAM))
 
@@ -660,7 +633,7 @@ analysis:
 """
     sat = build_satellite_layout(parse_scenario(text))
     target = Point([0.0, 0.0, 0.0])
-    assert kn._factorized_plan(sat, target.position[None], False, LAM) is None
+    assert kn._factorized_plan(sat, target.position[None], LAM) is None
     w = delay_and_sum_weights(sat, target, LAM)
     assert gain_pattern_sweep(sat, w, LAM, ranges=[1.0e3, 2.0e3]).kernel == EXACT_KERNEL
 
@@ -671,19 +644,19 @@ def test_layout_file_without_panel_comment_takes_exact_path():
     # comment describes them, take the exact kernel.
     grid = make_upa(PanelSpec(3, 3, 0.5 * LAM))
     bare = ElementLayout(grid.positions, np.arange(grid.n_elements), PanelSpec(1, 1, 1.0))
-    units = unit_vectors(np.array([0.0, 0.3]), 0.0)
+    pts = unit_vectors(np.array([0.0, 0.3]), 0.0) * 1.0e4
     for lay, name in ((grid, "panel_factorized"), (bare, "exact")):
-        assert kn.gate(lay, units, True, LAM)[1].name == name
+        assert kn.gate(lay, pts, LAM)[1].name == name
 
 
 def test_elements_out_of_grid_order_take_exact_path():
     lay = make_distributed_panels(PanelSpec(2, 3, 0.5 * LAM), [[0, 0, 0], [10, 0, 0]])
     order = np.r_[1, 0, 2:12]
     swapped = ElementLayout(lay.positions[order], lay.panel_ids, lay.panel_spec)
-    units = Direction(0.1).unit[None]
-    plan = kn._factorized_plan(swapped, units, True, LAM)
+    pts = Direction(0.1).unit[None] * 1.0e4
+    plan = kn._factorized_plan(swapped, pts, LAM)
     assert plan.bound_rad > plan.floor_rad
-    assert kn.gate(swapped, units, True, LAM) == (None, EXACT_KERNEL)
+    assert kn.gate(swapped, pts, LAM) == (None, EXACT_KERNEL)
 
 
 def test_run_report_carries_the_sweep_kernel(tmp_path):
@@ -731,7 +704,7 @@ def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, 
     rng = np.random.default_rng(seed)
     centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
     pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
-    plan = kn._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     sat = point_layout(pts)
     spectrum, kernel = link_spectra([(sat, layout)], LAM)[0]
@@ -798,7 +771,7 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
 def check_compressed_against_uncompressed(layout, pts, panels_receive):
     sat = point_layout(pts)
     tx, rx = (sat, layout) if panels_receive else (layout, sat)
-    plan = kn._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, LAM)
     spectrum, kernel = link_spectra([(tx, rx)], LAM)[0]
     assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
 
@@ -828,7 +801,7 @@ def test_compressed_spectrum_within_qr_bound_of_uncompressed(
     rng = np.random.default_rng(seed)
     centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
     pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
-    plan = kn._factorized_plan(layout, pts, False, LAM)
+    plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     check_compressed_against_uncompressed(layout, pts, panels_receive)
 
@@ -1003,7 +976,7 @@ def check_batched_against_single_and_exact(links, panels, tau):
             assert np.array_equal(single.values, exact.values)
             continue
         points = tx if rx is panels else rx
-        plan = kn._factorized_plan(panels, points.positions, False, LAM)
+        plan = kn._factorized_plan(panels, points.positions, LAM)
         assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
         n, s = panels.n_elements, points.n_elements
         qr = compressed_tolerance(len(plan.centres), spec.rows, spec.cols, s, np.sqrt(n * s))
@@ -1041,36 +1014,6 @@ def test_sweep_with_the_panels_on_the_satellite_side():
     grounds = [point_layout(centres - [0.0, 0.0, r]) for r in np.geomspace(1.0e3, 300.0e3, 7)]
     kernels = check_batched_against_single_and_exact([(sat, g) for g in grounds], sat, 0.1)
     assert kernels == {"exact", "panel_factorized"}
-
-
-def test_links_share_factors_only_with_links_of_the_same_chain_run(monkeypatch):
-    # Give alternate ranges chained and unchained plans: each factor build
-    # must then serve links of its own plan's kind only.
-    ground = make_distributed_panels(PanelSpec(8, 8, 0.5 * LAM), [[-30, 0, 0], [30, 0, 0]])
-    ranges = np.geomspace(1.0e5, 1.0e6, 6)
-    chained_at = {float(r): i % 2 == 1 for i, r in enumerate(ranges)}
-    planned = kn._factorized_plan
-
-    def alternating_chains(layout, targets, directional, wavelength, focus=None):
-        plan = planned(layout, targets, directional, wavelength, focus)
-        return plan and replace(plan, chained=chained_at[float(targets[0, 2])])
-
-    built = []
-    made = kn._factorized_factors
-
-    def factors(plan, targets, wavelength):
-        built.append((plan.chained, {chained_at[float(z)] for z in targets[:, 2]}))
-        return made(plan, targets, wavelength)
-
-    monkeypatch.setattr(kn, "_factorized_plan", alternating_chains)
-    monkeypatch.setattr(kn, "_factorized_factors", factors)
-    # Five elements: a block holds (8 + 8) // 5 = 3 links, every link of
-    # one kind.
-    mount = np.array([[0.2 * i, 0.1 * (i % 3), 0.0] for i in range(5)])
-    sats = [point_layout(mount + [0.0, 0.0, r]) for r in ranges]
-    link_spectra([(sat, ground) for sat in sats], LAM)
-    assert sorted(chained for chained, _ in built) == [False, True]
-    assert all(kinds == {chained} for chained, kinds in built)
 
 
 def test_sweep_transient_memory_stays_within_the_block_bound():

@@ -50,7 +50,7 @@ def test_direction_lists_use_the_per_object_unit_vectors_bit_for_bit():
     w = delay_and_sum_weights(lay, Direction(0.2, 0.7), LAM)
     directions = [Direction(float(t), float(p)) for t, p in zip(theta[:50], phi[:50])]
     units = np.stack([d.unit for d in directions])
-    want, _ = kernel.sums(lay, w.weights, units, True, LAM, (w.focal.unit, True))
+    want, _ = kernel.sums(lay, w.weights, units, True, LAM)
     assert np.array_equal(response_sum(lay, w, directions, LAM), want)
 
 

@@ -31,17 +31,16 @@ SATELLITE = ElementLayout(POINTS[:7], np.arange(7), PanelSpec(1, 1, 1.0))
 CENTRES = rng.uniform(-500.0, 500.0, (15, 3))
 OBJECTIVE = PlacementObjective(Direction(0.1, 0.2), 0.01, (-0.5, 0.5), 401)
 # Targets in the plane of the focus, where the focused sums pass the gate.
-FOCUS = (2.0e5 * unit_vectors(0.1, 0.0), False)
+FOCUS = 2.0e5 * unit_vectors(0.1, 0.0)
 FOCUSED_POINTS = unit_vectors(np.linspace(-0.3, 0.3, 23), 0.0)
 FOCUSED_POINTS *= np.geomspace(1.0e5, 3.0e5, 23)[:, None]
 
 
 def evaluate():
-    plan = kn._factorized_plan(LAYOUT, POINTS, False, LAM)
-    dplan = kn._factorized_plan(LAYOUT, UNITS, True, LAM)
-    fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, False, LAM, FOCUS)
+    plan = kn._factorized_plan(LAYOUT, POINTS, LAM)
+    fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, LAM, FOCUS)
     return {
-        "plans": (plan.bound_rad, plan.chained, dplan.bound_rad, dplan.chained, fplan.bound_rad),
+        "plans": (plan.bound_rad, fplan.bound_rad),
         "focused_points": kn._factorized_sums(fplan, FOCUSED_POINTS, LAM),
         "exact_points": kn._exact_sums(LAYOUT.positions, WEIGHTS, POINTS, False, LAM),
         "exact_directions": kn._exact_sums(LAYOUT.positions, WEIGHTS, UNITS, True, LAM),
@@ -59,7 +58,7 @@ def ragged_budgets():
         "focused": (len(FOCUSED_POINTS), len(LAYOUT._panel_grid.centres)),
         "exact": (n, s),
         "channel": (SATELLITE.n_elements, n),
-        "sidelobe": (n_dirs, len(CENTRES)),
+        "sidelobe": (len(CENTRES), n_dirs),
     }
     for name, (rows, width) in shapes.items():
         assert rows % STEP and rows > STEP, name
@@ -98,8 +97,8 @@ def test_chunked_kernels_keep_their_results_at_any_block_budget(monkeypatch, rag
     # The focused sums take each block's (panels, targets) arrays through the
     # same elementwise steps, and sum two axes and the panels.
     n = LAYOUT.n_elements
-    fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, False, LAM, FOCUS)
-    assert fplan.chained and fplan.bound_rad <= fplan.floor_rad
+    fplan = kn._factorized_plan(LAYOUT, FOCUSED_POINTS, LAM, FOCUS)
+    assert fplan.bound_rad <= fplan.floor_rad
     bound = fplan.bound_rad + dot_rounding(fplan.cols + fplan.rows + len(fplan.centres) + 6)
     assert np.abs(got["focused"]["focused_points"] - want["focused_points"]).max() <= n * bound
     total = np.abs(WEIGHTS).sum()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nearlink import geometry, placement
+from nearlink import geometry, kernel, placement
 from nearlink.beamforming import Direction
 from nearlink.geometry import PlacementInfeasible, random_panel_positions
 from nearlink.placement import (
@@ -173,6 +173,51 @@ def test_placement_json_output(tmp_path):
 def test_result_requires_nonpositive_sidelobe():
     with pytest.raises(ValueError):
         PlacementResult(np.zeros((2, 3)), 0.5, 0, 1)
+    with pytest.raises(ValueError, match="at most 0 dB, not NaN"):
+        PlacementResult(np.zeros((2, 3)), float("nan"), 0, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_peak_sidelobe_refuses_non_finite_positions(bad):
+    # Their phasors are NaN, whose peak once read as the best score there is.
+    pos = uniform_sparse_positions(500.0, 4)
+    pos[2, 1] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        peak_sidelobe(pos, LAM, small_objective())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_panels=st.integers(2, 64),
+    field=st.floats(1.0, 3000.0),
+    log_wavelength=st.floats(np.log(1e-3), np.log(10.0)),
+    n_scan=st.integers(100, 20000),
+    theta=st.floats(-0.5, 0.5),
+    phi=st.floats(0.0, 2.0 * np.pi),
+    halfwidth=st.floats(1e-5, 0.1),
+    exclusion_fraction=st.floats(1e-3, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_peak_sidelobe_keeps_the_bits_of_its_own_loop(
+    n_panels, field, log_wavelength, n_scan, theta, phi, halfwidth, exclusion_fraction, seed
+):
+    # The score sums through the exact kernel with unit weights; within one
+    # block of the kernel (panels x kept directions) it gives the bits of the
+    # loop it replaced, main lobe and 0 dB clamp included.
+    obj = PlacementObjective(
+        Direction(theta, phi),
+        exclusion_fraction * halfwidth,
+        (theta - halfwidth, theta + halfwidth),
+        n_scan,
+    )
+    rel = placement._scan_offsets(obj)
+    assume(n_panels * len(rel) <= kernel._BLOCK_BUDGET)
+    pos = np.random.default_rng(seed).uniform(-field, field, (n_panels, 3))
+    wavelength = float(np.exp(log_wavelength))
+    k = 2.0 * np.pi / wavelength
+    worst = float(np.abs(np.exp(1j * ((rel @ pos.T) * k)).sum(axis=1)).max())
+    want = 20.0 * np.log10(min(max(worst, 1e-300), n_panels) / n_panels)
+    assert peak_sidelobe(pos, wavelength, obj) == want
 
 
 # ----- random draws: the batched pass against the per-draw loop -----

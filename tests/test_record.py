@@ -56,7 +56,7 @@ def _instances():
         layout, weights, LAM, thetas=np.linspace(0.0, 0.1, 5), fixed_range=2.0e4
     )
     targets = kernel.unit_vectors(np.linspace(0.0, 0.1, 5), 0.0) * 2.0e4
-    plan = kernel._factorized_plan(layout, targets, False, LAM)
+    plan = kernel._factorized_plan(layout, targets, LAM)
     assert plan is not None
     direction = objective.Direction(0.1, 0.2)
     scan = objective.PlacementObjective(direction, 0.01, (-0.1, 0.3), 100)
