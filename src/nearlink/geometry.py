@@ -10,14 +10,13 @@ The same types describe the space segment: a satellite-side array is just an
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
 from .panels import OverlappingPanels, PanelSpec, PlacementInfeasible, check_packing  # noqa: F401
-from .panels import aperture_corners, check_corner_spacing, check_panel_overlap
+from .panels import aperture_corners, check_corner_spacing, check_panel_overlap, close_pairs
 from .record import Record
 
 # Per-point rejection budget for random placement; exceeding it means the
@@ -37,39 +36,36 @@ LAYOUT_HEADER = "# nearlink-layout v1"
 
 
 class _PanelGrid(NamedTuple):
-    positions: np.ndarray  # (panels, elements per panel, 3)
     centres: np.ndarray  # (panels, 3)
     offsets: np.ndarray  # (elements per panel, 3), shared by every panel
-    gap: float  # largest distance of an element from centre + offset
     scale: float  # largest |centre + offset|
 
 
 class ElementLayout(Record, eq=False):
     """Element coordinates in meters, ``positions`` (n, 3), the panel of
     each element, ``panel_ids`` (n,), 0-based and contiguous, and the
-    ``panel_spec`` of the per-panel grid, which carries the element gain."""
+    ``panel_spec`` of the per-panel grid, which carries the element gain.
+
+    A layout that :func:`make_upa` or :func:`make_distributed_panels` built
+    keeps the grid it was built from as ``_panel_grid``: the panel centres
+    and the shared ``_grid_offsets``. One built from bare positions has
+    none."""
 
     positions: np.ndarray
     panel_ids: np.ndarray
     panel_spec: PanelSpec
+
+    _panel_grid = None  # not a field: only _grid_layout sets it
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=np.float64))
         ids = np.ascontiguousarray(np.asarray(self.panel_ids, dtype=np.int64))
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] == 0:
             raise ValueError("positions must be a nonempty (n, 3) array")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
+        _check_finite(pos)
         if ids.shape != (pos.shape[0],):
             raise ValueError("panel_ids must align with positions")
-        # Sorted, equal rows sit next to each other. (np.unique would import
-        # numpy.ma on its first call, inside the first run's timing.)
-        rows = pos[np.lexsort(pos.T)]
-        if (rows[1:] == rows[:-1]).all(axis=1).any():
-            raise ValueError("two elements share an identical position")
-        sorted_ids = np.sort(ids)
-        if sorted_ids[0] != 0 or (np.diff(sorted_ids) > 1).any():
-            raise ValueError("panel ids must be contiguous starting at 0")
+        _check_elements(pos, ids)
         pos.setflags(write=False)
         ids.setflags(write=False)
         object.__setattr__(self, "positions", pos)
@@ -87,35 +83,21 @@ class ElementLayout(Record, eq=False):
     def element_gain_dbi(self) -> float:
         return self.panel_spec.element_gain_dbi
 
-    @cached_property
-    def _panel_grid(self):
-        """The layout as panel centres plus the shared ``_grid_offsets`` grid.
 
-        None unless the elements come as whole panels in id order. ``gap``
-        says how far the positions are from that grid: zero for a layout
-        built from panel centres, up to the one rounding rebuilding the grid
-        takes. Cached: the layout is immutable, and sweeps ask once per
-        range.
-        """
-        spec = self.panel_spec
-        per_panel = spec.n_elements
-        if self.n_elements % per_panel:
-            return None
-        n_panels = self.n_elements // per_panel
-        if not np.array_equal(self.panel_ids, np.repeat(np.arange(n_panels), per_panel)):
-            return None
-        offsets = _grid_offsets(spec)
-        pos = self.positions.reshape(n_panels, per_panel, 3)
-        # The first and last elements sit at opposite offsets, so their
-        # midpoint recovers the centre a layout was built from, usually to
-        # the last bit.
-        centres = 0.5 * (pos[:, 0] + pos[:, -1])
-        rebuilt = centres[:, None, :] + offsets
-        scale = float(np.sqrt((rebuilt * rebuilt).sum(axis=-1)).max())
-        gap = float(np.sqrt(((pos - rebuilt) ** 2).sum(axis=-1)).max())
-        centres.setflags(write=False)
-        offsets.setflags(write=False)
-        return _PanelGrid(pos, centres, offsets, gap, scale)
+def _check_finite(positions):
+    if not np.all(np.isfinite(positions)):
+        raise ValueError("positions must be finite")
+
+
+def _check_elements(positions, ids):
+    # Sorted, equal rows sit next to each other. (np.unique would import
+    # numpy.ma on its first call, inside the first run's timing.)
+    rows = positions[np.lexsort(positions.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise ValueError("two elements share an identical position")
+    sorted_ids = np.sort(ids)
+    if sorted_ids[0] != 0 or (np.diff(sorted_ids) > 1).any():
+        raise ValueError("panel ids must be contiguous starting at 0")
 
 
 def _grid_offsets(spec: PanelSpec) -> np.ndarray:
@@ -129,14 +111,68 @@ def _grid_offsets(spec: PanelSpec) -> np.ndarray:
     return off
 
 
+def _grid_layout(spec: PanelSpec, centres: np.ndarray) -> ElementLayout:
+    """The layout of one ``spec`` panel at each of the finite (k, 3)
+    ``centres``, which it keeps with the shared offsets as its grid.
+
+    Element i of panel p is the one rounding of ``centres[p] + offsets[i]``,
+    and panel ids run in element order, so the ids need no check, and two
+    elements coincide only where the margin below fails. There the element
+    check of a bare layout runs, with its error.
+
+    With u = 2**-53 and S the largest |element| (scale, as rounded, is
+    within 3u of it), each element is within u S of its exact sum. Two
+    elements of panels p and q that round alike therefore have
+    |c_p - c_q| <= E (1 + u) + 2u S, E the exact extent from which
+    ``spec.extent`` is within 3u, and E <= 2S (1 + 3u), since a panel's
+    first and last elements span it. :func:`close_pairs` rounds a distance
+    within 4u, and adding the margin to the extent rounds once more, so a
+    pair it leaves out is farther apart than that once the margin is 21u
+    scale. Two elements of one panel round alike only at a pitch of at most
+    4.1u scale. The margin is ``32 u scale``, and the pitch must exceed it.
+    Where scale lies outside 2**+-400, a square in the distance could
+    overflow or underflow, and the element check runs.
+    """
+    offsets = _grid_offsets(spec)
+    # The sums of centres[:, None] + offsets, one axis at a time: a length-3
+    # inner loop runs three times slower.
+    built = np.empty((len(centres), spec.n_elements, 3))
+    for axis in range(3):
+        np.add(centres[:, axis, None], offsets[:, axis], out=built[:, :, axis])
+    positions = built.reshape(-1, 3)
+    _check_finite(positions)
+    ids = np.repeat(np.arange(len(centres), dtype=np.int64), spec.n_elements)
+    x, y, z = built[..., 0], built[..., 1], built[..., 2]
+    with np.errstate(over="ignore"):  # an infinite scale takes the element check
+        scale = float(np.sqrt((x * x + y * y + z * z).max()))
+    margin = 32.0 * 2.0**-53 * scale
+    if not (
+        2.0**-400 < scale < 2.0**400
+        and spec.spacing > margin
+        and not close_pairs(centres, spec.extent + margin)
+    ):
+        _check_elements(positions, ids)
+    for array in (positions, ids, centres, offsets):
+        array.setflags(write=False)
+    layout = object.__new__(ElementLayout)
+    # The record ElementLayout(positions, ids, spec) builds, less the
+    # element check that the construction above implies.
+    layout.__dict__.update(
+        positions=positions,
+        panel_ids=ids,
+        panel_spec=spec,
+        _panel_grid=_PanelGrid(centres, offsets, scale),
+    )
+    return layout
+
+
 def make_upa(spec: PanelSpec, center=(0.0, 0.0, 0.0)) -> ElementLayout:
     """One uniform planar array of ``spec``'s grid centred on the 3-vector
     ``center`` (meters): row-major elements in its z-plane, panel id 0."""
-    center = np.asarray(center, dtype=np.float64)
+    center = np.array(center, dtype=np.float64)
     if center.shape != (3,):
         raise ValueError("center must be a 3-vector")
-    positions = _grid_offsets(spec) + center
-    return ElementLayout(positions, np.zeros(spec.n_elements, dtype=np.int64), spec)
+    return _grid_layout(spec, center[None])
 
 
 def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
@@ -145,16 +181,13 @@ def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
     ``panel_centers[p] + offset[i]``, with offsets identical across panels.
     Raises OverlappingPanels if two centres are no farther apart than the
     panel extent, where footprints would overlap."""
-    centers = np.asarray(panel_centers, dtype=np.float64)
+    centers = np.array(panel_centers, dtype=np.float64)
     if centers.ndim != 2 or centers.shape[1] != 3 or centers.shape[0] == 0:
         raise ValueError("panel_centers must be a nonempty (k, 3) array")
     if not np.all(np.isfinite(centers)):
         raise ValueError("panel_centers must be finite")
     check_panel_overlap(spec, centers)
-    offsets = _grid_offsets(spec)
-    positions = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    ids = np.repeat(np.arange(len(centers), dtype=np.int64), spec.n_elements)
-    return ElementLayout(positions, ids, spec)
+    return _grid_layout(spec, centers)
 
 
 def _clear_mask(points, draws, min_spacing: float) -> np.ndarray:

@@ -246,12 +246,9 @@ def _factorized_plan(layout, targets, wavelength, focus=None):
     """Panel geometry and error bound of the factorized kernel toward the
     points ``targets``, or None.
 
-    None means the layout is not one shared ``_grid_offsets`` grid repeated
-    at each panel centre (for example 1x1 panels, or ids out of order), or a
-    target, or the focus, lies within a panel's reach of its centre.
-    Positions that are off the grid by more than rounding stay eligible
-    here: their offset enters the bound, and the gate refuses them, as it
-    does chains that round past the floor.
+    None means the layout was not built as one shared ``_grid_offsets``
+    grid repeated at each panel centre (bare positions, or 1x1 panels), or
+    a target, or the focus, lies within a panel's reach of its centre.
 
     With a focus the plan is of the focused sums, and its bound and floor
     are theirs (module docstring). The targets and the focus must each pass
@@ -300,14 +297,13 @@ def _expansion_bound(layout, grid, half_x, half_y, targets):
     u = _UNIT_ROUNDOFF
     # The kernel places element (r, c) at centre + (m_c s, m_r s, 0) exactly,
     # with m_i = i - (n - 1) / 2 (the progression _axis_factor steps along).
-    # The positions are within gap of centre + offset, summed exactly, and
-    # _grid_offsets rounds each offset once from m_i s, so each offset
-    # coordinate is within u half_x or u half_y of the progression.
+    # Each position is centre + offset rounded once (at most 2**-53 of each
+    # coordinate), and _grid_offsets rounds each offset once from m_i s, so
+    # each offset coordinate is within u half_x or u half_y of the
+    # progression.
     rho = float(np.hypot(half_x, half_y))
-    # |position - element the kernel uses|: the gap to the rebuilt grid,
-    # the one rounding (at most 2**-53 of each coordinate) that
-    # rebuilding took, and the offsets' distance from the progression.
-    residual = grid.gap + u * (grid.scale + rho)
+    # |position - element the kernel uses|.
+    residual = u * (grid.scale + rho)
     nearest, skew = np.inf, 0.0
     for chunk in blocks(len(targets), layout.n_elements):
         paths = _panel_paths(grid.centres, targets[chunk])
@@ -420,6 +416,18 @@ def _factorized_factors(plan, targets, wavelength):
     return row, col
 
 
+def _cis(phase):
+    # exp(1j * phase) of a real array as cos and sin written into its real
+    # and imaginary parts: the bits of numpy's complex exp (tests hold them
+    # on the build they run on), but for the sign of the zero sine at a
+    # phase of -0. About twice as fast on the axis factors' small phases;
+    # from tens of radians up it is slower, so the paths keep np.exp.
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def _axis_factor(n, spacing, u, c, k, summed=False):
     # f(o) = exp(jk (o u - o^2 c)) at the n offsets o = m spacing,
     # m = i - (n - 1) / 2, of one panel axis; u and c are (panels, targets)
@@ -437,10 +445,10 @@ def _axis_factor(n, spacing, u, c, k, summed=False):
         o = (np.arange(n) - (n - 1) / 2.0) * spacing
         if not summed:
             o = o[:, None]
-            return np.exp(1j * ((k * o) * (u[:, None, :] - o * c[:, None, :])))
+            return _cis((k * o) * (u[:, None, :] - o * c[:, None, :]))
         out = np.zeros(u.shape, dtype=np.complex128)
         for o_i in o:
-            out += np.exp(1j * ((k * o_i) * (u - o_i * c)))
+            out += _cis((k * o_i) * (u - o_i * c))
         return out
     if summed:
         out = np.full(u.shape, float(n % 2), dtype=np.complex128)
@@ -449,13 +457,13 @@ def _axis_factor(n, spacing, u, c, k, summed=False):
         if n % 2:
             out[:, half] = 1.0
     if half > 2:
-        q = np.exp(1j * ((-2.0 * k * spacing * spacing) * c))
+        q = _cis((-2.0 * k * spacing * spacing) * c)
     # The innermost offset above the centre, in pitches: 1 or 1/2.
     first = (n + 1) // 2 - (n - 1) / 2.0
     for sign, chain in ((1.0, range(n - half, n)), (-1.0, range(half - 1, -1, -1))):
         d, o = sign * spacing, sign * first * spacing
-        f = np.exp(1j * ((k * o) * (u - o * c)))
-        r = np.exp(1j * ((k * d) * (u - (2.0 * o + d) * c)))
+        f = _cis((k * o) * (u - o * c))
+        r = _cis((k * d) * (u - (2.0 * o + d) * c))
         if summed:
             out += f
         else:

@@ -53,14 +53,12 @@ def _distance(a, b) -> float:
     return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def check_panel_overlap(spec: PanelSpec, panel_centers) -> None:
-    """Raise :class:`OverlappingPanels` if two centers are no farther apart
-    than the panel extent. The error names the first panel i with a later
-    panel that close, and the nearest such panel, the first on ties."""
+def close_pairs(panel_centers, limit: float) -> list:
+    """``(i, d, j)`` with i < j for every two centres at distance d no more
+    than ``limit`` (m), d as :func:`_distance` rounds it."""
     pts = getattr(panel_centers, "tolist", lambda: panel_centers)()
     if len(pts) < 2:
-        return
-    limit = spec.extent
+        return []
     # Only pairs within ``reach`` along the wider of x and y can be that
     # close: sqrt(fl(x*x)) == |x| for any x whose square does not underflow.
     reach = max(limit, 2.0**-500)
@@ -75,10 +73,18 @@ def check_panel_overlap(spec: PanelSpec, panel_centers) -> None:
             d = _distance(pts[lo], pts[hi])
             if d <= limit:
                 close.append((lo, d, hi))
+    return close
+
+
+def check_panel_overlap(spec: PanelSpec, panel_centers) -> None:
+    """Raise :class:`OverlappingPanels` if two centers are no farther apart
+    than the panel extent. The error names the first panel i with a later
+    panel that close, and the nearest such panel, the first on ties."""
+    close = close_pairs(panel_centers, spec.extent)
     if close:
         i, d, j = min(close)  # the first i, then its nearest j, the first on ties
         raise OverlappingPanels(
-            f"panels {i} and {j} are {d:.6g} m apart; panel extent is {limit:.6g} m"
+            f"panels {i} and {j} are {d:.6g} m apart; panel extent is {spec.extent:.6g} m"
         )
 
 

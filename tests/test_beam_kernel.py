@@ -501,6 +501,21 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_ran
     assert float(np.abs(got - reference).max()) <= tight
 
 
+def test_cis_is_numpys_complex_exp_bit_for_bit():
+    # The axis factors take cos and sin where they took exp(1j x), and their
+    # drift assumes exp's rounding. A build whose cos and sin differ from
+    # its complex exp fails here; the drift test above holds the factors on
+    # any build.
+    rng = np.random.default_rng(31)
+    phases = 10.0 ** rng.uniform(-12.0, 12.0, 800_000) * rng.choice([-1.0, 1.0], 800_000)
+    got, want = kn._cis(phases), np.exp(1j * phases)
+    differ = np.flatnonzero((got.view(np.uint64) != want.view(np.uint64)).reshape(-1, 2).any(1))
+    assert differ.size == 0, (
+        f"numpy {np.__version__}: cos and sin differ from exp(1j x) at {differ.size} "
+        f"of {phases.size} phases, the first at {phases[differ[0]]!r}"
+    )
+
+
 def test_grid_offsets_are_the_rounded_progression():
     # The plan's bound counts one rounding between each offset and the
     # progression m s the recurrence steps along.
@@ -610,8 +625,7 @@ def test_perturbed_positions_take_exact_path():
     moved = lay.positions.copy()
     moved[21, 0] += 1.0e-7
     bent = ElementLayout(moved, lay.panel_ids, lay.panel_spec)
-    plan = kn._factorized_plan(bent, target, LAM)
-    assert plan.bound_rad > plan.floor_rad
+    assert kn._factorized_plan(bent, target, LAM) is None
     assert kn.gate(bent, target, LAM) == (None, EXACT_KERNEL)
     w = delay_and_sum_weights(bent, focal, LAM)
     total, kernel = kn.sums(bent, w, target, False, LAM, focal.position)
@@ -654,8 +668,7 @@ def test_elements_out_of_grid_order_take_exact_path():
     order = np.r_[1, 0, 2:12]
     swapped = ElementLayout(lay.positions[order], lay.panel_ids, lay.panel_spec)
     pts = Direction(0.1).unit[None] * 1.0e4
-    plan = kn._factorized_plan(swapped, pts, LAM)
-    assert plan.bound_rad > plan.floor_rad
+    assert kn._factorized_plan(swapped, pts, LAM) is None
     assert kn.gate(swapped, pts, LAM) == (None, EXACT_KERNEL)
 
 

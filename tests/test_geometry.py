@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nearlink.geometry import (
     ElementLayout,
     OverlappingPanels,
     PanelSpec,
     PlacementInfeasible,
+    _grid_offsets,
+    check_panel_overlap,
     make_distributed_panels,
     make_upa,
     random_panel_positions,
@@ -170,3 +174,65 @@ def test_layout_rejects_duplicate_positions():
     pos = np.zeros((2, 3))
     with pytest.raises(ValueError):
         ElementLayout(pos, np.array([0, 1]), PanelSpec(1, 1, 1.0))
+
+
+@st.composite
+def panel_centres(draw):
+    """A panel spec and its centres: each after the first either anywhere in
+    a field, or its predecessor moved by the panel's diagonal, which puts
+    the predecessor's last element on its own first, and then nudged a few
+    ulps along x and y, past the extent or short of it."""
+    spec = PanelSpec(
+        draw(st.integers(1, 4)), draw(st.integers(1, 4)), 10.0 ** draw(st.floats(-4.0, 0.0))
+    )
+    field = 10.0 ** draw(st.floats(0.0, 9.0))
+    coord = st.floats(-field, field)
+    diagonal = 2.0 * _grid_offsets(spec)[-1]
+    centres = [[draw(coord), draw(coord), draw(coord)]]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            centres.append([draw(coord), draw(coord), draw(coord)])
+            continue
+        c = np.array(centres[-1]) + diagonal
+        for axis in (0, 1):
+            for _ in range(draw(st.integers(0, 4))):
+                c[axis] = np.nextafter(c[axis], np.inf)
+        centres.append(c.tolist())
+    return spec, np.array(centres)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(panel_centres())
+# One ulp past the extent, panel 0's second element rounds onto panel 1's
+# first.
+@example((PanelSpec(1, 2, 0.01), np.array([[1.0e7, 0.0, 0.0], [10000000.010000002, 0.0, 0.0]])))
+def test_panel_built_layouts_are_their_grid(drawn):
+    # A layout built from centres skips the element check where its margin
+    # holds; it must still be the layout the bare positions describe, and
+    # fail with the bare layout's error where that one fails.
+    spec, centres = drawn
+    offsets = _grid_offsets(spec)
+    positions = (centres[:, None, :] + offsets).reshape(-1, 3)
+    ids = np.repeat(np.arange(len(centres)), spec.n_elements)
+    try:
+        check_panel_overlap(spec, centres)
+    except OverlappingPanels:
+        with pytest.raises(OverlappingPanels):
+            make_distributed_panels(spec, centres)
+        return
+    try:
+        bare = ElementLayout(positions, ids, spec)
+    except ValueError as error:
+        assert str(error) == "two elements share an identical position"
+        with pytest.raises(ValueError) as built:
+            make_distributed_panels(spec, centres)
+        assert str(built.value) == str(error)
+        return
+    layout = make_distributed_panels(spec, centres)
+    assert layout.positions.tobytes() == bare.positions.tobytes() == positions.tobytes()
+    assert np.array_equal(layout.panel_ids, ids)
+    assert layout.panel_spec == spec
+    grid = layout._panel_grid
+    assert grid.centres.tobytes() == centres.tobytes()
+    assert grid.offsets.tobytes() == offsets.tobytes()
+    assert bare._panel_grid is None

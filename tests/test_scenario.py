@@ -41,7 +41,7 @@ from nearlink.scenario import (
 )
 from nearlink.panels import PlacementInfeasible
 from nearlink.record import MISSING, Record, replace
-from nearlink.schema import _satellite_clears_ground, _to_dict
+from nearlink.schema import _FREQUENCY, _satellite_clears_ground, _to_dict
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -850,8 +850,13 @@ EXCLUSIVE = {
 
 
 def _number(draw, decl, is_int):
-    """A value inside the declared bound, of moderate magnitude."""
+    """A value inside the declared bound, of moderate magnitude; a carrier
+    frequency log-uniform over its band, from where its wavelength
+    overflows (about 1.7e-300 Hz) up to 1e200 Hz, radio carriers among
+    them."""
     bound = decl.metadata["bound"] or Bound()
+    if bound == _FREQUENCY:
+        return 10.0 ** draw(st.floats(-300.0, np.log10(bound.hi)))
     if is_int:
         lo = int(bound.lo) if np.isfinite(bound.lo) else -10
         return draw(st.integers(lo, int(min(bound.hi, lo + 10))))
