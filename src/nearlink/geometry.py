@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fileio import atomic_write_text, fmt
+from .kernel import blocks
 from .panels import OverlappingPanels, PanelSpec, PlacementInfeasible, check_packing  # noqa: F401
 from .panels import aperture_corners, check_corner_spacing, check_panel_overlap, close_pairs
 from .record import Record
@@ -175,6 +176,14 @@ def make_upa(spec: PanelSpec, center=(0.0, 0.0, 0.0)) -> ElementLayout:
     return _grid_layout(spec, center[None])
 
 
+def point_layout(positions, element_gain_dbi: float = 0.0) -> ElementLayout:
+    """Bare points: one single-element panel at each of the (n, 3)
+    ``positions`` (meters), in order, with the given element gain. The
+    layout has no panel grid, so it takes the exact kernel."""
+    spec = PanelSpec(1, 1, 1.0, element_gain_dbi)
+    return ElementLayout(positions, np.arange(len(positions)), spec)
+
+
 def make_distributed_panels(spec: PanelSpec, panel_centers) -> ElementLayout:
     """One ``spec`` panel at each of the (k, 3) ``panel_centers`` (meters),
     concatenated in input order: element i of panel p is at
@@ -332,9 +341,8 @@ def _draw_rest(out, seeds, min_spacing: float, hx: float, hy: float) -> np.ndarr
             draws[spent] = low + span * draws[spent]
             unread[spent] = 0
             k = placed[spent].max()
-            slab = max(1, _MASK_ELEMENTS // (k * _DRAW_BLOCK))
-            for start in range(0, spent.size, slab):
-                r = spent[start : start + slab]
+            for slab in blocks(spent.size, k * _DRAW_BLOCK, _MASK_ELEMENTS):
+                r = spent[slab]
                 clear[r] = _clear_mask(points[r, :, :k], draws[r], min_spacing)
 
         hit = clear.any(axis=1)

@@ -10,21 +10,17 @@ serves near-field point targets of layouts of identical panels (every UPA and
 every distributed layout): it keeps the exact path to each panel centre and
 expands the path inside a panel to second order (the Fresnel expansion), split
 into a row factor and a column factor. The phase of a factor is quadratic
-along its axis, so the factors come from a product recurrence with five exps
-per panel, target and axis rather than one per element offset.
+along its axis, so the factors come from a product recurrence with at most
+five exps per panel, target and axis rather than one per element offset.
 
 The factorized kernel sums the delay-and-sum weights toward a point focus,
 which every beam analysis uses. Those weights split the same way as the paths
 to a target, so a panel costs the product of two sums per target: each axis'
 chirp relative to the focus, exp(jk (o du - o^2 dc)), added up as the
 recurrence steps along it. No array then holds an entry per offset, and the
-weights are never formed: the beam comes as its focus (:func:`sums`). On the
-benchmark's beam map (16 panels of 32 x 32, 861 targets, 2-core host) that
-took the CLI's median solve from 0.0365 s to 0.0217 s, and the solve of the
-shipped 12 060-target ``beam_map_distributed`` from 0.21-0.31 s to
-0.12-0.17 s. Weight arrays, beams on another layout or at another
-wavelength, direction targets or foci, and foci the gate refuses take the
-exact kernel.
+weights are never formed: the beam comes as its focus (:func:`sums`).
+Weight arrays, beams on another layout or at another wavelength, direction
+targets or foci, and foci the gate refuses take the exact kernel.
 
 The kernel runs only when a rigorous bound on the terms it drops, and on the
 rounding it adds, stays below the exact kernel's own phase rounding
@@ -251,8 +247,7 @@ def _factorized_plan(layout, targets, wavelength, focus=None):
     a target, or the focus, lies within a panel's reach of its centre.
 
     With a focus the plan is of the focused sums, and its bound and floor
-    are theirs (module docstring). The targets and the focus must each pass
-    the gate on their own, or the plan is None.
+    are theirs (module docstring).
     """
     spec = layout.panel_spec
     grid = layout._panel_grid if spec.n_elements > 1 else None
@@ -272,8 +267,6 @@ def _factorized_plan(layout, targets, wavelength, focus=None):
         if at_focus is None:
             return None
         f_bound, f_curvature, f_floor = at_focus
-        if f_bound > f_floor or bound > floor:
-            return None
         slope, curvature = 2.0, curvature + f_curvature
         bound += f_bound + _UNIT_ROUNDOFF * (
             slope * (half_x + half_y) + curvature * (half_x**2 + half_y**2)
@@ -437,25 +430,18 @@ def _axis_factor(n, spacing, u, c, k, summed=False):
     # The phase is quadratic in o, so along steps d = +-spacing the ratio of
     # neighbours is r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run
     # outward from the centre and share q. A chain takes an exp of f at its
-    # innermost offset and one of its first ratio, then one product per
-    # offset. A centre offset (odd n) is 0, where f is 1. Axes of at most
-    # three offsets take one exp per offset.
+    # innermost offset, and past it one of its first ratio and one product
+    # per offset. A centre offset (odd n) is 0, where f is 1, and is all of
+    # a one-offset axis.
     half = n // 2
-    if half < 2:
-        o = (np.arange(n) - (n - 1) / 2.0) * spacing
-        if not summed:
-            o = o[:, None]
-            return _cis((k * o) * (u[:, None, :] - o * c[:, None, :]))
-        out = np.zeros(u.shape, dtype=np.complex128)
-        for o_i in o:
-            out += _cis((k * o_i) * (u - o_i * c))
-        return out
     if summed:
         out = np.full(u.shape, float(n % 2), dtype=np.complex128)
     else:
         out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
         if n % 2:
             out[:, half] = 1.0
+    if not half:
+        return out
     if half > 2:
         q = _cis((-2.0 * k * spacing * spacing) * c)
     # The innermost offset above the centre, in pitches: 1 or 1/2.
@@ -463,13 +449,14 @@ def _axis_factor(n, spacing, u, c, k, summed=False):
     for sign, chain in ((1.0, range(n - half, n)), (-1.0, range(half - 1, -1, -1))):
         d, o = sign * spacing, sign * first * spacing
         f = _cis((k * o) * (u - o * c))
-        r = _cis((k * d) * (u - (2.0 * o + d) * c))
         if summed:
             out += f
         else:
             out[:, chain[0]] = f
         for i in range(1, half):
-            if i > 1:
+            if i == 1:
+                r = _cis((k * d) * (u - (2.0 * o + d) * c))
+            else:
                 r *= q
             if summed:
                 f *= r

@@ -37,9 +37,8 @@ last triangle, at most S x S, has the channel's singular values: 16 x 16
 instead of 4 096 x 16 for 16 panels of 32 x 32 and a 16-element satellite,
 from 16 steps of at most 496 rows each. This is the tall-skinny QR reduction
 (Demmel et al., SIAM J. Sci. Comput. 34, 2012) ordered by the blocks' zeros;
-no Khatri-Rao block is formed whole. Where rb ra < S, a panel's block is
-wider than it is tall and no QR shrinks it, so the stacked blocks, P rb ra x
-S, go to the SVD as they are.
+no Khatri-Rao block is formed whole. Blocks wider than they are tall
+(rb ra < S) take the same steps.
 
 :func:`link_spectra` runs many links, such as the ranges of a sweep, through
 one pass. Links that pass the gate against the same panel layout share one
@@ -55,8 +54,7 @@ factors and, during step m, a few arrays of at most L k_m (S - m) entries,
 k_m being the step's rows: the new rows, the shifted triangle, their stack,
 the copy QR takes and its R. For 16 panels of 32 x 32 and S = 16 those are
 far smaller than the factors, and a block stays within three times its
-factors. On the wide path it holds the stacked blocks themselves, L P rb ra S
-entries, which the SVD takes whole.
+factors.
 
 Householder QR and LAPACK's SVD are backward stable: each returns the exact
 result for an input within about 4 k n 2**-53 of the k x n one it was given,
@@ -78,7 +76,7 @@ import numpy as np
 from . import kernel
 from .kernel import channel_matrix
 from .fileio import atomic_write_text, fmt
-from .geometry import ElementLayout, PanelSpec
+from .geometry import ElementLayout, point_layout
 from .record import Record
 
 
@@ -224,12 +222,9 @@ def _compressed(plan, targets, wavelength, s):
 def _second_level(r_row, r_col):
     # For each link, a matrix of s columns with the singular values of its
     # panels' stacked Khatri-Rao blocks R_b (.) R_a, from the (links, panels,
-    # rb, s) and (links, panels, ra, s) R factors. Where a block is wider
-    # than tall, no QR compresses it, and the stack itself is returned.
+    # rb, s) and (links, panels, ra, s) R factors.
     n_links, _, rb, s = r_row.shape
     ra = r_col.shape[-2]
-    if rb * ra < s:
-        return (r_row[:, :, :, None] * r_col[:, :, None]).reshape(n_links, -1, s)
     # Row (i, j) of a block is zero left of column max(i, j). Step m takes
     # every panel's rows with max(i, j) = m, from column m on, and the
     # triangle of the rows already taken, one column narrower, under them.
@@ -307,10 +302,8 @@ def theory_ratio_curve(
 
 
 def _pair_layout(separation: float, z: float) -> ElementLayout:
-    spec = PanelSpec(rows=1, cols=1, spacing=1.0, element_gain_dbi=0.0)
     half = separation / 2.0
-    positions = np.array([[-half, 0.0, z], [half, 0.0, z]])
-    return ElementLayout(positions, np.array([0, 1]), spec)
+    return point_layout([[-half, 0.0, z], [half, 0.0, z]])
 
 
 def exact_ratio_curve(d_tx: float, d_rx: float, wavelength: float, ranges) -> np.ndarray:

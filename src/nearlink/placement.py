@@ -33,7 +33,7 @@ import numpy as np
 
 from .fileio import atomic_write_text, fmt
 from .geometry import random_panel_positions
-from .kernel import _UNIT_ROUNDOFF, _exact_sums, _gamma, unit_vectors, wavenumber
+from .kernel import _UNIT_ROUNDOFF, _exact_sums, _gamma, blocks, unit_vectors, wavenumber
 from .objective import Direction, PlacementObjective, default_exclusion_halfwidth  # noqa: F401
 from .record import Record
 
@@ -150,16 +150,16 @@ def _screen_peaks(candidates: np.ndarray, rel: np.ndarray, k: float) -> np.ndarr
     stay near ``_SCREEN_BLOCK_BYTES``.
     """
     n_cand, n_panels, _ = candidates.shape
-    block = max(1, _SCREEN_BLOCK_BYTES // (_SCREEN_BYTES_PER_TERM * n_panels * len(rel)))
     peaks = np.empty(n_cand)
-    for start in range(0, n_cand, block):
-        phase = candidates[start : start + block] @ rel.T
+    width = _SCREEN_BYTES_PER_TERM * n_panels * len(rel)
+    for block in blocks(n_cand, width, _SCREEN_BLOCK_BYTES):
+        phase = candidates[block] @ rel.T
         phase *= k
         np.clip(phase, -_F32_PHASE_CEILING, _F32_PHASE_CEILING, out=phase)
         phase = phase.astype(np.float32)
         re = np.cos(phase).sum(axis=1, dtype=np.float64)
         im = np.sin(phase).sum(axis=1, dtype=np.float64)
-        peaks[start : start + block] = np.sqrt((re * re + im * im).max(axis=1))
+        peaks[block] = np.sqrt((re * re + im * im).max(axis=1))
     return peaks
 
 

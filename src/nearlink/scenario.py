@@ -14,7 +14,7 @@ import numpy as np
 # here for the benchmark's traced run (perfbench/traced_run.py) to wrap.
 from .kernel import EXACT_KERNEL, channel_matrix  # noqa: F401
 from .fileio import atomic_write_text
-from .geometry import ElementLayout, PanelSpec, make_distributed_panels, make_upa
+from .geometry import ElementLayout, make_distributed_panels, make_upa, point_layout
 from .geometry import random_panel_positions, save_layout
 from .record import Record
 from .schema import *  # noqa: F401,F403  the parse API, re-exported
@@ -70,9 +70,7 @@ def build_satellite_layout(s: Scenario, range_m=None) -> ElementLayout:
         return make_upa(_panel_spec(sat.panel, s.wavelength), center)
     offsets = np.asarray(sat.positions_m, dtype=np.float64)
     offsets = offsets - offsets.mean(axis=0)
-    spec = PanelSpec(1, 1, 1.0, sat.element_gain_dbi)
-    ids = np.arange(len(offsets), dtype=np.int64)
-    return ElementLayout(offsets + center, ids, spec)
+    return point_layout(offsets + center, sat.element_gain_dbi)
 
 
 # ----- running -----
@@ -174,12 +172,7 @@ def _run_placement(s, outdir, tag, placement):
     json_path = os.path.join(outdir, "placement.json")
     placement.write_placement_json(result, objective, lam, json_path)
     layout_path = os.path.join(outdir, "placement_layout.txt")
-    centers_layout = ElementLayout(
-        result.positions,
-        np.arange(len(result.positions), dtype=np.int64),
-        PanelSpec(1, 1, 1.0, 0.0),
-    )
-    save_layout(centers_layout, layout_path)
+    save_layout(point_layout(result.positions), layout_path)
     return {
         "output_files": (json_path, layout_path),
         "key_scalars": {"peak_sidelobe_db": result.peak_sidelobe_db},

@@ -32,6 +32,7 @@ from nearlink.geometry import (
     _grid_offsets,
     make_distributed_panels,
     make_upa,
+    point_layout,
     random_panel_positions,
 )
 from nearlink.mimo import (
@@ -106,10 +107,6 @@ def panel_layouts(draw):
 def random_weights(seed, n):
     rng = np.random.default_rng(seed)
     return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-
-def point_layout(positions):
-    return ElementLayout(positions, np.arange(len(positions)), PanelSpec(1, 1, 1.0))
 
 
 def factorized_channel(layout, plan, pts):
@@ -301,6 +298,29 @@ def test_a_target_at_the_focus_sums_to_exactly_n():
     grid = gain_pattern_sweep(station, w, LAM, ranges=[250.0e3, 500.0e3, 1000.0e3])
     assert grid.kernel.name == "panel_factorized"
     assert grid.gain_dbi[0, 1] == 10.0 * np.log10(16384.0) + 6.0
+
+
+def test_a_far_focus_admits_targets_the_gate_refuses_alone():
+    # Targets about 10 km off axis, where the cross term alone exceeds the
+    # targets' rounding floor, toward a focus 1e10 m away, whose floor is
+    # far above both bounds: the gate tests the focused sums' total bound
+    # against their total floor, and nothing else.
+    lay = make_distributed_panels(PanelSpec(8, 8, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
+    pts = np.array([[7.0e3, 7.0e3, 1.0e3], [7.0e3, -7.0e3, 2.0e3], [-7.0e3, 7.5e3, 1.5e3]])
+    half = 3.5 * 0.5 * LAM
+    bound, _, floor = kn._expansion_bound(lay, lay._panel_grid, half, half, pts)
+    assert bound > floor
+    assert kn.gate(lay, pts, LAM) == (None, EXACT_KERNEL)
+
+    focal = point_at(1.0e10, 0.3)
+    w = delay_and_sum_weights(lay, focal, LAM)
+    plan, kernel = kn.gate(lay, pts, LAM, focal.position)
+    assert kernel.name == "panel_factorized" and plan.bound_rad <= plan.floor_rad
+    got, used = kn.sums(lay, w, pts, False, LAM, focal.position)
+    assert used == kernel
+    exact = kn._exact_sums(lay.positions, w.weights, pts, False, LAM)
+    assert np.abs(got - exact).max() <= focused_tolerance(plan, lay, pts, focal.position)
+    assert np.array_equal(response_sum(lay, w, [Point(p) for p in pts], LAM), got)
 
 
 def test_a_focus_the_gate_refuses_gives_the_sums_without_it_bit_for_bit():
@@ -657,7 +677,7 @@ def test_layout_file_without_panel_comment_takes_exact_path():
     # same positions as single-element panels, as a file without that
     # comment describes them, take the exact kernel.
     grid = make_upa(PanelSpec(3, 3, 0.5 * LAM))
-    bare = ElementLayout(grid.positions, np.arange(grid.n_elements), PanelSpec(1, 1, 1.0))
+    bare = point_layout(grid.positions)
     pts = unit_vectors(np.array([0.0, 0.3]), 0.0) * 1.0e4
     for lay, name in ((grid, "panel_factorized"), (bare, "exact")):
         assert kn.gate(lay, pts, LAM)[1].name == name
@@ -751,10 +771,7 @@ def second_level_constant(n_panels, rb, ra, s):
     # "Accuracy and Stability of Numerical Algorithms", Thm 19.4), with
     # gamma(k) = 4 k u for complex arithmetic, and so is LAPACK's SVD. Each
     # step's input is a rotation of rows of the stack, of norm ||H||_F at
-    # most. Wide blocks (rb ra < s) skip the staircase: the stacked blocks
-    # go to the SVD as they are.
-    if rb * ra < s:
-        return 4.0 * n_panels * rb * ra * s
+    # most.
     steps, tri = staircase_steps(n_panels, rb, ra, s)
     return 4.0 * sum(k * w for k, w in steps) + 4.0 * tri * s
 
@@ -768,8 +785,8 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     #   g_row + g_col + g_row g_col.
     # - Forming each Khatri-Rao row, and forming H in the test, rounds each
     #   entry once: a complex product is within 2 sqrt(2) u of exact.
-    # - The staircase steps and the SVD of the triangle they leave (or of the
-    #   wide stack): second_level_constant.
+    # - The staircase steps and the SVD of the triangle they leave:
+    #   second_level_constant.
     # - The test's own SVD of the n x s matrix H: 4 n s.
     # Weyl turns the sum of these Frobenius-norm perturbations into a bound
     # on every singular value.
@@ -831,7 +848,7 @@ def test_compressed_spectrum_within_qr_bound_of_uncompressed(
 @example(2, 3, 5, 4, 4, 0)  # both R square
 @example(2, 3, 3, 2, 5, 0)  # both R trapezoidal, blocks taller than wide
 @example(1, 2, 4, 4, 1, 0)  # one target
-@example(1, 2, 2, 2, 7, 0)  # blocks wider than tall: no staircase
+@example(1, 2, 2, 2, 7, 0)  # blocks wider than tall
 def test_staircase_within_its_bound_of_the_stacked_khatri_rao_blocks(
     n_links, n_panels, rows, cols, s, seed
 ):
@@ -848,7 +865,7 @@ def test_staircase_within_its_bound_of_the_stacked_khatri_rao_blocks(
     stacks = (r_row[:, :, :, None] * r_col[:, :, None]).reshape(n_links, -1, s)
     reduced = mimo._second_level(r_row, r_col)
     _, tri = staircase_steps(n_panels, rb, ra, s)
-    assert reduced.shape == (n_links, stacks.shape[1] if rb * ra < s else tri, s)
+    assert reduced.shape == (n_links, tri, s)
     # Both sides round each Khatri-Rao entry once; the test's SVD is of the
     # stack.
     second = second_level_constant(n_panels, rb, ra, s)

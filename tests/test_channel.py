@@ -5,7 +5,7 @@ import pytest
 
 from nearlink import kernel
 from nearlink.kernel import ZeroDistance, channel_matrix
-from nearlink.geometry import ElementLayout, PanelSpec
+from nearlink.geometry import point_layout
 from nearlink.mimo import condition_ratio, singular_values
 
 LAM = 0.01
@@ -13,12 +13,11 @@ LAM = 0.01
 
 def pair_layout(separation, z):
     half = separation / 2.0
-    pos = np.array([[-half, 0.0, z], [half, 0.0, z]])
-    return ElementLayout(pos, np.array([0, 1]), PanelSpec(1, 1, 1.0))
+    return point_layout([[-half, 0.0, z], [half, 0.0, z]])
 
 
 def point(x):
-    return ElementLayout(np.array([[x, 0.0, 0.0]]), np.array([0]), PanelSpec(1, 1, 1.0))
+    return point_layout([[x, 0.0, 0.0]])
 
 
 def coeff(distance):
@@ -60,14 +59,10 @@ def test_coincident_pair_in_a_later_block_names_its_rx_index(monkeypatch):
     # Three tx elements make a block of one rx row at a budget of 3, so rx
     # element 4 is checked alone in the fifth block.
     monkeypatch.setattr(kernel, "_BLOCK_BUDGET", 3)
-    tx = ElementLayout(
-        np.array([[0.0, 0.0, 9.0], [1.0, 0.0, 9.0], [2.0, 0.0, 9.0]]),
-        np.arange(3),
-        PanelSpec(1, 1, 1.0),
-    )
+    tx = point_layout([[0.0, 0.0, 9.0], [1.0, 0.0, 9.0], [2.0, 0.0, 9.0]])
     rx_pos = np.array([[0.5 * k, 1.0, 0.0] for k in range(6)])
     rx_pos[4] = [1.0, 0.0, 9.0]
-    rx = ElementLayout(rx_pos, np.arange(6), PanelSpec(1, 1, 1.0))
+    rx = point_layout(rx_pos)
     with pytest.raises(ZeroDistance, match=r"rx element 4 coincides with tx element 1$"):
         channel_matrix(tx, rx, LAM)
 
@@ -93,8 +88,7 @@ def test_reciprocity_exact():
     rng = np.random.default_rng(9)
     tx_pos = rng.uniform(-1.0, 1.0, size=(3, 3)) + [0.0, 0.0, 50.0]
     rx_pos = rng.uniform(-1.0, 1.0, size=(5, 3))
-    tx = ElementLayout(tx_pos, np.arange(3), PanelSpec(1, 1, 1.0))
-    rx = ElementLayout(rx_pos, np.arange(5), PanelSpec(1, 1, 1.0))
+    tx, rx = point_layout(tx_pos), point_layout(rx_pos)
     fwd = channel_matrix(tx, rx, LAM)
     rev = channel_matrix(rx, tx, LAM)
     np.testing.assert_array_equal(fwd, rev.T)

@@ -14,6 +14,7 @@ from nearlink.geometry import (
     check_panel_overlap,
     make_distributed_panels,
     make_upa,
+    point_layout,
     random_panel_positions,
     save_layout,
 )
@@ -174,6 +175,17 @@ def test_layout_rejects_duplicate_positions():
     pos = np.zeros((2, 3))
     with pytest.raises(ValueError):
         ElementLayout(pos, np.array([0, 1]), PanelSpec(1, 1, 1.0))
+
+
+def test_point_layout_is_single_element_panels_without_a_grid():
+    pos = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [-1.0, 0.0, 9.0]])
+    lay = point_layout(pos, 6.0)
+    np.testing.assert_array_equal(lay.positions, pos)
+    np.testing.assert_array_equal(lay.panel_ids, [0, 1, 2])
+    assert lay.panel_spec == PanelSpec(1, 1, 1.0, 6.0) and lay._panel_grid is None
+    assert point_layout(pos).element_gain_dbi == 0.0
+    with pytest.raises(ValueError, match="identical position"):
+        point_layout(np.zeros((2, 3)))
 
 
 @st.composite

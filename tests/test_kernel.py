@@ -10,7 +10,7 @@ from nearlink import kernel as kn
 from nearlink import placement, record
 from nearlink.beamforming import Direction
 from nearlink.kernel import channel_matrix, unit_vectors
-from nearlink.geometry import ElementLayout, PanelSpec, make_distributed_panels
+from nearlink.geometry import PanelSpec, make_distributed_panels, point_layout
 from nearlink.placement import PlacementObjective, peak_sidelobe
 
 LAM = 299792458.0 / 28.0e9
@@ -27,7 +27,7 @@ POINTS = unit_vectors(rng.uniform(-0.3, 0.3, 23), rng.uniform(0, 6, 23))
 POINTS *= rng.uniform(1.0e5, 3.0e5, 23)[:, None]
 UNITS = unit_vectors(rng.uniform(-1.0, 1.0, 23), rng.uniform(0, 6, 23))
 WEIGHTS = rng.normal(size=LAYOUT.n_elements) + 1j * rng.normal(size=LAYOUT.n_elements)
-SATELLITE = ElementLayout(POINTS[:7], np.arange(7), PanelSpec(1, 1, 1.0))
+SATELLITE = point_layout(POINTS[:7])
 CENTRES = rng.uniform(-500.0, 500.0, (15, 3))
 OBJECTIVE = PlacementObjective(Direction(0.1, 0.2), 0.01, (-0.5, 0.5), 401)
 # Targets in the plane of the focus, where the focused sums pass the gate.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nearlink.kernel import channel_matrix
-from nearlink.geometry import ElementLayout, PanelSpec, make_upa
+from nearlink.geometry import PanelSpec, make_upa, point_layout
 from nearlink.mimo import (
     ConvergenceFailure,
     DegenerateSpectrum,
@@ -113,7 +113,7 @@ def test_satellite_shape_channel_vs_numpy_oracle():
     rng = np.random.default_rng(4)
     ground_pos = rng.uniform(-700.0, 700.0, size=(16384, 3))
     ground_pos[:, 2] = 0.0
-    ground = ElementLayout(ground_pos, np.arange(16384), PanelSpec(1, 1, 1.0))
+    ground = point_layout(ground_pos)
     sat_pos = np.array(
         [
             [-0.707, -0.5, 4.0e5],
@@ -122,7 +122,7 @@ def test_satellite_shape_channel_vs_numpy_oracle():
             [0.707, 0.5, 4.0e5],
         ]
     )
-    sat = ElementLayout(sat_pos, np.arange(4), PanelSpec(1, 1, 1.0))
+    sat = point_layout(sat_pos)
     lam = 299792458.0 / 28.0e9
     h = channel_matrix(sat, ground, lam)
     got = singular_values(h).values

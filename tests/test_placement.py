@@ -431,6 +431,23 @@ def test_all_tied_candidates_are_scored_and_the_first_wins():
         assert res.candidates_scored == 12
 
 
+def test_chunk_budgets_change_no_draw_and_no_winner(monkeypatch):
+    # Distance slabs of one seed each, and screen blocks of one candidate
+    # each, against the default budgets: the same bits and the same winner.
+    seeds = np.random.SeedSequence(6).generate_state(200, dtype=np.uint64)
+    obj = field_objective(2001)
+    args = (1414.0, 1000.0, 16, 50.0)
+    draws = random_panel_positions(*args, seeds)
+    search = optimize_placement(*args, LAM, obj, 200, 6)
+    monkeypatch.setattr(geometry, "_MASK_ELEMENTS", 1)
+    monkeypatch.setattr(placement, "_SCREEN_BLOCK_BYTES", 1)
+    assert np.array_equal(random_panel_positions(*args, seeds), draws)
+    chunked = optimize_placement(*args, LAM, obj, 200, 6)
+    np.testing.assert_array_equal(chunked.positions, search.positions)
+    assert chunked.peak_sidelobe_db == search.peak_sidelobe_db
+    assert chunked.candidates_scored == search.candidates_scored
+
+
 def drawn_stack():
     children = np.random.SeedSequence(4).generate_state(40, dtype=np.uint64)
     return np.stack(
