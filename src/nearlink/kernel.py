@@ -89,7 +89,7 @@ def blocks(n: int, width: int, budget: int | None = None):
     """Slices covering ``range(n)`` in order: as many rows of ``width`` entries
     each as fit in ``budget`` (``_BLOCK_BUDGET`` unless given; at least one
     row), fewer in the last."""
-    step = max(1, (budget or _BLOCK_BUDGET) // max(width, 1))
+    step = max(1, (_BLOCK_BUDGET if budget is None else budget) // max(width, 1))
     for start in range(0, n, step):
         yield slice(start, start + step)
 

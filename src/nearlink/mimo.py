@@ -26,7 +26,7 @@ A_p = Q_a R_a, the mixed-product rule gives B_p (.) A_p = (Q_b x Q_a)
 (R_b (.) R_a), and Q_b x Q_a has orthonormal columns, so the channel has the
 singular values of the panels' R_b (.) R_a stacked: P rb ra rows for S
 targets instead of one per element, with rb = min(rows, S) and
-ra = min(cols, S).
+ra = min(cols, S), or fewer after the cut described last.
 
 R_b and R_a are upper triangular, so row (i, j) of R_b (.) R_a is zero left
 of column max(i, j). A staircase of QRs reduces the stack one leading column
@@ -67,6 +67,22 @@ stacked SVD they replace added 3.3e4, and 2.0e3 for S = 4. By Weyl's
 inequality no singular value moves by more than the sum over both QR levels
 and the SVD, times 2**-53 ||H||_F. That is a worst case: the moves seen are a
 few 2**-53 sigma_max.
+
+Most rows of the first level's R factors lie below that level's own backward
+error: its QR of an axis' k x S factor is exact for a factor within
+4 k S 2**-53 of it, relative to its norm, so smaller rows carry nothing the
+bound resolves. Each block keeps, per axis, the fewest leading rows rb' (ra')
+of R such that in every link and panel the rows dropped are within
+4 k S 2**-53 ||R||_F in Frobenius norm, k being the axis' offsets; the
+staircase and the SVD take those, in max(rb', ra') steps. The factors' entries have unit modulus, so all
+columns of a factor have one norm, and the Khatri-Rao rows that one axis' cut
+drops are the same fraction of the panel's block of H. The cut thus moves no
+singular value by more than 4 (rows + cols) S 2**-53 ||H||_F, at most doubling
+the first level's term. Where P rb' ra' < S the last triangle has fewer than
+min(N, S) rows, and the values past them are exact zeros. On a station of 16
+panels of 32 x 32 with a 16-element satellite, from 100 to 3000 km, a block
+keeps 9 to 13 of the row factor's 16 rows and 3 or 4 of the column factor's:
+9 to 13 staircase steps instead of 16.
 """
 
 from __future__ import annotations
@@ -152,15 +168,20 @@ def singular_values(channel):
         raise ValueError("channel must be a nonempty 2-d array or a stack of them")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
+    values = _svd_values(h)
+    if h.ndim == 2:
+        return SingularSpectrum(values, h.shape)
+    return [SingularSpectrum(v, h.shape[1:]) for v in values]
+
+
+def _svd_values(h):
+    # LAPACK's singular values of a matrix or a stack of them.
     try:
-        values = np.linalg.svd(h, compute_uv=False)
+        return np.linalg.svd(h, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(
             f"LAPACK SVD did not converge on a {h.shape[-2]}x{h.shape[-1]} matrix"
         ) from exc
-    if h.ndim == 2:
-        return SingularSpectrum(values, h.shape)
-    return [SingularSpectrum(v, h.shape[1:]) for v in values]
 
 
 def link_spectra(links, wavelength: float) -> list:
@@ -200,23 +221,27 @@ def link_spectra(links, wavelength: float) -> list:
             block = members[start : start + size]
             targets = np.concatenate([points.positions for _, _, points in block])
             spectra = _compressed(plan, targets, wavelength, s)
-            for (i, used, _), spectrum in zip(block, spectra):
+            for (i, used, _), values in zip(block, spectra):
                 shape = (panels.n_elements, s)[:: 1 if panels is links[i][1] else -1]
-                out[i] = SingularSpectrum(spectrum.values, shape), used
+                out[i] = SingularSpectrum(values, shape), used
     return out
 
 
 def _compressed(plan, targets, wavelength, s):
     # Singular values of each consecutive run of s targets' channel to the
-    # plan's panels, from the R factors of the first QR level and the
-    # staircase second level. The row factor is dropped once its R factors
-    # exist, before the column factor's QR.
+    # plan's panels, (links, min(N, S)), from the R factors of the first QR
+    # level, cut to the rows it resolves, and the staircase second level.
+    # The row factor is dropped once its R factors exist, before the column
+    # factor's QR.
     row, col = kernel._factorized_factors(plan, targets, wavelength)
-    r_row = _panel_r(row, s)
+    r_row = _resolved_rows(_panel_r(row, s), plan.rows)
     del row
-    r_col = _panel_r(col, s)
+    r_col = _resolved_rows(_panel_r(col, s), plan.cols)
     del col
-    return singular_values(_second_level(r_row, r_col))
+    values = _svd_values(_second_level(r_row, r_col))
+    # Where P rb' ra' < S the cut rows leave fewer values; the rest are zero.
+    n = min(len(plan.centres) * plan.rows * plan.cols, s)
+    return np.pad(values, ((0, 0), (0, n - values.shape[1])))
 
 
 def _second_level(r_row, r_col):
@@ -243,6 +268,18 @@ def _panel_r(factor, s):
     # R of each (link, panel) block of a (panels, offsets, links * s) factor.
     p, offsets, t = factor.shape
     return np.linalg.qr(factor.reshape(p, offsets, t // s, s).transpose(2, 0, 1, 3), mode="r")
+
+
+def _resolved_rows(r, offsets):
+    # The fewest leading rows of the (links, panels, rows, s) R factors of an
+    # axis of ``offsets`` whose dropped rows are, in every block, within the
+    # first QR's own backward error 4 offsets s u ||R||_F (module docstring).
+    # tail[..., i]: the squared norm of rows i on, per link and panel. It
+    # falls with i, so the rows any block cannot drop are leading ones.
+    tail = np.cumsum((r.real**2 + r.imag**2).sum(axis=-1)[..., ::-1], axis=-1)[..., ::-1]
+    tol = 4.0 * offsets * r.shape[-1] * kernel._UNIT_ROUNDOFF
+    kept = (tail > tol**2 * tail[..., :1]).any(axis=(0, 1))
+    return r[:, :, : np.count_nonzero(kept)]
 
 
 def condition_ratio(spectrum: SingularSpectrum) -> float:

@@ -776,6 +776,15 @@ def second_level_constant(n_panels, rb, ra, s):
     return 4.0 * sum(k * w for k, w in steps) + 4.0 * tri * s
 
 
+def truncation_constant(rows, cols, s):
+    # c in c u ||H||_F for the rows the link spectra cut from the R factors:
+    # each axis' dropped rows are within gamma(offsets s) of its R in every
+    # block (mimo._resolved_rows). A Khatri-Rao column is the Kronecker
+    # product of a row and a column factor's columns, all of one norm, so the
+    # rows dropped on one axis are that fraction of H; the two axes add.
+    return 4.0 * rows * s + 4.0 * cols * s
+
+
 def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     # Bound on |compressed - uncompressed| for every singular value, c u ||H||_F.
     # - The first QR, of each rows x s and cols x s factor, returns the R of
@@ -783,6 +792,7 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     #   column (see second_level_constant for gamma). A Kronecker column
     #   carries both factors' relative errors and their product:
     #   g_row + g_col + g_row g_col.
+    # - The rows cut from the R factors: truncation_constant, as much again.
     # - Forming each Khatri-Rao row, and forming H in the test, rounds each
     #   entry once: a complex product is within 2 sqrt(2) u of exact.
     # - The staircase steps and the SVD of the triangle they leave:
@@ -794,8 +804,21 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     g_row, g_col = 4.0 * rows * s * u, 4.0 * cols * s * u
     n = n_panels * rows * cols
     second = second_level_constant(n_panels, min(rows, s), min(cols, s), s)
-    c = (g_row + g_col + g_row * g_col) / u + 2.0 * 2.0 * np.sqrt(2.0) + second + 4.0 * n * s
+    c = (g_row + g_col + g_row * g_col) / u + truncation_constant(rows, cols, s)
+    c += 2.0 * 2.0 * np.sqrt(2.0) + second + 4.0 * n * s
     return c * u * h_fro
+
+
+def kept_rows(layout, pts):
+    # Rows the link spectra keep of the row and the column factor's R, for
+    # the points as one link.
+    plan = kn._factorized_plan(layout, pts, LAM)
+    row, col = kn._factorized_factors(plan, pts, LAM)
+    s = len(pts)
+    return (
+        mimo._resolved_rows(mimo._panel_r(row, s), plan.rows).shape[-2],
+        mimo._resolved_rows(mimo._panel_r(col, s), plan.cols).shape[-2],
+    )
 
 
 def check_compressed_against_uncompressed(layout, pts, panels_receive):
@@ -834,6 +857,38 @@ def test_compressed_spectrum_within_qr_bound_of_uncompressed(
     plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     check_compressed_against_uncompressed(layout, pts, panels_receive)
+
+
+@PROPERTY
+@given(
+    layout=panel_layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    n_points=st.integers(1, 9),
+    log_range=st.floats(np.log(1.0e4), np.log(1.0e7)),
+)
+def test_cut_spectrum_within_the_truncation_bound_of_the_uncut_staircase(
+    layout, seed, n_points, log_range
+):
+    # The link's spectrum, from the cut R factors, against the staircase and
+    # SVD of the same first level's R factors whole. Both sides round each
+    # Khatri-Rao entry once and take their own second level and SVD; the cut
+    # adds at most truncation_constant.
+    rng = np.random.default_rng(seed)
+    centre = np.exp(log_range) * unit_vectors(rng.uniform(-0.5, 0.5), rng.uniform(0, 2 * np.pi))
+    pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
+    plan = kn._factorized_plan(layout, pts, LAM)
+    assume(plan is not None and plan.bound_rad <= plan.floor_rad)
+    spectrum, _ = link_spectra([(point_layout(pts), layout)], LAM)[0]
+    row, col = kn._factorized_factors(plan, pts, LAM)
+    r_row, r_col = mimo._panel_r(row, n_points), mimo._panel_r(col, n_points)
+    uncut = np.linalg.svd(mimo._second_level(r_row, r_col)[0], compute_uv=False)
+    assert spectrum.values.shape == uncut.shape
+    h_fro = np.linalg.norm(r_row[0, :, :, None] * r_col[0, :, None])
+    n_panels, rb, ra = r_row.shape[1], r_row.shape[2], r_col.shape[2]
+    spec = layout.panel_spec
+    c = truncation_constant(spec.rows, spec.cols, n_points)
+    c += 2.0 * (2.0 * np.sqrt(2.0) + second_level_constant(n_panels, rb, ra, n_points))
+    assert np.abs(spectrum.values - uncut).max() <= c * UNIT_ROUNDOFF * h_fro
 
 
 @PROPERTY
@@ -900,6 +955,15 @@ def test_compressed_spectrum_shapes_of_r():
         pts = far + rng.uniform(-2.0, 2.0, size=(n_points, 3))
         for panels_receive in (True, False):
             check_compressed_against_uncompressed(layout, pts, panels_receive)
+    # 16 targets within a metre at 1000 km resolve three rows of each 4 x 4
+    # panel's R factors: 9 Khatri-Rao rows, so 7 of the 16 values are zero.
+    layout = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[0, 0, 0]])
+    pts = [0.0, 0.0, 1.0e6] + rng.uniform(-0.5, 0.5, size=(16, 3))
+    assert kept_rows(layout, pts) == (3, 3)
+    for panels_receive in (True, False):
+        check_compressed_against_uncompressed(layout, pts, panels_receive)
+    spectrum, _ = link_spectra([(point_layout(pts), layout)], LAM)[0]
+    assert spectrum.values.shape == (16,) and not spectrum.values[9:].any()
 
 
 def test_compressed_spectrum_keeps_the_exact_source_shape():
@@ -1044,6 +1108,16 @@ def test_sweep_with_the_panels_on_the_satellite_side():
     grounds = [point_layout(centres - [0.0, 0.0, r]) for r in np.geomspace(1.0e3, 300.0e3, 7)]
     kernels = check_batched_against_single_and_exact([(sat, g) for g in grounds], sat, 0.1)
     assert kernels == {"exact", "panel_factorized"}
+
+
+def test_the_station_sweep_cuts_both_axes_below_s_rows():
+    # The benchmark's dof_sweep gains from the cut: on its station, from 100
+    # to 3000 km, the link spectra keep fewer than S rows of both axes' R.
+    ground = station_ground()
+    mount = satellite_mount()
+    for r in np.geomspace(100.0e3, 3000.0e3, 6):
+        rb, ra = kept_rows(ground, mount + [0.0, 0.0, r])
+        assert rb < len(mount) and ra < len(mount)
 
 
 def test_sweep_transient_memory_stays_within_the_block_bound():

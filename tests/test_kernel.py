@@ -121,6 +121,8 @@ def test_blocks_cover_every_row_once():
     for n, width in ((0, 5), (1, 0), (7, 10**9), (10, kn._BLOCK_BUDGET // 3)):
         rows = [i for block in kn.blocks(n, width) for i in range(n)[block]]
         assert rows == list(range(n))
+    # A budget below one row's entries still gives one row a block.
+    assert list(kn.blocks(10, 1, 0)) == [slice(i, i + 1) for i in range(10)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
