@@ -92,9 +92,6 @@ class WeightVector(Record, eq=False):
     def __array__(self, dtype=None, copy=None):
         return np.array(self.weights, dtype=dtype, copy=copy)
 
-    def __len__(self) -> int:
-        return self.layout.n_elements
-
 
 class DishSpec(Record):
     """Parabolic dish: diameter in meters, aperture efficiency in (0, 1]."""
@@ -194,18 +191,16 @@ def evaluate_gain(layout: ElementLayout, weights, where, wavelength: float) -> f
 
 
 class GainGrid(Record, eq=False):
-    """Gain samples over a theta and/or range grid.
-
-    ``gain_dbi`` has shape (len(theta), len(ranges)); single-axis sweeps carry
-    a one-element second axis. ``kernel`` names the evaluator that computed
-    the samples and its error bound.
+    """Gain samples over a (theta, range) grid in the phi = 0 plane, of shape
+    (len(theta), len(ranges)); a cut has one value on its fixed axis.
+    ``steering`` is the beam's focal, None for a bare weight array, and
+    ``kernel`` the evaluator that computed the samples, with its error bound.
     """
 
     theta: np.ndarray
     ranges: np.ndarray
     gain_dbi: np.ndarray
-    phi: float
-    steering: Focal
+    steering: Focal | None
     wavelength: float
     kernel: BeamKernel = EXACT_KERNEL
 
@@ -227,50 +222,29 @@ class GainGrid(Record, eq=False):
 
 
 def gain_pattern_sweep(
-    layout: ElementLayout,
-    weights,
-    wavelength: float,
-    thetas=None,
-    ranges=None,
-    fixed_range: float | None = None,
-    fixed_theta: float = 0.0,
-    phi: float = 0.0,
+    layout: ElementLayout, weights, wavelength: float, thetas, ranges
 ) -> GainGrid:
-    """Evaluate gain over angles, ranges, or their Cartesian product.
-
-    Every sample is a near-field Point evaluation at ``r * unit(theta, phi)``:
-    a theta sweep needs ``fixed_range``, a range sweep uses ``fixed_theta``,
-    and giving both axes produces the full 2-d map (theta outer, range inner).
+    """Evaluate gain over the Cartesian product of ``thetas`` and ``ranges``
+    (theta outer, range inner), each sample a near-field Point evaluation at
+    ``r * unit(theta, 0)``. A cut passes its fixed axis as one value.
     """
-    if thetas is None and ranges is None:
-        raise ValueError("need a theta axis, a range axis, or both")
-    if thetas is None:
-        thetas = np.array([fixed_theta])
-    else:
-        thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
-    if ranges is None:
-        if fixed_range is None:
-            raise ValueError("a pure theta sweep needs fixed_range")
-        ranges = np.array([fixed_range])
-    else:
-        ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
-    if not (np.isfinite(thetas).all() and np.isfinite(ranges).all() and np.isfinite(phi)):
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    ranges = np.atleast_1d(np.asarray(ranges, dtype=np.float64))
+    if not (np.isfinite(thetas).all() and np.isfinite(ranges).all()):
         raise ValueError("evaluation angles and ranges must be finite")
     if (ranges <= 0.0).any():
         raise ValueError("evaluation ranges must be positive")
 
-    units = kernel.unit_vectors(thetas, phi)
+    units = kernel.unit_vectors(thetas, 0.0)
     pts = (units[:, None, :] * ranges[None, :, None]).reshape(-1, 3)
     focus = _focus_of(weights, layout, wavelength)
     totals, used = kernel.sums(layout, weights, pts, False, wavelength, focus)
     gain = _to_gain_dbi(totals, layout.n_elements, layout.element_gain_dbi)
-    steering = weights.focal if isinstance(weights, WeightVector) else Direction(0.0)
     return GainGrid(
         theta=thetas,
         ranges=ranges,
         gain_dbi=gain.reshape(len(thetas), len(ranges)),
-        phi=phi,
-        steering=steering,
+        steering=weights.focal if isinstance(weights, WeightVector) else None,
         wavelength=wavelength,
         kernel=used,
     )
@@ -290,7 +264,9 @@ def dish_gain(dish: DishSpec, wavelength: float) -> float:
 # ===== export =====
 
 
-def _describe_focal(focal: Focal) -> str:
+def _describe_focal(focal: Focal | None) -> str:
+    if focal is None:
+        return "none"
     if isinstance(focal, Direction):
         return f"direction theta_rad={fmt(float(focal.theta))} phi_rad={fmt(float(focal.phi))}"
     p = focal.position
@@ -300,13 +276,13 @@ def _describe_focal(focal: Focal) -> str:
 def write_gain_csv(grid: GainGrid, path, metadata=None) -> None:
     """Write a sweep as ``theta_rad,range_m,gain_dbi`` rows.
 
-    Leading ``#`` lines carry the wavelength, steering descriptor, azimuth,
-    and any extra metadata items, so a grid file is self-describing.
+    Leading ``#`` lines carry the wavelength, the steering focal (``none`` for
+    a bare weight array), phi = 0 and any metadata, so a file stands alone.
     """
     lines = [
         f"# wavelength_m {fmt(float(grid.wavelength))}",
         f"# steering {_describe_focal(grid.steering)}",
-        f"# phi_rad {fmt(float(grid.phi))}",
+        "# phi_rad 0.0",
     ]
     for key, value in (metadata or {}).items():
         lines.append(f"# {key} {fmt(value)}")

@@ -48,7 +48,7 @@ def _wavelength(args) -> float:
 
 def _print_report(report) -> None:
     print(f"scenario_hash={report.scenario_hash}")
-    print(f"wall_time_s={report.wall_time_s:.3f}")
+    print(f"wall_time_s={fmt(report.wall_time_s)}")
     for path in report.output_files:
         print(f"output={path}")
     for key in sorted(report.key_scalars):

@@ -105,10 +105,9 @@ class DegenerateSpectrum(ValueError):
 
 
 class SingularSpectrum(Record, eq=False):
-    """Singular values in descending order plus the matrix shape they came from."""
+    """Singular values in descending order."""
 
     values: np.ndarray
-    source_shape: tuple
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -120,7 +119,6 @@ class SingularSpectrum(Record, eq=False):
             raise ValueError("values must be sorted in descending order")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "source_shape", tuple(self.source_shape))
 
 
 def _sigma_pair(delta) -> tuple:
@@ -153,25 +151,19 @@ def svd_closed_form_2x2(
 def singular_values(channel):
     """Full singular spectrum of a 2-d complex channel array, from LAPACK's SVD.
 
-    A 3-d array is a stack of channels: it takes one batched SVD and gives a
-    list of spectra, one per channel, in order.
-
     Raises
     ------
     ValueError
-        If the array is not a nonempty 2-d or 3-d array of finite entries.
+        If the array is not a nonempty 2-d array of finite entries.
     ConvergenceFailure
         If LAPACK's SVD does not converge.
     """
     h = np.asarray(channel, dtype=np.complex128)
-    if h.ndim not in (2, 3) or h.size == 0:
-        raise ValueError("channel must be a nonempty 2-d array or a stack of them")
+    if h.ndim != 2 or h.size == 0:
+        raise ValueError("channel must be a nonempty 2-d array")
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
-    values = _svd_values(h)
-    if h.ndim == 2:
-        return SingularSpectrum(values, h.shape)
-    return [SingularSpectrum(v, h.shape[1:]) for v in values]
+    return SingularSpectrum(_svd_values(h))
 
 
 def _svd_values(h):
@@ -193,10 +185,10 @@ def link_spectra(links, wavelength: float) -> list:
     and the other side's elements, as point targets, keep the
     panel-factorized bound within the exact kernel's own phase rounding, the
     spectrum comes from the factorized kernel's row and column factors,
-    compressed by two levels of QR (see the module docstring);
-    ``source_shape`` is still the channel matrix's. Links that pass the gate
-    with the same panel layout and number of point elements share the factor
-    build and the first QR, a block of them at a time. Every other link gives
+    compressed by two levels of QR (see the module docstring), with
+    min(N, S) values as the channel matrix has. Links that pass the gate with
+    the same panel layout and number of point elements share the factor build
+    and the first QR, a block of them at a time. Every other link gives
     exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
     """
     kernel.wavenumber(wavelength)  # checks the wavelength
@@ -208,22 +200,20 @@ def link_spectra(links, wavelength: float) -> list:
             plan, used = kernel.gate(panels, points.positions, wavelength)
             if plan is not None:
                 key = (id(panels), points.n_elements)
-                groups.setdefault(key, (plan, panels, []))[2].append((i, used, points))
+                groups.setdefault(key, (plan, []))[1].append((i, used, points))
                 break
         else:
             out[i] = singular_values(channel_matrix(tx, rx, wavelength)), kernel.EXACT_KERNEL
-    for (_, s), (plan, panels, members) in groups.items():
-        spec = panels.panel_spec
+    for (_, s), (plan, members) in groups.items():
         # A block's targets number no more than a panel's offsets on its two
         # axes, or it is one link.
-        size = max(1, (spec.rows + spec.cols) // s)
+        size = max(1, (plan.rows + plan.cols) // s)
         for start in range(0, len(members), size):
             block = members[start : start + size]
             targets = np.concatenate([points.positions for _, _, points in block])
             spectra = _compressed(plan, targets, wavelength, s)
             for (i, used, _), values in zip(block, spectra):
-                shape = (panels.n_elements, s)[:: 1 if panels is links[i][1] else -1]
-                out[i] = SingularSpectrum(values, shape), used
+                out[i] = SingularSpectrum(values), used
     return out
 
 

@@ -82,20 +82,15 @@ class PlacementResult(Record, eq=False):
         object.__setattr__(self, "positions", pos)
 
 
-def uniform_sparse_positions(aperture: float, n_panels: int, axis=(1.0, 0.0, 0.0)):
-    """Evenly pitched centers spanning ``aperture`` along ``axis``, centered on the origin."""
+def uniform_sparse_positions(aperture: float, n_panels: int):
+    """Evenly pitched centers spanning ``aperture`` along x, centered on the origin."""
     if aperture <= 0.0:
         raise ValueError("aperture must be positive")
     if n_panels < 2:
         raise ValueError("a uniform line needs at least two panels")
-    axis = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0 or not np.all(np.isfinite(axis)):
-        raise ValueError("axis must be a nonzero finite vector")
-    axis = axis / norm
     pitch = aperture / (n_panels - 1)
     steps = np.arange(n_panels) - (n_panels - 1) / 2.0
-    return steps[:, None] * pitch * axis[None, :]
+    return steps[:, None] * pitch * np.array([1.0, 0.0, 0.0])
 
 
 def _scan_offsets(objective: PlacementObjective) -> np.ndarray:

@@ -121,28 +121,20 @@ def _run_sweep(s, outdir, tag, mimo):
 
 def _run_beam(s, outdir, tag, beamforming):
     # A theta axis where the analysis has a halfwidth, a range axis where it
-    # has a range span; the sweep fixes whichever axis is missing.
+    # has a range span; a missing axis is fixed at the satellite's.
     ana, lam = s.analysis, s.wavelength
     ground = build_ground_layout(s)
     sat = build_satellite_layout(s)
     focus = beamforming.Point(sat.positions.mean(axis=0))
     weights = beamforming.delay_and_sum_weights(ground, focus, lam)
     steer_theta = np.deg2rad(s.satellite.off_nadir_deg)
-    thetas = ranges = None
+    thetas, ranges = [steer_theta], [s.satellite.range_m]
     if hasattr(ana, "halfwidth_deg"):
         hw = np.deg2rad(ana.halfwidth_deg)
         thetas = np.linspace(steer_theta - hw, steer_theta + hw, ana.n_theta)
     if hasattr(ana, "range_start_m"):
         ranges = _range_axis(ana)
-    grid = beamforming.gain_pattern_sweep(
-        ground,
-        weights,
-        lam,
-        thetas=thetas,
-        ranges=ranges,
-        fixed_range=s.satellite.range_m,
-        fixed_theta=steer_theta,
-    )
+    grid = beamforming.gain_pattern_sweep(ground, weights, lam, thetas, ranges)
     path = os.path.join(outdir, f"gain_{analysis_kind(ana).removeprefix('beam_')}.csv")
     beamforming.write_gain_csv(grid, path, metadata={"scenario": tag})
     scalars = {

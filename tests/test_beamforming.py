@@ -58,7 +58,7 @@ def test_broadside_weights_are_all_ones():
     lay = make_upa(PanelSpec(4, 4, LAM / 2.0))
     w = delay_and_sum_weights(lay, Direction(0.0), LAM)
     np.testing.assert_allclose(w.weights, 1.0, atol=1e-12)
-    assert len(w) == 16
+    assert np.asarray(w).shape == (16,)
 
 
 def test_point_weights_converge_to_direction_weights():
@@ -177,7 +177,7 @@ def test_upa_gain_flat_beyond_fraunhofer():
     r_far = 2.0 * spec.extent**2 / LAM  # the Fraunhofer distance 2 D^2 / lambda
     w = delay_and_sum_weights(lay, Direction(0.0), LAM)
     ranges = np.geomspace(10.0 * r_far, 1000.0 * r_far, 40)
-    grid = gain_pattern_sweep(lay, w, LAM, ranges=ranges, fixed_theta=0.0)
+    grid = gain_pattern_sweep(lay, w, LAM, [0.0], ranges)
     assert grid.gain_dbi.max() - grid.gain_dbi.min() < 0.5
 
 
@@ -200,22 +200,36 @@ def test_theta_sweep_peaks_at_steering_angle():
     focal = point_at(1.0e4, 0.1)
     w = delay_and_sum_weights(lay, focal, LAM)
     thetas = np.linspace(0.1 - 0.05, 0.1 + 0.05, 201)
-    grid = gain_pattern_sweep(lay, w, LAM, thetas=thetas, fixed_range=1.0e4)
+    grid = gain_pattern_sweep(lay, w, LAM, thetas, [1.0e4])
     assert grid.gain_dbi.shape == (201, 1)
     peak_theta = grid.theta[int(np.argmax(grid.gain_dbi[:, 0]))]
     assert abs(peak_theta - 0.1) < 1e-9
     assert grid.peak_gain_dbi == pytest.approx(10.0 * np.log10(256.0) + 6.0, abs=1e-9)
 
 
+def test_a_cut_is_the_response_at_its_points_bit_for_bit():
+    # A cut passes its fixed axis as one value; its gains are those of
+    # response_sum at the same Points, for the beam (the focused sums) and
+    # for its weight array (the exact kernel).
+    lay = make_distributed_panels(PanelSpec(4, 4, LAM / 2.0, 6.0), [[-30, 0, 0], [30, 0, 0]])
+    w = delay_and_sum_weights(lay, point_at(2.0e4, 0.05), LAM)
+    kernels = set()
+    for thetas, ranges in ((np.linspace(0.0, 0.1, 7), [2.0e4]), ([0.05], [1.0e4, 2.0e4, 4.0e4])):
+        for weights in (w, w.weights):
+            grid = gain_pattern_sweep(lay, weights, LAM, thetas, ranges)
+            points = [point_at(r, t) for t in grid.theta.tolist() for r in grid.ranges.tolist()]
+            total = response_sum(lay, weights, points, LAM)
+            want = bf._to_gain_dbi(total, lay.n_elements, lay.element_gain_dbi)
+            assert np.array_equal(grid.gain_dbi.ravel(), want)
+            kernels.add(grid.kernel.name)
+    assert kernels == {"panel_factorized", "exact"}
+
+
 def test_sweep_argument_errors():
     lay = make_upa(PanelSpec(2, 2, LAM / 2.0))
     w = delay_and_sum_weights(lay, Direction(0.0), LAM)
     with pytest.raises(ValueError):
-        gain_pattern_sweep(lay, w, LAM)
-    with pytest.raises(ValueError):
-        gain_pattern_sweep(lay, w, LAM, thetas=np.array([0.0]))
-    with pytest.raises(ValueError):
-        gain_pattern_sweep(lay, w, LAM, ranges=np.array([-5.0]))
+        gain_pattern_sweep(lay, w, LAM, [0.0], np.array([-5.0]))
     with pytest.raises(ValueError):
         evaluate_gain(lay, np.ones(3) + 0.0j, Direction(0.0), LAM)
     # A NaN angle or range would come back as a NaN gain under a kernel
@@ -223,15 +237,9 @@ def test_sweep_argument_errors():
     upa = make_upa(PanelSpec(8, 8, LAM / 2.0))
     beam = delay_and_sum_weights(upa, point_at(1.0e4, 0.0), LAM)
     for bad in (np.nan, np.inf, -np.inf):
-        for axes in (
-            {"ranges": [bad, 1.0e4]},
-            {"thetas": [bad, 0.0], "fixed_range": 1.0e4},
-            {"thetas": [0.0], "fixed_range": bad},
-            {"ranges": [1.0e4], "fixed_theta": bad},
-            {"ranges": [1.0e4], "phi": bad},
-        ):
+        for thetas, ranges in (([0.0], [bad, 1.0e4]), ([bad, 0.0], [1.0e4]), ([bad], [bad])):
             with pytest.raises(ValueError, match="finite"):
-                gain_pattern_sweep(upa, beam, LAM, **axes)
+                gain_pattern_sweep(upa, beam, LAM, thetas, ranges)
 
 
 def test_dish_gain_reference_points():
@@ -247,13 +255,13 @@ def test_dish_gain_reference_points():
 def test_gain_csv_format(tmp_path):
     lay = make_upa(PanelSpec(2, 2, LAM / 2.0, 6.0))
     w = delay_and_sum_weights(lay, Direction(0.0), LAM)
-    grid = gain_pattern_sweep(
-        lay, w, LAM, thetas=np.linspace(-0.1, 0.1, 5), fixed_range=100.0
-    )
+    grid = gain_pattern_sweep(lay, w, LAM, np.linspace(-0.1, 0.1, 5), [100.0])
     path = tmp_path / "gain.csv"
     write_gain_csv(grid, path, metadata={"scenario": "abc"})
     lines = path.read_text().splitlines()
     assert any(l.startswith("# wavelength_m ") for l in lines)
+    assert "# steering direction theta_rad=0.0 phi_rad=0.0" in lines
+    assert "# phi_rad 0.0" in lines
     assert "# scenario abc" in lines
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == "theta_rad,range_m,gain_dbi"
@@ -278,11 +286,25 @@ def test_gain_csv_rows_match_the_per_value_writer(tmp_path):
     ranges = np.array([1.0, 1000.0, 2.5e5, 1.0 / 3.0])
     gains = np.random.default_rng(5).normal(30.0, 10.0, (len(theta), len(ranges)))
     gains[0, 0], gains[1, 1], gains[2, 2], gains[3, 3] = -0.0, 48.0, GAIN_FLOOR_DB, 0.0
-    grid = bf.GainGrid(theta, ranges, gains, -0.0, Point([0.0, -0.0, 5.0e5]), LAM)
+    grid = bf.GainGrid(theta, ranges, gains, Point([0.0, -0.0, 5.0e5]), LAM)
     path = tmp_path / "gain.csv"
     write_gain_csv(grid, path, metadata={"scenario": "abc"})
     lines = path.read_text().splitlines()
     header = lines.index("theta_rad,range_m,gain_dbi")
     assert lines[header + 1 :] == per_value_csv_rows(grid)
     assert lines[header + 1].startswith("-0.0,1.0,-0.0")
-    assert "# phi_rad -0.0" in lines
+    assert "# steering point x_m=0.0 y_m=-0.0 z_m=500000.0" in lines
+
+
+def test_a_weight_array_sweep_records_no_steering(tmp_path):
+    # A bare weight array carries no focal, whatever it steers at: the grid
+    # records none and its file says so. The beam records its focal.
+    lay = make_upa(PanelSpec(2, 2, LAM / 2.0, 6.0))
+    beam = delay_and_sum_weights(lay, point_at(100.0, 0.3), LAM)
+    assert gain_pattern_sweep(lay, beam, LAM, [0.3], [100.0]).steering is beam.focal
+    grid = gain_pattern_sweep(lay, beam.weights, LAM, [0.3], [100.0])
+    assert grid.steering is None
+    path = tmp_path / "gain.csv"
+    write_gain_csv(grid, path)
+    lines = path.read_text().splitlines()
+    assert lines[1:3] == ["# steering none", "# phi_rad 0.0"]

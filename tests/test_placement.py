@@ -459,8 +459,9 @@ def tie_stack():
     """A worse line, a placement and its point reflection: no shared corner."""
     base = random_panel_positions(1414.0, 1000.0, 16, 50.0, 3)
     # A line along the scan azimuth throws a full-strength grating lobe.
-    azimuth = (np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0)
-    return np.stack([uniform_sparse_positions(1400.0, 16, axis=azimuth), -base, base])
+    azimuth = np.array([np.cos(np.pi / 6.0), np.sin(np.pi / 6.0), 0.0])
+    line = uniform_sparse_positions(1400.0, 16)[:, :1] * azimuth
+    return np.stack([line, -base, base])
 
 
 @pytest.mark.parametrize("lower_later_bound", [False, True])

@@ -52,9 +52,7 @@ def _instances():
     layout = geometry.make_distributed_panels(spec, [[-30.0, 0.0, 0.0], [30.0, 0.0, 0.0]])
     focal = beamforming.point_at(2.0e4, 0.05)
     weights = beamforming.delay_and_sum_weights(layout, focal, LAM)
-    grid = beamforming.gain_pattern_sweep(
-        layout, weights, LAM, thetas=np.linspace(0.0, 0.1, 5), fixed_range=2.0e4
-    )
+    grid = beamforming.gain_pattern_sweep(layout, weights, LAM, np.linspace(0.0, 0.1, 5), [2.0e4])
     targets = kernel.unit_vectors(np.linspace(0.0, 0.1, 5), 0.0) * 2.0e4
     plan = kernel._factorized_plan(layout, targets, LAM)
     assert plan is not None
@@ -69,7 +67,7 @@ def _instances():
         beamforming.DishSpec: beamforming.REFERENCE_DISH_SMALL,
         kernel.BeamKernel: grid.kernel,
         kernel._FactorizedPlan: plan,
-        mimo.SingularSpectrum: mimo.SingularSpectrum(np.array([2.0, 1.0]), (2, 2)),
+        mimo.SingularSpectrum: mimo.SingularSpectrum(np.array([2.0, 1.0])),
         objective.Direction: direction,
         objective.PlacementObjective: scan,
         placement.PlacementResult: placement.PlacementResult(np.zeros((2, 3)), -3.0, 7, 10),
