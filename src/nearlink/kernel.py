@@ -181,7 +181,7 @@ def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
 # so dropping the cross term and the remainder leaves a row factor times a
 # column factor: the element's term is exp(-jkR_p) B_pr A_pc, with A the
 # column factors and B the row factors (the link spectra's factors,
-# _factorized_factors).
+# nearlink.mimo._factorized_factors).
 #
 # The delay-and-sum weights toward a focus F, exp(jk d_F) at each element,
 # split the same way into exp(jk R_pF) conj(B_F) conj(A_F), so the panel's
@@ -385,28 +385,6 @@ def _factorized_sums(plan, targets, wavelength):
         inner *= _axis_factor(plan.rows, plan.spacing, uy, cy, k, summed=True)
         out[chunk] = (np.exp(-1j * k * (path - f_path)) * inner).sum(axis=0)
     return out
-
-
-def _factorized_factors(plan, targets, wavelength):
-    # The factorized kernel's channel to point targets, left as its factors:
-    # element (row r, column c) of panel p couples to target a as
-    # row[p, r, a] * col[p, c, a], so panel p's block of the channel matrix is
-    # the column-wise Kronecker product of row[p] and col[p]. The row factor
-    # carries exp(-jk (R_pa - |t_a|)): taking each target's path relative to
-    # its distance |t_a| from the origin scales column a by exp(jk |t_a|),
-    # which leaves the singular values unchanged, and keeps the phase rounding
-    # at the size of |c_p| instead of R_pa, where it would be shared by every
-    # element of the panel. The difference is formed without cancellation as
-    # (|c_p|^2 - 2 t_a . c_p) / (R_pa + |t_a|).
-    k = wavenumber(wavelength)
-    path, ux, uy, inv_r = _panel_paths(plan.centres, targets)
-    c = plan.centres
-    t_norm = np.sqrt((targets * targets).sum(axis=-1))
-    rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
-    row = _axis_factor(plan.rows, plan.spacing, uy, _curvature(uy, inv_r), k)
-    row *= np.exp(-1j * k * rel)[:, None, :]
-    col = _axis_factor(plan.cols, plan.spacing, ux, _curvature(ux, inv_r), k)
-    return row, col
 
 
 def _cis(phase):

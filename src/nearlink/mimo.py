@@ -25,8 +25,35 @@ product B_p (.) A_p of its row and column factors. With B_p = Q_b R_b and
 A_p = Q_a R_a, the mixed-product rule gives B_p (.) A_p = (Q_b x Q_a)
 (R_b (.) R_a), and Q_b x Q_a has orthonormal columns, so the channel has the
 singular values of the panels' R_b (.) R_a stacked: P rb ra rows for S
-targets instead of one per element, with rb = min(rows, S) and
-ra = min(cols, S), or fewer after the cut described last.
+targets instead of one per element, with rb and ra at most min(M, S) for the
+M of the first level below, or fewer after the cut described last.
+
+The first level takes each factor as a smooth function of the element
+offset. An axis' factor holds the chirp f(o) = exp(jk (o u - o^2 c)) at its
+n offsets o, per target, and the row factor also the target's path phase.
+That phase scales a column of B_p, and so the same column of R_b: R is
+formed without it and then scaled. Per link and panel, u and c are taken
+relative to the mid-range of the link's S targets, which scales row o by a
+unit-modulus number and leaves R unchanged. What is left has phase at most
+x = k (o_max max|du| + o_max^2 max|dc|) over a block of links: below 1e-3
+for a 1.7 m satellite from 100 km on, a factor of numerical rank 3 to 4.
+Each axis' factor F is projected onto the first M orthonormal polynomials of
+its offsets, the rows of a real M x n matrix V built once per n and M by
+Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen, SIAM Rev. 63,
+2021), as one real gemm on F's float64 view; the QR is of the M x S matrix
+V F in place of the n x S F. By the mixed-product rule (V_b x V_a) (B (.) A)
+= (V_b B) (.) (V_a A), so the staircase below takes these R factors alike.
+
+M = min(n, 2N - 1) for the fewest Taylor terms N of exp(j phi) whose
+remainder x^N / N! (N + 1) / (N + 1 - x) is within 4 n S 2**-53, the cut's
+tolerance below, computed per block and axis at run time. phi is quadratic
+in o, so those N terms are a polynomial of degree 2N - 2 within that of
+every entry of F. The projection is the best approximation in the span in
+Frobenius norm, so it drops at most that fraction of each link and panel's
+factor, whose entries have unit modulus. Where M reaches n the factor goes
+to the QR whole. On a station of 16 panels of 32 x 32 with a 16-element
+satellite, from 100 to 3000 km, M is 7 on the blocks of links within about
+300 km and 5 on the rest, against n = 32.
 
 R_b and R_a are upper triangular, so row (i, j) of R_b (.) R_a is zero left
 of column max(i, j). A staircase of QRs reduces the stack one leading column
@@ -35,38 +62,42 @@ rows with max(i, j) = m, from column m on, stacks the triangle left by the
 steps before under them, shifted one column, and keeps the R of their QR. The
 last triangle, at most S x S, has the channel's singular values: 16 x 16
 instead of 4 096 x 16 for 16 panels of 32 x 32 and a 16-element satellite,
-from 16 steps of at most 496 rows each. This is the tall-skinny QR reduction
-(Demmel et al., SIAM J. Sci. Comput. 34, 2012) ordered by the blocks' zeros;
-no Khatri-Rao block is formed whole. Blocks wider than they are tall
-(rb ra < S) take the same steps.
+from at most 16 steps of at most 496 rows each. This is the tall-skinny QR
+reduction (Demmel et al., SIAM J. Sci. Comput. 34, 2012) ordered by the
+blocks' zeros; no Khatri-Rao block is formed whole. Blocks wider than they
+are tall (rb ra < S) take the same steps.
 
 :func:`link_spectra` runs many links, such as the ranges of a sweep, through
 one pass. Links that pass the gate against the same panel layout share one
-factor build, one batched QR per axis, one batched QR per staircase step and
-one batched SVD, a block of links at a time. A block holds
+factor build and one batched QR per axis, one batched QR per staircase step
+and one batched SVD, a block of links at a time. A block holds
 L = max(1, (rows + cols) // S) links, so that its
 L S targets number no more than a panel's rows + cols offsets, unless one
 link alone has more: 4 links for 32 x 32 panels and S = 16, 16 for S = 4. Its
 factors, P (rows + cols) L S entries, are then within P (rows + cols)**2
-entries, or one link's. Besides them, a block holds at most one factor's copy
-for its QR and the R factors, P (rb + ra) L S entries (no larger); then the R
-factors and, during step m, a few arrays of at most L k_m (S - m) entries,
-k_m being the step's rows: the new rows, the shifted triangle, their stack,
-the copy QR takes and its R. For 16 panels of 32 x 32 and S = 16 those are
-far smaller than the factors, and a block stays within three times its
-factors.
+entries, or one link's. They are built one axis at a time, and each is
+dropped once its R factors exist; besides one, a block holds its projection
+or the copy QR takes (no larger) and the R factors, P (rb + ra) L S entries
+(no larger); then the R factors and, during step m, a few arrays of at most
+L k_m (S - m) entries, k_m being the step's rows: the new rows, the shifted
+triangle, their stack, the copy QR takes and its R. For 16 panels of 32 x 32
+and S = 16 those are far smaller than the factors, and a block stays within
+three times its factors.
 
 Householder QR and LAPACK's SVD are backward stable: each returns the exact
 result for an input within about 4 k n 2**-53 of the k x n one it was given,
 in Frobenius norm (Higham, "Accuracy and Stability of Numerical Algorithms",
-Thm 19.4). Each staircase step's input is a rotation of rows of the stack,
-of norm at most ||H||_F. Step m is k_m <= P (rb + ra - 1) + S - m - 1 rows by
-S - m columns, so the steps add at most 4 k_m (S - m) each: about 1.0e5 in
-all for 16 panels of 32 x 32 and S = 16, where the per-panel QRs and the
-stacked SVD they replace added 3.3e4, and 2.0e3 for S = 4. By Weyl's
-inequality no singular value moves by more than the sum over both QR levels
-and the SVD, times 2**-53 ||H||_F. That is a worst case: the moves seen are a
-few 2**-53 sigma_max.
+Thm 19.4). The gemm V F rounds each entry within sqrt(2) n 2**-53 times its
+column's norm, so it adds sqrt(2 M) n, and its QR 4 M S, in place of a QR
+of F's 4 n S. Each staircase step's input is a rotation of rows of the
+stack, of norm at most ||H||_F. Step m is k_m <= P (rb + ra - 1) + S - m - 1
+rows by S - m columns, so the steps add at most 4 k_m (S - m) each: about
+1.0e5 in all for 16 panels of 32 x 32, S = 16 and R factors of 16 rows,
+where the per-panel QRs and the stacked SVD they replace added 3.3e4, and
+2.0e3 for S = 4. By Weyl's inequality no singular value moves by more than
+the sum over both QR levels, the projection and the cut (below) and the SVD,
+times 2**-53 ||H||_F. That is a worst case: the moves seen are a few 2**-53
+sigma_max.
 
 Most rows of the first level's R factors lie below that level's own backward
 error: its QR of an axis' k x S factor is exact for a factor within
@@ -74,18 +105,21 @@ error: its QR of an axis' k x S factor is exact for a factor within
 bound resolves. Each block keeps, per axis, the fewest leading rows rb' (ra')
 of R such that in every link and panel the rows dropped are within
 4 k S 2**-53 ||R||_F in Frobenius norm, k being the axis' offsets; the
-staircase and the SVD take those, in max(rb', ra') steps. The factors' entries have unit modulus, so all
-columns of a factor have one norm, and the Khatri-Rao rows that one axis' cut
-drops are the same fraction of the panel's block of H. The cut thus moves no
-singular value by more than 4 (rows + cols) S 2**-53 ||H||_F, at most doubling
-the first level's term. Where P rb' ra' < S the last triangle has fewer than
-min(N, S) rows, and the values past them are exact zeros. On a station of 16
-panels of 32 x 32 with a 16-element satellite, from 100 to 3000 km, a block
-keeps 9 to 13 of the row factor's 16 rows and 3 or 4 of the column factor's:
-9 to 13 staircase steps instead of 16.
+staircase and the SVD take those, in max(rb', ra') steps. The factors'
+entries have unit modulus, so all columns of a factor have one norm, and the
+Khatri-Rao rows that one axis' cut, or one axis' projection, drops are the
+same fraction of the panel's block of H. The cut thus moves no singular value
+by more than 4 (rows + cols) S 2**-53 ||H||_F, and the projection as much
+again. Where P rb' ra' < S the last triangle has fewer than min(N, S) rows,
+and the values past them are exact zeros. On the station above a block keeps
+the row factor's 5 or 7 projected rows and 3 or 4 of the column factor's: 5
+to 7 staircase steps, against 9 to 13 of 16 rows kept without the
+projection.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -220,18 +254,111 @@ def link_spectra(links, wavelength: float) -> list:
 def _compressed(plan, targets, wavelength, s):
     # Singular values of each consecutive run of s targets' channel to the
     # plan's panels, (links, min(N, S)), from the R factors of the first QR
-    # level, cut to the rows it resolves, and the staircase second level.
-    # The row factor is dropped once its R factors exist, before the column
-    # factor's QR.
-    row, col = kernel._factorized_factors(plan, targets, wavelength)
-    r_row = _resolved_rows(_panel_r(row, s), plan.rows)
-    del row
-    r_col = _resolved_rows(_panel_r(col, s), plan.cols)
-    del col
+    # level, projected and cut to the rows it resolves, and the staircase
+    # second level. Each axis' factor is dropped once its R factors exist.
+    k = kernel.wavenumber(wavelength)
+    phase, axes = _factor_terms(plan, targets, k)
+    r_row, r_col = (
+        _axis_r(n, plan.spacing, u, c, k, s) for n, (u, c) in zip((plan.rows, plan.cols), axes)
+    )
+    # The path phase scales column a of each panel's row factor, and so of
+    # its R.
+    r_row = r_row * phase.reshape(len(phase), -1, s).transpose(1, 0, 2)[:, :, None]
     values = _svd_values(_second_level(r_row, r_col))
     # Where P rb' ra' < S the cut rows leave fewer values; the rest are zero.
     n = min(len(plan.centres) * plan.rows * plan.cols, s)
     return np.pad(values, ((0, 0), (0, n - values.shape[1])))
+
+
+def _factor_terms(plan, targets, k):
+    # The factorized kernel's channel to point targets, in terms of its
+    # factors: element (row r, column c) of panel p couples to target a as
+    # phase[p, a] f_y(y_r) f_x(x_c), each f(o) = exp(jk (o u - o^2 c)) an
+    # axis' chirp (kernel._axis_factor). Returns phase and the (u, c) of the
+    # row (y) and the column (x) axis, all (panels, targets). The phase is
+    # exp(-jk (R_pa - |t_a|)): taking each target's path relative to its
+    # distance |t_a| from the origin scales column a by exp(jk |t_a|), which
+    # leaves the singular values unchanged, and keeps the phase rounding at
+    # the size of |c_p| instead of R_pa, where it would be shared by every
+    # element of the panel. The difference is formed without cancellation
+    # as (|c_p|^2 - 2 t_a . c_p) / (R_pa + |t_a|).
+    path, ux, uy, inv_r = kernel._panel_paths(plan.centres, targets)
+    c = plan.centres
+    t_norm = np.sqrt((targets * targets).sum(axis=-1))
+    rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
+    axes = ((uy, kernel._curvature(uy, inv_r)), (ux, kernel._curvature(ux, inv_r)))
+    return np.exp(-1j * k * rel), axes
+
+
+def _factorized_factors(plan, targets, wavelength):
+    # The (panels, rows, targets) row and (panels, cols, targets) column
+    # factors of _factor_terms, the phase carried by the row factor: panel
+    # p's block of the channel matrix is the column-wise Kronecker product
+    # of row[p] and col[p].
+    k = kernel.wavenumber(wavelength)
+    phase, axes = _factor_terms(plan, targets, k)
+    row, col = (
+        kernel._axis_factor(n, plan.spacing, u, c, k)
+        for n, (u, c) in zip((plan.rows, plan.cols), axes)
+    )
+    row *= phase[:, None, :]
+    return row, col
+
+
+def _axis_r(n, spacing, u, c, k, s):
+    # R factors, (links, panels, rows, s), of one panel axis of n offsets
+    # with the (panels, links * s) chirps u, c: taken relative to each
+    # link's mid-range per panel, projected on the first M orthonormal
+    # polynomials of the offsets where M < n, and cut to the rows the first
+    # level resolves (module docstring).
+    u, c = _centred(u, s), _centred(c, s)
+    m = _basis_rows(n, spacing, k, u, c, s)
+    factor = kernel._axis_factor(n, spacing, u, c, k)
+    if m < n:
+        # One real gemm on the float64 view: the basis is real.
+        factor = (_polynomial_basis(n, m) @ factor.view(np.float64)).view(np.complex128)
+    return _resolved_rows(_panel_r(factor, s), n)
+
+
+def _centred(v, s):
+    # v less the mid-range of each consecutive run of s targets, per panel.
+    runs = v.reshape(len(v), -1, s)
+    mid = 0.5 * (runs.max(axis=-1) + runs.min(axis=-1))
+    return (runs - mid[..., None]).reshape(v.shape)
+
+
+def _basis_rows(n, spacing, k, du, dc, s):
+    # M = min(n, 2N - 1) for the fewest Taylor terms N of exp(jx) whose
+    # remainder x^N / N! (N + 1) / (N + 1 - x) is within the cut's
+    # tolerance 4 n s u, x bounding the chirp's phase k |o du - o^2 dc| at
+    # every offset (module docstring).
+    o = 0.5 * (n - 1) * spacing
+    x = k * (o * float(np.abs(du).max()) + o * o * float(np.abs(dc).max()))
+    tol = 4.0 * n * s * kernel._UNIT_ROUNDOFF
+    terms, term = 1, x  # term = x^terms / terms!
+    while 2 * terms - 1 < n and (terms + 1 <= x or term * (terms + 1) / (terms + 1 - x) > tol):
+        terms += 1
+        term *= x / terms
+    return min(n, 2 * terms - 1)
+
+
+@functools.lru_cache
+def _polynomial_basis(n, m):
+    # Rows: the first m orthonormal polynomials of degree 0, 1, ... at the n
+    # offsets i - (n - 1) / 2, by Vandermonde with Arnoldi (Brubeck,
+    # Nakatsukasa & Trefethen, SIAM Rev. 63, 2021): row j is the offsets
+    # times row j - 1, orthogonalized twice against the rows before it and
+    # normalized.
+    offsets = np.arange(n) - 0.5 * (n - 1)
+    q = np.empty((m, n))
+    q[0] = n**-0.5
+    for j in range(1, m):
+        v = offsets * q[j - 1]
+        for _ in range(2):
+            v -= (q[:j] @ v) @ q[:j]
+        q[j] = v / np.sqrt(v @ v)
+    q.setflags(write=False)
+    return q
 
 
 def _second_level(r_row, r_col):

@@ -113,13 +113,13 @@ def factorized_channel(layout, plan, pts):
     # The channel the unfocused plan's factors stand for, as the link spectra
     # take it: panel p's block is the column-wise Kronecker product of its
     # row and column factors.
-    row, col = kn._factorized_factors(plan, pts, LAM)
+    row, col = mimo._factorized_factors(plan, pts, LAM)
     return (row[:, :, None, :] * col[:, None, :, :]).reshape(layout.n_elements, len(pts))
 
 
 def check_factors_against_the_channel(layout, pts, plan):
     # Column a of the factorized channel is the exact channel's times
-    # exp(jk |t_a|) (kernel._factorized_factors). Entry by entry, within the
+    # exp(jk |t_a|) (mimo._factorized_factors). Entry by entry, within the
     # plan's bound of the terms dropped, plus rounding: the exact entry
     # rounds its phase about four times at the size of its path (squares,
     # root, division by the wavelength, product with 2 pi), the column's
@@ -813,15 +813,31 @@ def compressed_tolerance(n_panels, rows, cols, s, h_fro):
     return c * u * h_fro
 
 
+def axis_inputs(layout, pts):
+    # The plan, and each axis' (offsets, u, c), row axis first, of the
+    # points as one link.
+    plan = kn._factorized_plan(layout, pts, LAM)
+    _, axes = mimo._factor_terms(plan, pts, K)
+    return plan, [(n, u, c) for n, (u, c) in zip((plan.rows, plan.cols), axes)]
+
+
 def kept_rows(layout, pts):
     # Rows the link spectra keep of the row and the column factor's R, for
     # the points as one link.
-    plan = kn._factorized_plan(layout, pts, LAM)
-    row, col = kn._factorized_factors(plan, pts, LAM)
+    plan, axes = axis_inputs(layout, pts)
     s = len(pts)
-    return (
-        mimo._resolved_rows(mimo._panel_r(row, s), plan.rows).shape[-2],
-        mimo._resolved_rows(mimo._panel_r(col, s), plan.cols).shape[-2],
+    return tuple(mimo._axis_r(n, plan.spacing, u, c, K, s).shape[-2] for n, u, c in axes)
+
+
+def basis_rows(layout, pts, s=None):
+    # M of the row and the column axis: the polynomials the link spectra
+    # project each factor on, n where it goes to the QR whole, for the
+    # points as one link, or as a block of links of s points each.
+    plan, axes = axis_inputs(layout, pts)
+    s = s or len(pts)
+    return tuple(
+        mimo._basis_rows(n, plan.spacing, K, mimo._centred(u, s), mimo._centred(c, s), s)
+        for n, u, c in axes
     )
 
 
@@ -882,7 +898,7 @@ def test_cut_spectrum_within_the_truncation_bound_of_the_uncut_staircase(
     plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     spectrum, _ = link_spectra([(point_layout(pts), layout)], LAM)[0]
-    row, col = kn._factorized_factors(plan, pts, LAM)
+    row, col = mimo._factorized_factors(plan, pts, LAM)
     r_row, r_col = mimo._panel_r(row, n_points), mimo._panel_r(col, n_points)
     uncut = np.linalg.svd(mimo._second_level(r_row, r_col)[0], compute_uv=False)
     assert spectrum.values.shape == uncut.shape
@@ -892,6 +908,110 @@ def test_cut_spectrum_within_the_truncation_bound_of_the_uncut_staircase(
     c = truncation_constant(spec.rows, spec.cols, n_points)
     c += 2.0 * (2.0 * np.sqrt(2.0) + second_level_constant(n_panels, rb, ra, n_points))
     assert np.abs(spectrum.values - uncut).max() <= c * UNIT_ROUNDOFF * h_fro
+
+
+def per_offset_spectrum(plan, pts):
+    # The oracle of the first level's projection: the link's spectrum from
+    # the same factors, relative to the link's mid-range, each (link, panel)
+    # block's QR taken of the whole factor, offset by offset, and cut to the
+    # rows it resolves.
+    s = len(pts)
+    phase, axes = mimo._factor_terms(plan, pts, K)
+    r = []
+    for n, (u, c) in zip((plan.rows, plan.cols), axes):
+        factor = kn._axis_factor(n, plan.spacing, mimo._centred(u, s), mimo._centred(c, s), K)
+        r.append(mimo._resolved_rows(mimo._panel_r(factor, s), n))
+    r_row, r_col = r[0] * phase[None, :, None, :], r[1]
+    values = np.linalg.svd(mimo._second_level(r_row, r_col)[0], compute_uv=False)
+    return np.pad(values, (0, min(len(plan.centres) * plan.rows * plan.cols, s) - len(values)))
+
+
+def projection_tolerance(n_panels, axes, s):
+    # Bound on |projected - per-offset| for every singular value, c u ||H||_F,
+    # for the (offsets, M) of each axis. Each side adds its own first level
+    # (the projected one sqrt(2 M) n for the gemm and 4 M s for the QR where
+    # M < n, else 4 n s), its cut (truncation_constant), one rounding of each
+    # Khatri-Rao entry and of each row R entry's path phase, and its
+    # staircase and SVD. The projection adds 4 n s per axis (mimo module
+    # docstring).
+    u = UNIT_ROUNDOFF
+    (rows, m_row), (cols, m_col) = axes
+
+    def first(n, m):
+        # One side's first level on an axis, relative; M = n is the oracle's.
+        return (np.sqrt(2.0 * m) * n + 4.0 * m * s if m < n else 4.0 * n * s) * u
+
+    def kronecker(g_row, g_col):
+        # A Khatri-Rao column carries both factors' errors and their product.
+        return (g_row + g_col + g_row * g_col) / u
+
+    c = kronecker(first(rows, m_row), first(cols, m_col))
+    c += kronecker(first(rows, rows), first(cols, cols))
+    second = second_level_constant(n_panels, min(rows, s), min(cols, s), s)
+    c += 2.0 * (truncation_constant(rows, cols, s) + 2.0 * 2.0 * np.sqrt(2.0) + second)
+    return (c + truncation_constant(rows, cols, s)) * u
+
+
+@PROPERTY
+@given(
+    layout=panel_layouts(),
+    seed=st.integers(0, 2**32 - 1),
+    n_links=st.integers(1, 3),
+    n_points=st.integers(1, 9),
+    log_range=st.floats(np.log(1.0e4), np.log(1.0e7)),
+    off_nadir=st.floats(0.0, 1.3),
+    panels_receive=st.booleans(),
+)
+@example(  # 16 x 16 panels: factors of 16 offsets on 5 polynomials
+    make_distributed_panels(PanelSpec(16, 16, 0.5 * LAM), [[0, 0, 0], [60, 0, 0]]),
+    0, 3, 4, np.log(2.0e5), 1.0, True,
+)
+def test_projected_spectrum_within_its_bound_of_the_per_offset_qr(
+    layout, seed, n_links, n_points, log_range, off_nadir, panels_receive
+):
+    # Links of one block, at ranges up to a factor of e apart and off nadir
+    # in any azimuth, against the QR of each whole factor in the test.
+    rng = np.random.default_rng(seed)
+    sats = []
+    for _ in range(n_links):
+        r = np.exp(log_range + rng.uniform(0.0, 1.0))
+        centre = r * unit_vectors(off_nadir * rng.uniform(0.9, 1.0), rng.uniform(0, 2 * np.pi))
+        pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
+        plan = kn._factorized_plan(layout, pts, LAM)
+        assume(plan is not None and plan.bound_rad <= plan.floor_rad)
+        sats.append(point_layout(pts))
+    links = [(sat, layout) if panels_receive else (layout, sat) for sat in sats]
+    spec = layout.panel_spec
+    h_fro = np.sqrt(layout.n_elements * n_points)
+    # The links of each block, which share its M (mimo.link_spectra).
+    size = max(1, (spec.rows + spec.cols) // n_points)
+    for i, (spectrum, kernel) in enumerate(link_spectra(links, LAM)):
+        assert kernel.name == "panel_factorized"
+        pts = sats[i].positions
+        plan = kn._factorized_plan(layout, pts, LAM)
+        want = per_offset_spectrum(plan, pts)
+        assert spectrum.values.shape == want.shape
+        block = [sat.positions for sat in sats[i - i % size : i - i % size + size]]
+        m_row, m_col = basis_rows(layout, np.concatenate(block), n_points)
+        axes = ((spec.rows, m_row), (spec.cols, m_col))
+        bound = projection_tolerance(len(plan.centres), axes, n_points) * h_fro
+        assert np.abs(spectrum.values - want).max() <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 31, 32, 64, 100])
+def test_polynomial_basis_is_orthonormal_and_holds_the_polynomials(n):
+    # Rows 0 to m - 1 span the polynomials of degree below m at the n
+    # offsets: each monomial of the offsets scaled to [-1, 1] is its own
+    # projection, and the rows are orthonormal, within a few n u.
+    offsets = np.arange(n) - 0.5 * (n - 1)
+    x = offsets / max(offsets.max(), 1.0)
+    for m in range(1, n + 1):
+        q = mimo._polynomial_basis(n, m)
+        assert q.shape == (m, n) and not q.flags.writeable
+        assert np.abs(q @ q.T - np.eye(m)).max() <= 4.0 * n * UNIT_ROUNDOFF
+        v = np.vander(x, m, increasing=True)
+        residual = np.linalg.norm(v - q.T @ (q @ v), axis=0) / np.linalg.norm(v, axis=0)
+        assert residual.max() <= 4.0 * n * UNIT_ROUNDOFF
 
 
 @PROPERTY
@@ -1021,6 +1141,27 @@ def test_shipped_dof_sweep_keeps_every_stream_count():
         np.testing.assert_allclose(fast.values[0], exact.values[0], rtol=1e-9)
 
 
+def test_off_nadir_dof_sweep_keeps_every_stream_count():
+    # At 60 degrees off nadir the shipped sweep sends its links within about
+    # 300 km through the exact kernel and the rest through the factorized
+    # one. Every range keeps the exact channel's stream count, and its
+    # values are within the bound of the exact channel's.
+    with open(os.path.join(SCENARIO_DIR, "dof_vs_range.scenario")) as f:
+        text = f.read().replace("off_nadir_deg: 0.0", "off_nadir_deg: 60.0")
+    s = parse_scenario(text)
+    ana = s.analysis
+    assert s.satellite.off_nadir_deg == 60.0 and s.wavelength == LAM
+    ground = build_ground_layout(s)
+    ranges = np.geomspace(ana.range_start_m, ana.range_stop_m, ana.n_ranges)
+    links = [(build_satellite_layout(s, range_m=float(r)), ground) for r in ranges]
+    kernels = [kernel.name for _, kernel in link_spectra(links, LAM)]
+    assert kernels.count("exact") == 33 and kernels[:33] == ["exact"] * 33
+    assert check_batched_against_single_and_exact(links, ground, ana.tau) == {
+        "exact",
+        "panel_factorized",
+    }
+
+
 def test_fallback_spectra_are_bit_identical_to_the_exact_path():
     benchtop = load_scenario(os.path.join(SCENARIO_DIR, "ratio_vs_range_benchtop.scenario"))
     upa = make_upa(PanelSpec(8, 8, 0.5 * LAM))
@@ -1110,15 +1251,27 @@ def test_sweep_with_the_panels_on_the_satellite_side():
     grounds = [point_layout(centres - [0.0, 0.0, r]) for r in np.geomspace(1.0e3, 300.0e3, 7)]
     kernels = check_batched_against_single_and_exact([(sat, g) for g in grounds], sat, 0.1)
     assert kernels == {"exact", "panel_factorized"}
+    # The ground's points span a kilometre, so from the nearest range the
+    # gate passes on, each 4-offset factor needs every polynomial and goes
+    # to the QR whole.
+    factorized = [g for g in grounds if kn.gate(sat, g.positions, LAM)[0] is not None]
+    assert len(factorized) == 3
+    for g in factorized:
+        assert basis_rows(sat, g.positions) == (4, 4)
 
 
 def test_the_station_sweep_cuts_both_axes_below_s_rows():
-    # The benchmark's dof_sweep gains from the cut: on its station, from 100
-    # to 3000 km, the link spectra keep fewer than S rows of both axes' R.
+    # The benchmark's dof_sweep gains from the projection and the cut: on
+    # its station, from 100 to 3000 km, the link spectra project both axes'
+    # factors on fewer polynomials than the 32 offsets, and keep fewer than S
+    # rows of both axes' R.
     ground = station_ground()
     mount = satellite_mount()
     for r in np.geomspace(100.0e3, 3000.0e3, 6):
-        rb, ra = kept_rows(ground, mount + [0.0, 0.0, r])
+        pts = mount + [0.0, 0.0, r]
+        m_row, m_col = basis_rows(ground, pts)
+        assert m_row < 32 and m_col < 32
+        rb, ra = kept_rows(ground, pts)
         assert rb < len(mount) and ra < len(mount)
 
 

@@ -801,6 +801,23 @@ def test_report_lists_only_real_files(tmp_path):
         assert report.wall_time_s >= 0.0
 
 
+def test_outputs_take_the_mode_the_umask_gives(tmp_path):
+    # Every output file is 0666 less the umask, as open() would make it,
+    # not the 0600 of the temporary file it is renamed from.
+    for umask in (0o022, 0o077, 0o002):
+        old = os.umask(umask)
+        try:
+            report = run_scenario(
+                load_scenario(os.path.join(SCENARIO_DIR, "placement_search.scenario")),
+                output_dir=str(tmp_path / oct(umask)),
+            )
+        finally:
+            os.umask(old)
+        assert len(report.output_files) >= 2
+        for path in report.output_files:
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_all_shipped_scenarios_parse():
     names = sorted(os.listdir(SCENARIO_DIR))
     assert len(names) >= 9
