@@ -14,8 +14,10 @@ the key is required) and any sibling key that carries it instead. One walker, :f
 section for unknown keys, then required keys, coercion and bounds, then the
 checks between fields that each class lists in ``_checks``. The scenario's own
 checks, which need the wavelength or several sections, run last. Errors name
-the ``section.key`` path. One serializer writes every set field back, and the
-command line takes its flag types and checks from the same declarations.
+the ``section.key`` path. An override, ``section.key=value``, sets one key of
+the parsed text before the walk, so it meets the same checks. One serializer
+writes every set field back, and the command line's calculators take their
+flag types and checks from the same declarations.
 
 YAML 1.1 lexes unsigned exponents like ``28.0e9`` as strings; every numeric
 field here coerces numeric strings, so the natural spellings work.
@@ -504,14 +506,6 @@ _SafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _SafeDumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-class _StrictLoader(_SafeLoader):
-    """SafeLoader that refuses a mapping which repeats a key."""
-
-    def construct_document(self, node):
-        _reject_duplicate_keys(node, "", set())
-        return super().construct_document(node)
-
-
 def _reject_duplicate_keys(node, path, visited):
     # Walk the composed node tree before construction, which would otherwise
     # keep the last of two equal keys without a word.
@@ -640,18 +634,51 @@ def _walk(cls, node, path):
     return obj
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text, strictly, into a :class:`Scenario`."""
+def _load(text, at=""):
+    """``text`` read as YAML, as the value at key path ``at`` or, where that
+    is empty, as a whole scenario, refusing a mapping which repeats a key."""
+    loader = _SafeLoader(text)
     try:
-        raw = yaml.load(text, Loader=_StrictLoader)
+        node = loader.get_single_node()
+        if node is None:  # an empty document
+            return None
+        _reject_duplicate_keys(node, at, set())
+        return loader.construct_document(node)
     except yaml.YAMLError as exc:
-        raise ParseError(f"invalid scenario syntax: {exc}") from None
+        where = f"override syntax at '{at}'" if at else "scenario syntax"
+        raise ParseError(f"invalid {where}: {exc}") from None
+    finally:
+        loader.dispose()
+
+
+def _override(raw, override):
+    """Set the raw mapping's key at a ``section.key=value`` override's path,
+    making missing sections on the way, as an edit of the text would."""
+    path, eq, value = override.partition("=")
+    keys = path.split(".")
+    if not eq or not all(keys):
+        raise ParseError(f"override '{override}' must be section.key=value")
+    node = _as_mapping(raw, "")
+    for depth, key in enumerate(keys[:-1], 1):
+        # A copy of each section on the path, so that one the text shares
+        # through a YAML alias changes at this path alone.
+        section = _as_mapping(node.get(key, {}), ".".join(keys[:depth]))
+        node[key] = node = dict(section)
+    node[keys[-1]] = _load(value, path)
+
+
+def parse_scenario(text: str, overrides=()) -> Scenario:
+    """Parse scenario text, strictly, into a :class:`Scenario`, each of
+    ``overrides`` first setting one key (see :func:`_override`)."""
+    raw = _load(text)
+    for override in overrides:
+        _override(raw, override)
     return _walk(Scenario, raw, "")
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, overrides=()) -> Scenario:
     with open(path, "r") as handle:
-        return parse_scenario(handle.read())
+        return parse_scenario(handle.read(), overrides)
 
 
 # ----- serialization -----

@@ -205,8 +205,7 @@ def test_run_hash_matches_validate_hash(tmp_path, capsys):
 
 def test_svd_sweep_uses_scenario_analysis(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "svd-sweep", scen("ratio_vs_range_benchtop"),
-        "--output-dir", str(tmp_path),
+        capsys, "run", scen("ratio_vs_range_benchtop"), "--output-dir", str(tmp_path),
     )
     assert code == 0
     assert (tmp_path / "spectrum.csv").exists()
@@ -216,9 +215,10 @@ def test_svd_sweep_uses_scenario_analysis(tmp_path, capsys):
 
 def test_svd_sweep_flag_overrides(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "svd-sweep", scen("ratio_vs_range_benchtop"),
-        "--range-start", "6.0", "--range-stop", "10.0", "--n-ranges", "3",
-        "--spacing", "linear", "--output-dir", str(tmp_path),
+        capsys, "run", scen("ratio_vs_range_benchtop"),
+        "--set", "analysis.range_start_m=6.0", "--set", "analysis.range_stop_m=10.0",
+        "--set", "analysis.n_ranges=3", "--set", "analysis.spacing=linear",
+        "--output-dir", str(tmp_path),
     )
     assert code == 0
     with open(tmp_path / "spectrum.csv") as handle:
@@ -229,16 +229,16 @@ def test_svd_sweep_flag_overrides(tmp_path, capsys):
 
 
 def test_sweep_on_wrong_kind_needs_flags(tmp_path, capsys):
+    dof = "analysis={kind: dof_sweep, range_start_m: 5.0, range_stop_m: 50.0, n_ranges: 4, tau: 0.1}"
     code, _, err = run_cli(
-        capsys, "dof-sweep", scen("dish_reference"), "--output-dir", str(tmp_path)
+        capsys, "run", scen("dish_reference"), "--set", dof, "--output-dir", str(tmp_path)
     )
     assert code == 3
-    assert "dof_sweep" in err
+    assert "missing required key 'ground': dof_sweep needs it" in err
     # ... but works once the full axis is given on a scenario with geometry
     code, out, _ = run_cli(
-        capsys, "dof-sweep", scen("ratio_vs_range_benchtop"),
-        "--range-start", "5.0", "--range-stop", "50.0", "--n-ranges", "4",
-        "--tau", "0.1", "--output-dir", str(tmp_path),
+        capsys, "run", scen("ratio_vs_range_benchtop"), "--set", dof,
+        "--output-dir", str(tmp_path),
     )
     assert code == 0
     assert float(parse_kv(out)["dof_at_reference_range"][0]) == 2.0
@@ -246,8 +246,9 @@ def test_sweep_on_wrong_kind_needs_flags(tmp_path, capsys):
 
 def test_overridden_analysis_is_revalidated(tmp_path, capsys):
     code, _, err = run_cli(
-        capsys, "svd-sweep", scen("ratio_vs_range_benchtop"),
-        "--range-start", "50.0", "--range-stop", "5.0", "--output-dir", str(tmp_path),
+        capsys, "run", scen("ratio_vs_range_benchtop"),
+        "--set", "analysis.range_start_m=50.0", "--set", "analysis.range_stop_m=5.0",
+        "--output-dir", str(tmp_path),
     )
     assert code == 3
     assert "range" in err
@@ -255,8 +256,9 @@ def test_overridden_analysis_is_revalidated(tmp_path, capsys):
 
 def test_beam_pattern_theta_mode(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "beam-pattern", scen("beam_theta_distributed"),
-        "--n-theta", "41", "--halfwidth-deg", "0.01", "--output-dir", str(tmp_path),
+        capsys, "run", scen("beam_theta_distributed"),
+        "--set", "analysis.n_theta=41", "--set", "analysis.halfwidth_deg=0.01",
+        "--output-dir", str(tmp_path),
     )
     assert code == 0
     assert (tmp_path / "gain_theta.csv").exists()
@@ -266,7 +268,7 @@ def test_beam_pattern_theta_mode(tmp_path, capsys):
 
 def test_beam_kernel_lines_follow_the_report(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "beam-pattern", scen("beam_range_focus"), "--n-ranges", "5",
+        capsys, "run", scen("beam_range_focus"), "--set", "analysis.n_ranges=5",
         "--output-dir", str(tmp_path),
     )
     assert code == 0
@@ -285,7 +287,7 @@ def test_beam_kernel_lines_follow_the_report(tmp_path, capsys):
 
 def test_channel_kernel_lines_follow_the_sweep_report(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "dof-sweep", scen("dof_vs_range"), "--n-ranges", "3",
+        capsys, "run", scen("dof_vs_range"), "--set", "analysis.n_ranges=3",
         "--output-dir", str(tmp_path),
     )
     assert code == 0
@@ -299,7 +301,7 @@ def test_channel_kernel_lines_follow_the_sweep_report(tmp_path, capsys):
 
     # Single-element panels on both sides: every range falls back.
     code, out, _ = run_cli(
-        capsys, "svd-sweep", scen("ratio_vs_range_benchtop"), "--output-dir", str(tmp_path)
+        capsys, "run", scen("ratio_vs_range_benchtop"), "--output-dir", str(tmp_path)
     )
     assert code == 0
     assert out.splitlines()[-2:] == ["channel_kernel=exact", "channel_kernel_bound_rad=0.0"]
@@ -330,8 +332,9 @@ def test_placement_search_lines_follow_the_report(tmp_path, capsys):
 
 def test_beam_pattern_mode_switch(tmp_path, capsys):
     code, _, _ = run_cli(
-        capsys, "beam-pattern", scen("beam_theta_distributed"), "--mode", "range",
-        "--range-start", "250.0e3", "--range-stop", "1000.0e3", "--n-ranges", "11",
+        capsys, "run", scen("beam_theta_distributed"),
+        "--set", "analysis={kind: beam_range, range_start_m: 250.0e3, range_stop_m: 1000.0e3}",
+        "--set", "analysis.n_ranges=11",
         "--output-dir", str(tmp_path),
     )
     assert code == 0
@@ -339,28 +342,31 @@ def test_beam_pattern_mode_switch(tmp_path, capsys):
 
 
 def test_beam_pattern_needs_mode_on_other_kinds(tmp_path, capsys):
+    # A beam key on another kind is unknown there; the kind must switch too.
     code, _, err = run_cli(
-        capsys, "beam-pattern", scen("dish_reference"), "--output-dir", str(tmp_path)
+        capsys, "run", scen("dish_reference"), "--set", "analysis.n_theta=41",
+        "--output-dir", str(tmp_path),
     )
     assert code == 3
-    assert "--mode" in err
+    assert "unknown key 'analysis.n_theta'" in err
 
 
 def test_optimize_placement_overrides(tmp_path, capsys):
     code, out, _ = run_cli(
-        capsys, "optimize-placement", scen("placement_search"),
-        "--n-candidates", "2", "--seed", "9", "--n-scan", "201",
-        "--output-dir", str(tmp_path),
+        capsys, "run", scen("placement_search"),
+        "--set", "analysis.n_candidates=2", "--set", "analysis.seed=9",
+        "--set", "analysis.n_scan=201", "--output-dir", str(tmp_path),
     )
     assert code == 0
     assert (tmp_path / "placement.json").exists()
     assert float(parse_kv(out)["peak_sidelobe_db"][0]) <= 0.0
     code2, _, err = run_cli(
-        capsys, "optimize-placement", scen("dish_reference"),
+        capsys, "run", scen("dish_reference"),
+        "--set", "analysis={kind: optimize_placement, n_candidates: 2}",
         "--output-dir", str(tmp_path),
     )
     assert code2 == 3
-    assert "optimize_placement" in err
+    assert "missing required key 'analysis.aperture_x_m'" in err
 
 
 def test_scenario_defects_exit_three(tmp_path, capsys):
@@ -376,7 +382,7 @@ def test_scenario_defects_exit_three(tmp_path, capsys):
     assert code == 3 and "analysis.min_spacing_m" in err
 
     code, _, err = run_cli(
-        capsys, "optimize-placement", scen("placement_search"), "--seed", "-1",
+        capsys, "run", scen("placement_search"), "--set", "analysis.seed=-1",
         "--output-dir", str(tmp_path),
     )
     assert code == 3 and "analysis.seed" in err
@@ -409,6 +415,94 @@ def test_scenario_defects_exit_three(tmp_path, capsys):
         assert code == 3 and where in err
         code, _, err = run_cli(capsys, "run", str(bad), "--output-dir", str(tmp_path))
         assert code == 3 and where in err
+
+
+# The README's analysis runs, each a shipped scenario and its overrides, and
+# the hash each printed as the subcommand that --set replaced: svd-sweep
+# --n-ranges 25, dof-sweep --tau 0.2, beam-pattern --mode range and
+# optimize-placement --seed 3. The hash covers the whole resolved scenario.
+README_SETS = (
+    ("ratio_vs_range_benchtop", ["analysis.n_ranges=25"], "c8bdbfc856e196c3"),
+    ("dof_vs_range", ["analysis.tau=0.2"], "554b569e2ded7798"),
+    (
+        "beam_theta_distributed",
+        ["analysis={kind: beam_range, range_start_m: 250.0e3, range_stop_m: 1000.0e3, n_ranges: 50}"],
+        "a44e169be08577dc",
+    ),
+    ("placement_search", ["analysis.seed=3"], "00354094a7e884ca"),
+)
+
+
+def _sets(overrides):
+    return [arg for override in overrides for arg in ("--set", override)]
+
+
+def test_set_keeps_the_hashes_of_the_subcommands_it_replaced(capsys):
+    for name, overrides, want in README_SETS:
+        code, out, err = run_cli(capsys, "validate", scen(name), *_sets(overrides))
+        assert code == 0 and err == "", name
+        assert out.split("hash=")[1].strip() == want, name
+
+
+def _report_and_outputs(out, out_dir):
+    """A run's stdout but for its wall time and output paths, and the bytes
+    of every file it wrote."""
+    kept = [line for line in out.splitlines() if not line.startswith(("wall_time_s=", "output="))]
+    return kept, {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+
+
+@pytest.mark.parametrize(
+    "name, overrides, edits",
+    [
+        # a leaf scalar
+        ("ratio_vs_range_benchtop", ["analysis.n_ranges=5"], [("n_ranges: 97", "n_ranges: 5")]),
+        # a nested key
+        ("ratio_vs_range_benchtop", ["ground.panel.rows=2"], [("rows: 1", "rows: 2")]),
+        # a whole-section kind switch
+        (
+            "beam_theta_distributed",
+            ["analysis={kind: beam_range, range_start_m: 250.0e3, range_stop_m: 1000.0e3, n_ranges: 5}"],
+            [(
+                "analysis:\n  kind: beam_theta\n  halfwidth_deg: 2.0\n  n_theta: 2001\n",
+                "analysis:\n  kind: beam_range\n  range_start_m: 250.0e3\n"
+                "  range_stop_m: 1000.0e3\n  n_ranges: 5\n",
+            )],
+        ),
+    ],
+)
+def test_set_equals_editing_the_file(tmp_path, capsys, name, overrides, edits):
+    edited = tmp_path / "edited.scenario"
+    edited.write_text(_edited(name, *edits))
+    runs = []
+    for i, argv in enumerate([(scen(name), *_sets(overrides)), (str(edited),)]):
+        out_dir = tmp_path / f"out{i}"
+        code, out, err = run_cli(capsys, "run", *argv, "--output-dir", str(out_dir))
+        assert code == 0 and err == "", argv
+        runs.append(_report_and_outputs(out, out_dir))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("analysis.seed", "override 'analysis.seed' must be section.key=value"),
+        ("analysis..seed=1", "override 'analysis..seed=1' must be section.key=value"),
+        ("=1", "override '=1' must be section.key=value"),
+        ("analysis.=1", "override 'analysis.=1' must be section.key=value"),
+        ("frequency_hz.x=1", "'frequency_hz' must be a mapping"),
+        ("analysis.seed.x=1", "'analysis.seed' must be a mapping"),
+        ("analysis={a: 1, a: 2}", "duplicate key 'analysis.a'"),
+        ("ground={panel: {rows: 1, rows: 2}}", "duplicate key 'ground.panel.rows'"),
+        ("analysis.seed=[1", "invalid override syntax at 'analysis.seed': "),
+        ("analysis.seed=", "'analysis.seed' must be an integer"),
+    ],
+)
+def test_bad_overrides_exit_three(tmp_path, capsys, override, message):
+    for argv in (("validate",), ("run", "--output-dir", str(tmp_path / "out"))):
+        code, out, err = run_cli(capsys, *argv, scen("placement_search"), "--set", override)
+        assert code == 3 and out == "", (argv, err)
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, (argv, err)
+    assert os.listdir(tmp_path) == []
 
 
 def test_placement_that_cannot_pack_exits_three(tmp_path, capsys):
@@ -849,16 +943,17 @@ def test_validate_and_package_import_load_no_numerics():
     package = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nearlink'))"
     parser = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.panels", "nearlink.record"]
     parser.append("nearlink.schema")
-    # Only a placement check loads the objective's module, and no numerics.
-    for names, extra in (
-        (["dof_vs_range", "beam_map_distributed"], []),
-        (["placement_search"], ["nearlink.objective"]),
+    # Only a placement check loads the objective's module, and no numerics;
+    # an override adds no module.
+    for names, override, extra in (
+        (["dof_vs_range", "beam_map_distributed"], "analysis.n_ranges=4", []),
+        (["placement_search"], "analysis.seed=3", ["nearlink.objective"]),
     ):
-        paths = [scen(name) for name in names]
-        validate = "from nearlink.cli import main; "
-        validate += f"codes = [main(['validate', p]) for p in {paths}]"
+        argvs = [["validate", scen(name)] for name in names]
+        argvs += [["validate", scen(name), "--set", override] for name in names]
+        validate = f"from nearlink.cli import main; codes = [main(a) for a in {argvs}]"
         out = _fresh(f"import sys; {validate}; print(codes); {loaded}; {package}").splitlines()
-        assert out[-3:] == [str([0] * len(paths)), "[]", str(sorted(parser + extra))], names
+        assert out[-3:] == [str([0] * len(argvs)), "[]", str(sorted(parser + extra))], names
 
 
 def test_each_run_loads_only_its_own_kinds_numerics(tmp_path):

@@ -1,17 +1,19 @@
 """README examples stay runnable: its scenario blocks parse, its python blocks
-run, its commands parse."""
+run, its commands parse, and each scenario command, with its overrides,
+validates."""
 
 import os
 import re
 import shlex
 
-from nearlink.cli import build_parser
+from nearlink.cli import build_parser, main
 from nearlink.scenario import parse_scenario
 
-README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+README = os.path.join(ROOT, "README.md")
 
 
-def test_readme_scenarios_and_commands_parse():
+def test_readme_scenarios_and_commands_parse(capsys):
     text = open(README).read()
     blocks = re.findall(r"```(\w*)\n(.*?)```", text, re.S)
     yaml_blocks = [body for lang, body in blocks if lang == "yaml"]
@@ -27,4 +29,8 @@ def test_readme_scenarios_and_commands_parse():
     lines = [line for line in commands.splitlines() if line.startswith("nearlink ")]
     assert len(lines) >= 8
     for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        if args.command in ("run", "validate"):
+            sets = [arg for override in args.overrides for arg in ("--set", override)]
+            code = main(["validate", os.path.join(ROOT, args.scenario), *sets])
+            assert code == 0, (line, capsys.readouterr().err)

@@ -156,6 +156,24 @@ def test_duplicate_keys_rejected_with_path():
         parse_scenario(scenario_text("analysis:\n  kind: beam_theta", ground=nested))
 
 
+def test_override_sets_an_aliased_section_at_its_path_alone():
+    # The two panels are one mapping, shared through a YAML alias.
+    text = """\
+version: 1
+frequency_hz: 28.0e9
+ground:
+  kind: upa
+  panel: &p {rows: 4, cols: 4, spacing_wavelengths: 0.5}
+satellite:
+  range_m: 500.0e3
+  panel: *p
+analysis: {kind: beam_theta, n_theta: 3}
+"""
+    for override, rows in (("satellite.panel.rows=2", (4, 2)), ("ground.panel.rows=2", (2, 4))):
+        s = parse_scenario(text, [override])
+        assert (s.ground.panel.rows, s.satellite.panel.rows) == rows, override
+
+
 RANDOM_GROUND = """\
 ground:
   kind: distributed
@@ -970,36 +988,63 @@ def _capped(s):
     return serialize_scenario(replace(s, analysis=replace(s.analysis, **counts)))
 
 
+def _leaves(doc, path=()):
+    """The key path of every value of a parsed mapping that is no mapping."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _split(text, picks):
+    """``text`` without the leaves that ``picks`` index (modulo their count),
+    and the ``section.key=value`` overrides that set them back."""
+    doc = yaml.safe_load(text)
+    leaves = list(_leaves(doc))
+    overrides = []
+    for path in sorted({leaves[i % len(leaves)] for i in picks}):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        value = yaml.safe_dump(node.pop(path[-1]), default_flow_style=True)
+        overrides.append(f"{'.'.join(path)}={value}")
+    return yaml.safe_dump(doc), overrides
+
+
 # Scenarios that validate used to accept and run then failed (exit 1 or a
 # RuntimeWarning): a range or a pitch whose square underflows, a pitch in
 # wavelengths past the length bound, a focus on the panel centre, a kernel
 # bound whose tail overflows, a scan that rounds above the main lobe, and a
 # carrier so high that k d overflows (now refused at frequency_hz).
-@example(_shipped("ratio_vs_range_benchtop", ("range_m: 8.0", "range_m: 5.0e-324")))
+@example(_shipped("ratio_vs_range_benchtop", ("range_m: 8.0", "range_m: 5.0e-324")), [])
 @example(
     _shipped(
         "ratio_vs_range_benchtop",
         ("frequency_hz: 29979245800.0", "frequency_hz: 1.0e+300"),
         ("range_stop_m: 100.0", "range_stop_m: 1.0e+20"),
         ("spacing_wavelengths: 0.5", "spacing_m: 0.005"),
-    )
+    ),
+    [],
 )
-@example(_small_upa(4, ("spacing_wavelengths: 0.5", "spacing_m: 5.0e-324")))
-@example(_small_upa(4, ("frequency_hz: 28.0e9", "frequency_hz: 1.0e-150")))
+@example(_small_upa(4, ("spacing_wavelengths: 0.5", "spacing_m: 5.0e-324")), [])
+@example(_small_upa(4, ("frequency_hz: 28.0e9", "frequency_hz: 1.0e-150")), [])
 @example(
     _small_upa(
         128,
         ("range_m: 500.0e3", "range_m: 1.0e-20"),
         ("  panel:\n    rows: 1\n    cols: 1\n    spacing_wavelengths: 0.5\n",
          "  positions_m: [[0, 0, -1], [0, 0, 1]]\n"),
-    )
+    ),
+    [],
 )
 @example(
     _small_upa(
         2,
         ("frequency_hz: 28.0e9", "frequency_hz: 1.0e-70"),
         ("range_m: 500.0e3", "range_m: 1.0e90"),
-    )
+    ),
+    [],
 )
 @example(
     _shipped(
@@ -1014,17 +1059,25 @@ def _capped(s):
         ("scan_halfwidth_rad: 2.5e-4", "scan_halfwidth_rad: 2.0"),
         ("n_scan: 2001", "n_scan: 101\n  exclusion_halfwidth_rad: 1.175494351e-38"),
         ("steer_phi_rad: 0.5235987755982988", "steer_phi_rad: 640.6411895306169"),
-    )
+    ),
+    [],
 )
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(sections(Scenario).map(_capped))
-def test_every_scenario_validate_accepts_runs(text):
+# About one draw in five validates; 220 draws run about 40 scenarios.
+@settings(max_examples=220, deadline=None, derandomize=True)
+@given(sections(Scenario).map(_capped), st.lists(st.integers(0, 63), max_size=3))
+def test_every_scenario_validate_accepts_runs(text, picks):
     # validate => run: a scenario the parser accepts runs with no exception
     # and no RuntimeWarning. Only a random draw may fail, for want of room.
+    # The leaves ``picks`` indexes, moved out of the text into overrides,
+    # must give the same scenario, or be refused as it is.
+    rest, overrides = _split(text, picks)
     try:
         s = parse_scenario(text)
     except ValidationError:
-        assume(False)
+        with pytest.raises(ValidationError):
+            parse_scenario(rest, overrides)
+        return
+    assert parse_scenario(rest, overrides) == s
     with tempfile.TemporaryDirectory() as out:
         try:
             run_scenario(s, output_dir=out)
