@@ -6,9 +6,18 @@
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
+
+# hashlib maps OpenSSL's libcrypto; the builtin module does not. Its name is
+# _sha2 from Python 3.12 on and _sha256 before.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 def fmt(x) -> str:
@@ -44,4 +53,4 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()

@@ -40,9 +40,9 @@ for a 1.7 m satellite from 100 km on, a factor of numerical rank 3 to 4.
 Each axis' factor F is projected onto the first M orthonormal polynomials of
 its offsets, the rows of a real M x n matrix V built once per n and M by
 Vandermonde with Arnoldi (Brubeck, Nakatsukasa & Trefethen, SIAM Rev. 63,
-2021), as one real gemm on F's float64 view; the QR is of the M x S matrix
-V F in place of the n x S F. By the mixed-product rule (V_b x V_a) (B (.) A)
-= (V_b B) (.) (V_a A), so the staircase below takes these R factors alike.
+2021); the QR is of the M x S matrix V F in place of the n x S F. By the
+mixed-product rule (V_b x V_a) (B (.) A) = (V_b B) (.) (V_a A), so the
+staircase below takes these R factors alike.
 
 M = min(n, 2N - 1) for the fewest Taylor terms N of exp(j phi) whose
 remainder x^N / N! (N + 1) / (N + 1 - x) is within 4 n S 2**-53, the cut's
@@ -54,6 +54,28 @@ factor, whose entries have unit modulus. Where M reaches n the factor goes
 to the QR whole. On a station of 16 panels of 32 x 32 with a 16-element
 satellite, from 100 to 3000 km, M is 7 on the blocks of links within about
 300 km and 5 on the rest, against n = 32.
+
+Where M < n, V F is formed from those N terms and F never is. With
+xi = o / o_max in [-1, 1], phi = a xi + b xi^2 for a = k o_max u and
+b = -k o_max^2 c, and the series T = sum over i + l < N of
+(j a xi)^i (j b xi^2)^l / (i! l!) has M coefficients C of xi^0 .. xi^(M-1)
+per target, each a sum of real a^i / i! b^l / l! times a power of j. So
+V T = W C for the moments W = V Xi of the basis against the monomials
+xi^d, d < M: an M x M matrix built once per n and M, upper triangular
+because row j of V is orthogonal to the polynomials of degree below j. It
+takes a few products of (panels, targets) arrays and one real gemm of W by
+C's float64 view, in place of the chains' n offsets per target and V's gemm
+of n. T is within the remainder above of F at every offset, and V has
+orthonormal rows, so V T is within that fraction of V F: the same bound as
+the projection's. To first order, rounding adds 3 (N + M) 2**-53 e^x of
+each column's norm: a term's products of a / i and b / l are within 2N
+2**-53 of its size and a coefficient's sum adds N / 2, the terms' sizes
+summing to at most e^x; W, whose entries are exact sums of rounded
+products, and the gemm W C add 3M. a and b round phi within 3 x 2**-53, as
+the exp of each entry would. Where that rounding passes 4 n S 2**-53, or
+where M = n, the axis takes the chains and, where M < n, the gemm V F. The
+station above has x below 1e-3; with n = 64 and S = 16 the guard refuses
+from x of about 3.
 
 R_b and R_a are upper triangular, so row (i, j) of R_b (.) R_a is zero left
 of column max(i, j). A staircase of QRs reduces the stack one leading column
@@ -87,16 +109,18 @@ three times its factors.
 Householder QR and LAPACK's SVD are backward stable: each returns the exact
 result for an input within about 4 k n 2**-53 of the k x n one it was given,
 in Frobenius norm (Higham, "Accuracy and Stability of Numerical Algorithms",
-Thm 19.4). The gemm V F rounds each entry within sqrt(2) n 2**-53 times its
-column's norm, so it adds sqrt(2 M) n, and its QR 4 M S, in place of a QR
-of F's 4 n S. Each staircase step's input is a rotation of rows of the
-stack, of norm at most ||H||_F. Step m is k_m <= P (rb + ra - 1) + S - m - 1
-rows by S - m columns, so the steps add at most 4 k_m (S - m) each: about
-1.0e5 in all for 16 panels of 32 x 32, S = 16 and R factors of 16 rows,
-where the per-panel QRs and the stacked SVD they replace added 3.3e4, and
-2.0e3 for S = 4. By Weyl's inequality no singular value moves by more than
-the sum over both QR levels, the projection and the cut (below) and the SVD,
-times 2**-53 ||H||_F. That is a worst case: the moves seen are a few 2**-53
+Thm 19.4). Where M < n the QR of V F adds 4 M S in place of a QR of F's
+4 n S, and the series its rounding, within 4 n S; where the guard refuses,
+the gemm V F rounds each entry within sqrt(2) n 2**-53 times its column's
+norm, so it adds sqrt(2 M) n. Each staircase step's input is a rotation of
+rows of the stack, of norm at most ||H||_F. Step m is
+k_m <= P (rb + ra - 1) + S - m - 1 rows by S - m columns, so the steps add
+at most 4 k_m (S - m) each: about 1.0e5 in all for 16 panels of 32 x 32,
+S = 16 and R factors of 16 rows, where the per-panel QRs and the stacked
+SVD they replace added 3.3e4, and 2.0e3 for S = 4. By Weyl's inequality no
+singular value moves by more than the sum over both QR levels, the
+projection, the series and the cut (below) and the SVD, times
+2**-53 ||H||_F. That is a worst case: the moves seen are a few 2**-53
 sigma_max.
 
 Most rows of the first level's R factors lie below that level's own backward
@@ -109,17 +133,19 @@ staircase and the SVD take those, in max(rb', ra') steps. The factors'
 entries have unit modulus, so all columns of a factor have one norm, and the
 Khatri-Rao rows that one axis' cut, or one axis' projection, drops are the
 same fraction of the panel's block of H. The cut thus moves no singular value
-by more than 4 (rows + cols) S 2**-53 ||H||_F, and the projection as much
-again. Where P rb' ra' < S the last triangle has fewer than min(N, S) rows,
-and the values past them are exact zeros. On the station above a block keeps
-the row factor's 5 or 7 projected rows and 3 or 4 of the column factor's: 5
-to 7 staircase steps, against 9 to 13 of 16 rows kept without the
+by more than 4 (rows + cols) S 2**-53 ||H||_F, and the projection and the
+series' remainder each as much again. Where P rb' ra' < S the last triangle
+has fewer than min(N, S) rows, and the values past them are exact zeros. On
+the station above a block keeps 3 or 4 of the row factor's projected rows
+and 3 or 4 of the column factor's: 3 or 4 staircase steps, against 5 to 7
+when V F came from the chains and 9 to 13 of 16 rows kept without the
 projection.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -309,14 +335,19 @@ def _axis_r(n, spacing, u, c, k, s):
     # R factors, (links, panels, rows, s), of one panel axis of n offsets
     # with the (panels, links * s) chirps u, c: taken relative to each
     # link's mid-range per panel, projected on the first M orthonormal
-    # polynomials of the offsets where M < n, and cut to the rows the first
-    # level resolves (module docstring).
+    # polynomials of the offsets where M < n, from the chirp's Taylor series
+    # where its rounding stays within the tolerance, and cut to the rows the
+    # first level resolves (module docstring).
     u, c = _centred(u, s), _centred(c, s)
-    m = _basis_rows(n, spacing, k, u, c, s)
-    factor = kernel._axis_factor(n, spacing, u, c, k)
-    if m < n:
-        # One real gemm on the float64 view: the basis is real.
-        factor = (_polynomial_basis(n, m) @ factor.view(np.float64)).view(np.complex128)
+    m, x = _basis_rows(n, spacing, k, u, c, s)
+    # The series' rounding, 3 (N + M) u e^x, against the cut's 4 n s u.
+    if m < n and 3.0 * ((m + 1) // 2 + m) <= 4.0 * n * s * math.exp(-x):
+        factor = _series_factor(n, spacing, u, c, k, m)
+    else:
+        factor = kernel._axis_factor(n, spacing, u, c, k)
+        if m < n:
+            # One real gemm on the float64 view: the basis is real.
+            factor = (_polynomial_basis(n, m) @ factor.view(np.float64)).view(np.complex128)
     return _resolved_rows(_panel_r(factor, s), n)
 
 
@@ -328,8 +359,8 @@ def _centred(v, s):
 
 
 def _basis_rows(n, spacing, k, du, dc, s):
-    # M = min(n, 2N - 1) for the fewest Taylor terms N of exp(jx) whose
-    # remainder x^N / N! (N + 1) / (N + 1 - x) is within the cut's
+    # (M, x): M = min(n, 2N - 1) for the fewest Taylor terms N of exp(jx)
+    # whose remainder x^N / N! (N + 1) / (N + 1 - x) is within the cut's
     # tolerance 4 n s u, x bounding the chirp's phase k |o du - o^2 dc| at
     # every offset (module docstring).
     o = 0.5 * (n - 1) * spacing
@@ -339,7 +370,41 @@ def _basis_rows(n, spacing, k, du, dc, s):
     while 2 * terms - 1 < n and (terms + 1 <= x or term * (terms + 1) / (terms + 1 - x) > tol):
         terms += 1
         term *= x / terms
-    return min(n, 2 * terms - 1)
+    return min(n, 2 * terms - 1), x
+
+
+def _series_factor(n, spacing, du, dc, k, m):
+    # V T, (panels, m, targets), for the first m = 2N - 1 < n orthonormal
+    # polynomials V and the N-term series T of the chirp exp(j (a xi + b
+    # xi^2)) in xi = o / o_max, a = k o_max du and b = -k o_max^2 dc: the
+    # moments W = V Xi times the coefficients C of xi^d, d < m. Term
+    # (ja)^i (jb)^l / (i! l!), i + l < N, adds j^(i + l) a^i / i! b^l / l! to
+    # C[i + 2 l]; those powers of a and b are real.
+    o = 0.5 * (n - 1) * spacing
+    terms = (m + 1) // 2
+    pa, pb = _scaled_powers((k * o) * du, terms), _scaled_powers((-k * o * o) * dc, terms)
+    coeffs = np.zeros((m,) + du.shape, dtype=np.complex128)
+    parts = (coeffs.real, coeffs.imag)
+    for i in range(terms):
+        for l in range(terms - i):
+            # j^(i + l) is 1, j, -1 or -j.
+            part = parts[(i + l) % 2][i + 2 * l]
+            if (i + l) % 4 < 2:
+                part += pa[i] * pb[l]
+            else:
+                part -= pa[i] * pb[l]
+    # One real gemm on the float64 view: the moments are real.
+    flat = coeffs.view(np.float64).reshape(m, -1)
+    product = (_moments(n, m) @ flat).view(np.complex128).reshape(coeffs.shape)
+    return product.transpose(1, 0, 2)
+
+
+def _scaled_powers(v, terms):
+    # v^i / i! for i < terms, the first the scalar 1.
+    out = [1.0, v]
+    for i in range(2, terms):
+        out.append(out[-1] * (v / i))
+    return out[:terms]
 
 
 @functools.lru_cache
@@ -359,6 +424,24 @@ def _polynomial_basis(n, m):
         q[j] = v / np.sqrt(v @ v)
     q.setflags(write=False)
     return q
+
+
+@functools.lru_cache
+def _moments(n, m):
+    # W = V Xi, (m, m), for V = _polynomial_basis(n, m) and the monomials
+    # xi^d, d < m, of the n offsets scaled to [-1, 1], n > 1. Row j of V is
+    # orthogonal to the polynomials of degree below j, so W is upper
+    # triangular; each entry above is an exact sum (fsum) of rounded
+    # products.
+    offsets = np.arange(n) - 0.5 * (n - 1)
+    powers = np.vander(offsets / offsets[-1], m, increasing=True).T
+    q = _polynomial_basis(n, m)
+    w = np.zeros((m, m))
+    for j in range(m):
+        for d in range(j, m):
+            w[j, d] = math.fsum(q[j] * powers[d])
+    w.setflags(write=False)
+    return w
 
 
 def _second_level(r_row, r_col):

@@ -4,6 +4,7 @@ delay-and-sum weights against the exact per-element sum with the exact
 weights, link spectra against the exact channel matrix, and the QR-compressed
 link spectra against the uncompressed Khatri-Rao product of the same factors."""
 
+import math
 import os
 import tracemalloc
 
@@ -836,7 +837,7 @@ def basis_rows(layout, pts, s=None):
     plan, axes = axis_inputs(layout, pts)
     s = s or len(pts)
     return tuple(
-        mimo._basis_rows(n, plan.spacing, K, mimo._centred(u, s), mimo._centred(c, s), s)
+        mimo._basis_rows(n, plan.spacing, K, mimo._centred(u, s), mimo._centred(c, s), s)[0]
         for n, u, c in axes
     )
 
@@ -929,9 +930,10 @@ def per_offset_spectrum(plan, pts):
 def projection_tolerance(n_panels, axes, s):
     # Bound on |projected - per-offset| for every singular value, c u ||H||_F,
     # for the (offsets, M) of each axis. Each side adds its own first level
-    # (the projected one sqrt(2 M) n for the gemm and 4 M s for the QR where
-    # M < n, else 4 n s), its cut (truncation_constant), one rounding of each
-    # Khatri-Rao entry and of each row R entry's path phase, and its
+    # (the projected one, where M < n, 4 M s for the QR and either the
+    # series' remainder and rounding, within 4 n s each, or the chains' gemm,
+    # sqrt(2 M) n; else 4 n s), its cut (truncation_constant), one rounding
+    # of each Khatri-Rao entry and of each row R entry's path phase, and its
     # staircase and SVD. The projection adds 4 n s per axis (mimo module
     # docstring).
     u = UNIT_ROUNDOFF
@@ -939,7 +941,7 @@ def projection_tolerance(n_panels, axes, s):
 
     def first(n, m):
         # One side's first level on an axis, relative; M = n is the oracle's.
-        return (np.sqrt(2.0 * m) * n + 4.0 * m * s if m < n else 4.0 * n * s) * u
+        return (8.0 * n * s + 4.0 * m * s if m < n else 4.0 * n * s) * u
 
     def kronecker(g_row, g_col):
         # A Khatri-Rao column carries both factors' errors and their product.
@@ -1012,6 +1014,113 @@ def test_polynomial_basis_is_orthonormal_and_holds_the_polynomials(n):
         v = np.vander(x, m, increasing=True)
         residual = np.linalg.norm(v - q.T @ (q @ v), axis=0) / np.linalg.norm(v, axis=0)
         assert residual.max() <= 4.0 * n * UNIT_ROUNDOFF
+
+
+def chirp_inputs(n, wavelength, pitch, x_target, share, n_panels, s, n_links, seed):
+    # (spacing, k, du, dc) of one axis, relative to each link's mid-range:
+    # random chirps whose phase reaches about x_target at the end offsets,
+    # the share of it from the slope du.
+    spacing, k = pitch * wavelength, 2.0 * np.pi / wavelength
+    o = 0.5 * (n - 1) * spacing
+    rng = np.random.default_rng(seed)
+    shape = (n_panels, n_links * s)
+    du = rng.uniform(-1.0, 1.0, shape) * share * x_target / (k * o)
+    dc = rng.uniform(-1.0, 1.0, shape) * (1.0 - share) * x_target / (k * o * o)
+    return spacing, k, du, dc
+
+
+def takes_series(n, s, m, x):
+    # The series' guard: M < n, and its rounding 3 (N + M) u e^x within the
+    # cut's tolerance 4 n s u (mimo module docstring).
+    return m < n and 3.0 * ((m + 1) // 2 + m) * np.exp(x) <= 4.0 * n * s
+
+
+def chain_axis_r(n, spacing, du, dc, k, s):
+    # The R factors an axis had before the series: the chains' factor,
+    # projected by a gemm where M < n.
+    m, _ = mimo._basis_rows(n, spacing, k, du, dc, s)
+    factor = kn._axis_factor(n, spacing, du, dc, k)
+    if m < n:
+        factor = (mimo._polynomial_basis(n, m) @ factor.view(np.float64)).view(np.complex128)
+    return mimo._resolved_rows(mimo._panel_r(factor, s), n)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 64),
+    wavelength=st.floats(1.0e-3, 1.0),
+    pitch=st.floats(0.1, 2.0),
+    log_x=st.floats(np.log(1.0e-7), np.log(12.0)),
+    share=st.floats(0.0, 1.0),
+    n_panels=st.integers(1, 3),
+    s=st.integers(1, 16),
+    n_links=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(32, LAM, 0.5, np.log(1.0e-3), 0.5, 2, 16, 4, 0)  # the benchmark's axes
+@example(64, LAM, 0.5, np.log(3.0), 0.5, 2, 2, 1, 0)  # M < n, the guard refuses
+@example(4, LAM, 0.5, np.log(3.0), 0.5, 2, 2, 1, 0)  # M = n
+def test_series_projection_within_its_bound_of_the_projected_chains(
+    n, wavelength, pitch, log_x, share, n_panels, s, n_links, seed
+):
+    # Where M < n, V T from the chirp's N-term series against V F from the
+    # chains, column by column, relative to F's column norm sqrt(n):
+    # - the series' remainder, x^N / N! (N + 1) / (N + 1 - x);
+    # - the series' rounding, 3 (N + M) u e^x;
+    # - both sides' rounding of the phase, at most 9 u x between them;
+    # - F's own: the chains' drift (kn._recurrence_drift) and one exp's 4u,
+    #   and the gemm V F's sqrt(2 M) n u.
+    # Where the guard refuses, or M = n, the axis' R factors are the chains'
+    # bit for bit.
+    spacing, k, u_raw, c_raw = chirp_inputs(
+        n, wavelength, pitch, np.exp(log_x), share, n_panels, s, n_links, seed
+    )
+    du, dc = mimo._centred(u_raw, s), mimo._centred(c_raw, s)
+    m, x = mimo._basis_rows(n, spacing, k, du, dc, s)
+    if not takes_series(n, s, m, x):
+        got = mimo._axis_r(n, spacing, u_raw, c_raw, k, s)
+        assert np.array_equal(got, chain_axis_r(n, spacing, du, dc, k, s))
+    if m == n:
+        return
+    u = UNIT_ROUNDOFF
+    terms = (m + 1) // 2
+    remainder = x**terms / math.factorial(terms) * (terms + 1) / (terms + 1 - x)
+    drift = kn._recurrence_drift(n, spacing, k, np.abs(du).max(), np.abs(dc).max())
+    chains = drift / (1.0 - drift) + 4.0 * u + np.sqrt(2.0 * m) * n * u
+    bound = remainder + 3.0 * (terms + m) * u * np.exp(x) + 9.0 * u * x + chains
+    got = mimo._series_factor(n, spacing, du, dc, k, m)
+    want = mimo._polynomial_basis(n, m) @ kn._axis_factor(n, spacing, du, dc, k)
+    assert got.shape == want.shape == (n_panels, m, n_links * s)
+    assert np.linalg.norm(got - want, axis=1).max() <= bound * np.sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "n, x_target, s, path",
+    [(32, 1.0e-3, 16, "series"), (4, 3.0, 2, "whole"), (64, 3.0, 2, "refused")],
+)
+def test_axis_r_takes_the_series_only_where_its_guard_passes(n, x_target, s, path):
+    # M = n sends the factor to the QR whole, and a guard that refuses sends
+    # it through the chains and the gemm: both bit for bit as before.
+    spacing, k, du, dc = chirp_inputs(n, LAM, 0.5, x_target, 0.5, 2, s, 2, 0)
+    m, x = mimo._basis_rows(n, spacing, k, mimo._centred(du, s), mimo._centred(dc, s), s)
+    assert (m == n, takes_series(n, s, m, x)) == (path == "whole", path == "series")
+    got = mimo._axis_r(n, spacing, du, dc, k, s)
+    want = chain_axis_r(n, spacing, mimo._centred(du, s), mimo._centred(dc, s), k, s)
+    assert np.array_equal(got, want) == (path != "series")
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 32, 64])
+def test_moments_of_the_basis_are_upper_triangular(n):
+    # W = V Xi: row j of V is orthogonal to every monomial of degree below j,
+    # so W holds exact zeros below its diagonal and V Xi, within a few n u,
+    # above.
+    offsets = np.arange(n) - 0.5 * (n - 1)
+    for m in range(1, n):
+        w = mimo._moments(n, m)
+        assert w.shape == (m, m) and not w.flags.writeable
+        assert np.array_equal(w, np.triu(w))
+        v_xi = mimo._polynomial_basis(n, m) @ np.vander(offsets / offsets[-1], m, increasing=True)
+        assert np.abs(w - v_xi).max() <= 4.0 * n * UNIT_ROUNDOFF
 
 
 @PROPERTY
@@ -1273,6 +1382,22 @@ def test_the_station_sweep_cuts_both_axes_below_s_rows():
         assert m_row < 32 and m_col < 32
         rb, ra = kept_rows(ground, pts)
         assert rb < len(mount) and ra < len(mount)
+
+
+def test_every_block_of_the_station_sweep_takes_the_series(monkeypatch):
+    # The benchmark's dof_sweep: every block of links builds both axes'
+    # projected factors from the chirp's series, and none from the chains.
+    ground = station_ground()
+    mount = satellite_mount()
+    ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
+    links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
+
+    def chains(*args, **kwargs):
+        raise AssertionError("an axis took the chains")
+
+    monkeypatch.setattr(kn, "_axis_factor", chains)
+    results = link_spectra(links, LAM)
+    assert {kernel.name for _, kernel in results} == {"panel_factorized"}
 
 
 def test_sweep_transient_memory_stays_within_the_block_bound():

@@ -936,7 +936,8 @@ NUMERICS = (
 def test_validate_and_package_import_load_no_numerics():
     # numpy alone is about half of a validate child's start-up; records are
     # not dataclasses, so dataclasses and the inspect it imports stay out.
-    unneeded = NUMERICS + ("dataclasses", "inspect")
+    # The scenario hash takes the builtin SHA-256, not OpenSSL's _hashlib.
+    unneeded = NUMERICS + ("dataclasses", "inspect", "_hashlib")
     loaded = f"print(sorted(m for m in {unneeded!r} if m in sys.modules))"
     assert _fresh(f"import sys, nearlink; {loaded}") == "[]\n"
     assert _fresh(f"import sys, nearlink; nearlink.Direction; {loaded}") == "[]\n"
@@ -960,13 +961,15 @@ def test_each_run_loads_only_its_own_kinds_numerics(tmp_path):
     # A beam run loads no mimo or placement, a sweep no beamforming or
     # placement, a placement search no beamforming or mimo. No run loads
     # dataclasses; numpy.random and the seeding are loaded by the runs that
-    # draw (a placement search, a drawn ground) and by no other.
+    # draw (a placement search, a drawn ground) and by no other. So is
+    # OpenSSL's _hashlib, which numpy.random's use of secrets loads; the
+    # scenario hash does not.
     shared = ["nearlink", "nearlink.cli", "nearlink.fileio", "nearlink.geometry"]
     shared += ["nearlink.kernel", "nearlink.panels", "nearlink.record", "nearlink.scenario"]
     shared += ["nearlink.schema"]
     loaded = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'nearlink'"
-    loaded += " or m in ('dataclasses', 'numpy.random')))"
-    draws = ["nearlink.seeding", "numpy.random"]
+    loaded += " or m in ('_hashlib', 'dataclasses', 'numpy.random')))"
+    draws = ["_hashlib", "nearlink.seeding", "numpy.random"]
     for name, own in (
         ("beam_theta_upa", ["nearlink.beamforming", "nearlink.objective"]),
         ("dof_vs_range", ["nearlink.mimo", *draws]),
