@@ -10,8 +10,8 @@ serves near-field point targets of layouts of identical panels (every UPA and
 every distributed layout): it keeps the exact path to each panel centre and
 expands the path inside a panel to second order (the Fresnel expansion), split
 into a row factor and a column factor. The phase of a factor is quadratic
-along its axis, so the factors come from a product recurrence with at most
-five exps per panel, target and axis rather than one per element offset.
+along its axis, so the focused sums (below) step it by a product recurrence:
+at most five exps per panel, target and axis, not one per element offset.
 
 The factorized kernel sums the delay-and-sum weights toward a point focus,
 which every beam analysis uses. Those weights split the same way as the paths
@@ -43,8 +43,9 @@ their 0.1 + 0.5 Mm. At the focus itself du = dc = 0 and R_pt = R_pF bit for
 bit, so every term is exactly 1 and the sum is exactly N.
 
 The exact kernel is also the oracle the factorized one is tested against. The
-same factors give the link spectra of the MIMO sweeps
-(:func:`nearlink.mimo.link_spectra`).
+link spectra of the MIMO sweeps (:func:`nearlink.mimo.link_spectra`) take the
+gate and the plan without a focus, whose bound is the expansion's alone, and
+build their own factors.
 
 A chunk of the exact sums, the channel matrix or the gate's bound forms at
 most ``_BLOCK_BUDGET`` entries (targets x elements, rows x columns), one
@@ -180,8 +181,7 @@ def channel_matrix(tx, rx, wavelength: float) -> np.ndarray:
 #
 # so dropping the cross term and the remainder leaves a row factor times a
 # column factor: the element's term is exp(-jkR_p) B_pr A_pc, with A the
-# column factors and B the row factors (the link spectra's factors,
-# nearlink.mimo._factorized_factors).
+# column factors and B the row factors.
 #
 # The delay-and-sum weights toward a focus F, exp(jk d_F) at each element,
 # split the same way into exp(jk R_pF) conj(B_F) conj(A_F), so the panel's
@@ -247,7 +247,7 @@ def _factorized_plan(layout, targets, wavelength, focus=None):
     a target, or the focus, lies within a panel's reach of its centre.
 
     With a focus the plan is of the focused sums, and its bound and floor
-    are theirs (module docstring).
+    are theirs (module docstring); without one, the bound is the expansion's.
     """
     spec = layout.panel_spec
     grid = layout._panel_grid if spec.n_elements > 1 else None
@@ -261,20 +261,20 @@ def _factorized_plan(layout, targets, wavelength, focus=None):
     if drops is None:
         return None
     bound, curvature, floor = drops
-    slope, summing = 1.0, 0.0
+    summing = drift = 0.0
     if focus is not None:
         at_focus = _expansion_bound(layout, grid, half_x, half_y, focus[None])
         if at_focus is None:
             return None
         f_bound, f_curvature, f_floor = at_focus
-        slope, curvature = 2.0, curvature + f_curvature
+        curvature += f_curvature
         bound += f_bound + _UNIT_ROUNDOFF * (
-            slope * (half_x + half_y) + curvature * (half_x**2 + half_y**2)
+            2.0 * (half_x + half_y) + curvature * (half_x**2 + half_y**2)
         )
         floor += f_floor
         summing = _gamma(spec.cols - 1) + _gamma(spec.rows - 1)
-    drift = _recurrence_drift(spec.cols, s, k, slope, curvature)
-    drift += _recurrence_drift(spec.rows, s, k, slope, curvature)
+        drift = _recurrence_drift(spec.cols, s, k, 2.0, curvature)
+        drift += _recurrence_drift(spec.rows, s, k, 2.0, curvature)
     bound_rad = float(k * bound + summing + drift / (1.0 - drift))
     return _FactorizedPlan(
         grid.centres, spec.rows, spec.cols, s, bound_rad, float(k * floor), focus
@@ -289,7 +289,7 @@ def _expansion_bound(layout, grid, half_x, half_y, targets):
     kernel's own rounding of a path at the nearest target (m)."""
     u = _UNIT_ROUNDOFF
     # The kernel places element (r, c) at centre + (m_c s, m_r s, 0) exactly,
-    # with m_i = i - (n - 1) / 2 (the progression _axis_factor steps along).
+    # with m_i = i - (n - 1) / 2 (the progression the axis chirps take).
     # Each position is centre + offset rounded once (at most 2**-53 of each
     # coordinate), and _grid_offsets rounds each offset once from m_i s, so
     # each offset coordinate is within u half_x or u half_y of the
@@ -322,14 +322,15 @@ def _expansion_bound(layout, grid, half_x, half_y, targets):
 
 def _recurrence_drift(n, spacing, k, slope, curvature):
     """First-order bound on the relative error _axis_factor's chains add to
-    a factor beyond the one rounded exp a factor costs when evaluated on its
-    own.
+    a term of the focused chirp beyond the one rounded exp a term costs when
+    evaluated on its own.
 
-    ``slope`` bounds |u| and ``curvature`` bounds |c| of the chirp along the
-    axis: c = (1 - u^2) / 2R for a factor, and du, dc for the focused chirp.
-    A factor is at most m = n // 2 - 1 steps from its chain's first exp,
+    The focused sums step f(o) = exp(jk (o u - o^2 c)) with u = du and
+    c = dc relative to the focus; ``slope`` bounds |u| and ``curvature``
+    bounds |c| along the axis.
+    A term is at most m = n // 2 - 1 steps from its chain's first exp,
     which is that one exp; step i multiplies by r_(i-1) = r_0 q^(i-1). So the
-    factor is f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it:
+    term is f_0 r_0^m q^(m(m-1)/2), and m(m+1)/2 rounded products reach it:
     m along the chain and i - 1 inside each r_(i-1). Each of those inputs
     carries its own relative error, and they add to first order:
 
@@ -381,8 +382,8 @@ def _factorized_sums(plan, targets, wavelength):
         path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk])
         cx, cy = _curvature(ux, inv_r) - f_cx, _curvature(uy, inv_r) - f_cy
         ux, uy = ux - f_ux, uy - f_uy
-        inner = _axis_factor(plan.cols, plan.spacing, ux, cx, k, summed=True)
-        inner *= _axis_factor(plan.rows, plan.spacing, uy, cy, k, summed=True)
+        inner = _axis_factor(plan.cols, plan.spacing, ux, cx, k)
+        inner *= _axis_factor(plan.rows, plan.spacing, uy, cy, k)
         out[chunk] = (np.exp(-1j * k * (path - f_path)) * inner).sum(axis=0)
     return out
 
@@ -399,11 +400,10 @@ def _cis(phase):
     return out
 
 
-def _axis_factor(n, spacing, u, c, k, summed=False):
-    # f(o) = exp(jk (o u - o^2 c)) at the n offsets o = m spacing,
-    # m = i - (n - 1) / 2, of one panel axis; u and c are (panels, targets)
-    # and the result is (panels, n, targets), or with ``summed`` the
-    # (panels, targets) sum over the offsets, each term added as it is made.
+def _axis_factor(n, spacing, u, c, k):
+    # The (panels, targets) sum of f(o) = exp(jk (o u - o^2 c)) over the n
+    # offsets o = m spacing, m = i - (n - 1) / 2, of one panel axis, each
+    # term added as it is made; u and c are (panels, targets).
     #
     # The phase is quadratic in o, so along steps d = +-spacing the ratio of
     # neighbours is r_i = r_0 q^i with q = exp(-2jk d^2 c): two chains run
@@ -412,33 +412,22 @@ def _axis_factor(n, spacing, u, c, k, summed=False):
     # per offset. A centre offset (odd n) is 0, where f is 1, and is all of
     # a one-offset axis.
     half = n // 2
-    if summed:
-        out = np.full(u.shape, float(n % 2), dtype=np.complex128)
-    else:
-        out = np.empty((u.shape[0], n, u.shape[1]), dtype=np.complex128)
-        if n % 2:
-            out[:, half] = 1.0
+    out = np.full(u.shape, float(n % 2), dtype=np.complex128)
     if not half:
         return out
     if half > 2:
         q = _cis((-2.0 * k * spacing * spacing) * c)
     # The innermost offset above the centre, in pitches: 1 or 1/2.
     first = (n + 1) // 2 - (n - 1) / 2.0
-    for sign, chain in ((1.0, range(n - half, n)), (-1.0, range(half - 1, -1, -1))):
+    for sign in (1.0, -1.0):
         d, o = sign * spacing, sign * first * spacing
         f = _cis((k * o) * (u - o * c))
-        if summed:
-            out += f
-        else:
-            out[:, chain[0]] = f
+        out += f
         for i in range(1, half):
             if i == 1:
                 r = _cis((k * d) * (u - (2.0 * o + d) * c))
             else:
                 r *= q
-            if summed:
-                f *= r
-                out += f
-            else:
-                f = np.multiply(f, r, out=out[:, chain[i]])
+            f *= r
+            out += f
     return out

@@ -16,7 +16,7 @@ Arbitrary layouts are handled numerically: the spectrum is LAPACK's SVD of
 the channel matrix itself. Forming a Gram matrix instead would square the
 condition number and lose the small singular values of a far-field link,
 which are the ones that decide the stream count. When one side of a link is a
-layout of identical panels, :func:`link_spectra` takes the row and column
+layout of identical panels, :func:`link_spectra` builds the row and column
 factors of the panel-factorized kernel of :mod:`nearlink.kernel`, under the
 same run-time error gate (:func:`nearlink.kernel.gate`) as the beam sweeps,
 and never forms the matrix.
@@ -64,18 +64,22 @@ V T = W C for the moments W = V Xi of the basis against the monomials
 xi^d, d < M: an M x M matrix built once per n and M, upper triangular
 because row j of V is orthogonal to the polynomials of degree below j. It
 takes a few products of (panels, targets) arrays and one real gemm of W by
-C's float64 view, in place of the chains' n offsets per target and V's gemm
-of n. T is within the remainder above of F at every offset, and V has
-orthonormal rows, so V T is within that fraction of V F: the same bound as
-the projection's. To first order, rounding adds 3 (N + M) 2**-53 e^x of
-each column's norm: a term's products of a / i and b / l are within 2N
-2**-53 of its size and a coefficient's sum adds N / 2, the terms' sizes
-summing to at most e^x; W, whose entries are exact sums of rounded
-products, and the gemm W C add 3M. a and b round phi within 3 x 2**-53, as
-the exp of each entry would. Where that rounding passes 4 n S 2**-53, or
-where M = n, the axis takes the chains and, where M < n, the gemm V F. The
-station above has x below 1e-3; with n = 64 and S = 16 the guard refuses
-from x of about 3.
+C's float64 view, in place of n exps per target and V's gemm of n. T is
+within the remainder above of F at every offset, and V has orthonormal rows,
+so V T is within that fraction of V F: the same bound as the projection's.
+To first order, rounding adds 3 (N + M) 2**-53 e^x of each column's norm: a
+term's products of a / i and b / l are within 2N 2**-53 of its size and a
+coefficient's sum adds N / 2, the terms' sizes summing to at most e^x; W,
+whose entries are exact sums of rounded products, and the gemm W C add 3M.
+a and b round phi within 3 x 2**-53, as the exp of each entry would.
+
+Where that rounding passes 4 n S 2**-53, or where M = n, the axis' factor
+is the chirp itself, one exp per offset, and goes to the QR whole. Its phase
+takes five roundings of terms of at most x, the offset's counting twice, and
+the exp adds at most 2 ulps per component, so each entry is within
+(6 x + 4) 2**-53 of the chirp: one exp's rounding, as the exact kernel pays
+per element. The station above has x below 1e-3; with n = 64 and S = 16 the
+guard refuses from x of about 3.
 
 R_b and R_a are upper triangular, so row (i, j) of R_b (.) R_a is zero left
 of column max(i, j). A staircase of QRs reduces the stack one leading column
@@ -110,16 +114,15 @@ Householder QR and LAPACK's SVD are backward stable: each returns the exact
 result for an input within about 4 k n 2**-53 of the k x n one it was given,
 in Frobenius norm (Higham, "Accuracy and Stability of Numerical Algorithms",
 Thm 19.4). Where M < n the QR of V F adds 4 M S in place of a QR of F's
-4 n S, and the series its rounding, within 4 n S; where the guard refuses,
-the gemm V F rounds each entry within sqrt(2) n 2**-53 times its column's
-norm, so it adds sqrt(2 M) n. Each staircase step's input is a rotation of
+4 n S, and the series its rounding, within 4 n S; where the factor goes
+whole, its exps add 6 x + 4. Each staircase step's input is a rotation of
 rows of the stack, of norm at most ||H||_F. Step m is
 k_m <= P (rb + ra - 1) + S - m - 1 rows by S - m columns, so the steps add
 at most 4 k_m (S - m) each: about 1.0e5 in all for 16 panels of 32 x 32,
 S = 16 and R factors of 16 rows, where the per-panel QRs and the stacked
 SVD they replace added 3.3e4, and 2.0e3 for S = 4. By Weyl's inequality no
 singular value moves by more than the sum over both QR levels, the
-projection, the series and the cut (below) and the SVD, times
+projection, the series or the exps, the cut (below) and the SVD, times
 2**-53 ||H||_F. That is a worst case: the moves seen are a few 2**-53
 sigma_max.
 
@@ -137,9 +140,8 @@ by more than 4 (rows + cols) S 2**-53 ||H||_F, and the projection and the
 series' remainder each as much again. Where P rb' ra' < S the last triangle
 has fewer than min(N, S) rows, and the values past them are exact zeros. On
 the station above a block keeps 3 or 4 of the row factor's projected rows
-and 3 or 4 of the column factor's: 3 or 4 staircase steps, against 5 to 7
-when V F came from the chains and 9 to 13 of 16 rows kept without the
-projection.
+and 3 or 4 of the column factor's: 3 or 4 staircase steps, against 9 to 13
+of 16 rows kept without the projection.
 """
 
 from __future__ import annotations
@@ -300,8 +302,8 @@ def _factor_terms(plan, targets, k):
     # The factorized kernel's channel to point targets, in terms of its
     # factors: element (row r, column c) of panel p couples to target a as
     # phase[p, a] f_y(y_r) f_x(x_c), each f(o) = exp(jk (o u - o^2 c)) an
-    # axis' chirp (kernel._axis_factor). Returns phase and the (u, c) of the
-    # row (y) and the column (x) axis, all (panels, targets). The phase is
+    # axis' chirp (_chirp). Returns phase and the (u, c) of the row (y) and
+    # the column (x) axis, all (panels, targets). The phase is
     # exp(-jk (R_pa - |t_a|)): taking each target's path relative to its
     # distance |t_a| from the origin scales column a by exp(jk |t_a|), which
     # leaves the singular values unchanged, and keeps the phase rounding at
@@ -324,30 +326,34 @@ def _factorized_factors(plan, targets, wavelength):
     k = kernel.wavenumber(wavelength)
     phase, axes = _factor_terms(plan, targets, k)
     row, col = (
-        kernel._axis_factor(n, plan.spacing, u, c, k)
-        for n, (u, c) in zip((plan.rows, plan.cols), axes)
+        _chirp(n, plan.spacing, u, c, k) for n, (u, c) in zip((plan.rows, plan.cols), axes)
     )
     row *= phase[:, None, :]
     return row, col
+
+
+def _chirp(n, spacing, u, c, k):
+    # f(o) = exp(jk (o u - o^2 c)), (panels, n, targets), at the n offsets
+    # o = (i - (n - 1) / 2) spacing of one panel axis: one exp per offset of
+    # the (panels, targets) u and c.
+    offsets = (np.arange(n) - 0.5 * (n - 1)) * spacing
+    return np.stack([kernel._cis((k * o) * (u - o * c)) for o in offsets], axis=1)
 
 
 def _axis_r(n, spacing, u, c, k, s):
     # R factors, (links, panels, rows, s), of one panel axis of n offsets
     # with the (panels, links * s) chirps u, c: taken relative to each
     # link's mid-range per panel, projected on the first M orthonormal
-    # polynomials of the offsets where M < n, from the chirp's Taylor series
-    # where its rounding stays within the tolerance, and cut to the rows the
-    # first level resolves (module docstring).
+    # polynomials of the offsets from the chirp's Taylor series where M < n
+    # and its rounding stays within the tolerance, else the chirp whole, and
+    # cut to the rows the first level resolves (module docstring).
     u, c = _centred(u, s), _centred(c, s)
     m, x = _basis_rows(n, spacing, k, u, c, s)
     # The series' rounding, 3 (N + M) u e^x, against the cut's 4 n s u.
     if m < n and 3.0 * ((m + 1) // 2 + m) <= 4.0 * n * s * math.exp(-x):
         factor = _series_factor(n, spacing, u, c, k, m)
     else:
-        factor = kernel._axis_factor(n, spacing, u, c, k)
-        if m < n:
-            # One real gemm on the float64 view: the basis is real.
-            factor = (_polynomial_basis(n, m) @ factor.view(np.float64)).view(np.complex128)
+        factor = _chirp(n, spacing, u, c, k)
     return _resolved_rows(_panel_r(factor, s), n)
 
 

@@ -233,9 +233,11 @@ def test_station_map_takes_factorized_path_within_bound():
     exact = kn._exact_sums(lay.positions, w.weights, pts, False, LAM)
     assert np.abs(totals - exact).max() <= focused_tolerance(plan, lay, pts, focus)
 
-    # The targets' factors alone, which link spectra take, bound less.
+    # The targets' factors alone, which link spectra take, bound less: what
+    # the expansion drops, with no chains and no sums.
     plain, kernel = kn.gate(lay, pts, LAM)
     assert plain.focus is None and kernel.bound_rad < grid.kernel.bound_rad
+    assert kernel.bound_rad == K * b_t
     check_factors_against_the_channel(lay, pts, plain)
 
 
@@ -483,6 +485,8 @@ def long_double_axis_factor(n, spacing, u, inv_r):
     log_range=st.floats(np.log(1.0e3), np.log(3.0e6)),
 )
 def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_range):
+    # The focused sums' chains, summed as they step, against the sum of one
+    # direct exp per offset, and of the long-double factor.
     rng = np.random.default_rng(seed)
     spacing = pitch * LAM
     theta, phi = rng.uniform(-1.4, 1.4, (3, 5)), rng.uniform(0.0, 2.0 * np.pi, (3, 5))
@@ -492,11 +496,7 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_ran
     c = (1.0 - u * u) * (0.5 * inv_r)
     got = kn._axis_factor(n, spacing, u, c, K)
     want = direct_axis_factor(n, spacing, u, inv_r)
-    assert got.shape == want.shape == (3, n, 5)
-    # The summed form adds the same terms, one after another.
-    summed = kn._axis_factor(n, spacing, u, c, K, summed=True)
-    assert summed.shape == (3, 5)
-    assert np.abs(summed - got.sum(axis=1)).max() <= 2.0 * n * kn._gamma(n)
+    assert got.shape == (3, 5) and want.shape == (3, n, 5)
     edge = (n - 1) / 2.0 * spacing
     curvature = 0.5 / ranges.min()
     if n // 2 >= 2:
@@ -505,10 +505,16 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_ran
         drift /= 1.0 - drift
         start = ((n + 1) // 2 - (n - 1) / 2.0) * spacing
     else:
-        # One exp per offset, of the expression a chain starts from.
+        # One exp per offset, of the expression a chain starts from: the
+        # chirp's, whose end offsets the chains add to the centre's 1.
+        chirp = mimo._chirp(n, spacing, u, c, K)
         for i in range(n):
             o = (i - (n - 1) / 2.0) * spacing
-            assert np.array_equal(got[:, i], np.exp(1j * ((K * o) * (u - o * c))))
+            assert np.array_equal(chirp[:, i], np.exp(1j * ((K * o) * (u - o * c))))
+        total = np.full(u.shape, float(n % 2), dtype=np.complex128)
+        for i in (n - 1, 0)[: 2 * (n // 2)]:
+            total += chirp[:, i]
+        assert np.array_equal(got, total)
         drift, start = 0.0, edge
 
     # A phase of at most k |o| (|u| + 2 |o c|) in five roundings, and an exp
@@ -516,13 +522,21 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_ran
     def one_exp(o, unit):
         return 5.0 * unit * (1.0 + 1e-9) * K * o * (1.0 + 2.0 * o * curvature) + 4.0 * unit
 
-    # Each form pays one rounded exp per factor at an offset up to the edge.
-    assert np.abs(got - want).max() <= drift + 2.0 * one_exp(edge, UNIT_ROUNDOFF)
-    # Against the long-double factor only the exp a factor starts from
-    # counts: a chain's first, or the factor's own.
+    # Summing n terms of unit modulus one after another: within gamma_(n-1)
+    # of n per component (Higham 4.2).
+    def summing(unit):
+        return np.sqrt(2.0) * n * (n - 1) * unit / (1.0 - (n - 1) * unit)
+
+    # Each side pays one rounded exp per term at an offset up to the edge,
+    # and its sum; the chains add their drift to every term.
+    direct = n * (drift + 2.0 * one_exp(edge, UNIT_ROUNDOFF)) + 2.0 * summing(UNIT_ROUNDOFF)
+    assert np.abs(got - want.sum(axis=1)).max() <= direct
+    # Against the long-double factor only the exp a term starts from counts:
+    # a chain's first, or the term's own.
     ld_unit = float(np.finfo(np.longdouble).eps) / 2.0
-    tight = drift + one_exp(start, UNIT_ROUNDOFF) + one_exp(edge, ld_unit)
-    reference = long_double_axis_factor(n, spacing, u, inv_r)
+    tight = n * (drift + one_exp(start, UNIT_ROUNDOFF) + one_exp(edge, ld_unit))
+    tight += summing(UNIT_ROUNDOFF) + summing(ld_unit)
+    reference = long_double_axis_factor(n, spacing, u, inv_r).sum(axis=1)
     assert float(np.abs(got - reference).max()) <= tight
 
 
@@ -920,7 +934,7 @@ def per_offset_spectrum(plan, pts):
     phase, axes = mimo._factor_terms(plan, pts, K)
     r = []
     for n, (u, c) in zip((plan.rows, plan.cols), axes):
-        factor = kn._axis_factor(n, plan.spacing, mimo._centred(u, s), mimo._centred(c, s), K)
+        factor = mimo._chirp(n, plan.spacing, mimo._centred(u, s), mimo._centred(c, s), K)
         r.append(mimo._resolved_rows(mimo._panel_r(factor, s), n))
     r_row, r_col = r[0] * phase[None, :, None, :], r[1]
     values = np.linalg.svd(mimo._second_level(r_row, r_col)[0], compute_uv=False)
@@ -930,9 +944,8 @@ def per_offset_spectrum(plan, pts):
 def projection_tolerance(n_panels, axes, s):
     # Bound on |projected - per-offset| for every singular value, c u ||H||_F,
     # for the (offsets, M) of each axis. Each side adds its own first level
-    # (the projected one, where M < n, 4 M s for the QR and either the
-    # series' remainder and rounding, within 4 n s each, or the chains' gemm,
-    # sqrt(2 M) n; else 4 n s), its cut (truncation_constant), one rounding
+    # (the projected one, where M < n, 4 M s for the QR and the series'
+    # remainder and rounding, within 4 n s each; else 4 n s), its cut (truncation_constant), one rounding
     # of each Khatri-Rao entry and of each row R entry's path phase, and its
     # staircase and SVD. The projection adds 4 n s per axis (mimo module
     # docstring).
@@ -1035,14 +1048,9 @@ def takes_series(n, s, m, x):
     return m < n and 3.0 * ((m + 1) // 2 + m) * np.exp(x) <= 4.0 * n * s
 
 
-def chain_axis_r(n, spacing, du, dc, k, s):
-    # The R factors an axis had before the series: the chains' factor,
-    # projected by a gemm where M < n.
-    m, _ = mimo._basis_rows(n, spacing, k, du, dc, s)
-    factor = kn._axis_factor(n, spacing, du, dc, k)
-    if m < n:
-        factor = (mimo._polynomial_basis(n, m) @ factor.view(np.float64)).view(np.complex128)
-    return mimo._resolved_rows(mimo._panel_r(factor, s), n)
+def chirp_axis_r(n, spacing, du, dc, k, s):
+    # The R factors of an axis' whole chirp, one exp per offset.
+    return mimo._resolved_rows(mimo._panel_r(mimo._chirp(n, spacing, du, dc, k), s), n)
 
 
 @PROPERTY
@@ -1060,18 +1068,18 @@ def chain_axis_r(n, spacing, du, dc, k, s):
 @example(32, LAM, 0.5, np.log(1.0e-3), 0.5, 2, 16, 4, 0)  # the benchmark's axes
 @example(64, LAM, 0.5, np.log(3.0), 0.5, 2, 2, 1, 0)  # M < n, the guard refuses
 @example(4, LAM, 0.5, np.log(3.0), 0.5, 2, 2, 1, 0)  # M = n
-def test_series_projection_within_its_bound_of_the_projected_chains(
+def test_series_projection_within_its_bound_of_the_projected_chirp(
     n, wavelength, pitch, log_x, share, n_panels, s, n_links, seed
 ):
-    # Where M < n, V T from the chirp's N-term series against V F from the
-    # chains, column by column, relative to F's column norm sqrt(n):
+    # Where M < n, V T from the chirp's N-term series against V F from one
+    # exp per offset, column by column, relative to F's column norm sqrt(n):
     # - the series' remainder, x^N / N! (N + 1) / (N + 1 - x);
     # - the series' rounding, 3 (N + M) u e^x;
     # - both sides' rounding of the phase, at most 9 u x between them;
-    # - F's own: the chains' drift (kn._recurrence_drift) and one exp's 4u,
-    #   and the gemm V F's sqrt(2 M) n u.
-    # Where the guard refuses, or M = n, the axis' R factors are the chains'
-    # bit for bit.
+    # - F's one exp, 4u, and the test's gemm V F, taken in long double:
+    #   sqrt(2 M) n times its unit roundoff.
+    # Where the guard refuses, or M = n, the axis' R factors are the whole
+    # chirp's bit for bit.
     spacing, k, u_raw, c_raw = chirp_inputs(
         n, wavelength, pitch, np.exp(log_x), share, n_panels, s, n_links, seed
     )
@@ -1079,17 +1087,17 @@ def test_series_projection_within_its_bound_of_the_projected_chains(
     m, x = mimo._basis_rows(n, spacing, k, du, dc, s)
     if not takes_series(n, s, m, x):
         got = mimo._axis_r(n, spacing, u_raw, c_raw, k, s)
-        assert np.array_equal(got, chain_axis_r(n, spacing, du, dc, k, s))
+        assert np.array_equal(got, chirp_axis_r(n, spacing, du, dc, k, s))
     if m == n:
         return
-    u = UNIT_ROUNDOFF
+    u, ld_unit = UNIT_ROUNDOFF, float(np.finfo(np.longdouble).eps) / 2.0
     terms = (m + 1) // 2
     remainder = x**terms / math.factorial(terms) * (terms + 1) / (terms + 1 - x)
-    drift = kn._recurrence_drift(n, spacing, k, np.abs(du).max(), np.abs(dc).max())
-    chains = drift / (1.0 - drift) + 4.0 * u + np.sqrt(2.0 * m) * n * u
-    bound = remainder + 3.0 * (terms + m) * u * np.exp(x) + 9.0 * u * x + chains
+    chirp = 4.0 * u + np.sqrt(2.0 * m) * n * ld_unit
+    bound = remainder + 3.0 * (terms + m) * u * np.exp(x) + 9.0 * u * x + chirp
     got = mimo._series_factor(n, spacing, du, dc, k, m)
-    want = mimo._polynomial_basis(n, m) @ kn._axis_factor(n, spacing, du, dc, k)
+    basis = mimo._polynomial_basis(n, m).astype(np.longdouble)
+    want = basis @ mimo._chirp(n, spacing, du, dc, k).astype(np.clongdouble)
     assert got.shape == want.shape == (n_panels, m, n_links * s)
     assert np.linalg.norm(got - want, axis=1).max() <= bound * np.sqrt(n)
 
@@ -1099,13 +1107,13 @@ def test_series_projection_within_its_bound_of_the_projected_chains(
     [(32, 1.0e-3, 16, "series"), (4, 3.0, 2, "whole"), (64, 3.0, 2, "refused")],
 )
 def test_axis_r_takes_the_series_only_where_its_guard_passes(n, x_target, s, path):
-    # M = n sends the factor to the QR whole, and a guard that refuses sends
-    # it through the chains and the gemm: both bit for bit as before.
+    # M = n, or a guard that refuses, sends the whole chirp to the QR, one
+    # exp per offset.
     spacing, k, du, dc = chirp_inputs(n, LAM, 0.5, x_target, 0.5, 2, s, 2, 0)
     m, x = mimo._basis_rows(n, spacing, k, mimo._centred(du, s), mimo._centred(dc, s), s)
     assert (m == n, takes_series(n, s, m, x)) == (path == "whole", path == "series")
     got = mimo._axis_r(n, spacing, du, dc, k, s)
-    want = chain_axis_r(n, spacing, mimo._centred(du, s), mimo._centred(dc, s), k, s)
+    want = chirp_axis_r(n, spacing, mimo._centred(du, s), mimo._centred(dc, s), k, s)
     assert np.array_equal(got, want) == (path != "series")
 
 
@@ -1386,16 +1394,16 @@ def test_the_station_sweep_cuts_both_axes_below_s_rows():
 
 def test_every_block_of_the_station_sweep_takes_the_series(monkeypatch):
     # The benchmark's dof_sweep: every block of links builds both axes'
-    # projected factors from the chirp's series, and none from the chains.
+    # projected factors from the chirp's series, and none takes it whole.
     ground = station_ground()
     mount = satellite_mount()
     ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
     links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
 
-    def chains(*args, **kwargs):
-        raise AssertionError("an axis took the chains")
+    def whole(*args, **kwargs):
+        raise AssertionError("an axis took the whole chirp")
 
-    monkeypatch.setattr(kn, "_axis_factor", chains)
+    monkeypatch.setattr(mimo, "_chirp", whole)
     results = link_spectra(links, LAM)
     assert {kernel.name for _, kernel in results} == {"panel_factorized"}
 
