@@ -292,4 +292,4 @@ def write_gain_csv(grid: GainGrid, path, metadata=None) -> None:
     for th, gains in zip(grid.theta.tolist(), grid.gain_dbi.tolist()):
         th = repr(th)
         lines.extend(f"{th},{rm},{g!r}" for rm, g in zip(ranges, gains))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, lines)

@@ -29,16 +29,17 @@ def fmt(x) -> str:
     return str(x)
 
 
-def atomic_write_text(path, text: str) -> None:
-    # Write a sibling temp file, then rename over the target; rename within a
-    # directory is atomic on POSIX.
+def atomic_write_text(path, lines) -> None:
+    # Write each of the iterable ``lines`` and a newline to a sibling temp
+    # file, then rename over the target; rename within a directory is atomic
+    # on POSIX. An error, one raised by the lines too, removes the temp file.
     path = os.fspath(path)
     parent = os.path.dirname(path) or "."
     os.makedirs(parent, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=parent, prefix=".tmp-nearlink-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(line + "\n" for line in lines)
         # mkstemp makes the file 0600; give it the mode open() would.
         umask = os.umask(0)
         os.umask(umask)

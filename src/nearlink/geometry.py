@@ -176,6 +176,16 @@ def make_upa(spec: PanelSpec, center=(0.0, 0.0, 0.0)) -> ElementLayout:
     return _grid_layout(spec, center[None])
 
 
+def placed(mount: ElementLayout, centre) -> ElementLayout:
+    """``mount``, built about the origin, with each element moved by the
+    3-vector ``centre`` (meters): a panel grid stays a grid, its centres
+    moved."""
+    grid = mount._panel_grid
+    if grid is not None:
+        return _grid_layout(mount.panel_spec, grid.centres + centre)
+    return ElementLayout(mount.positions + centre, mount.panel_ids, mount.panel_spec)
+
+
 def point_layout(positions, element_gain_dbi: float = 0.0) -> ElementLayout:
     """Bare points: one single-element panel at each of the (n, 3)
     ``positions`` (meters), in order, with the given element gain. The
@@ -392,4 +402,4 @@ def save_layout(layout: ElementLayout, path) -> None:
     ]
     for pid, (x, y, z) in zip(layout.panel_ids, layout.positions):
         lines.append(f"{pid} {fmt(float(x))} {fmt(float(y))} {fmt(float(z))}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, lines)

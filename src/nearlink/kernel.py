@@ -321,7 +321,7 @@ def _expansion_bound(layout, grid, half_x, half_y, targets):
 
 
 def _recurrence_drift(n, spacing, k, slope, curvature):
-    """First-order bound on the relative error _axis_factor's chains add to
+    """First-order bound on the relative error _axis_sum's chains add to
     a term of the focused chirp beyond the one rounded exp a term costs when
     evaluated on its own.
 
@@ -382,8 +382,8 @@ def _factorized_sums(plan, targets, wavelength):
         path, ux, uy, inv_r = _panel_paths(plan.centres, targets[chunk])
         cx, cy = _curvature(ux, inv_r) - f_cx, _curvature(uy, inv_r) - f_cy
         ux, uy = ux - f_ux, uy - f_uy
-        inner = _axis_factor(plan.cols, plan.spacing, ux, cx, k)
-        inner *= _axis_factor(plan.rows, plan.spacing, uy, cy, k)
+        inner = _axis_sum(plan.cols, plan.spacing, ux, cx, k)
+        inner *= _axis_sum(plan.rows, plan.spacing, uy, cy, k)
         out[chunk] = (np.exp(-1j * k * (path - f_path)) * inner).sum(axis=0)
     return out
 
@@ -400,7 +400,7 @@ def _cis(phase):
     return out
 
 
-def _axis_factor(n, spacing, u, c, k):
+def _axis_sum(n, spacing, u, c, k):
     # The (panels, targets) sum of f(o) = exp(jk (o u - o^2 c)) over the n
     # offsets o = m spacing, m = i - (n - 1) / 2, of one panel axis, each
     # term added as it is made; u and c are (panels, targets).

@@ -93,11 +93,15 @@ reduction (Demmel et al., SIAM J. Sci. Comput. 34, 2012) ordered by the
 blocks' zeros; no Khatri-Rao block is formed whole. Blocks wider than they
 are tall (rb ra < S) take the same steps.
 
-:func:`link_spectra` runs many links, such as the ranges of a sweep, through
-one pass. Links that pass the gate against the same panel layout share one
-factor build and one batched QR per axis, one batched QR per staircase step
-and one batched SVD, a block of links at a time. A block holds
-L = max(1, (rows + cols) // S) links, so that its
+:func:`link_spectra` streams a sweep: one ground, one satellite mount built
+about the origin, and a centre per range, read one at a time; each link's
+targets are the mount's elements plus its centre. Consecutive links that pass
+the gate with the ground as the panel side share one factor build and one
+batched QR per axis, one batched QR per staircase step and one batched SVD, a
+block of links at a time. One block waits at a time, and runs when it is
+full, before a link that does not join it and at the end, so the spectra come
+out in order and a sweep of any length holds one block's arrays. A block
+holds L = max(1, (rows + cols) // S) links, so that its
 L S targets number no more than a panel's rows + cols offsets, unless one
 link alone has more: 4 links for 32 x 32 panels and S = 16, 16 for S = 4. Its
 factors, P (rows + cols) L S entries, are then within P (rows + cols)**2
@@ -147,6 +151,7 @@ of 16 rows kept without the projection.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -154,7 +159,7 @@ import numpy as np
 from . import kernel
 from .kernel import channel_matrix
 from .fileio import atomic_write_text, fmt
-from .geometry import ElementLayout, point_layout
+from .geometry import placed, point_layout
 from .record import Record
 
 
@@ -238,54 +243,60 @@ def _svd_values(h):
         ) from exc
 
 
-def link_spectra(links, wavelength: float) -> list:
-    """Singular spectrum of the phase-only tx -> rx channel of every
-    ``(tx, rx)`` pair in ``links``, and the kernel that built it, in order.
+def link_spectra(ground, mount, centres, wavelength: float):
+    """Singular spectrum of the phase-only channel from ``mount``, built
+    about the origin, at each 3-vector c of ``centres`` to ``ground``, and
+    the kernel that built it: ``(SingularSpectrum, BeamKernel)`` pairs in
+    order, ``centres`` read as they are needed.
 
-    Returns a list of ``(SingularSpectrum, BeamKernel)``. Each link keeps its
-    own gate and kernel. When one side is a layout of identical panel grids
-    and the other side's elements, as point targets, keep the
-    panel-factorized bound within the exact kernel's own phase rounding, the
-    spectrum comes from the factorized kernel's row and column factors,
-    compressed by two levels of QR (see the module docstring), with
-    min(N, S) values as the channel matrix has. Links that pass the gate with
-    the same panel layout and number of point elements share the factor build
+    The mount's elements sit at ``mount.positions + c``. Each link keeps its
+    own gate and kernel: when one side is a layout of identical panel grids
+    (the ground first, then the mount at c) and the other side's elements, as
+    point targets, keep the panel-factorized bound within the exact kernel's
+    own phase rounding, the spectrum comes from the factorized kernel's row
+    and column factors, compressed by two levels of QR (see the module
+    docstring), with min(N, S) values as the channel matrix has. Consecutive
+    links that pass with the ground as the panel side share the factor build
     and the first QR, a block of them at a time. Every other link gives
-    exactly ``singular_values(channel_matrix(tx, rx, wavelength))``.
+    exactly ``singular_values(channel_matrix(placed(mount, c), ground, wavelength))``.
     """
     kernel.wavenumber(wavelength)  # checks the wavelength
-    links = list(links)
-    out = [None] * len(links)
-    groups = {}
-    for i, (tx, rx) in enumerate(links):
-        for panels, points in ((rx, tx), (tx, rx)):
-            plan, used = kernel.gate(panels, points.positions, wavelength)
-            if plan is not None:
-                key = (id(panels), points.n_elements)
-                groups.setdefault(key, (plan, []))[1].append((i, used, points))
-                break
-        else:
-            out[i] = singular_values(channel_matrix(tx, rx, wavelength)), kernel.EXACT_KERNEL
-    for (_, s), (plan, members) in groups.items():
-        # A block's targets number no more than a panel's offsets on its two
-        # axes, or it is one link.
-        size = max(1, (plan.rows + plan.cols) // s)
-        for start in range(0, len(members), size):
-            block = members[start : start + size]
-            targets = np.concatenate([points.positions for _, _, points in block])
-            spectra = _compressed(plan, targets, wavelength, s)
-            for (i, used, _), values in zip(block, spectra):
-                out[i] = SingularSpectrum(values), used
-    return out
+    # The links that pass with the ground as the panel side wait in one
+    # block until it is full, a link does not join it, or the centres end. A
+    # block's targets number no more than a panel's offsets on its two axes,
+    # or it is one link.
+    block = []
+    for centre in centres:
+        targets = mount.positions + centre
+        plan, used = kernel.gate(ground, targets, wavelength)
+        if plan is not None:
+            block.append((plan, targets, used))
+            if len(block) < max(1, (plan.rows + plan.cols) // len(targets)):
+                continue
+        yield from _block_spectra(block, wavelength)
+        block = []
+        if plan is None:
+            sat = placed(mount, centre)
+            plan, used = kernel.gate(sat, ground.positions, wavelength)
+            if plan is None:
+                yield singular_values(channel_matrix(sat, ground, wavelength)), used
+            else:
+                yield from _block_spectra([(plan, ground.positions, used)], wavelength)
+    yield from _block_spectra(block, wavelength)
 
 
-def _compressed(plan, targets, wavelength, s):
-    # Singular values of each consecutive run of s targets' channel to the
-    # plan's panels, (links, min(N, S)), from the R factors of the first QR
-    # level, projected and cut to the rows it resolves, and the staircase
-    # second level. Each axis' factor is dropped once its R factors exist.
-    k = kernel.wavenumber(wavelength)
-    phase, axes = _factor_terms(plan, targets, k)
+def _block_spectra(block, wavelength):
+    # The spectra of a block of (plan, targets, kernel) links of S targets
+    # each toward one panel layout, whose plans differ only in their bounds:
+    # singular values of each link's channel to the panels, min(N, S) of
+    # them, from the R factors of the first QR level, projected and cut to
+    # the rows it resolves, and the staircase second level. Each axis' factor
+    # is dropped once its R factors exist.
+    if not block:
+        return
+    plan, targets, _ = block[0]
+    k, s = kernel.wavenumber(wavelength), len(targets)
+    phase, axes = _factor_terms(plan, np.concatenate([t for _, t, _ in block]), k)
     r_row, r_col = (
         _axis_r(n, plan.spacing, u, c, k, s) for n, (u, c) in zip((plan.rows, plan.cols), axes)
     )
@@ -295,7 +306,9 @@ def _compressed(plan, targets, wavelength, s):
     values = _svd_values(_second_level(r_row, r_col))
     # Where P rb' ra' < S the cut rows leave fewer values; the rest are zero.
     n = min(len(plan.centres) * plan.rows * plan.cols, s)
-    return np.pad(values, ((0, 0), (0, n - values.shape[1])))
+    values = np.pad(values, ((0, 0), (0, n - values.shape[1])))
+    for (_, _, used), link_values in zip(block, values):
+        yield SingularSpectrum(link_values), used
 
 
 def _factor_terms(plan, targets, k):
@@ -316,20 +329,6 @@ def _factor_terms(plan, targets, k):
     rel = ((c * c).sum(axis=-1)[:, None] - 2.0 * (c @ targets.T)) / (path + t_norm)
     axes = ((uy, kernel._curvature(uy, inv_r)), (ux, kernel._curvature(ux, inv_r)))
     return np.exp(-1j * k * rel), axes
-
-
-def _factorized_factors(plan, targets, wavelength):
-    # The (panels, rows, targets) row and (panels, cols, targets) column
-    # factors of _factor_terms, the phase carried by the row factor: panel
-    # p's block of the channel matrix is the column-wise Kronecker product
-    # of row[p] and col[p].
-    k = kernel.wavenumber(wavelength)
-    phase, axes = _factor_terms(plan, targets, k)
-    row, col = (
-        _chirp(n, plan.spacing, u, c, k) for n, (u, c) in zip((plan.rows, plan.cols), axes)
-    )
-    row *= phase[:, None, :]
-    return row, col
 
 
 def _chirp(n, spacing, u, c, k):
@@ -544,11 +543,6 @@ def theory_ratio_curve(
     return lo / hi
 
 
-def _pair_layout(separation: float, z: float) -> ElementLayout:
-    half = separation / 2.0
-    return point_layout([[-half, 0.0, z], [half, 0.0, z]])
-
-
 def exact_ratio_curve(d_tx: float, d_rx: float, wavelength: float, ranges) -> np.ndarray:
     """Singular-value ratio of the exact 2x2 channel at each range.
 
@@ -558,48 +552,44 @@ def exact_ratio_curve(d_tx: float, d_rx: float, wavelength: float, ranges) -> np
     against.
     """
     _check_boundary_args(d_tx, d_rx, wavelength)
-    r = np.asarray(ranges, dtype=np.float64)
-    if r.ndim != 1:
-        r = r.reshape(-1)
+    r = np.asarray(ranges, dtype=np.float64).reshape(-1)
     if (r <= 0.0).any() or not np.all(np.isfinite(r)):
         raise ValueError("ranges must be positive and finite")
-    tx = _pair_layout(d_tx, 0.0)
-    out = np.empty(len(r))
-    for k, rng_m in enumerate(r):
-        rx = _pair_layout(d_rx, float(rng_m))
-        out[k] = condition_ratio(singular_values(channel_matrix(tx, rx, wavelength)))
-    return out
+    tx, rx = (point_layout([[-d / 2.0, 0.0, 0.0], [d / 2.0, 0.0, 0.0]]) for d in (d_tx, d_rx))
+    # The tx pair, as the mount, at each range below the rx pair.
+    links = link_spectra(rx, tx, ((0.0, 0.0, -x) for x in r), wavelength)
+    return np.array([condition_ratio(spectrum) for spectrum, _ in links])
 
 
 def write_spectrum_csv(path, ranges, spectra, tau: float, metadata=None) -> None:
     """Write per-range spectra as ``r_meters,sigma_0..sigma_{k-1},ratio,dof``.
 
-    ``spectra`` is a sequence of :class:`SingularSpectrum`, one per range, all
-    of equal length. ``ratio`` is sigma_min / sigma_max and ``dof`` counts
-    values at or above ``tau * sigma_max``.
+    ``spectra`` is an iterable of :class:`SingularSpectrum`, one per range,
+    all of equal length, read one at a time as its row is written; an error
+    raised while reading it leaves no file. ``ratio`` is sigma_min /
+    sigma_max and ``dof`` counts values at or above ``tau * sigma_max``.
     """
     _check_tau(tau)
     ranges = np.asarray(ranges, dtype=np.float64)
-    spectra = list(spectra)
-    if len(ranges) != len(spectra) or len(spectra) == 0:
-        raise ValueError("need one spectrum per range")
-    k = len(spectra[0].values)
-    if any(len(s.values) != k for s in spectra):
-        raise ValueError("spectra must all have the same length")
+    atomic_write_text(path, _spectrum_lines(ranges, iter(spectra), tau, metadata))
 
-    lines = []
+
+def _spectrum_lines(ranges, spectra, tau, metadata):
+    first = next(spectra, None)
+    if first is None:
+        raise ValueError("need one spectrum per range")
+    k = len(first.values)
     for key, value in (metadata or {}).items():
-        lines.append(f"# {key} {fmt(value)}")
-    lines.append(f"# tau {fmt(float(tau))}")
-    lines.append(
-        "r_meters," + ",".join(f"sigma_{i}" for i in range(k)) + ",ratio,dof"
-    )
-    for rng_m, spec in zip(ranges, spectra):
+        yield f"# {key} {fmt(value)}"
+    yield f"# tau {fmt(float(tau))}"
+    yield "r_meters," + ",".join(f"sigma_{i}" for i in range(k)) + ",ratio,dof"
+    for rng_m, spec in itertools.zip_longest(ranges, itertools.chain([first], spectra)):
+        if rng_m is None or spec is None:
+            raise ValueError("need one spectrum per range")
+        if len(spec.values) != k:
+            raise ValueError("spectra must all have the same length")
         sig = ",".join(fmt(float(v)) for v in spec.values)
-        lines.append(
-            f"{fmt(float(rng_m))},{sig},{fmt(condition_ratio(spec))},{dof_count(spec, tau)}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield f"{fmt(float(rng_m))},{sig},{fmt(condition_ratio(spec))},{dof_count(spec, tau)}"
 
 
 def _check_tau(tau: float) -> None:

@@ -314,7 +314,7 @@ def write_placement_json(
         },
         "positions_m": [[float(v) for v in row] for row in result.positions],
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 __all__ = [

@@ -3,6 +3,7 @@ analysis kind. The parse API of :mod:`nearlink.schema` is re-exported here."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -14,7 +15,7 @@ import numpy as np
 # here for the benchmark's traced run (perfbench/traced_run.py) to wrap.
 from .kernel import EXACT_KERNEL, channel_matrix  # noqa: F401
 from .fileio import atomic_write_text
-from .geometry import ElementLayout, make_distributed_panels, make_upa, point_layout
+from .geometry import ElementLayout, make_distributed_panels, make_upa, placed, point_layout
 from .geometry import random_panel_positions, save_layout
 from .record import Record
 from .schema import *  # noqa: F401,F403  the parse API, re-exported
@@ -53,24 +54,27 @@ def build_ground_layout(s: Scenario) -> ElementLayout:
     return make_distributed_panels(spec, centers)
 
 
-def build_satellite_layout(s: Scenario, range_m=None) -> ElementLayout:
-    """Materialize the satellite at its (range, off-nadir) position.
-
-    The array plane stays parallel to the ground plane; its centroid sits at
-    ``range * (sin off_nadir, 0, cos off_nadir)``. ``range_m`` overrides the
-    scenario's reference range (used by range sweeps).
-    """
+def _satellite_mount(s: Scenario) -> tuple:
+    # Where the satellite sits: its mount, its elements about the origin
+    # parallel to the ground plane (its panel grid, or its positions less
+    # their mean), and the direction (sin off_nadir, 0, cos off_nadir) on
+    # which its centre sits at each range.
     if s.satellite is None:
         raise ValidationError("this analysis needs a 'satellite' section")
-    sat = s.satellite
-    r = sat.range_m if range_m is None else float(range_m)
-    theta = np.deg2rad(sat.off_nadir_deg)
-    center = r * np.array([np.sin(theta), 0.0, np.cos(theta)])
+    sat, theta = s.satellite, np.deg2rad(s.satellite.off_nadir_deg)
+    direction = np.array([np.sin(theta), 0.0, np.cos(theta)])
     if sat.panel is not None:
-        return make_upa(_panel_spec(sat.panel, s.wavelength), center)
+        return make_upa(_panel_spec(sat.panel, s.wavelength)), direction
     offsets = np.asarray(sat.positions_m, dtype=np.float64)
-    offsets = offsets - offsets.mean(axis=0)
-    return point_layout(offsets + center, sat.element_gain_dbi)
+    return point_layout(offsets - offsets.mean(axis=0), sat.element_gain_dbi), direction
+
+
+def build_satellite_layout(s: Scenario, range_m=None) -> ElementLayout:
+    """The satellite's mount at its centre ``range * (sin off_nadir, 0, cos
+    off_nadir)``, the array plane parallel to the ground plane. ``range_m``
+    overrides the scenario's reference range."""
+    mount, direction = _satellite_mount(s)
+    return placed(mount, (s.satellite.range_m if range_m is None else float(range_m)) * direction)
 
 
 # ----- running -----
@@ -90,31 +94,41 @@ def _run_closed_form(s, outdir, tag, module):
     _, name, keys = _CLOSED_FORMS[analysis_kind(s.analysis)]
     payload = closed_form(s.analysis, s.wavelength)
     path = os.path.join(outdir, name)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, [json.dumps(payload, indent=2, sort_keys=True)])
     scalars = {k: payload[k] for k in keys}
     return {"output_files": (path,), "key_scalars": scalars, "details": {}}
 
 
 def _run_sweep(s, outdir, tag, mimo):
     ana, lam = s.analysis, s.wavelength
-    ground = build_ground_layout(s)
+    ground, (mount, direction) = build_ground_layout(s), _satellite_mount(s)
     ranges = _range_axis(ana)
-    # The reference range last, in the same batched pass as the sweep.
-    sats = [build_satellite_layout(s, range_m=float(r)) for r in ranges]
-    sats.append(build_satellite_layout(s))
-    spectra, kernels = zip(*mimo.link_spectra([(sat, ground) for sat in sats], lam))
+    # The sweep's ranges, then the reference range, in one pass.
+    centres = (r * direction for r in itertools.chain(ranges, [s.satellite.range_m]))
+    results = mimo.link_spectra(ground, mount, centres, lam)
+    bounds, reference = {}, []  # kernel name -> its largest bound; the reference's spectrum
+
+    def sweep():
+        # The CSV reads this to its end, the reference range, before it is
+        # renamed into place: a failure at any range leaves no file.
+        for i, (spectrum, used) in enumerate(results):
+            bounds[used.name] = max(bounds.get(used.name, 0.0), used.bound_rad)
+            if i < len(ranges):
+                yield spectrum
+            else:
+                reference.append(spectrum)
+
     path = os.path.join(outdir, "spectrum.csv")
     mimo.write_spectrum_csv(
-        path, ranges, spectra[:-1], ana.tau, metadata={"scenario": tag, "wavelength_m": lam}
+        path, ranges, sweep(), ana.tau, metadata={"scenario": tag, "wavelength_m": lam}
     )
-    ref_spec = spectra[-1]
     scalars = {
-        "dof_at_reference_range": float(mimo.dof_count(ref_spec, ana.tau)),
-        "ratio_at_reference_range": mimo.condition_ratio(ref_spec),
+        "dof_at_reference_range": float(mimo.dof_count(reference[0], ana.tau)),
+        "ratio_at_reference_range": mimo.condition_ratio(reference[0]),
     }
     details = {
-        "channel_kernel": "exact" if EXACT_KERNEL in kernels else "panel_factorized",
-        "channel_kernel_bound_rad": max(k.bound_rad for k in kernels),
+        "channel_kernel": "exact" if EXACT_KERNEL.name in bounds else "panel_factorized",
+        "channel_kernel_bound_rad": max(bounds.values()),
     }
     return {"output_files": (path,), "key_scalars": scalars, "details": details}
 

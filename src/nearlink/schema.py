@@ -230,7 +230,7 @@ def _arrays_fit(s, path):
 def _satellite_clears_ground(s, path):
     # A sweep brings the satellite to its nearest range, where every element
     # must sit above the ground's highest, or an element of each can meet.
-    # build_satellite_layout centres a mount on its mean; panels lie flat.
+    # scenario._satellite_mount centres a mount on its mean; panels lie flat.
     if not isinstance(s.analysis, _SWEEPS):
         return
     sat, r = s.satellite, min(s.analysis.range_start_m, s.satellite.range_m)
@@ -315,7 +315,7 @@ def _pitch_resolves(s, path):
         centre = (r * math.sin(nadir), 0.0, r * math.cos(nadir))
         if sat.panel is not None:
             panels.append((sat.panel, centre, key))
-        # build_satellite_layout centres a mount on its mean.
+        # scenario._satellite_mount centres a mount on its mean.
         for i, coords in enumerate(zip(*(sat.positions_m or ()))):
             ordered, mean = sorted(set(coords)), math.fsum(coords) / len(coords)
             if len(ordered) > 1:

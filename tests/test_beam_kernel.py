@@ -33,6 +33,7 @@ from nearlink.geometry import (
     _grid_offsets,
     make_distributed_panels,
     make_upa,
+    placed,
     point_layout,
     random_panel_positions,
 )
@@ -43,6 +44,7 @@ from nearlink.mimo import (
     singular_values,
 )
 from nearlink.scenario import (
+    _satellite_mount,
     build_ground_layout,
     build_satellite_layout,
     load_scenario,
@@ -110,17 +112,39 @@ def random_weights(seed, n):
     return rng.normal(size=n) + 1j * rng.normal(size=n)
 
 
+ORIGIN = np.zeros(3)
+
+
+def one_link(tx, rx, wavelength=LAM):
+    # The spectrum and kernel of one tx -> rx link: the rx side as the
+    # ground, the tx side as the mount at the origin.
+    return next(link_spectra(rx, tx, [ORIGIN], wavelength))
+
+
+def factorized_factors(plan, targets):
+    # The (panels, rows, targets) row and (panels, cols, targets) column
+    # factors of mimo._factor_terms, the phase carried by the row factor:
+    # panel p's block of the channel matrix is the column-wise Kronecker
+    # product of row[p] and col[p].
+    phase, axes = mimo._factor_terms(plan, targets, K)
+    row, col = (
+        mimo._chirp(n, plan.spacing, u, c, K) for n, (u, c) in zip((plan.rows, plan.cols), axes)
+    )
+    row *= phase[:, None, :]
+    return row, col
+
+
 def factorized_channel(layout, plan, pts):
     # The channel the unfocused plan's factors stand for, as the link spectra
     # take it: panel p's block is the column-wise Kronecker product of its
     # row and column factors.
-    row, col = mimo._factorized_factors(plan, pts, LAM)
+    row, col = factorized_factors(plan, pts)
     return (row[:, :, None, :] * col[:, None, :, :]).reshape(layout.n_elements, len(pts))
 
 
 def check_factors_against_the_channel(layout, pts, plan):
     # Column a of the factorized channel is the exact channel's times
-    # exp(jk |t_a|) (mimo._factorized_factors). Entry by entry, within the
+    # exp(jk |t_a|) (factorized_factors). Entry by entry, within the
     # plan's bound of the terms dropped, plus rounding: the exact entry
     # rounds its phase about four times at the size of its path (squares,
     # root, division by the wavelength, product with 2 pi), the column's
@@ -494,7 +518,7 @@ def test_axis_recurrence_within_its_drift_of_direct_exps(n, pitch, seed, log_ran
     ranges = np.exp(log_range + rng.uniform(0.0, 0.5, (3, 5)))
     inv_r = 1.0 / ranges
     c = (1.0 - u * u) * (0.5 * inv_r)
-    got = kn._axis_factor(n, spacing, u, c, K)
+    got = kn._axis_sum(n, spacing, u, c, K)
     want = direct_axis_factor(n, spacing, u, inv_r)
     assert got.shape == (3, 5) and want.shape == (3, n, 5)
     edge = (n - 1) / 2.0 * spacing
@@ -759,7 +783,7 @@ def test_factorized_spectrum_within_weyl_bound_of_exact(layout, seed, n_points, 
     plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
     sat = point_layout(pts)
-    spectrum, kernel = link_spectra([(sat, layout)], LAM)[0]
+    spectrum, kernel = one_link(sat, layout)
     assert kernel.name == "panel_factorized" and kernel.bound_rad == plan.bound_rad
     exact = singular_values(channel_matrix(sat, layout, LAM))
     assert spectrum.values.shape == exact.values.shape
@@ -860,7 +884,7 @@ def check_compressed_against_uncompressed(layout, pts, panels_receive):
     sat = point_layout(pts)
     tx, rx = (sat, layout) if panels_receive else (layout, sat)
     plan = kn._factorized_plan(layout, pts, LAM)
-    spectrum, kernel = link_spectra([(tx, rx)], LAM)[0]
+    spectrum, kernel = one_link(tx, rx)
     assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
 
     # The channel the compressed path stands for.
@@ -912,8 +936,8 @@ def test_cut_spectrum_within_the_truncation_bound_of_the_uncut_staircase(
     pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
     plan = kn._factorized_plan(layout, pts, LAM)
     assume(plan is not None and plan.bound_rad <= plan.floor_rad)
-    spectrum, _ = link_spectra([(point_layout(pts), layout)], LAM)[0]
-    row, col = mimo._factorized_factors(plan, pts, LAM)
+    spectrum, _ = one_link(point_layout(pts), layout)
+    row, col = factorized_factors(plan, pts)
     r_row, r_col = mimo._panel_r(row, n_points), mimo._panel_r(col, n_points)
     uncut = np.linalg.svd(mimo._second_level(r_row, r_col)[0], compute_uv=False)
     assert spectrum.values.shape == uncut.shape
@@ -987,26 +1011,31 @@ def test_projected_spectrum_within_its_bound_of_the_per_offset_qr(
     # Links of one block, at ranges up to a factor of e apart and off nadir
     # in any azimuth, against the QR of each whole factor in the test.
     rng = np.random.default_rng(seed)
-    sats = []
+    mount = point_layout(rng.uniform(-2.0, 2.0, size=(n_points, 3)))
+    centres = []
     for _ in range(n_links):
         r = np.exp(log_range + rng.uniform(0.0, 1.0))
         centre = r * unit_vectors(off_nadir * rng.uniform(0.9, 1.0), rng.uniform(0, 2 * np.pi))
-        pts = centre + rng.uniform(-2.0, 2.0, size=(n_points, 3))
-        plan = kn._factorized_plan(layout, pts, LAM)
+        plan = kn._factorized_plan(layout, mount.positions + centre, LAM)
         assume(plan is not None and plan.bound_rad <= plan.floor_rad)
-        sats.append(point_layout(pts))
-    links = [(sat, layout) if panels_receive else (layout, sat) for sat in sats]
+        centres.append(centre)
     spec = layout.panel_spec
     h_fro = np.sqrt(layout.n_elements * n_points)
-    # The links of each block, which share its M (mimo.link_spectra).
-    size = max(1, (spec.rows + spec.cols) // n_points)
-    for i, (spectrum, kernel) in enumerate(link_spectra(links, LAM)):
+    if panels_receive:
+        # The links of each block, which share its M (mimo.link_spectra).
+        size = max(1, (spec.rows + spec.cols) // n_points)
+        results = link_spectra(layout, mount, centres, LAM)
+    else:
+        # The panels as the mount: each link is a block of one.
+        size = 1
+        results = (one_link(layout, placed(mount, centre)) for centre in centres)
+    for i, (spectrum, kernel) in enumerate(results):
         assert kernel.name == "panel_factorized"
-        pts = sats[i].positions
+        pts = mount.positions + centres[i]
         plan = kn._factorized_plan(layout, pts, LAM)
         want = per_offset_spectrum(plan, pts)
         assert spectrum.values.shape == want.shape
-        block = [sat.positions for sat in sats[i - i % size : i - i % size + size]]
+        block = [mount.positions + c for c in centres[i - i % size : i - i % size + size]]
         m_row, m_col = basis_rows(layout, np.concatenate(block), n_points)
         axes = ((spec.rows, m_row), (spec.cols, m_col))
         bound = projection_tolerance(len(plan.centres), axes, n_points) * h_fro
@@ -1202,7 +1231,7 @@ def test_compressed_spectrum_shapes_of_r():
     assert kept_rows(layout, pts) == (3, 3)
     for panels_receive in (True, False):
         check_compressed_against_uncompressed(layout, pts, panels_receive)
-    spectrum, _ = link_spectra([(point_layout(pts), layout)], LAM)[0]
+    spectrum, _ = one_link(point_layout(pts), layout)
     assert spectrum.values.shape == (16,) and not spectrum.values[9:].any()
 
 
@@ -1211,7 +1240,7 @@ def test_compressed_spectrum_has_as_many_values_as_the_exact_one():
     for n_points in (3, 20):
         sat = point_layout(np.array([[0.1 * i, 0.05 * i, 5.0e4] for i in range(n_points)]))
         for tx, rx in ((sat, panels), (panels, sat)):
-            spectrum, kernel = link_spectra([(tx, rx)], LAM)[0]
+            spectrum, kernel = one_link(tx, rx)
             assert kernel.name == "panel_factorized"
             exact = singular_values(channel_matrix(tx, rx, LAM))
             assert spectrum.values.shape == exact.values.shape
@@ -1220,7 +1249,7 @@ def test_compressed_spectrum_has_as_many_values_as_the_exact_one():
 def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
     panels = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
     sat = point_layout(np.array([[-0.5, 0.0, 5.0e4], [0.5, 0.0, 5.0e4], [0.0, 0.5, 5.0e4]]))
-    assert link_spectra([(sat, panels)], LAM)[0][1].name == "panel_factorized"
+    assert one_link(sat, panels)[1].name == "panel_factorized"
 
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -1228,18 +1257,18 @@ def test_svd_failure_on_a_panel_link_is_a_convergence_failure(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     for tx, rx in ((sat, panels), (panels, sat)):
         with pytest.raises(ConvergenceFailure, match="did not converge"):
-            link_spectra([(tx, rx)], LAM)[0]
+            one_link(tx, rx)
     # A batch of ranges, several to a block.
-    sweep = [point_layout(sat.positions + [0.0, 0.0, r]) for r in (0.0, 1.0e4, 2.0e4, 3.0e4)]
+    centres = [[0.0, 0.0, r] for r in (0.0, 1.0e4, 2.0e4, 3.0e4)]
     with pytest.raises(ConvergenceFailure, match="did not converge"):
-        link_spectra([(tx, panels) for tx in sweep], LAM)
+        list(link_spectra(panels, sat, centres, LAM))
 
 
 def test_panels_on_either_side_of_the_link_give_the_same_spectrum():
     panels = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), [[-20, 0, 0], [20, 0, 0]])
     sat = point_layout(np.array([[-0.5, 0.0, 5.0e4], [0.5, 0.0, 5.0e4], [0.0, 0.5, 5.0e4]]))
-    down, down_kernel = link_spectra([(sat, panels)], LAM)[0]
-    up, up_kernel = link_spectra([(panels, sat)], LAM)[0]
+    down, down_kernel = one_link(sat, panels)
+    up, up_kernel = one_link(panels, sat)
     assert down_kernel == up_kernel and down_kernel.name == "panel_factorized"
     assert down.values.shape == up.values.shape == (3,)
     np.testing.assert_allclose(up.values, down.values, rtol=0.0, atol=1e-14 * down.values[0])
@@ -1251,7 +1280,7 @@ def test_shipped_dof_sweep_keeps_every_stream_count():
     ground = build_ground_layout(s)
     for r in np.geomspace(ana.range_start_m, ana.range_stop_m, ana.n_ranges):
         sat = build_satellite_layout(s, range_m=float(r))
-        fast, kernel = link_spectra([(sat, ground)], s.wavelength)[0]
+        fast, kernel = one_link(sat, ground, s.wavelength)
         exact = singular_values(channel_matrix(sat, ground, s.wavelength))
         assert kernel.name == "panel_factorized"
         assert dof_count(fast, ana.tau) == dof_count(exact, ana.tau)
@@ -1269,11 +1298,12 @@ def test_off_nadir_dof_sweep_keeps_every_stream_count():
     ana = s.analysis
     assert s.satellite.off_nadir_deg == 60.0 and s.wavelength == LAM
     ground = build_ground_layout(s)
+    mount, direction = _satellite_mount(s)
     ranges = np.geomspace(ana.range_start_m, ana.range_stop_m, ana.n_ranges)
-    links = [(build_satellite_layout(s, range_m=float(r)), ground) for r in ranges]
-    kernels = [kernel.name for _, kernel in link_spectra(links, LAM)]
+    centres = [r * direction for r in ranges]
+    kernels = [kernel.name for _, kernel in link_spectra(ground, mount, centres, LAM)]
     assert kernels.count("exact") == 33 and kernels[:33] == ["exact"] * 33
-    assert check_batched_against_single_and_exact(links, ground, ana.tau) == {
+    assert check_batched_against_single_and_exact(ground, mount, centres, ana.tau) == {
         "exact",
         "panel_factorized",
     }
@@ -1291,7 +1321,7 @@ def test_fallback_spectra_are_bit_identical_to_the_exact_path():
         (point_layout(np.array([[0.0, 0.0, 0.5], [0.01, 0.0, 0.5]])), upa, LAM),
     ]
     for tx, rx, lam in cases:
-        spectrum, kernel = link_spectra([(tx, rx)], lam)[0]
+        spectrum, kernel = one_link(tx, rx, lam)
         assert kernel == EXACT_KERNEL
         assert np.array_equal(spectrum.values, singular_values(channel_matrix(tx, rx, lam)).values)
 
@@ -1313,14 +1343,16 @@ def satellite_mount(n=4):
     return np.array([[x, y, 0.0] for y in ys for x in xs])
 
 
-def check_batched_against_single_and_exact(links, panels, tau):
-    batched = link_spectra(links, LAM)
-    assert len(batched) == len(links)
-    spec = panels.panel_spec
+def check_batched_against_single_and_exact(ground, mount, centres, tau):
+    # Each link of a sweep, batched, against the same link alone and against
+    # the exact channel; returns the kernels the links took.
+    batched = list(link_spectra(ground, mount, centres, LAM))
+    assert len(batched) == len(centres)
     kernels = set()
-    for (tx, rx), (spectrum, kernel) in zip(links, batched):
-        single, single_kernel = link_spectra([(tx, rx)], LAM)[0]
-        exact = singular_values(channel_matrix(tx, rx, LAM))
+    for centre, (spectrum, kernel) in zip(centres, batched):
+        single, single_kernel = next(link_spectra(ground, mount, [centre], LAM))
+        sat = placed(mount, centre)
+        exact = singular_values(channel_matrix(sat, ground, LAM))
         assert kernel == single_kernel
         assert spectrum.values.shape == single.values.shape == exact.values.shape
         assert dof_count(spectrum, tau) == dof_count(single, tau) == dof_count(exact, tau)
@@ -1329,8 +1361,10 @@ def check_batched_against_single_and_exact(links, panels, tau):
             assert np.array_equal(spectrum.values, exact.values)
             assert np.array_equal(single.values, exact.values)
             continue
-        points = tx if rx is panels else rx
-        plan = kn._factorized_plan(panels, points.positions, LAM)
+        # The ground is the panel side where it passes the gate.
+        ground_side = kn.gate(ground, sat.positions, LAM)[0] is not None
+        panels, points = (ground, sat) if ground_side else (sat, ground)
+        plan, spec = kn._factorized_plan(panels, points.positions, LAM), panels.panel_spec
         assert kernel == bf.BeamKernel("panel_factorized", plan.bound_rad)
         n, s = panels.n_elements, points.n_elements
         qr = compressed_tolerance(len(plan.centres), spec.rows, spec.cols, s, np.sqrt(n * s))
@@ -1346,17 +1380,20 @@ def test_sweep_straddling_the_gate_matches_single_links_and_the_exact_channel():
     # exact channel; from about 90 km they are factorized, several ranges
     # to a block.
     ground = station_ground()
-    mount = satellite_mount()
-    sats = [point_layout(mount + [0.0, 0.0, r]) for r in np.geomspace(20.0e3, 300.0e3, 12)]
-    downlinks = [(sat, ground) for sat in sats]
-    kernels = check_batched_against_single_and_exact(downlinks, ground, 0.1)
+    mount = point_layout(satellite_mount())
+    centres = [[0.0, 0.0, r] for r in np.geomspace(20.0e3, 300.0e3, 12)]
+    kernels = check_batched_against_single_and_exact(ground, mount, centres, 0.1)
     assert kernels == {"exact", "panel_factorized"}
-    # Uplink, and a batch of one on either side of the gate.
-    assert check_batched_against_single_and_exact(
-        [(ground, sat) for sat in sats[::3]], ground, 0.1
-    ) == {"exact", "panel_factorized"}
-    for link in (downlinks[0], downlinks[-1]):
-        check_batched_against_single_and_exact([link], ground, 0.1)
+    # Uplink, the station as the mount at the origin and each satellite as
+    # the ground, and a batch of one on either side of the gate.
+    uplinks = set()
+    for centre in centres[::3]:
+        uplinks |= check_batched_against_single_and_exact(
+            placed(mount, centre), ground, [ORIGIN], 0.1
+        )
+    assert uplinks == {"exact", "panel_factorized"}
+    for centre in (centres[0], centres[-1]):
+        check_batched_against_single_and_exact(ground, mount, [centre], 0.1)
 
 
 def test_sweep_with_the_panels_on_the_satellite_side():
@@ -1366,7 +1403,9 @@ def test_sweep_with_the_panels_on_the_satellite_side():
     sat = make_distributed_panels(PanelSpec(4, 4, 0.5 * LAM), corners)
     centres = random_panel_positions(1414.0, 1000.0, 16, 50.0, 7)
     grounds = [point_layout(centres - [0.0, 0.0, r]) for r in np.geomspace(1.0e3, 300.0e3, 7)]
-    kernels = check_batched_against_single_and_exact([(sat, g) for g in grounds], sat, 0.1)
+    kernels = set()
+    for g in grounds:
+        kernels |= check_batched_against_single_and_exact(g, sat, [ORIGIN], 0.1)
     assert kernels == {"exact", "panel_factorized"}
     # The ground's points span a kilometre, so from the nearest range the
     # gate passes on, each 4-offset factor needs every polynomial and goes
@@ -1375,6 +1414,24 @@ def test_sweep_with_the_panels_on_the_satellite_side():
     assert len(factorized) == 3
     for g in factorized:
         assert basis_rows(sat, g.positions) == (4, 4)
+
+
+def test_link_spectra_read_the_centres_one_block_ahead():
+    # 40 ranges in blocks of (32 + 32) // 4 = 16 links: each spectrum comes
+    # out once the last centre of its block is read, and before the next
+    # block's first, so the links wait in one block at a time.
+    read = []
+
+    def centres():
+        for r in np.geomspace(100.0e3, 3000.0e3, 40):
+            read.append(r)
+            yield [0.0, 0.0, r]
+
+    mount = point_layout(satellite_mount(2))
+    for i, (_, kernel) in enumerate(link_spectra(station_ground(), mount, centres(), LAM)):
+        assert kernel.name == "panel_factorized"
+        assert len(read) == min(40, 16 * (i // 16 + 1))
+    assert i == 39
 
 
 def test_the_station_sweep_cuts_both_axes_below_s_rows():
@@ -1397,14 +1454,13 @@ def test_every_block_of_the_station_sweep_takes_the_series(monkeypatch):
     # projected factors from the chirp's series, and none takes it whole.
     ground = station_ground()
     mount = satellite_mount()
-    ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
-    links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
+    centres = [[0.0, 0.0, r] for r in list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]]
 
     def whole(*args, **kwargs):
         raise AssertionError("an axis took the whole chirp")
 
     monkeypatch.setattr(mimo, "_chirp", whole)
-    results = link_spectra(links, LAM)
+    results = list(link_spectra(ground, point_layout(mount), centres, LAM))
     assert {kernel.name for _, kernel in results} == {"panel_factorized"}
 
 
@@ -1415,16 +1471,16 @@ def test_sweep_transient_memory_stays_within_the_block_bound():
     # once fails here.
     ground = station_ground()
     mount = satellite_mount()
-    ranges = list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]
-    links = [(point_layout(mount + [0.0, 0.0, r]), ground) for r in ranges]
-    link_spectra(links[:1], LAM)  # the ground's cached panel grid
+    centres = [[0.0, 0.0, r] for r in list(np.geomspace(100.0e3, 3000.0e3, 25)) + [450.0e3]]
+    sat = point_layout(mount)
+    list(link_spectra(ground, sat, centres[:1], LAM))  # the ground's cached panel grid
     n_panels, rows, cols, s = 16, 32, 32, len(mount)
     block = (rows + cols) // s
     factors = n_panels * (rows + cols) * block * s
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        results = link_spectra(links, LAM)
+        results = list(link_spectra(ground, sat, centres, LAM))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

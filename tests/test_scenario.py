@@ -6,6 +6,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from nearlink.scenario import (
     scenario_hash,
     serialize_scenario,
 )
+from nearlink.mimo import ConvergenceFailure
 from nearlink.panels import PlacementInfeasible
 from nearlink.record import MISSING, Record, replace
 from nearlink.schema import _FREQUENCY, _satellite_clears_ground, _to_dict
@@ -730,6 +732,74 @@ def test_run_svd_sweep_benchtop(tmp_path):
     rows = read_csv(report.output_files[0])
     assert len(rows) == 97
     assert rows["r_meters"][0] == 4.0 and rows["r_meters"][-1] == 100.0
+
+
+def streamed_sweep(n_ranges):
+    # A dof sweep over two 32 x 32 panels from the 4-element mount of
+    # dof_vs_range: blocks of 16 links, all factorized.
+    return f"""\
+version: 1
+frequency_hz: 28.0e9
+ground:
+  kind: distributed
+  panel: {{rows: 32, cols: 32, spacing_wavelengths: 0.5}}
+  positions_m: [[-50.0, 0.0], [50.0, 0.0]]
+satellite:
+  range_m: 450.0e3
+  positions_m: [[-0.707, -0.5], [0.707, -0.5], [-0.707, 0.5], [0.707, 0.5]]
+analysis:
+  kind: dof_sweep
+  range_start_m: 100.0e3
+  range_stop_m: 3000.0e3
+  n_ranges: {n_ranges}
+  tau: 0.1
+"""
+
+
+def test_a_sweep_that_fails_partway_leaves_nothing_behind(tmp_path, monkeypatch):
+    # 48 ranges and the reference range take four SVDs, blocks of 16 links;
+    # the last, of the reference range alone, comes after every CSV row. A
+    # failure at any of them leaves neither spectrum.csv nor a temp file.
+    s = parse_scenario(streamed_sweep(48))
+    real_svd, calls = np.linalg.svd, []
+
+    def svd_failing_at(call):
+        def svd(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real_svd(*args, **kwargs)
+
+        return svd
+
+    monkeypatch.setattr(np.linalg, "svd", svd_failing_at(None))
+    report = run_scenario(s, output_dir=str(tmp_path / "whole"))
+    assert report.details["channel_kernel"] == "panel_factorized" and len(calls) == 4
+    assert os.listdir(tmp_path / "whole") == ["spectrum.csv"]
+    for call in range(1, 5):
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_at(call))
+        out = tmp_path / f"failed_at_{call}"
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            run_scenario(s, output_dir=str(out))
+        assert os.listdir(out) == []
+
+
+def test_sweep_memory_does_not_grow_with_its_ranges(tmp_path):
+    # A sweep streams its centres, its spectra and its CSV rows: from 1 000
+    # to 4 000 ranges its traced peak grows by no more than the range axis
+    # and one array of centres would, 32 B a range.
+    def peak(n_ranges):
+        s = parse_scenario(streamed_sweep(n_ranges))
+        tracemalloc.start()
+        try:
+            run_scenario(s, output_dir=str(tmp_path))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # the first run's imports and caches
+    assert peak(4000) - peak(1000) <= 32 * 3000
 
 
 def test_run_beam_theta_small(tmp_path):
